@@ -10,11 +10,10 @@ into the region holding 90% of the predictions.
 
 from pathlib import Path
 
-import numpy as np
-
 from survcheck import (
     ModelDesign,
     SamplerConfig,
+    apply_scaling,
     bundle_to_svg,
     calibration_check,
     fit,
@@ -22,7 +21,6 @@ from survcheck import (
     scale_covariates,
     zoom_region,
 )
-from survcheck.experiments import scale_long
 from survcheck.models import logistic
 from survcheck.simulate import ScenarioConfig, simulate_scenario
 
@@ -31,12 +29,12 @@ out.mkdir(parents=True, exist_ok=True)
 
 long, short = simulate_scenario(ScenarioConfig(n_subjects=150, seed=19))
 short_scaled, record = scale_covariates(short, ("Size", "AgeAtSurg", "MitHPF"))
-long_scaled = scale_long(long, record)
+long_scaled = apply_scaling(long, record)
 
 spec = get_preset("bernoulli-gist")
 result = fit(spec, long_scaled, SamplerConfig(n_warmup=1500, n_keep=500, seed=20))
 design = ModelDesign(spec, long_scaled.covariates)
-beta = np.column_stack([result.draws.column(nm) for nm in design.parameter_names])
+beta = design.coefficients(result.draws)
 p_mean = logistic(design.matrix(long_scaled.covariates) @ beta.T).mean(axis=1)
 
 series, inside = calibration_check(p_mean, long_scaled.outcome, seed=21,

@@ -15,6 +15,7 @@ from survcheck import (
     ModelDesign,
     SamplerConfig,
     TimeGrid,
+    apply_scaling,
     compare,
     elpd_loo,
     fit,
@@ -23,7 +24,6 @@ from survcheck import (
     loglik_matrix,
     scale_covariates,
 )
-from survcheck.experiments import scale_long
 from survcheck.models import preset_exponential_gist, preset_weibull_gist
 from survcheck.simulate import ScenarioConfig, simulate_scenario
 
@@ -32,7 +32,7 @@ out.mkdir(parents=True, exist_ok=True)
 
 long, short = simulate_scenario(ScenarioConfig(n_subjects=120, seed=31))
 short_scaled, record = scale_covariates(short, ("Size", "AgeAtSurg", "MitHPF"))
-long_scaled = scale_long(long, record)
+long_scaled = apply_scaling(long, record)
 grid = TimeGrid(1.0, 10)
 sampler = SamplerConfig(n_warmup=1200, n_keep=500, seed=32)
 

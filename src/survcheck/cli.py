@@ -267,7 +267,7 @@ def _calibration_series(args, spec, data, draws, design):
     from .models import log_survival, logistic, subject_params
 
     if spec.family == "bernoulli_logit":
-        beta = np.column_stack([draws.column(nm) for nm in design.parameter_names])
+        beta = design.coefficients(draws)
         if args.interval is not None:
             rows = data.interval_index == args.interval
             covs = {k: v[rows] for k, v in data.covariates.items()}

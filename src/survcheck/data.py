@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import io
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -124,27 +124,19 @@ class SurvivalDataset:
     def subset(self, mask) -> "SurvivalDataset":
         mask = np.asarray(mask)
         ib = self.interval_bounds[mask] if self.interval_bounds is not None else None
-        return SurvivalDataset(
+        return replace(
+            self,
             subject_id=self.subject_id[mask],
             entry_time=self.entry_time[mask],
             time=self.time[mask],
             status=self.status[mask],
             covariates={k: v[mask] for k, v in self.covariates.items()},
             interval_bounds=ib,
-            time_unit=self.time_unit,
         )
 
     def replace_times(self, time, status) -> "SurvivalDataset":
         """Copy with new times/statuses (used by imputation)."""
-        return SurvivalDataset(
-            subject_id=self.subject_id,
-            entry_time=self.entry_time,
-            time=time,
-            status=status,
-            covariates=dict(self.covariates),
-            interval_bounds=self.interval_bounds,
-            time_unit=self.time_unit,
-        )
+        return replace(self, time=time, status=status)
 
 
 @dataclass(frozen=True)
@@ -200,6 +192,16 @@ class LongDataset:
         """Distinct subjects in first-appearance order."""
         _, idx = np.unique(self.subject_id, return_index=True)
         return self.subject_id[np.sort(idx)]
+
+    def subset(self, mask) -> "LongDataset":
+        mask = np.asarray(mask)
+        return replace(
+            self,
+            subject_id=self.subject_id[mask],
+            interval_index=self.interval_index[mask],
+            outcome=self.outcome[mask],
+            covariates={k: v[mask] for k, v in self.covariates.items()},
+        )
 
 
 @dataclass(frozen=True)
@@ -394,6 +396,19 @@ class TreatmentRule:
             return float(self.duration)
         return float(self.duration) if covariates.get(self.treated_covariate, 0.0) != 0 else 0.0
 
+    def rows(self, statics: Mapping[str, float], n_intervals: int,
+             sid: int | None = None) -> dict[str, np.ndarray]:
+        """Covariate columns of one subject's long-format rows 1..n_intervals.
+
+        The static covariates are repeated on every row, followed by the
+        time, on-treatment and time-since-stopped columns.
+        """
+        k = np.arange(1, n_intervals + 1, dtype=float)
+        dur = self.duration_for(sid, statics)
+        return {**{name: np.full(n_intervals, value) for name, value in statics.items()},
+                self.time_name: k, self.on_name: (k <= dur).astype(float),
+                self.since_name: np.maximum(0.0, k - dur)}
+
 
 def expand_long(
     data: SurvivalDataset,
@@ -416,35 +431,20 @@ def expand_long(
         raise DataError("grid does not cover the largest observed time")
     rules = td_rules if td_rules is not None else TreatmentRule()
 
-    sid_rows, idx_rows, out_rows = [], [], []
-    static_names = tuple(data.covariates)
-    cov_rows = {name: [] for name in static_names}
+    k_last = grid.interval_of(data.time)
+    starts = np.cumsum(k_last) - k_last
+    interval_index = np.arange(k_last.sum()) - np.repeat(starts, k_last) + 1
+    is_event = np.repeat(data.status == EVENT, k_last)
+    parts = [rules.rows({name: float(col[i]) for name, col in data.covariates.items()},
+                        int(k), int(data.subject_id[i])) for i, k in enumerate(k_last)]
     td_cols = (rules.time_name, rules.on_name, rules.since_name)
-    td_rows = {name: [] for name in td_cols}
-
-    for i in range(data.n):
-        sid = int(data.subject_id[i])
-        k_last = grid.interval_of(data.time[i])
-        covs = {name: float(col[i]) for name, col in data.covariates.items()}
-        dur = rules.duration_for(sid, covs)
-        for k in range(1, k_last + 1):
-            sid_rows.append(sid)
-            idx_rows.append(k)
-            out_rows.append(1 if (k == k_last and data.status[i] == EVENT) else 0)
-            for name in static_names:
-                cov_rows[name].append(covs[name])
-            td_rows[rules.time_name].append(float(k))
-            td_rows[rules.on_name].append(1.0 if k <= dur else 0.0)
-            td_rows[rules.since_name].append(max(0.0, k - dur))
-
-    covariates = {**{n: np.array(v) for n, v in cov_rows.items()},
-                  **{n: np.array(v) for n, v in td_rows.items()}}
     return LongDataset(
-        subject_id=np.array(sid_rows, dtype=int),
-        interval_index=np.array(idx_rows, dtype=int),
-        outcome=np.array(out_rows, dtype=int),
-        covariates=covariates,
-        static_names=static_names,
+        subject_id=np.repeat(data.subject_id, k_last),
+        interval_index=interval_index,
+        outcome=((interval_index == np.repeat(k_last, k_last)) & is_event).astype(int),
+        covariates={name: np.concatenate([p[name] for p in parts] + [np.empty(0)])
+                    for name in (*data.covariates, *td_cols)},
+        static_names=tuple(data.covariates),
         td_names=td_cols,
         time_unit=data.time_unit,
     )
@@ -497,15 +497,9 @@ def rescale_time(data: SurvivalDataset, c: float, time_unit: str | None = None) 
     if not c > 0:
         raise DataError("rescale factor must be positive")
     ib = data.interval_bounds / c if data.interval_bounds is not None else None
-    return SurvivalDataset(
-        subject_id=data.subject_id,
-        entry_time=data.entry_time / c,
-        time=data.time / c,
-        status=data.status,
-        covariates=dict(data.covariates),
-        interval_bounds=ib,
-        time_unit=time_unit if time_unit is not None else data.time_unit,
-    )
+    return replace(data, entry_time=data.entry_time / c, time=data.time / c,
+                   interval_bounds=ib,
+                   time_unit=time_unit if time_unit is not None else data.time_unit)
 
 
 @dataclass(frozen=True)
@@ -533,26 +527,7 @@ class ScalingRecord:
 
 def apply_scaling(data, record: ScalingRecord):
     """Apply a stored scaling record to a short- or long-format dataset."""
-    covs = record.apply(data.covariates)
-    if isinstance(data, LongDataset):
-        return LongDataset(
-            subject_id=data.subject_id,
-            interval_index=data.interval_index,
-            outcome=data.outcome,
-            covariates=covs,
-            static_names=data.static_names,
-            td_names=data.td_names,
-            time_unit=data.time_unit,
-        )
-    return SurvivalDataset(
-        subject_id=data.subject_id,
-        entry_time=data.entry_time,
-        time=data.time,
-        status=data.status,
-        covariates=covs,
-        interval_bounds=data.interval_bounds,
-        time_unit=data.time_unit,
-    )
+    return replace(data, covariates=record.apply(data.covariates))
 
 
 def scale_covariates(
@@ -576,16 +551,7 @@ def scale_covariates(
             raise DataError(f"covariate {name!r} has zero variance")
         stats[name] = (mean, sd)
         covs[name] = (x - mean) / sd * target_sd
-    scaled = SurvivalDataset(
-        subject_id=data.subject_id,
-        entry_time=data.entry_time,
-        time=data.time,
-        status=data.status,
-        covariates=covs,
-        interval_bounds=data.interval_bounds,
-        time_unit=data.time_unit,
-    )
-    return scaled, ScalingRecord(stats, target_sd=target_sd)
+    return replace(data, covariates=covs), ScalingRecord(stats, target_sd=target_sd)
 
 
 # ---------------------------------------------------------------------------

@@ -21,10 +21,9 @@ import numpy as np
 
 from .data import (
     DrawsMatrix,
-    LongDataset,
-    ScalingRecord,
     SurvivalDataset,
     TimeGrid,
+    TreatmentRule,
     apply_scaling,
     rescale_time,
     scale_covariates,
@@ -33,11 +32,12 @@ from .loo import compare, elpd_loo, loglik_matrix, psis_smooth
 from .models import (
     ModelDesign,
     ModelSpec,
+    bernoulli_interval_prob,
     get_preset,
     hazard,
-    logistic,
     preset_exponential_gist,
     preset_weibull_gist,
+    subject_params,
 )
 from .sampler import SamplerConfig, diagnose, fit
 from .series import PlotSeries
@@ -54,11 +54,6 @@ EXAMPLE_PATIENT = {
     "Rupture": 0.0,
     "Gastric": 1.0,
 }
-
-
-def scale_long(long: LongDataset, record: ScalingRecord) -> LongDataset:
-    """Apply a short-form scaling record to long-format rows."""
-    return apply_scaling(long, record)
 
 
 # ---------------------------------------------------------------------------
@@ -174,15 +169,6 @@ def _quantile_curves(values: np.ndarray, x: np.ndarray, name: str, level: float 
     }
 
 
-def _patient_rows(duration: float, max_year: int, statics: dict) -> dict:
-    years = np.arange(1, max_year + 1, dtype=float)
-    rows = {name: np.full(max_year, value) for name, value in statics.items()}
-    rows["Time"] = years
-    rows["AdjOn"] = (years <= duration).astype(float)
-    rows["TimeSinceAdjStopped"] = np.maximum(0.0, years - duration)
-    return rows
-
-
 def hazard_curves_experiment(
     scenario: ScenarioConfig | None = None,
     sampler: SamplerConfig | None = None,
@@ -200,7 +186,7 @@ def hazard_curves_experiment(
     patient = dict(patient or EXAMPLE_PATIENT)
     long, short = simulate_scenario(scenario)
     short_scaled, record = scale_covariates(short, CONTINUOUS_COVARIATES)
-    long_scaled = scale_long(long, record)
+    long_scaled = apply_scaling(long, record)
 
     results = {"scenario": scenario.to_dict(), "sampler": asdict(sampler),
                "patient": patient, "curves": {}, "diagnostics": {}}
@@ -214,11 +200,7 @@ def hazard_curves_experiment(
         design = ModelDesign(spec, short_scaled.covariates)
         for treated in (1.0, 0.0):
             covs = record.apply({**patient, "AdjTreatm": treated})
-            beta = np.column_stack([res.draws.column(nm) for nm in design.parameter_names])
-            mu = np.exp(design.matrix(covs, n_rows=1) @ beta.T)[0]  # (S,)
-            params = {"mean": mu[None, :]}
-            if spec.has_shape:
-                params["shape"] = res.draws.column("alpha")[None, :]
+            params = subject_params(spec, design, res.draws, covs, n_rows=1)
             haz = hazard(spec.family, params, t_grid[:, None])  # (n_t, S)
             label = "treated" if treated else "untreated"
             results["curves"][f"{spec.name}_{label}"] = _quantile_curves(
@@ -229,12 +211,12 @@ def hazard_curves_experiment(
     res_b = fit(bern, long_scaled, sampler)
     results["diagnostics"][bern.name] = diagnose(res_b)
     design_b = ModelDesign(bern, long_scaled.covariates)
-    beta_b = np.column_stack([res_b.draws.column(nm) for nm in design_b.parameter_names])
+    beta_b = design_b.coefficients(res_b.draws)
     years = np.arange(1, scenario.max_follow_up + 1, dtype=float)
-    for treated, duration in ((1.0, float(scenario.treatment_duration)), (0.0, 0.0)):
-        rows = _patient_rows(duration, scenario.max_follow_up, patient)
-        rows = record.apply(rows)
-        p = logistic(design_b.matrix(rows) @ beta_b.T)  # (n_years, S)
+    rule = TreatmentRule(duration=float(scenario.treatment_duration))
+    for treated in (1.0, 0.0):
+        rows = rule.rows({**patient, "AdjTreatm": treated}, scenario.max_follow_up)
+        p = bernoulli_interval_prob(design_b, beta_b, record.apply(rows))  # (n_years, S)
         label = "treated" if treated else "untreated"
         results["curves"][f"bernoulli-gist_{label}"] = _quantile_curves(
             p, years, f"recurrence probability ({label})")
@@ -296,7 +278,7 @@ def run_pipeline(config: dict) -> dict:
 
     long, short = simulate_scenario(scenario)
     short_scaled, record = scale_covariates(short, CONTINUOUS_COVARIATES)
-    long_scaled = scale_long(long, record)
+    long_scaled = apply_scaling(long, record)
     grid = TimeGrid(1.0, scenario.max_follow_up)
 
     out = {"config": {"scenario": scenario.to_dict(), "sampler": asdict(sampler),
@@ -321,8 +303,8 @@ def run_pipeline(config: dict) -> dict:
     res_b = fit(bern, long_scaled, sampler)
     out["diagnostics"][bern.name] = diagnose(res_b)
     design_b = ModelDesign(bern, long_scaled.covariates)
-    beta_b = np.column_stack([res_b.draws.column(nm) for nm in design_b.parameter_names])
-    p_mean = logistic(design_b.matrix(long_scaled.covariates) @ beta_b.T).mean(axis=1)
+    p_mean = bernoulli_interval_prob(design_b, design_b.coefficients(res_b.draws),
+                                     long_scaled.covariates).mean(axis=1)
     series, inside = calibration_check(p_mean, long_scaled.outcome,
                                        seed=int(rng.integers(2**31)), zoom_mass=0.9)
     out["checks"]["calibration_bernoulli-gist"] = [s.to_dict() for s in series]

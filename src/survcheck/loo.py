@@ -25,29 +25,29 @@ from scipy.special import logsumexp
 
 from .checks import dichotomize_outcomes
 from .data import (
-    EVENT,
-    INTERVAL_CENSORED,
-    LEFT_CENSORED,
-    RIGHT_CENSORED,
     DataError,
     LongDataset,
     SurvivalDataset,
     TimeGrid,
+    TreatmentRule,
+    to_short_form,
 )
 from .models import (
     DENSITY,
     PROBABILITY,
     ModelDesign,
     ModelSpec,
+    bernoulli_log_score,
     cdf,
-    log_density,
-    log_interval_prob,
-    log_survival,
+    group_log_scores,
     logistic,
+    score_groups,
     subject_params,
+    training_covariates,
 )
 
 DEFAULT_KHAT_THRESHOLD = 0.7
+MODES = ("raw", "interval", "dichotomized")
 
 
 class LooError(ValueError):
@@ -168,7 +168,14 @@ def loglik_matrix(
     mode 'dichotomized':  Bernoulli score of "event by the horizon", with
                           p = F(horizon); subjects censored before the
                           horizon are dropped.
+
+    Raw and interval modes score through the kernel the sampler's likelihood
+    uses (``models.score_groups`` and ``models.group_log_scores``), so each
+    row of the matrix sums to the log likelihood at that draw.  Any other
+    mode is refused.
     """
+    if mode not in MODES:
+        raise LooError(f"unknown scoring mode {mode!r}; expected one of {MODES}")
     if spec.family == "bernoulli_logit":
         if mode != "raw":
             raise LooError("interval/dichotomized modes apply to continuous families")
@@ -176,71 +183,32 @@ def loglik_matrix(
     if not isinstance(data, SurvivalDataset):
         raise DataError("continuous families score short-format data")
     params = subject_params(spec, design, draws, data.covariates, n_rows=data.n)
-    mu = params["mean"]  # (n, S)
-    alpha = params.get("shape")  # (1, S) or None
-
-    def fam_params(rows):
-        p = {"mean": mu[rows]}
-        if alpha is not None:
-            p["shape"] = alpha
-        return p
-
-    n, S = mu.shape
     if mode == "dichotomized":
         if horizon is None or horizon <= 0:
             raise LooError("dichotomized mode needs a positive horizon")
         z, keep, _excluded = dichotomize_outcomes(data, horizon)
-        p_event = cdf(spec.family, fam_params(keep), horizon)  # (n_keep, S)
+        p_event = cdf(spec.family, {**params, "mean": params["mean"][keep]}, horizon)
         p_event = np.clip(p_event, 1e-300, 1 - 1e-16)
         vals = np.where(z[:, None] == 1, np.log(p_event), np.log1p(-p_event))
         ids = tuple(int(s) for s in data.subject_id[keep])
         return LogLikMatrix(vals.T, (PROBABILITY,) * len(keep), ids, data.time_unit)
 
-    vals = np.empty((n, S))
-    tags = []
-    for i in range(n):
-        st = data.status[i]
-        prm = fam_params([i])
-        t = data.time[i]
-        if st == EVENT:
-            if mode == "interval":
-                if grid is None:
-                    raise LooError("interval mode needs a grid")
-                k = grid.interval_of(t)
-                a, b = grid.bounds(k)
-                vals[i] = log_interval_prob(spec.family, prm, a, b)
-                tags.append(PROBABILITY)
-            else:
-                vals[i] = log_density(spec.family, prm, t)
-                tags.append(DENSITY)
-        elif st == RIGHT_CENSORED:
-            vals[i] = log_survival(spec.family, prm, t)
-            tags.append(PROBABILITY)
-        elif st == LEFT_CENSORED:
-            with np.errstate(divide="ignore"):
-                vals[i] = np.log(-np.expm1(log_survival(spec.family, prm, t)))
-            tags.append(PROBABILITY)
-        elif st == INTERVAL_CENSORED:
-            a, b = data.interval_bounds[i]
-            vals[i] = log_interval_prob(spec.family, prm, a, b)
-            tags.append(PROBABILITY)
-        else:
-            raise LooError(f"cannot score status {st!r}")
+    if mode == "interval" and grid is None:
+        raise LooError("interval mode needs a grid")
+    groups = score_groups(data, grid if mode == "interval" else None)
+    vals = np.empty(params["mean"].shape)
+    tags = np.empty(data.n, dtype=object)
+    for g, scores in zip(groups, group_log_scores(spec.family, groups, params)):
+        vals[g.rows] = scores
+        tags[g.rows] = g.tag
     ids = tuple(int(s) for s in data.subject_id)
     return LogLikMatrix(vals.T, tuple(tags), ids, data.time_unit)
 
 
 def _bernoulli_loglik(spec, design, draws, data: LongDataset) -> LogLikMatrix:
-    from .data import DrawsMatrix
-
-    if isinstance(draws, DrawsMatrix):
-        beta = np.column_stack([draws.column(nm) for nm in design.parameter_names])
-    else:
-        beta = np.asarray(draws, dtype=float)
     X = design.matrix(data.covariates, n_rows=data.n_rows)
-    p = logistic(X @ beta.T)  # (rows, S)
-    z = np.asarray(data.outcome, dtype=float)[:, None]
-    vals = z * np.log(p) + (1.0 - z) * np.log1p(-p)
+    p = logistic(X @ design.coefficients(draws).T)  # (rows, S)
+    vals = bernoulli_log_score(np.asarray(data.outcome, dtype=float)[:, None], p)
     # row units: (subject, interval); grouped_units collapses to subjects
     ids = tuple((int(s), int(k)) for s, k in zip(data.subject_id, data.interval_index))
     return LogLikMatrix(vals.T, (PROBABILITY,) * data.n_rows, ids, data.time_unit)
@@ -262,8 +230,6 @@ def bernoulli_dichotomized_loglik(
     its static covariates and the treatment rule.  Subjects censored before
     the horizon are excluded, mirroring the continuous-family rule.
     """
-    from .data import DrawsMatrix, TreatmentRule, to_short_form
-
     k_max = int(round(horizon))
     if abs(horizon - k_max) > 1e-9 or k_max < 1:
         raise LooError("the discrete-time horizon must be a positive whole "
@@ -271,21 +237,12 @@ def bernoulli_dichotomized_loglik(
     rule = rule if rule is not None else TreatmentRule()
     short = to_short_form(long)
     z, keep, _excluded = dichotomize_outcomes(short, float(k_max))
-    if isinstance(draws, DrawsMatrix):
-        beta = np.column_stack([draws.column(nm) for nm in design.parameter_names])
-    else:
-        beta = np.asarray(draws, dtype=float)
+    beta = design.coefficients(draws)
     vals = np.empty((beta.shape[0], len(keep)))
-    years = np.arange(1, k_max + 1, dtype=float)
     for col, i in enumerate(keep):
-        sid = int(short.subject_id[i])
         statics = {name: float(short.covariates[name][i])
                    for name in short.covariates}
-        dur = rule.duration_for(sid, statics)
-        rows = {name: np.full(k_max, value) for name, value in statics.items()}
-        rows[rule.time_name] = years
-        rows[rule.on_name] = (years <= dur).astype(float)
-        rows[rule.since_name] = np.maximum(0.0, years - dur)
+        rows = rule.rows(statics, k_max, int(short.subject_id[i]))
         p = logistic(design.matrix(rows, n_rows=k_max) @ beta.T)  # (k_max, S)
         log_no_event = np.sum(np.log1p(-p), axis=0)
         p_event = np.clip(-np.expm1(log_no_event), 1e-300, 1 - 1e-16)
@@ -357,7 +314,7 @@ def gpd_fit(tail_sample) -> tuple[float, float]:
     if not valid.any():
         raise DegenerateTailError("tail fit did not converge")
     b, logl = b[valid], logl[valid]
-    w = 1.0 / np.exp(logl - logl[:, None]).sum(axis=1)
+    w = np.exp(logl - logl.max())  # normalized in log space: no overflow
     w /= w.sum()
     b_post = float(np.sum(b * w))
     k_post = float(np.mean(np.log1p(-b_post * x)))
@@ -563,7 +520,7 @@ def exact_refit_loo(
         except SamplingError as err:
             failures[uid] = str(err)
             continue
-        post_design = _design_for(spec, train)
+        post_design = ModelDesign(spec, training_covariates(spec, train))
         ll = loglik_matrix(spec, post_design, res.draws, held,
                            mode=mode, grid=grid, horizon=horizon)
         if spec.family == "bernoulli_logit":
@@ -602,42 +559,12 @@ def flag_for_refit(report: ElpdReport, threshold: float = DEFAULT_KHAT_THRESHOLD
 
 
 def _split_unit(data, uid):
-    if isinstance(data, SurvivalDataset):
-        mask = data.subject_id == uid
-    elif isinstance(data, LongDataset):
-        mask = data.subject_id == uid
-    else:
+    if not isinstance(data, (SurvivalDataset, LongDataset)):
         raise DataError("unsupported data type")
+    mask = data.subject_id == uid
     if not mask.any():
         raise LooError(f"unit {uid!r} not present in the data")
-    if isinstance(data, SurvivalDataset):
-        return data.subset(~mask), data.subset(mask)
-    keep = ~mask
-    train = LongDataset(
-        subject_id=data.subject_id[keep],
-        interval_index=data.interval_index[keep],
-        outcome=data.outcome[keep],
-        covariates={k: v[keep] for k, v in data.covariates.items()},
-        static_names=data.static_names,
-        td_names=data.td_names,
-        time_unit=data.time_unit,
-    )
-    held = LongDataset(
-        subject_id=data.subject_id[mask],
-        interval_index=data.interval_index[mask],
-        outcome=data.outcome[mask],
-        covariates={k: v[mask] for k, v in data.covariates.items()},
-        static_names=data.static_names,
-        td_names=data.td_names,
-        time_unit=data.time_unit,
-    )
-    return train, held
-
-
-def _design_for(spec, data):
-    from .models import training_covariates
-
-    return ModelDesign(spec, training_covariates(spec, data))
+    return data.subset(~mask), data.subset(mask)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,10 @@ Event records contribute log densities; censored records contribute log
 probabilities (survival for right censoring, CDF for left censoring,
 CDF differences for interval censoring).  Every log score carries a
 density/probability tag because the two must never be mixed when comparing
-models across time scales.
+models across time scales.  One vectorized kernel (``score_groups`` and
+``group_log_scores``) computes these scores for both the sampler's
+likelihood and the pointwise LOO matrices; ``log_lik_point`` is the scalar
+reference it is tested against.
 """
 
 from __future__ import annotations
@@ -29,10 +32,13 @@ from .data import (
     INTERVAL_CENSORED,
     LEFT_CENSORED,
     RIGHT_CENSORED,
+    STATUSES,
     DataError,
+    DrawsMatrix,
     LongDataset,
     Record,
     SurvivalDataset,
+    TimeGrid,
 )
 
 FAMILIES = ("exponential", "weibull_aft", "bernoulli_logit")
@@ -213,6 +219,82 @@ def log_lik_point(family: str, params, record: Record) -> tuple[float, str]:
         a, b = record.bounds
         return float(log_interval_prob(family, params, a, b)), PROBABILITY
     raise ModelError(f"unknown status {record.status!r}")
+
+
+def _log_cdf(family: str, params, t) -> np.ndarray:
+    with np.errstate(divide="ignore"):
+        return np.log(cdf(family, params, t))
+
+
+# the score each status takes; rows are grouped by it once, when the data is
+# bound, so that an evaluation makes one vectorized call per group
+_LOG_SCORE = {
+    EVENT: log_density,
+    RIGHT_CENSORED: log_survival,
+    LEFT_CENSORED: _log_cdf,
+    INTERVAL_CENSORED: log_interval_prob,
+}
+
+
+@dataclass(frozen=True)
+class ScoreGroup:
+    """Rows of a short-format dataset that take the score of status ``kind``.
+
+    ``times`` holds one array per argument of that score: the event or
+    censor times, or the (a, b) bounds of an interval score.
+    """
+
+    kind: str
+    rows: np.ndarray
+    times: tuple[np.ndarray, ...]
+
+    @property
+    def tag(self) -> str:
+        return DENSITY if self.kind == EVENT else PROBABILITY
+
+
+def score_groups(data: SurvivalDataset, grid: TimeGrid | None = None) -> tuple[ScoreGroup, ...]:
+    """Group the rows of ``data`` by how they are scored, in ``STATUSES`` order.
+
+    Events score a log density or, given a ``grid``, the log probability of
+    the grid interval holding the event; right-, left- and interval-censored
+    rows score log S(t), log F(t) and log(F(b) - F(a)).  Empty groups are
+    dropped so that evaluations never pay for them.
+    """
+    groups = []
+    for kind in STATUSES:
+        rows = np.flatnonzero(data.status == kind)
+        if rows.size == 0:
+            continue
+        times = (data.time[rows],)
+        if kind == INTERVAL_CENSORED:
+            if data.interval_bounds is None:
+                raise ModelError("interval-censored records need bounds")
+            times = (data.interval_bounds[rows, 0], data.interval_bounds[rows, 1])
+        elif kind == EVENT and grid is not None:
+            kind, times = INTERVAL_CENSORED, grid.bounds(grid.interval_of(times[0]))
+        groups.append(ScoreGroup(kind, rows, times))
+    return tuple(groups)
+
+
+def group_log_scores(family: str, groups, params) -> list[np.ndarray]:
+    """Log scores of each group's rows under the family parameters.
+
+    ``params['mean']`` has shape (n,) or (n, S) over all rows of the dataset
+    the groups came from; the result holds one (n_g,) or (n_g, S) array per
+    group.
+    """
+    mean = params["mean"]
+    out = []
+    for g in groups:
+        times = [t[:, None] for t in g.times] if mean.ndim == 2 else g.times
+        out.append(_LOG_SCORE[g.kind](family, {**params, "mean": mean[g.rows]}, *times))
+    return out
+
+
+def bernoulli_log_score(z, p) -> np.ndarray:
+    """Row log score z log p + (1 - z) log(1 - p) of binary outcomes z."""
+    return z * np.log(p) + (1.0 - z) * np.log1p(-p)
 
 
 def logistic(eta) -> np.ndarray:
@@ -502,6 +584,17 @@ class ModelDesign:
     def n_columns(self) -> int:
         return len(self.parameter_names)
 
+    def coefficients(self, draws) -> np.ndarray:
+        """(S, n_columns) coefficients in design-column order.
+
+        A DrawsMatrix is read by parameter name; an array is taken to hold
+        the coefficients already.
+        """
+        if isinstance(draws, DrawsMatrix):
+            names = draws.parameter_names
+            return draws.draws.take([names.index(nm) for nm in self.parameter_names], axis=1)
+        return np.asarray(draws, dtype=float)
+
     def matrix(self, covariates, n_rows: int | None = None) -> np.ndarray:
         if n_rows is None:
             n_rows = (len(np.asarray(next(iter(covariates.values()))).ravel())
@@ -555,23 +648,14 @@ def subject_params(spec: ModelSpec, design: ModelDesign, draws, covariates,
                    n_rows: int | None = None) -> dict:
     """Family parameters per (record, draw) from a draws matrix.
 
-    Returns dict with 'mean' (n, S) and, for Weibull, 'shape' (S,) arrays
+    Returns dict with 'mean' (n, S) and, for Weibull, 'shape' (1, S) arrays
     broadcastable against each other.
     """
-    from .data import DrawsMatrix  # local import to avoid cycle in type use
-
-    if isinstance(draws, DrawsMatrix):
-        beta = np.column_stack([draws.column(nm) for nm in design.parameter_names])
-        alpha = draws.column("alpha") if spec.has_shape else None
-    else:
-        beta = np.asarray(draws, dtype=float)
-        alpha = None
-    lin = eta(design, beta, covariates, n_rows)  # (n, S)
-    params = {"mean": np.exp(lin)}
+    params = {"mean": np.exp(eta(design, design.coefficients(draws), covariates, n_rows))}
     if spec.has_shape:
-        if alpha is None:
+        if "alpha" not in getattr(draws, "parameter_names", ()):
             raise ModelError("weibull_aft draws need an 'alpha' column")
-        params["shape"] = alpha[None, :]
+        params["shape"] = draws.column("alpha")[None, :]
     return params
 
 
@@ -583,19 +667,12 @@ def posterior_predictive_times(
     if spec.family == "bernoulli_logit":
         raise ModelError("posterior predictive event times are for continuous families")
     params = subject_params(spec, design, draws, data.covariates, n_rows=data.n)
-    mu = params["mean"]  # (n, S)
-    if n_draws is not None and n_draws < mu.shape[1]:
-        idx = np.linspace(0, mu.shape[1] - 1, n_draws).astype(int)
-        mu = mu[:, idx]
-        if "shape" in params:
-            params = {"mean": mu, "shape": params["shape"][:, idx]}
-        else:
-            params = {"mean": mu}
-    u = rng.random(mu.shape)
-    fam_params = {"mean": mu}
-    if "shape" in params:
-        fam_params["shape"] = params["shape"]
-    return quantile(spec.family, fam_params, u).T  # (S, n)
+    total = params["mean"].shape[1]
+    if n_draws is not None and n_draws < total:
+        idx = np.linspace(0, total - 1, n_draws).astype(int)
+        params = {k: v[:, idx] for k, v in params.items()}
+    u = rng.random(params["mean"].shape)
+    return quantile(spec.family, params, u).T  # (S, n)
 
 
 def impute_censored(
@@ -608,15 +685,10 @@ def impute_censored(
     parameter uncertainty propagates across replicates.  Every imputed time
     strictly exceeds the censor time it replaces.
     """
-    from .data import DrawsMatrix
-
-    if isinstance(draws, DrawsMatrix):
-        total = draws.n_draws
-    else:
-        total = np.asarray(draws).shape[0]
+    params = subject_params(spec, design, draws, data.covariates, n_rows=data.n)
+    total = params["mean"].shape[1]
     if n_imputations > total:
         raise ModelError("more imputations requested than available draws")
-    params = subject_params(spec, design, draws, data.covariates, n_rows=data.n)
     cens = np.asarray(data.status == RIGHT_CENSORED)
     pick = np.linspace(0, total - 1, n_imputations).astype(int)
     out = []
@@ -691,8 +763,6 @@ def get_preset(name: str) -> ModelSpec:
 
 def training_covariates(spec: ModelSpec, data) -> dict:
     """Covariate dict a spec trains on, for either data format."""
-    if isinstance(data, LongDataset):
-        return dict(data.covariates)
-    if isinstance(data, SurvivalDataset):
-        return dict(data.covariates)
-    raise DataError("expected SurvivalDataset or LongDataset")
+    if not isinstance(data, (SurvivalDataset, LongDataset)):
+        raise DataError("expected SurvivalDataset or LongDataset")
+    return dict(data.covariates)

@@ -20,17 +20,13 @@ from scipy.stats import rankdata
 
 from .data import DrawsMatrix, LongDataset, SurvivalDataset
 from .models import (
-    EVENT,
-    INTERVAL_CENSORED,
-    LEFT_CENSORED,
-    RIGHT_CENSORED,
     ModelDesign,
     ModelError,
     ModelSpec,
-    log_density,
-    log_interval_prob,
-    log_survival,
+    bernoulli_log_score,
+    group_log_scores,
     logistic,
+    score_groups,
     training_covariates,
 )
 
@@ -92,6 +88,11 @@ class PosteriorModel:
     followed by log(alpha) for the Weibull family, followed by log smoothing
     scales when hierarchical smooths are on.  ``log_posterior`` returns -inf
     for out-of-support points instead of raising.
+
+    Short-format rows are grouped by how they are scored once, at
+    construction (``models.score_groups``); each log-likelihood evaluation
+    sums the groups' scores from ``models.group_log_scores``, the same
+    kernel that builds the pointwise LOO matrices.
     """
 
     def __init__(self, spec: ModelSpec, data):
@@ -127,13 +128,7 @@ class PosteriorModel:
         else:
             if not isinstance(data, SurvivalDataset):
                 raise ModelError(f"{spec.family} fits short-format data")
-            st = data.status
-            self._ev = st == EVENT
-            self._rc = st == RIGHT_CENSORED
-            self._lc = st == LEFT_CENSORED
-            self._ic = st == INTERVAL_CENSORED
-            if np.any(self._ic) and data.interval_bounds is None:
-                raise ModelError("interval-censored records need bounds")
+            self._groups = score_groups(data)
 
     # -- parameter bookkeeping ------------------------------------------------
 
@@ -193,42 +188,14 @@ class PosteriorModel:
 
     def log_likelihood(self, x: np.ndarray) -> float:
         spec = self.spec
-        beta = x[: self.n_beta]
-        lin = self.X @ beta
+        lin = self.X @ x[: self.n_beta]
         if spec.family == "bernoulli_logit":
-            p = logistic(lin)
-            return float(np.sum(self._z * np.log(p) + (1.0 - self._z) * np.log1p(-p)))
-        mu = np.exp(lin)
-        params = {"mean": mu}
+            return float(np.sum(bernoulli_log_score(self._z, logistic(lin))))
+        params = {"mean": np.exp(lin)}
         if spec.has_shape:
             params["shape"] = np.exp(x[self.n_beta])
-        data = self.data
-        total = 0.0
-        if np.any(self._ev):
-            pe = {"mean": mu[self._ev]}
-            if spec.has_shape:
-                pe["shape"] = params["shape"]
-            total += float(np.sum(log_density(spec.family, pe, data.time[self._ev])))
-        if np.any(self._rc):
-            prc = {"mean": mu[self._rc]}
-            if spec.has_shape:
-                prc["shape"] = params["shape"]
-            total += float(np.sum(log_survival(spec.family, prc, data.time[self._rc])))
-        if np.any(self._lc):
-            plc = {"mean": mu[self._lc]}
-            if spec.has_shape:
-                plc["shape"] = params["shape"]
-            ls = log_survival(spec.family, plc, data.time[self._lc])
-            with np.errstate(divide="ignore"):
-                total += float(np.sum(np.log(-np.expm1(ls))))
-        if np.any(self._ic):
-            pic = {"mean": mu[self._ic]}
-            if spec.has_shape:
-                pic["shape"] = params["shape"]
-            a = data.interval_bounds[self._ic, 0]
-            b = data.interval_bounds[self._ic, 1]
-            total += float(np.sum(log_interval_prob(spec.family, pic, a, b)))
-        return total
+        scores = group_log_scores(spec.family, self._groups, params)
+        return sum((float(np.sum(s)) for s in scores), 0.0)
 
     def log_posterior(self, x) -> float:
         """Sum of log likelihood and log prior; -inf outside the support."""

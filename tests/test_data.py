@@ -102,6 +102,17 @@ class TestExpandLong:
             assert np.all(long.covariates[name] == value)
         assert validate_long(long) == []
 
+    def test_duration_mapping_by_subject_and_subset(self):
+        ds = make_dataset([3.0, 2.0], ["event", "right_censored"], ids=[7, 8])
+        long = expand_long(ds, TimeGrid(1.0, 5), TreatmentRule(duration={7: 2.0}))
+        assert list(long.subject_id) == [7, 7, 7, 8, 8]
+        assert list(long.covariates["AdjOn"]) == [1, 1, 0, 0, 0]
+        assert list(long.covariates["TimeSinceAdjStopped"]) == [0, 0, 1, 1, 2]
+        held = long.subset(long.subject_id == 8)
+        assert list(held.interval_index) == [1, 2]
+        assert list(held.covariates["Time"]) == [1, 2]
+        assert (held.static_names, held.td_names) == (long.static_names, long.td_names)
+
     def test_censored_at_one_single_row(self):
         ds = make_dataset([1.0], ["right_censored"])
         long = expand_long(ds, TimeGrid(1.0, 5))

@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from survcheck.data import DrawsMatrix, SurvivalDataset, TimeGrid, rescale_time
+from survcheck.data import (
+    EVENT,
+    INTERVAL_CENSORED,
+    STATUSES,
+    DrawsMatrix,
+    SurvivalDataset,
+    TimeGrid,
+    rescale_time,
+)
 from survcheck.loo import (
     DegenerateTailError,
     LogLikMatrix,
@@ -23,8 +31,8 @@ from survcheck.loo import (
     read_loglik_csv,
     write_loglik_csv,
 )
-from survcheck.models import ModelDesign, ModelSpec
-from survcheck.sampler import SamplerConfig, fit
+from survcheck.models import ModelDesign, ModelSpec, log_lik_point, subject_params
+from survcheck.sampler import PosteriorModel, SamplerConfig, fit
 
 
 def exp_data(rng, n=25, rate=0.6, censor_at=2.5, covariate=True):
@@ -293,6 +301,92 @@ class TestLogLikMatrixBuilder:
 
         z, keep, excluded = dichotomize_outcomes(self.data, 1.0)
         assert len(ll.unit_ids) == len(keep)
+
+    @pytest.mark.parametrize("family", ["exponential", "bernoulli_logit"])
+    def test_unknown_mode_refused(self, family):
+        spec = ModelSpec(family=family)
+        with pytest.raises(LooError, match="unknown scoring mode"):
+            loglik_matrix(spec, self.design, self.draws, self.data, mode="intervals")
+
+
+def four_status_data(rng, n=24):
+    """Cohort cycling through event, right-, left- and interval-censored rows."""
+    x = rng.normal(size=n)
+    t = rng.weibull(1.3, size=n) * 2.0 * np.exp(0.4 * x)
+    status = np.array(STATUSES * (n // 4), dtype=object)
+    ic = status == INTERVAL_CENSORED
+    bounds = np.full((n, 2), np.nan)
+    bounds[ic] = np.column_stack([0.6 * t[ic], 1.3 * t[ic] + 0.01])
+    time = np.where(ic, bounds[:, 1], t)
+    return SurvivalDataset(np.arange(1, n + 1), np.zeros(n), time, status, {"x": x},
+                           interval_bounds=bounds)
+
+
+class TestScoringKernel:
+    """loglik_matrix and PosteriorModel share one kernel; log_lik_point is the oracle."""
+
+    GRID = TimeGrid(0.5, 40)
+
+    def setup_draws(self, family):
+        rng = np.random.default_rng(21)
+        data = four_status_data(rng)
+        spec = ModelSpec(family=family, fixed=("x",))
+        post = PosteriorModel(spec, data)
+        xs = post.init_point() + 0.3 * rng.standard_normal((6, post.dim))
+        draws = DrawsMatrix(post.constrain(xs), post.parameter_names)
+        return data, spec, post.design, xs, draws
+
+    def as_interval_events(self, data):
+        """The dataset interval mode scores: events become their grid intervals."""
+        ev = data.status == EVENT
+        bounds = data.interval_bounds.copy()
+        a, b = self.GRID.bounds(self.GRID.interval_of(data.time[ev]))
+        bounds[ev] = np.column_stack([a, b])
+        status = np.where(ev, INTERVAL_CENSORED, data.status)
+        return SurvivalDataset(data.subject_id, data.entry_time, data.time, status,
+                               data.covariates, interval_bounds=bounds)
+
+    @pytest.mark.parametrize("mode", ["raw", "interval"])
+    @pytest.mark.parametrize("family", ["exponential", "weibull_aft"])
+    def test_entries_match_pointwise_oracle(self, family, mode):
+        data, spec, design, _, draws = self.setup_draws(family)
+        ll = loglik_matrix(spec, design, draws, data, mode=mode, grid=self.GRID)
+        scored = data if mode == "raw" else self.as_interval_events(data)
+        params = subject_params(spec, design, draws, data.covariates, n_rows=data.n)
+        for i in range(data.n):
+            for s in range(draws.n_draws):
+                p = {"mean": params["mean"][i, s]}
+                if "shape" in params:
+                    p["shape"] = params["shape"][0, s]
+                value, tag = log_lik_point(family, p, scored.row(i))
+                assert ll.values[s, i] == value
+                assert ll.tags[i] == tag
+        assert set(ll.tags) == ({"density", "probability"} if mode == "raw"
+                                else {"probability"})
+
+    @pytest.mark.parametrize("mode", ["raw", "interval"])
+    @pytest.mark.parametrize("family", ["exponential", "weibull_aft"])
+    def test_likelihood_is_row_sum(self, family, mode):
+        data, spec, design, xs, draws = self.setup_draws(family)
+        ll = loglik_matrix(spec, design, draws, data, mode=mode, grid=self.GRID)
+        post = PosteriorModel(spec, data if mode == "raw" else self.as_interval_events(data))
+        for s, x in enumerate(xs):
+            assert post.log_likelihood(x) == pytest.approx(ll.values[s].sum(),
+                                                           rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("family", ["exponential", "weibull_aft"])
+    def test_single_status_and_empty_datasets(self, family):
+        data, spec, design, xs, draws = self.setup_draws(family)
+        full = loglik_matrix(spec, design, draws, data)
+        for keep in [data.status == st for st in STATUSES] + [np.zeros(data.n, bool)]:
+            sub = data.subset(keep)
+            ll = loglik_matrix(spec, design, draws, sub)
+            assert ll.values.shape == (draws.n_draws, int(keep.sum()))
+            assert np.array_equal(ll.values, full.values[:, keep])
+            post = PosteriorModel(spec, sub)
+            for s, x in enumerate(xs):
+                assert post.log_likelihood(x) == pytest.approx(ll.values[s].sum(),
+                                                               rel=1e-12, abs=1e-12)
 
 
 class TestTimeScaleTheorem:

@@ -6,7 +6,7 @@ from scipy.integrate import quad
 from scipy.special import gammaln
 from scipy.stats import kstest
 
-from survcheck.data import Record, SurvivalDataset
+from survcheck.data import DrawsMatrix, Record, SurvivalDataset
 from survcheck.models import (
     ModelDesign,
     ModelError,
@@ -122,6 +122,14 @@ class TestEta:
         beta = rng.normal(size=3)
         hand = beta[0] + beta[1] * covs["a"] + beta[2] * covs["b"]
         assert np.allclose(eta(design, beta, covs), hand, atol=1e-14)
+
+    def test_coefficients_follow_design_order(self):
+        design, _ = self.make_design()
+        draws = DrawsMatrix(np.arange(8.0).reshape(2, 4), ("alpha", "b_b", "b_Intercept", "b_a"))
+        beta = design.coefficients(draws)
+        assert np.array_equal(beta, [[2.0, 3.0, 1.0], [6.0, 7.0, 5.0]])
+        assert beta.flags["C_CONTIGUOUS"]
+        assert design.coefficients(beta) is beta
 
     def test_dimension_mismatch(self):
         design, covs = self.make_design()
