@@ -16,12 +16,12 @@ from survcheck import (
     apply_scaling,
     bundle_to_svg,
     calibration_check,
+    calibration_inputs,
     fit,
     get_preset,
     scale_covariates,
     zoom_region,
 )
-from survcheck.models import logistic
 from survcheck.simulate import ScenarioConfig, simulate_scenario
 
 out = Path(__file__).parent / "output" / "04_calibration_pav"
@@ -34,11 +34,10 @@ long_scaled = apply_scaling(long, record)
 spec = get_preset("bernoulli-gist")
 result = fit(spec, long_scaled, SamplerConfig(n_warmup=1500, n_keep=500, seed=20))
 design = ModelDesign(spec, long_scaled.covariates)
-beta = design.coefficients(result.draws)
-p_mean = logistic(design.matrix(long_scaled.covariates) @ beta.T).mean(axis=1)
+# posterior-mean recurrence probability of every subject-year row
+p_mean, outcomes = calibration_inputs(spec, design, result.draws, long_scaled)
 
-series, inside = calibration_check(p_mean, long_scaled.outcome, seed=21,
-                                   zoom_mass=0.9)
+series, inside = calibration_check(p_mean, outcomes, seed=21, zoom_mass=0.9)
 print("calibration curve inside 95% consistency band:", inside)
 lo, hi = zoom_region(p_mean, 0.9)
 print(f"90% of predicted probabilities lie in [{lo:.2f}, {hi:.2f}]")
@@ -48,8 +47,7 @@ print(f"90% of predicted probabilities lie in [{lo:.2f}, {hi:.2f}]")
 
 # zoomed variant: rerun the check on the dense region only
 dense = p_mean <= hi
-series_zoom, _ = calibration_check(p_mean[dense], long_scaled.outcome[dense],
-                                   seed=22)
+series_zoom, _ = calibration_check(p_mean[dense], outcomes[dense], seed=22)
 (out / "calibration_zoom.svg").write_text(bundle_to_svg(
     series_zoom, title=f"Zoom: predictions in [0, {hi:.2f}]",
     xlabel="predicted probability", ylabel="CEP"))

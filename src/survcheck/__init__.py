@@ -80,5 +80,6 @@ from .loo import (
 )
 from .simulate import ScenarioConfig, gen_covariates, gen_events, scenario_report, simulate_scenario
 from .series import PlotSeries, bundle_to_json, bundle_to_svg
+from .experiments import calibration_inputs
 
 __version__ = "0.1.0"

@@ -484,21 +484,7 @@ def dichotomize_outcomes(data: SurvivalDataset, horizon: float):
     """
     if horizon <= 0:
         raise CheckError("horizon must be positive")
-    z, keep_idx, excluded = [], [], []
-    for i in range(data.n):
-        t, st = data.time[i], data.status[i]
-        if st == EVENT:
-            z.append(1 if t <= horizon else 0)
-            keep_idx.append(i)
-        elif st == RIGHT_CENSORED:
-            if t >= horizon:
-                z.append(0)
-                keep_idx.append(i)
-            else:
-                excluded.append(int(data.subject_id[i]))
-        else:
-            excluded.append(int(data.subject_id[i]))
-    return np.array(z, dtype=int), np.array(keep_idx, dtype=int), excluded
+    return interval_outcomes(data, -np.inf, horizon)
 
 
 def interval_outcomes(data: SurvivalDataset, a: float, b: float):
@@ -506,25 +492,17 @@ def interval_outcomes(data: SurvivalDataset, a: float, b: float):
 
     At risk means the subject's event/censor time exceeds a.  Events in the
     interval give 1; subjects observed beyond it give 0; subjects censored
-    strictly inside it are excluded (their indicator is unknowable).  One
-    such vector per interval drives the per-interval calibration plots.
+    strictly inside it, and left- or interval-censored subjects, are
+    excluded (their indicator is unknowable).  Returns the outcomes and the
+    row indices they belong to, in row order, and the excluded subject ids.
+    One such vector per interval drives the per-interval calibration plots.
     """
     if not a < b:
         raise CheckError("interval needs a < b")
-    z, keep_idx, excluded = [], [], []
-    for i in range(data.n):
-        t, st = data.time[i], data.status[i]
-        if t <= a:
-            continue  # not at risk when the interval starts
-        if st == EVENT:
-            z.append(1 if t <= b else 0)
-            keep_idx.append(i)
-        elif st == RIGHT_CENSORED:
-            if t >= b:
-                z.append(0)
-                keep_idx.append(i)
-            else:
-                excluded.append(int(data.subject_id[i]))
-        else:
-            excluded.append(int(data.subject_id[i]))
-    return np.array(z, dtype=int), np.array(keep_idx, dtype=int), excluded
+    t, status = data.time, data.status
+    at_risk = ~(t <= a)
+    event = at_risk & (status == EVENT)
+    kept = event | (at_risk & (status == RIGHT_CENSORED) & (t >= b))
+    keep = np.flatnonzero(kept)
+    z = (event[keep] & (t[keep] <= b)).astype(int)
+    return z, keep, data.subject_id[at_risk & ~kept].tolist()

@@ -19,7 +19,6 @@ import numpy as np
 from . import experiments
 from .checks import (
     calibration_check,
-    dichotomize_outcomes,
     intervals_data,
     km_overlay,
     pit_ecdf_check,
@@ -54,7 +53,6 @@ from .models import (
     get_preset,
     impute_censored,
     posterior_predictive_times,
-    training_covariates,
 )
 from .sampler import SamplerConfig, SamplingError, diagnose, fit
 from .series import PlotSeries, bundle_to_json, bundle_to_svg
@@ -196,7 +194,7 @@ def _predictive_setup(args):
     short, long = _load_data(args)
     data = long if long is not None else short
     draws = read_draws_csv(args.draws)
-    design = ModelDesign(spec, training_covariates(spec, data))
+    design = ModelDesign(spec, data.covariates)
     return spec, data, draws, design
 
 
@@ -251,7 +249,11 @@ def cmd_check(args) -> int:
         if args.svg:
             run.write_text(f"{name}.svg", bundle_to_svg(series, title=args.kind))
     elif args.kind == "calibration":
-        series, inside = _calibration_series(args, spec, data, draws, design)
+        predictions, outcomes = experiments.calibration_inputs(
+            spec, design, draws, data, horizon=args.horizon, interval=args.interval,
+            grid=TimeGrid(args.grid_length, args.grid_intervals))
+        series, inside = calibration_check(predictions, outcomes, level=args.level,
+                                           seed=args.seed, zoom_mass=args.zoom_mass)
         run.write_text("calibration.json", bundle_to_json(
             series, {**common, "inside_band": inside}))
         if args.svg:
@@ -260,46 +262,6 @@ def cmd_check(args) -> int:
                 xlabel="predicted probability", ylabel="CEP"))
     run.finish()
     return 0
-
-
-def _calibration_series(args, spec, data, draws, design):
-    from .checks import interval_outcomes
-    from .models import log_survival, logistic, subject_params
-
-    if spec.family == "bernoulli_logit":
-        beta = design.coefficients(draws)
-        if args.interval is not None:
-            rows = data.interval_index == args.interval
-            covs = {k: v[rows] for k, v in data.covariates.items()}
-            p = logistic(design.matrix(covs, n_rows=int(rows.sum())) @ beta.T)
-            predictions = p.mean(axis=1)
-            outcomes = data.outcome[rows]
-        else:
-            p = logistic(design.matrix(data.covariates, n_rows=data.n_rows) @ beta.T)
-            predictions = p.mean(axis=1)
-            outcomes = data.outcome
-    elif args.interval is not None:
-        # per-interval binary check conditional on being at risk
-        grid = TimeGrid(args.grid_length, args.grid_intervals)
-        a, b = grid.bounds(args.interval)
-        outcomes, keep, _ = interval_outcomes(data, float(a), float(b))
-        params = subject_params(spec, design, draws, data.covariates, n_rows=data.n)
-        ls_a = log_survival(spec.family, params, float(a))
-        ls_b = log_survival(spec.family, params, float(b))
-        p_all = -np.expm1(ls_b - ls_a)  # P(event in (a, b] | alive at a)
-        predictions = p_all[keep].mean(axis=1)
-    else:
-        if args.horizon is None:
-            raise CliError("calibration for continuous families needs "
-                           "--horizon or --interval")
-        from .models import cdf as model_cdf
-
-        outcomes, keep, _ = dichotomize_outcomes(data, args.horizon)
-        params = subject_params(spec, design, draws, data.covariates, n_rows=data.n)
-        p_all = model_cdf(spec.family, params, args.horizon)
-        predictions = p_all[keep].mean(axis=1)
-    return calibration_check(predictions, outcomes, level=args.level,
-                             seed=args.seed, zoom_mass=args.zoom_mass)
 
 
 def cmd_impute(args) -> int:
@@ -343,7 +305,7 @@ def cmd_compare(args) -> int:
         if spec.family == "bernoulli_logit":
             if long is None:
                 raise CliError("a bernoulli model in the comparison needs --long-data")
-            design = ModelDesign(spec, training_covariates(spec, long))
+            design = ModelDesign(spec, long.covariates)
             if args.mode == "dichotomized":
                 from .loo import bernoulli_dichotomized_loglik
 
@@ -355,7 +317,7 @@ def cmd_compare(args) -> int:
         else:
             if short is None:
                 raise CliError("continuous models need --data (short format)")
-            design = ModelDesign(spec, training_covariates(spec, short))
+            design = ModelDesign(spec, short.covariates)
             mode = {"loo": "raw", "interval": "interval", "dichotomized": "dichotomized"}
             ll = loglik_matrix(spec, design, draws, short, mode=mode[args.mode],
                                grid=grid, horizon=args.horizon)

@@ -389,23 +389,41 @@ class TreatmentRule:
     since_name: str = "TimeSinceAdjStopped"
     time_name: str = "Time"
 
-    def duration_for(self, sid: int, covariates: dict[str, float]) -> float:
-        if isinstance(self.duration, Mapping):
-            return float(self.duration.get(sid, 0.0))
-        if self.treated_covariate is None:
-            return float(self.duration)
-        return float(self.duration) if covariates.get(self.treated_covariate, 0.0) != 0 else 0.0
+    def duration_for(self, sid, statics: Mapping[str, np.ndarray]) -> np.ndarray:
+        """Treatment duration of each subject, broadcastable to the (n,) ids.
 
-    def rows(self, statics: Mapping[str, float], n_intervals: int,
-             sid: int | None = None) -> dict[str, np.ndarray]:
-        """Covariate columns of one subject's long-format rows 1..n_intervals.
-
-        The static covariates are repeated on every row, followed by the
-        time, on-treatment and time-since-stopped columns.
+        A mapping is looked up by subject id (absent ids, and a missing
+        ``sid``, get 0); a scalar applies to every subject, or only to
+        those whose ``treated_covariate`` is nonzero.
         """
-        k = np.arange(1, n_intervals + 1, dtype=float)
-        dur = self.duration_for(sid, statics)
-        return {**{name: np.full(n_intervals, value) for name, value in statics.items()},
+        if isinstance(self.duration, Mapping):
+            return np.array([self.duration.get(s, 0.0) for s in np.atleast_1d(sid).tolist()],
+                            dtype=float)
+        if self.treated_covariate is None:
+            return np.asarray(float(self.duration))
+        treated = np.asarray(statics.get(self.treated_covariate, 0.0))
+        return np.where(treated != 0, float(self.duration), 0.0)
+
+    def rows(self, statics: Mapping[str, np.ndarray], n_intervals,
+             sid=None) -> dict[str, np.ndarray]:
+        """Covariate columns of n subjects' long-format rows 1..n_intervals.
+
+        ``statics`` maps names to (n,) arrays (scalars make one subject),
+        ``n_intervals`` is a scalar or one count per subject and ``sid`` the
+        optional (n,) subject ids.  Rows are ordered by subject, then by
+        interval: the static covariates are repeated on each of a subject's
+        rows, followed by the time, on-treatment and time-since-stopped
+        columns.
+        """
+        statics = {name: np.atleast_1d(np.asarray(v, dtype=float)) for name, v in statics.items()}
+        (n,) = np.broadcast_shapes((1,), np.shape(n_intervals), np.shape(sid),
+                                   *(v.shape for v in statics.values()))
+        counts = np.broadcast_to(np.asarray(n_intervals, dtype=int), (n,))
+        starts = np.cumsum(counts) - counts
+        k = (np.arange(counts.sum()) - np.repeat(starts, counts) + 1).astype(float)
+        dur = np.repeat(np.broadcast_to(self.duration_for(sid, statics), (n,)), counts)
+        return {**{name: np.repeat(np.broadcast_to(v, (n,)), counts)
+                   for name, v in statics.items()},
                 self.time_name: k, self.on_name: (k <= dur).astype(float),
                 self.since_name: np.maximum(0.0, k - dur)}
 
@@ -432,20 +450,16 @@ def expand_long(
     rules = td_rules if td_rules is not None else TreatmentRule()
 
     k_last = grid.interval_of(data.time)
-    starts = np.cumsum(k_last) - k_last
-    interval_index = np.arange(k_last.sum()) - np.repeat(starts, k_last) + 1
+    covariates = rules.rows(data.covariates, k_last, data.subject_id)
+    interval_index = covariates[rules.time_name].astype(int)
     is_event = np.repeat(data.status == EVENT, k_last)
-    parts = [rules.rows({name: float(col[i]) for name, col in data.covariates.items()},
-                        int(k), int(data.subject_id[i])) for i, k in enumerate(k_last)]
-    td_cols = (rules.time_name, rules.on_name, rules.since_name)
     return LongDataset(
         subject_id=np.repeat(data.subject_id, k_last),
         interval_index=interval_index,
         outcome=((interval_index == np.repeat(k_last, k_last)) & is_event).astype(int),
-        covariates={name: np.concatenate([p[name] for p in parts] + [np.empty(0)])
-                    for name in (*data.covariates, *td_cols)},
+        covariates=covariates,
         static_names=tuple(data.covariates),
-        td_names=td_cols,
+        td_names=(rules.time_name, rules.on_name, rules.since_name),
         time_unit=data.time_unit,
     )
 

@@ -19,6 +19,7 @@ from dataclasses import asdict, replace
 
 import numpy as np
 
+from .checks import calibration_check, dichotomize_outcomes, interval_outcomes, km_overlay
 from .data import (
     DrawsMatrix,
     SurvivalDataset,
@@ -28,13 +29,17 @@ from .data import (
     rescale_time,
     scale_covariates,
 )
-from .loo import compare, elpd_loo, loglik_matrix, psis_smooth
+from .loo import compare, elpd_loo, group_long_by_subject, loglik_matrix, psis_smooth
 from .models import (
     ModelDesign,
+    ModelError,
     ModelSpec,
-    bernoulli_interval_prob,
+    cdf,
     get_preset,
     hazard,
+    impute_censored,
+    log_survival,
+    posterior_predictive_times,
     preset_exponential_gist,
     preset_weibull_gist,
     subject_params,
@@ -211,12 +216,11 @@ def hazard_curves_experiment(
     res_b = fit(bern, long_scaled, sampler)
     results["diagnostics"][bern.name] = diagnose(res_b)
     design_b = ModelDesign(bern, long_scaled.covariates)
-    beta_b = design_b.coefficients(res_b.draws)
     years = np.arange(1, scenario.max_follow_up + 1, dtype=float)
     rule = TreatmentRule(duration=float(scenario.treatment_duration))
     for treated in (1.0, 0.0):
         rows = rule.rows({**patient, "AdjTreatm": treated}, scenario.max_follow_up)
-        p = bernoulli_interval_prob(design_b, beta_b, record.apply(rows))  # (n_years, S)
+        p = subject_params(bern, design_b, res_b.draws, record.apply(rows))["p"]  # (n_years, S)
         label = "treated" if treated else "untreated"
         results["curves"][f"bernoulli-gist_{label}"] = _quantile_curves(
             p, years, f"recurrence probability ({label})")
@@ -255,6 +259,44 @@ def curves_to_series(curves: dict) -> list[PlotSeries]:
 
 
 # ---------------------------------------------------------------------------
+# calibration inputs
+
+
+def calibration_inputs(spec: ModelSpec, design: ModelDesign, draws, data,
+                       horizon: float | None = None, interval: int | None = None,
+                       grid: TimeGrid | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior-mean event probabilities and the binary outcomes they predict.
+
+    A Bernoulli model predicts the outcome of each long-format row, or with
+    ``interval`` of the rows with that interval index.  A continuous model
+    predicts, with ``interval``, the event inside that ``grid`` interval for
+    the subjects at risk at its start, P(event in (a, b] | alive at a);
+    otherwise the event by ``horizon``, F(horizon).  Subjects whose outcome
+    is unknowable are left out (see ``checks.interval_outcomes``).
+    """
+    if spec.family == "bernoulli_logit":
+        rows = slice(None) if interval is None else data.interval_index == interval
+        outcomes = data.outcome[rows]
+        covs = {name: col[rows] for name, col in data.covariates.items()}
+        p = subject_params(spec, design, draws, covs, n_rows=outcomes.size)["p"]
+        return p.mean(axis=1), outcomes
+    if interval is not None:
+        if grid is None:
+            raise ModelError("a per-interval calibration needs a grid")
+        a, b = (float(x) for x in grid.bounds(interval))
+        outcomes, keep, _ = interval_outcomes(data, a, b)
+        params = subject_params(spec, design, draws, data.covariates, n_rows=data.n)
+        p = -np.expm1(log_survival(spec.family, params, b) - log_survival(spec.family, params, a))
+    elif horizon is not None:
+        outcomes, keep, _ = dichotomize_outcomes(data, horizon)
+        params = subject_params(spec, design, draws, data.covariates, n_rows=data.n)
+        p = cdf(spec.family, params, horizon)
+    else:
+        raise ModelError("calibration for continuous families needs a horizon or an interval")
+    return p[keep].mean(axis=1), outcomes
+
+
+# ---------------------------------------------------------------------------
 # whole-pipeline driver (simulate -> fit -> check -> compare)
 
 
@@ -267,10 +309,6 @@ def run_pipeline(config: dict) -> dict:
     scale (interval mode) plus the dichotomized task for the continuous
     pair.
     """
-    from .checks import calibration_check, km_overlay
-    from .loo import group_long_by_subject
-    from .models import impute_censored, posterior_predictive_times
-
     scenario = ScenarioConfig.from_dict(config.get("scenario", {}))
     sampler = SamplerConfig(**config.get("sampler", {}))
     horizon = float(config.get("horizon", 5.0))
@@ -303,9 +341,8 @@ def run_pipeline(config: dict) -> dict:
     res_b = fit(bern, long_scaled, sampler)
     out["diagnostics"][bern.name] = diagnose(res_b)
     design_b = ModelDesign(bern, long_scaled.covariates)
-    p_mean = bernoulli_interval_prob(design_b, design_b.coefficients(res_b.draws),
-                                     long_scaled.covariates).mean(axis=1)
-    series, inside = calibration_check(p_mean, long_scaled.outcome,
+    p_mean, outcomes = calibration_inputs(bern, design_b, res_b.draws, long_scaled)
+    series, inside = calibration_check(p_mean, outcomes,
                                        seed=int(rng.integers(2**31)), zoom_mass=0.9)
     out["checks"]["calibration_bernoulli-gist"] = [s.to_dict() for s in series]
     out["checks"]["calibration_inside_band"] = bool(inside)

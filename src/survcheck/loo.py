@@ -40,10 +40,8 @@ from .models import (
     bernoulli_log_score,
     cdf,
     group_log_scores,
-    logistic,
     score_groups,
     subject_params,
-    training_covariates,
 )
 
 DEFAULT_KHAT_THRESHOLD = 0.7
@@ -187,9 +185,8 @@ def loglik_matrix(
         if horizon is None or horizon <= 0:
             raise LooError("dichotomized mode needs a positive horizon")
         z, keep, _excluded = dichotomize_outcomes(data, horizon)
-        p_event = cdf(spec.family, {**params, "mean": params["mean"][keep]}, horizon)
-        p_event = np.clip(p_event, 1e-300, 1 - 1e-16)
-        vals = np.where(z[:, None] == 1, np.log(p_event), np.log1p(-p_event))
+        vals = _dichotomized_scores(
+            z, cdf(spec.family, {**params, "mean": params["mean"][keep]}, horizon))
         ids = tuple(int(s) for s in data.subject_id[keep])
         return LogLikMatrix(vals.T, (PROBABILITY,) * len(keep), ids, data.time_unit)
 
@@ -205,9 +202,14 @@ def loglik_matrix(
     return LogLikMatrix(vals.T, tuple(tags), ids, data.time_unit)
 
 
+def _dichotomized_scores(z, p_event) -> np.ndarray:
+    """(n, S) log scores of "event by the horizon" outcomes z (n,) under the
+    event probabilities p_event (n, S), clipped so both logs stay finite."""
+    return bernoulli_log_score(z[:, None], np.clip(p_event, 1e-300, 1 - 1e-16))
+
+
 def _bernoulli_loglik(spec, design, draws, data: LongDataset) -> LogLikMatrix:
-    X = design.matrix(data.covariates, n_rows=data.n_rows)
-    p = logistic(X @ design.coefficients(draws).T)  # (rows, S)
+    p = subject_params(spec, design, draws, data.covariates, n_rows=data.n_rows)["p"]
     vals = bernoulli_log_score(np.asarray(data.outcome, dtype=float)[:, None], p)
     # row units: (subject, interval); grouped_units collapses to subjects
     ids = tuple((int(s), int(k)) for s, k in zip(data.subject_id, data.interval_index))
@@ -226,9 +228,11 @@ def bernoulli_dichotomized_loglik(
 
     The model's event-by-k probability is 1 - prod_{j<=k}(1 - p_j), so the
     horizon must fall on an interval boundary (a positive integer here).
-    Prediction rows beyond a subject's observed follow-up are rebuilt from
-    its static covariates and the treatment rule.  Subjects censored before
-    the horizon are excluded, mirroring the continuous-family rule.
+    The rows 1..horizon of every kept subject are rebuilt from its static
+    covariates and the treatment rule, whatever its observed follow-up, and
+    scored through one stacked design matrix, one block of rows per
+    subject.  Subjects censored before the horizon are excluded, mirroring
+    the continuous-family rule.
     """
     k_max = int(round(horizon))
     if abs(horizon - k_max) > 1e-9 or k_max < 1:
@@ -237,18 +241,15 @@ def bernoulli_dichotomized_loglik(
     rule = rule if rule is not None else TreatmentRule()
     short = to_short_form(long)
     z, keep, _excluded = dichotomize_outcomes(short, float(k_max))
-    beta = design.coefficients(draws)
-    vals = np.empty((beta.shape[0], len(keep)))
-    for col, i in enumerate(keep):
-        statics = {name: float(short.covariates[name][i])
-                   for name in short.covariates}
-        rows = rule.rows(statics, k_max, int(short.subject_id[i]))
-        p = logistic(design.matrix(rows, n_rows=k_max) @ beta.T)  # (k_max, S)
-        log_no_event = np.sum(np.log1p(-p), axis=0)
-        p_event = np.clip(-np.expm1(log_no_event), 1e-300, 1 - 1e-16)
-        vals[:, col] = (np.log(p_event) if z[col] == 1 else np.log1p(-p_event))
+    n_keep = len(keep)
+    rows = rule.rows({name: col[keep] for name, col in short.covariates.items()},
+                     k_max, short.subject_id[keep])
+    blocks = {name: col.reshape(n_keep, k_max) for name, col in rows.items()}
+    p = subject_params(spec, design, draws, blocks, n_rows=n_keep * k_max)["p"]
+    log_no_event = np.sum(np.log1p(-p), axis=1)  # (n_keep, S)
+    vals = _dichotomized_scores(z, -np.expm1(log_no_event))
     ids = tuple(int(s) for s in short.subject_id[keep])
-    return LogLikMatrix(vals, (PROBABILITY,) * len(keep), ids, long.time_unit)
+    return LogLikMatrix(vals.T, (PROBABILITY,) * len(keep), ids, long.time_unit)
 
 
 def grouped_units(loglik: LogLikMatrix, subject_of_column) -> LogLikMatrix:
@@ -384,16 +385,14 @@ def psis_smooth(loglik: LogLikMatrix, min_draws_warn: int = 100) -> PsisResult:
         ll = loglik.values[:, j]
         if not np.all(np.isfinite(ll)):
             degenerate[j] = True
-            log_w[:, j] = -math.log(S)
+            log_w[:, j] = 0.0  # uniform
             continue
         try:
-            lw, k = smooth_tail(-ll)
-            khat[j] = k
+            log_w[:, j], khat[j] = smooth_tail(-ll)
         except DegenerateTailError:
             degenerate[j] = True
-            lw = -ll
-            lw = lw - lw.max()
-        log_w[:, j] = lw - logsumexp(lw)
+            log_w[:, j] = ll.min() - ll  # raw log ratios -ll, shifted to a maximum of 0
+    log_w -= logsumexp(log_w, axis=0)  # every column at once
     w = np.exp(log_w)
     ess = 1.0 / np.sum(w * w, axis=0)
     return PsisResult(log_w, khat, ess, degenerate)
@@ -520,7 +519,7 @@ def exact_refit_loo(
         except SamplingError as err:
             failures[uid] = str(err)
             continue
-        post_design = ModelDesign(spec, training_covariates(spec, train))
+        post_design = ModelDesign(spec, train.covariates)
         ll = loglik_matrix(spec, post_design, res.draws, held,
                            mode=mode, grid=grid, horizon=horizon)
         if spec.family == "bernoulli_logit":

@@ -17,6 +17,12 @@ models across time scales.  One vectorized kernel (``score_groups`` and
 ``group_log_scores``) computes these scores for both the sampler's
 likelihood and the pointwise LOO matrices; ``log_lik_point`` is the scalar
 reference it is tested against.
+
+``subject_params`` is the one path from posterior draws to predictions: the
+family parameters of every (row, draw), or for the Bernoulli family the
+event probability, from which the LOO matrices, the calibration inputs and
+the hazard curves are computed.  The sampler's likelihood works on the
+unconstrained vector directly and is not a prediction path.
 """
 
 from __future__ import annotations
@@ -33,9 +39,7 @@ from .data import (
     LEFT_CENSORED,
     RIGHT_CENSORED,
     STATUSES,
-    DataError,
     DrawsMatrix,
-    LongDataset,
     Record,
     SurvivalDataset,
     TimeGrid,
@@ -625,19 +629,23 @@ class ModelDesign:
 
 
 def eta(design: ModelDesign, beta, covariates, n_rows: int | None = None) -> np.ndarray:
-    """Linear predictor X @ beta for the given covariate values."""
+    """Linear predictor X @ beta for the given covariate values.
+
+    Covariate arrays of shape (n, k) hold n blocks of k rows (say, each
+    subject's intervals) and give an (n, k) or (n, k, S) result.  Each block
+    is multiplied on its own, so its values do not depend on how many
+    blocks are stacked with it.
+    """
     X = design.matrix(covariates, n_rows)
     beta = np.asarray(beta, dtype=float)
     if beta.shape[-1] != X.shape[1]:
         raise ModelError(
             f"beta has {beta.shape[-1]} entries but the design has {X.shape[1]} columns"
         )
+    blocks = np.shape(next(iter(covariates.values()), 0))
+    if len(blocks) == 2:
+        X = X.reshape(*blocks, X.shape[1])
     return X @ beta.T if beta.ndim == 2 else X @ beta
-
-
-def bernoulli_interval_prob(design: ModelDesign, beta, covariates) -> np.ndarray:
-    """Per-interval event probability p = logistic(eta) for long-format rows."""
-    return logistic(eta(design, beta, covariates))
 
 
 # ---------------------------------------------------------------------------
@@ -648,10 +656,16 @@ def subject_params(spec: ModelSpec, design: ModelDesign, draws, covariates,
                    n_rows: int | None = None) -> dict:
     """Family parameters per (record, draw) from a draws matrix.
 
-    Returns dict with 'mean' (n, S) and, for Weibull, 'shape' (1, S) arrays
-    broadcastable against each other.
+    For ``bernoulli_logit`` returns {'p': (n, S)}, the event probability
+    logistic(X beta) of each long-format row.  The continuous families get
+    'mean' (n, S) and, for Weibull, 'shape' (1, S) arrays broadcastable
+    against each other.  (n, k) covariate blocks give (n, k, S) arrays (see
+    ``eta``).
     """
-    params = {"mean": np.exp(eta(design, design.coefficients(draws), covariates, n_rows))}
+    lin = eta(design, design.coefficients(draws), covariates, n_rows)
+    if spec.family == "bernoulli_logit":
+        return {"p": logistic(lin)}
+    params = {"mean": np.exp(lin)}
     if spec.has_shape:
         if "alpha" not in getattr(draws, "parameter_names", ()):
             raise ModelError("weibull_aft draws need an 'alpha' column")
@@ -759,10 +773,3 @@ def get_preset(name: str) -> ModelSpec:
     if name not in PRESETS:
         raise ModelError(f"unknown preset {name!r}; available: {sorted(PRESETS)}")
     return PRESETS[name]()
-
-
-def training_covariates(spec: ModelSpec, data) -> dict:
-    """Covariate dict a spec trains on, for either data format."""
-    if not isinstance(data, (SurvivalDataset, LongDataset)):
-        raise DataError("expected SurvivalDataset or LongDataset")
-    return dict(data.covariates)

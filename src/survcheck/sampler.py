@@ -27,7 +27,6 @@ from .models import (
     group_log_scores,
     logistic,
     score_groups,
-    training_covariates,
 )
 
 
@@ -98,10 +97,10 @@ class PosteriorModel:
     def __init__(self, spec: ModelSpec, data):
         self.spec = spec
         self.data = data
-        covs = training_covariates(spec, data)
-        self.design = ModelDesign(spec, covs)
+        self._prepare_data()  # rejects a wrong data type before the design is built
+        self.design = ModelDesign(spec, data.covariates)
         n_rows = data.n_rows if isinstance(data, LongDataset) else data.n
-        self.X = self.design.matrix(covs, n_rows=n_rows)
+        self.X = self.design.matrix(data.covariates, n_rows=n_rows)
         self.n_beta = self.X.shape[1]
         names = list(self.design.parameter_names)
         self._unconstrained_names = list(names)
@@ -117,7 +116,6 @@ class PosteriorModel:
         self.parameter_names = names
         self.dim = len(names)
         self._smooth_slices = self.design.smooth_slices()
-        self._prepare_data()
 
     def _prepare_data(self):
         spec, data = self.spec, self.data

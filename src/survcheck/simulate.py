@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import LongDataset, SurvivalDataset, to_short_form
+from .data import LongDataset, SurvivalDataset, TreatmentRule, to_short_form
 from .models import logistic
 
 
@@ -163,35 +163,28 @@ def gen_events(covariates: dict, config: ScenarioConfig, rng: np.random.Generato
     row i of a pre-drawn uniform matrix, so the stream is per-subject and
     the output is reproducible from (config, seed) alone.
     """
-    n = config.n_subjects
-    treated = np.asarray(covariates.get("AdjTreatm", np.zeros(n)), dtype=float)
-    duration = config.treatment_duration * treated
-    u = rng.random((n, config.max_follow_up))
+    n, k_max = config.n_subjects, config.max_follow_up
+    rule = TreatmentRule(duration=float(config.treatment_duration))
+    # every subject's rows 1..k_max; those after the event are dropped below
+    full = rule.rows(covariates, np.full(n, k_max))
+    adj_on = full[rule.on_name].reshape(n, k_max)
+    tsa = full[rule.since_name].reshape(n, k_max)
+    u = rng.random((n, k_max))
     event_year = np.zeros(n, dtype=int)  # 0 = censored at follow-up end
-    for k in range(1, config.max_follow_up + 1):
-        adj_on = (k <= duration).astype(float)
-        tsa = np.maximum(0.0, k - duration)
-        p = logistic(hazard_logit(config, covariates, adj_on, tsa))
+    for k in range(1, k_max + 1):
+        p = logistic(hazard_logit(config, covariates, adj_on[:, k - 1], tsa[:, k - 1]))
         hit = (u[:, k - 1] < p) & (event_year == 0)
         event_year[hit] = k
-    last = np.where(event_year > 0, event_year, config.max_follow_up)
-    row_sid = np.repeat(np.arange(1, n + 1), last)
-    starts = np.cumsum(last) - last
-    row_k = np.arange(last.sum()) - np.repeat(starts, last) + 1
-    row_out = (row_k == np.repeat(event_year, last)).astype(int)
-    row_dur = np.repeat(duration, last)
-    all_cov = {name: np.repeat(np.asarray(col, dtype=float), last)
-               for name, col in covariates.items()}
-    all_cov["Time"] = row_k.astype(float)
-    all_cov["AdjOn"] = (row_k <= row_dur).astype(float)
-    all_cov["TimeSinceAdjStopped"] = np.maximum(0.0, row_k - row_dur)
+    last = np.where(event_year > 0, event_year, k_max)
+    observed = (np.arange(1, k_max + 1) <= last[:, None]).ravel()
+    row_k = full[rule.time_name][observed].astype(int)
     return LongDataset(
-        subject_id=row_sid,
+        subject_id=np.repeat(np.arange(1, n + 1), last),
         interval_index=row_k,
-        outcome=row_out,
-        covariates=all_cov,
+        outcome=(row_k == np.repeat(event_year, last)).astype(int),
+        covariates={name: col[observed] for name, col in full.items()},
         static_names=tuple(covariates),
-        td_names=("Time", "AdjOn", "TimeSinceAdjStopped"),
+        td_names=(rule.time_name, rule.on_name, rule.since_name),
         time_unit=config.time_unit,
     )
 

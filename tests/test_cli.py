@@ -3,6 +3,9 @@ import numpy as np
 import pytest
 
 from survcheck.cli import main
+from survcheck.data import read_draws_csv, read_long_csv
+from survcheck.experiments import calibration_inputs
+from survcheck.models import ModelDesign, get_preset
 
 
 @pytest.fixture(scope="module")
@@ -235,3 +238,33 @@ def test_pipeline_run(tmp_path):
     assert (out / "calibration_bernoulli-gist.json").exists()
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["pipeline"] == cfg
+
+
+def test_check_calibration_bernoulli_long(tmp_path):
+    # both Bernoulli branches: every long-format row, and the rows of one interval
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--out", str(sim), "--seed", "3",
+                 "--n-subjects", "60"]) == 0
+    fitdir = tmp_path / "fit"
+    assert main(["fit", "--data", str(sim / "long.csv"), "--format", "long",
+                 "--model", "bernoulli-gist", "--out", str(fitdir),
+                 "--chains", "2", "--warmup", "200", "--keep", "100",
+                 "--seed", "2"]) == 0
+    long = read_long_csv(sim / "long.csv")
+    spec = get_preset("bernoulli-gist")
+    design = ModelDesign(spec, long.covariates)
+    draws = read_draws_csv(fitdir / "draws.csv")
+    for extra, n_rows in (([], long.n_rows),
+                          (["--interval", "2"], int(np.sum(long.interval_index == 2)))):
+        out = tmp_path / f"cal{len(extra)}"
+        assert main(["check", "calibration", "--data", str(sim / "long.csv"),
+                     "--format", "long", "--model", "bernoulli-gist",
+                     "--draws", str(fitdir / "draws.csv"), "--out", str(out),
+                     *extra]) == 0
+        doc = json.loads((out / "calibration.json").read_text())
+        assert isinstance(doc["inside_band"], bool)
+        curve = next(s for s in doc["series"] if s["name"] == "calibration_curve")
+        predictions, outcomes = calibration_inputs(
+            spec, design, draws, long, interval=int(extra[1]) if extra else None)
+        assert len(curve["data"]["x"]) == len(outcomes) == n_rows
+        assert curve["data"]["x"] == np.sort(predictions).tolist()

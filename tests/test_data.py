@@ -113,6 +113,28 @@ class TestExpandLong:
         assert list(held.covariates["Time"]) == [1, 2]
         assert (held.static_names, held.td_names) == (long.static_names, long.td_names)
 
+    @pytest.mark.parametrize("rule", [
+        TreatmentRule(duration=2.0),
+        TreatmentRule(duration={11: 1.0, 13: 4.0}),
+        TreatmentRule(duration=3.0, treated_covariate=None),
+    ])
+    def test_rows_of_many_subjects_stack_one_subject_rows(self, rule):
+        statics = {"AdjTreatm": np.array([1.0, 0.0, 1.0, 1.0]),
+                   "Size": np.array([5.0, 9.0, 7.5, 6.0])}
+        sid = np.array([11, 12, 13, 14])
+        k = np.array([4, 1, 5, 2])
+        rows = rule.rows(statics, k, sid)
+        singles = [rule.rows({name: float(col[i]) for name, col in statics.items()},
+                             int(k[i]), int(sid[i])) for i in range(4)]
+        assert list(rows) == list(singles[0])
+        assert list(rows) == ["AdjTreatm", "Size", "Time", "AdjOn", "TimeSinceAdjStopped"]
+        for name in rows:
+            stacked = np.concatenate([s[name] for s in singles])
+            assert rows[name].dtype == stacked.dtype
+            assert np.array_equal(rows[name], stacked)
+        # one scalar count for every subject, and no ids
+        assert rule.rows(statics, 3)["Time"].tolist() == [1, 2, 3] * 4
+
     def test_censored_at_one_single_row(self):
         ds = make_dataset([1.0], ["right_censored"])
         long = expand_long(ds, TimeGrid(1.0, 5))

@@ -11,6 +11,8 @@ from survcheck.data import (
     DrawsMatrix,
     SurvivalDataset,
     TimeGrid,
+    TreatmentRule,
+    expand_long,
     rescale_time,
 )
 from survcheck.loo import (
@@ -18,6 +20,7 @@ from survcheck.loo import (
     LogLikMatrix,
     LooError,
     apply_refits,
+    bernoulli_dichotomized_loglik,
     compare,
     elpd_loo,
     exact_refit_loo,
@@ -87,6 +90,15 @@ class TestPsis:
         assert res.degenerate[0]
         assert np.isnan(res.khat[0])
         assert np.allclose(np.exp(res.log_weights[:, 0]), 1 / S)
+
+    def test_nonfinite_column_uniform_weights(self):
+        S = 200
+        vals = np.random.default_rng(1).normal(-2, 1, size=(S, 2))
+        vals[3, 1] = -np.inf
+        res = psis_smooth(mat(vals))
+        assert list(res.degenerate) == [False, True]
+        assert np.all(res.log_weights[:, 1] == res.log_weights[0, 1])
+        assert res.log_weights[0, 1] == pytest.approx(-math.log(S), rel=1e-15)
 
     def test_weights_normalize(self):
         rng = np.random.default_rng(2)
@@ -307,6 +319,62 @@ class TestLogLikMatrixBuilder:
         spec = ModelSpec(family=family)
         with pytest.raises(LooError, match="unknown scoring mode"):
             loglik_matrix(spec, self.design, self.draws, self.data, mode="intervals")
+
+
+class TestBernoulliDichotomized:
+    """Event-by-horizon scores of a discrete-time model against a per-subject product."""
+
+    HORIZON = 4
+
+    def setup_method(self):
+        self.short = SurvivalDataset(
+            [1, 2, 3, 4, 5], np.zeros(5), [2.0, 6.0, 2.0, 5.0, 4.0],
+            ["event", "right_censored", "right_censored", "event", "event"],
+            {"z": [0.3, -1.2, 0.8, 0.0, 1.5], "AdjTreatm": [1.0, 1.0, 0.0, 0.0, 1.0]})
+        self.long = expand_long(self.short, TimeGrid(1.0, 6), TreatmentRule(duration=3))
+        self.spec = ModelSpec(family="bernoulli_logit",
+                              fixed=("z", "Time", "AdjOn", "TimeSinceAdjStopped"))
+        self.design = ModelDesign(self.spec, self.long.covariates)
+        rng = np.random.default_rng(5)
+        self.draws = DrawsMatrix(rng.normal(scale=0.5, size=(7, 5)),
+                                 self.design.parameter_names)
+
+    def expected(self, duration_of):
+        """Per-subject log scores of "event by the horizon", written out row by row."""
+        cols = []
+        for i in range(self.short.n):
+            sid = int(self.short.subject_id[i])
+            if sid == 3:  # censored at 2, before the horizon: excluded
+                continue
+            dur = duration_of(sid, self.short.covariates["AdjTreatm"][i])
+            log_no_event = np.zeros(self.draws.n_draws)
+            for k in range(1, self.HORIZON + 1):
+                x = np.array([1.0, self.short.covariates["z"][i], k,
+                              float(k <= dur), max(0.0, k - dur)])
+                p = 1.0 / (1.0 + np.exp(-(self.draws.draws @ x)))
+                log_no_event += np.log1p(-p)
+            p_event = -np.expm1(log_no_event)
+            event_by_horizon = self.short.status[i] == "event" and self.short.time[i] <= self.HORIZON
+            cols.append(np.log(p_event) if event_by_horizon else np.log1p(-p_event))
+        return np.column_stack(cols)
+
+    @pytest.mark.parametrize("rule, duration_of", [
+        (None, lambda sid, treated: 3.0 if treated else 0.0),
+        (TreatmentRule(duration={1: 1.0, 4: 4.0, 5: 2.0}),
+         lambda sid, treated: {1: 1.0, 4: 4.0, 5: 2.0}.get(sid, 0.0)),
+    ])
+    def test_matches_per_subject_product(self, rule, duration_of):
+        ll = bernoulli_dichotomized_loglik(self.spec, self.design, self.draws, self.long,
+                                           float(self.HORIZON), rule=rule)
+        assert ll.unit_ids == (1, 2, 4, 5)
+        assert ll.tags == ("probability",) * 4
+        np.testing.assert_allclose(ll.values, self.expected(duration_of), rtol=1e-12)
+
+    @pytest.mark.parametrize("horizon", [2.5, 0.0])
+    def test_horizon_must_be_whole_intervals(self, horizon):
+        with pytest.raises(LooError, match="whole"):
+            bernoulli_dichotomized_loglik(self.spec, self.design, self.draws, self.long,
+                                          horizon)
 
 
 def four_status_data(rng, n=24):

@@ -12,7 +12,6 @@ from survcheck.models import (
     ModelError,
     ModelSpec,
     SaturationError,
-    bernoulli_interval_prob,
     cdf,
     eta,
     get_preset,
@@ -30,6 +29,7 @@ from survcheck.models import (
     spline_basis,
     spline_knots,
     student_t,
+    subject_params,
 )
 
 
@@ -245,7 +245,8 @@ class TestBernoulliProb:
     def test_eta_zero(self):
         spec = ModelSpec(family="bernoulli_logit")
         design = ModelDesign(spec, {})
-        assert bernoulli_interval_prob(design, np.array([0.0]), {})[0] == pytest.approx(0.5)
+        draws = DrawsMatrix(np.zeros((1, 1)), ("b_Intercept",))
+        assert subject_params(spec, design, draws, {})["p"][0, 0] == pytest.approx(0.5)
 
     def test_extreme_eta_clamped(self):
         assert logistic(-1e6) > 0.0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from survcheck.data import SurvivalDataset
-from survcheck.models import ModelSpec, get_preset, log_lik_point
+from survcheck.models import ModelError, ModelSpec, get_preset, log_lik_point
 from survcheck.sampler import (
     PosteriorModel,
     SamplerConfig,
@@ -69,6 +69,16 @@ class TestLogPosterior:
         post = PosteriorModel(ModelSpec(family="exponential"), exp_dataset(rng, n=5))
         assert post.log_posterior(np.array([np.nan])) == -np.inf
         assert post.log_posterior(np.array([1e308])) == -np.inf
+
+    def test_rejects_wrong_data_type(self):
+        # the data type is checked before the design is built from its covariates
+        long, short = simulate_scenario(ScenarioConfig(n_subjects=30, seed=5))
+        with pytest.raises(ModelError, match="long-format"):
+            PosteriorModel(get_preset("bernoulli-gist"), short)
+        with pytest.raises(ModelError, match="short-format"):
+            PosteriorModel(get_preset("exponential-gist"), long)
+        with pytest.raises(ModelError, match="short-format"):
+            PosteriorModel(ModelSpec(family="exponential"), {"x": np.ones(3)})
 
     def test_presets_finite_at_init(self):
         long, short = simulate_scenario(ScenarioConfig(n_subjects=80, seed=5))
