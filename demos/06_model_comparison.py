@@ -20,7 +20,6 @@ from survcheck import (
     elpd_loo,
     fit,
     get_preset,
-    group_long_by_subject,
     loglik_matrix,
     scale_covariates,
 )
@@ -59,8 +58,8 @@ for spec in (preset_exponential_gist(extra_fixed=("AdjTreatm",)),
 bern = get_preset("bernoulli-gist")
 res_b = fit(bern, long_scaled, sampler)
 design_b = ModelDesign(bern, long_scaled.covariates)
-ll_b = group_long_by_subject(
-    loglik_matrix(bern, design_b, res_b.draws, long_scaled, mode="raw"))
+# one column per subject: the joint probability of its yearly outcomes
+ll_b = loglik_matrix(bern, design_b, res_b.draws, long_scaled, mode="interval")
 reports.append(elpd_loo(ll_b, name=bern.name))
 
 interval_cmp = compare(reports)

@@ -74,7 +74,6 @@ from .loo import (
     flag_for_refit,
     gpd_fit,
     group_long_by_subject,
-    grouped_units,
     loglik_matrix,
     psis_smooth,
 )

@@ -33,6 +33,8 @@ from .data import (
     read_long_csv,
     read_short_csv,
     scale_covariates,
+    validate_dataset,
+    validate_long,
     write_draws_csv,
     write_long_csv,
     write_short_csv,
@@ -41,7 +43,6 @@ from .loo import (
     LooError,
     compare,
     elpd_loo,
-    group_long_by_subject,
     loglik_matrix,
     write_loglik_csv,
 )
@@ -101,21 +102,21 @@ def _load_model(spec_arg: str) -> ModelSpec:
     return ModelSpec.from_dict(json.loads(path.read_text()))
 
 
-def _load_data(args) -> tuple:
-    """Returns (short_or_none, long_or_none) per --format."""
-    if args.format == "long":
-        return None, _maybe_scale(read_long_csv(args.data, time_unit=args.time_unit), args)
-    return _maybe_scale(read_short_csv(args.data, time_unit=args.time_unit), args), None
-
-
-def _maybe_scale(data, args):
-    """Re-apply a stored covariate scaling (from `fit --scale`) to new data."""
-    path = getattr(args, "scaling", None)
-    if not path:
+def _load_data(path, long_format: bool, args):
+    """Read a data CSV, reject it listing every problem, re-apply --scaling
+    (the scaling.json of a `fit --scale` run)."""
+    if long_format:
+        data = read_long_csv(path, time_unit=args.time_unit)
+        problems = validate_long(data)
+    else:
+        data = read_short_csv(path, time_unit=args.time_unit)
+        problems = validate_dataset(data)
+    if problems:
+        raise DataError(f"invalid data in {path}: " + "; ".join(problems))
+    if not args.scaling:
         return data
-    stats = json.loads(Path(path).read_text())
-    record = ScalingRecord({k: tuple(v) for k, v in stats.items()})
-    return apply_scaling(data, record)
+    stats = json.loads(Path(args.scaling).read_text())
+    return apply_scaling(data, ScalingRecord({k: tuple(v) for k, v in stats.items()}))
 
 
 def _sampler_config(args) -> SamplerConfig:
@@ -166,13 +167,12 @@ def cmd_simulate(args) -> int:
 
 def cmd_fit(args) -> int:
     spec = _load_model(args.model)
-    short, long = _load_data(args)
-    data = long if long is not None else short
+    data = _load_data(args.data, args.format == "long", args)
     scaling = None
     if args.scale:
-        if short is None:
+        if not isinstance(data, SurvivalDataset):
             raise CliError("--scale applies to short-format data")
-        data, record = scale_covariates(short, args.scale.split(","))
+        data, record = scale_covariates(data, args.scale.split(","))
         scaling = {k: list(v) for k, v in record.stats.items()}
     config = _sampler_config(args)
     run = RunDir(args.out, {
@@ -191,8 +191,7 @@ def cmd_fit(args) -> int:
 
 def _predictive_setup(args):
     spec = _load_model(args.model)
-    short, long = _load_data(args)
-    data = long if long is not None else short
+    data = _load_data(args.data, args.format == "long", args)
     draws = read_draws_csv(args.draws)
     design = ModelDesign(spec, data.covariates)
     return spec, data, draws, design
@@ -289,10 +288,9 @@ def cmd_impute(args) -> int:
 def cmd_compare(args) -> int:
     reports = []
     grid = TimeGrid(args.grid_length, args.grid_intervals) if args.mode == "interval" else None
-    long = read_long_csv(args.long_data, time_unit=args.time_unit) if args.long_data else None
-    short = read_short_csv(args.data, time_unit=args.time_unit) if args.data else None
-    long = _maybe_scale(long, args) if long is not None else None
-    short = _maybe_scale(short, args) if short is not None else None
+    mode = "raw" if args.mode == "loo" else args.mode
+    long = _load_data(args.long_data, True, args) if args.long_data else None
+    short = _load_data(args.data, False, args) if args.data else None
     run = RunDir(args.out, {
         "command": f"compare {args.mode}",
         "models": [{"name": n, "spec": s, "draws": d} for n, s, d in args.model],
@@ -303,24 +301,13 @@ def cmd_compare(args) -> int:
         spec = _load_model(spec_arg)
         draws = read_draws_csv(draws_path)
         if spec.family == "bernoulli_logit":
-            if long is None:
-                raise CliError("a bernoulli model in the comparison needs --long-data")
-            design = ModelDesign(spec, long.covariates)
-            if args.mode == "dichotomized":
-                from .loo import bernoulli_dichotomized_loglik
-
-                ll = bernoulli_dichotomized_loglik(spec, design, draws, long,
-                                                   args.horizon)
-            else:
-                ll = group_long_by_subject(
-                    loglik_matrix(spec, design, draws, long, mode="raw"))
+            data, missing = long, "a bernoulli model in the comparison needs --long-data"
         else:
-            if short is None:
-                raise CliError("continuous models need --data (short format)")
-            design = ModelDesign(spec, short.covariates)
-            mode = {"loo": "raw", "interval": "interval", "dichotomized": "dichotomized"}
-            ll = loglik_matrix(spec, design, draws, short, mode=mode[args.mode],
-                               grid=grid, horizon=args.horizon)
+            data, missing = short, "continuous models need --data (short format)"
+        if data is None:
+            raise CliError(missing)
+        ll = loglik_matrix(spec, ModelDesign(spec, data.covariates), draws, data,
+                           mode=mode, grid=grid, horizon=args.horizon)
         if args.save_loglik:
             write_loglik_csv(ll, run.register(f"loglik_{name}.csv"))
         reports.append(elpd_loo(ll, name=name))

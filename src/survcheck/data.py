@@ -13,6 +13,7 @@ exhaustive.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
@@ -491,9 +492,7 @@ def to_short_form(
         covs[treatment_name] = np.array(
             [1.0 if active[s : s + w].any() else 0.0 for s, w in zip(starts, lengths)]
         )
-    # back to first-appearance order
-    _, first_pos = np.unique(long.subject_id, return_index=True)
-    appearance = long.subject_id[np.sort(first_pos)]
+    appearance = long.subject_ids
     pos = {s: j for j, s in enumerate(group_sids)}
     take = np.array([pos[s] for s in appearance])
     return SurvivalDataset(
@@ -579,10 +578,25 @@ def scale_covariates(
 # A header row is required everywhere; column roles are remapped via the
 # ``columns`` argument, never by position.
 
+def _csv_reader(read):
+    """Report a cell that does not parse as a number as a DataError."""
+    @functools.wraps(read)
+    def wrapped(path_or_buf, *args, **kwargs):
+        try:
+            return read(path_or_buf, *args, **kwargs)
+        except DataError:
+            raise
+        except (ValueError, OverflowError) as err:
+            raise DataError(f"malformed CSV value: {err}") from None
+
+    return wrapped
+
+
 _SHORT_ROLES = ("subject_id", "entry_time", "time", "status")
 _RESERVED_SHORT = set(_SHORT_ROLES) | {"interval_lower", "interval_upper"}
 
 
+@_csv_reader
 def read_short_csv(path_or_buf, columns: Mapping[str, str] | None = None,
                    time_unit: str | None = None) -> SurvivalDataset:
     """Read a short-format CSV.  ``columns`` remaps role -> column name."""
@@ -648,6 +662,7 @@ def write_short_csv(data: SurvivalDataset, path) -> None:
             w.writerow(row)
 
 
+@_csv_reader
 def read_long_csv(path_or_buf, columns: Mapping[str, str] | None = None,
                   time_unit: str | None = None) -> LongDataset:
     colmap = {"subject_id": "subject_id", "interval_index": "interval_index", "event": "event"}
@@ -702,6 +717,7 @@ def write_long_csv(long: LongDataset, path) -> None:
             )
 
 
+@_csv_reader
 def read_draws_csv(path_or_buf) -> DrawsMatrix:
     rows = _read_rows(path_or_buf)
     header = rows[0]

@@ -29,7 +29,7 @@ from .data import (
     rescale_time,
     scale_covariates,
 )
-from .loo import compare, elpd_loo, group_long_by_subject, loglik_matrix, psis_smooth
+from .loo import compare, elpd_loo, loglik_matrix, psis_smooth
 from .models import (
     ModelDesign,
     ModelError,
@@ -352,8 +352,7 @@ def run_pipeline(config: dict) -> dict:
         ll = loglik_matrix(specs[name], designs[name], fits[name].draws,
                            short_scaled, mode="interval", grid=grid)
         reports.append(elpd_loo(ll, name=name))
-    ll_b = group_long_by_subject(
-        loglik_matrix(bern, design_b, res_b.draws, long_scaled, mode="raw"))
+    ll_b = loglik_matrix(bern, design_b, res_b.draws, long_scaled, mode="interval")
     reports.append(elpd_loo(ll_b, name="bernoulli-gist"))
     out["compare_interval"] = compare(reports).to_dict()
 

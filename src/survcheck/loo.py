@@ -1,9 +1,10 @@
 """Pointwise predictive scoring and PSIS-LOO model comparison.
 
-A log-likelihood matrix holds one column per scoring unit and one row per
-posterior draw.  Each column is tagged ``density`` (event records scored by
-a log density) or ``probability`` (censored records, discretized intervals,
-dichotomized outcomes, Bernoulli rows).  Densities shift under a change of
+A log-likelihood matrix holds one column per scoring unit (a record, or all
+the rows of a long-format subject) and one row per posterior draw.  Each
+column is tagged ``density`` (event records scored by a log density) or
+``probability`` (censored records, discretized intervals, dichotomized
+outcomes, subjects' joint row scores).  Densities shift under a change of
 time scale while probabilities do not, so comparisons are refused unless
 the two models carry identical tag patterns.
 
@@ -158,6 +159,8 @@ def loglik_matrix(
 ) -> LogLikMatrix:
     """Pointwise log scores of every scoring unit under every draw.
 
+    Continuous families score short-format data, one column per record:
+
     mode 'raw':           events score log densities, censored records score
                           their censoring log probabilities.
     mode 'interval':      event densities are converted to probabilities by
@@ -169,21 +172,32 @@ def loglik_matrix(
 
     Raw and interval modes score through the kernel the sampler's likelihood
     uses (``models.score_groups`` and ``models.group_log_scores``), so each
-    row of the matrix sums to the log likelihood at that draw.  Any other
+    row of the matrix sums to the log likelihood at that draw.
+
+    A ``bernoulli_logit`` model scores long-format data on its subjects, in
+    first-appearance order (as ``to_short_form`` orders them).  In raw and
+    interval modes a subject's column sums its rows' scores, which are
+    already probabilities of the long format's intervals (``grid`` is not
+    used); dichotomized mode is ``bernoulli_dichotomized_loglik``.  Any other
     mode is refused.
     """
     if mode not in MODES:
         raise LooError(f"unknown scoring mode {mode!r}; expected one of {MODES}")
+    if mode == "dichotomized" and (horizon is None or horizon <= 0):
+        raise LooError("dichotomized mode needs a positive horizon")
     if spec.family == "bernoulli_logit":
-        if mode != "raw":
-            raise LooError("interval/dichotomized modes apply to continuous families")
-        return _bernoulli_loglik(spec, design, draws, data)
+        if not isinstance(data, LongDataset):
+            raise DataError("bernoulli_logit models score long-format data")
+        if mode == "dichotomized":
+            return bernoulli_dichotomized_loglik(spec, design, draws, data, horizon)
+        p = subject_params(spec, design, draws, data.covariates, n_rows=data.n_rows)["p"]
+        rows = bernoulli_log_score(np.asarray(data.outcome, dtype=float)[:, None], p)
+        ids, vals = _sum_by_subject(data.subject_id, rows)
+        return LogLikMatrix(vals, (PROBABILITY,) * len(ids), ids, data.time_unit)
     if not isinstance(data, SurvivalDataset):
         raise DataError("continuous families score short-format data")
     params = subject_params(spec, design, draws, data.covariates, n_rows=data.n)
     if mode == "dichotomized":
-        if horizon is None or horizon <= 0:
-            raise LooError("dichotomized mode needs a positive horizon")
         z, keep, _excluded = dichotomize_outcomes(data, horizon)
         vals = _dichotomized_scores(
             z, cdf(spec.family, {**params, "mean": params["mean"][keep]}, horizon))
@@ -208,12 +222,21 @@ def _dichotomized_scores(z, p_event) -> np.ndarray:
     return bernoulli_log_score(z[:, None], np.clip(p_event, 1e-300, 1 - 1e-16))
 
 
-def _bernoulli_loglik(spec, design, draws, data: LongDataset) -> LogLikMatrix:
-    p = subject_params(spec, design, draws, data.covariates, n_rows=data.n_rows)["p"]
-    vals = bernoulli_log_score(np.asarray(data.outcome, dtype=float)[:, None], p)
-    # row units: (subject, interval); grouped_units collapses to subjects
-    ids = tuple((int(s), int(k)) for s, k in zip(data.subject_id, data.interval_index))
-    return LogLikMatrix(vals.T, (PROBABILITY,) * data.n_rows, ids, data.time_unit)
+def _sum_by_subject(subject_id, rows) -> tuple[tuple, np.ndarray]:
+    """(S, n_subjects) sums of row scores (n_rows, S), subjects in first-appearance
+    order.  A subject's rows are added in row order from 0.0, one pass per
+    position within a subject: each sum is the plain running sum."""
+    subjects, first, col = np.unique(subject_id, return_index=True, return_inverse=True)
+    counts = np.bincount(col, minlength=subjects.size)
+    by_subject = np.argsort(col, kind="stable")  # each subject's rows, in row order
+    starts = np.cumsum(counts) - counts
+    sums = np.zeros((subjects.size, rows.shape[1]))
+    for k in range(counts.max(initial=0)):
+        has = counts > k
+        sums[has] += rows[by_subject[starts[has] + k]]
+    appearance = np.argsort(first)
+    return (tuple(int(s) for s in subjects[appearance]),
+            np.ascontiguousarray(sums[appearance].T))
 
 
 def bernoulli_dichotomized_loglik(
@@ -252,34 +275,18 @@ def bernoulli_dichotomized_loglik(
     return LogLikMatrix(vals.T, (PROBABILITY,) * len(keep), ids, long.time_unit)
 
 
-def grouped_units(loglik: LogLikMatrix, subject_of_column) -> LogLikMatrix:
-    """Collapse row-level columns to one column per subject (joint log score).
-
-    ``subject_of_column`` maps each column's unit id to its subject; the
-    LOO unit for long-format models is the whole subject, so its log score
-    is the sum of its rows' log scores per draw.
-    """
-    subjects = []
-    for uid in loglik.unit_ids:
-        s = subject_of_column(uid)
-        if s is None:
-            raise LooError(f"column {uid!r} not mapped to a subject")
-        subjects.append(s)
-    order = []
-    seen = {}
-    for s in subjects:
-        if s not in seen:
-            seen[s] = len(order)
-            order.append(s)
-    vals = np.zeros((loglik.n_draws, len(order)))
-    for j, s in enumerate(subjects):
-        vals[:, seen[s]] += loglik.values[:, j]
-    return LogLikMatrix(vals, (PROBABILITY,) * len(order), tuple(order), loglik.time_unit)
-
-
 def group_long_by_subject(loglik: LogLikMatrix) -> LogLikMatrix:
-    """Convenience: group (subject, interval) row units by subject."""
-    return grouped_units(loglik, lambda uid: uid[0] if isinstance(uid, tuple) else uid)
+    """Sum the (subject, interval) row columns of a matrix into subject columns.
+
+    For row-level matrices, such as a log-lik CSV with row units;
+    ``loglik_matrix`` already scores a Bernoulli model on its subjects.  A
+    matrix keyed by plain subject ids is returned unchanged.
+    """
+    if not any(isinstance(u, tuple) for u in loglik.unit_ids):
+        return loglik
+    subject_id = np.array([u[0] if isinstance(u, tuple) else u for u in loglik.unit_ids])
+    ids, vals = _sum_by_subject(subject_id, loglik.values.T)
+    return LogLikMatrix(vals, (PROBABILITY,) * len(ids), ids, loglik.time_unit)
 
 
 # ---------------------------------------------------------------------------
@@ -501,9 +508,11 @@ def exact_refit_loo(
 ) -> dict:
     """Exact leave-one-unit-out scores by refitting without each unit.
 
-    For each unit, the model is refitted on the remaining records and the
-    held-out unit's predictive score is the log average of its likelihood
-    over the refit draws.  Returns {unit_id: elpd} plus per-unit failures.
+    For each unit (a subject: all its rows in long format), the model is
+    refitted on the remaining records and the held-out unit's predictive
+    score (``loglik_matrix`` in ``mode``) is the log average of its
+    likelihood over the refit draws; a unit not scored in ``mode`` is a
+    LooError.  Returns {unit_id: elpd} plus per-unit failures.
     Each refit derives its own seed from (config.seed, unit index), so runs
     are deterministic and units are independent.
     """
@@ -522,9 +531,9 @@ def exact_refit_loo(
         post_design = ModelDesign(spec, train.covariates)
         ll = loglik_matrix(spec, post_design, res.draws, held,
                            mode=mode, grid=grid, horizon=horizon)
-        if spec.family == "bernoulli_logit":
-            ll = group_long_by_subject(ll)
-        col = ll.values[:, list(ll.unit_ids).index(uid)]
+        if uid not in ll.unit_ids:
+            raise LooError(f"unit {uid!r} is not a scoring unit in {mode} mode")
+        col = ll.values[:, ll.unit_ids.index(uid)]
         corrections[uid] = float(logsumexp(col) - math.log(col.size))
     return {"elpd": corrections, "failures": failures}
 

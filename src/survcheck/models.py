@@ -31,6 +31,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.interpolate import BSpline
 from scipy.special import gammaln
 
 from .data import (
@@ -302,11 +303,14 @@ def bernoulli_log_score(z, p) -> np.ndarray:
 
 
 def logistic(eta) -> np.ndarray:
-    """Numerically stable logistic, clamped away from {0, 1}."""
+    """Numerically stable logistic, clamped away from {0, 1}: one exp per
+    element, computed in place; a scalar eta gives a scalar."""
     eta = np.asarray(eta, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        p = np.where(eta >= 0, 1.0 / (1.0 + np.exp(-eta)), np.exp(eta) / (1.0 + np.exp(eta)))
-    return np.clip(p, _PCLAMP, 1.0 - _PCLAMP)
+    p = np.exp(-np.abs(eta), out=np.empty_like(eta))
+    numerator = np.where(eta < 0, p, 1.0)
+    p += 1.0
+    np.divide(numerator, p, out=p)
+    return np.clip(p, _PCLAMP, 1.0 - _PCLAMP, out=p)[()]
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +446,7 @@ def spline_knots(x, n_knots: int, degree: int) -> np.ndarray:
 
 
 def spline_basis(x, knots: np.ndarray, degree: int) -> np.ndarray:
-    """Evaluate the B-spline basis (Cox-de Boor) at x, one column per function.
+    """Evaluate the B-spline basis at x, one column per function.
 
     ``knots`` is a full clamped knot vector as built by spline_knots.  Inputs
     outside the knot range are clamped to it, so the basis rows always sum
@@ -452,26 +456,9 @@ def spline_basis(x, knots: np.ndarray, degree: int) -> np.ndarray:
     n_basis = len(knots) - degree - 1
     if n_basis < degree + 1:
         raise ModelError("knot vector too short for the requested degree")
-    out = np.zeros((x.size, n_basis))
-    # span index: largest mu with knots[mu] <= x < knots[mu+1] in the
-    # non-degenerate range [degree, n_basis - 1]
-    mu = np.searchsorted(knots, x, side="right") - 1
-    mu = np.clip(mu, degree, n_basis - 1)
-    for r, (xi, m) in enumerate(zip(x, mu)):
-        vals = np.zeros(degree + 1)
-        vals[0] = 1.0
-        for d in range(1, degree + 1):
-            saved = 0.0
-            for j in range(d):
-                left = knots[m - d + 1 + j]
-                right = knots[m + 1 + j]
-                denom = right - left
-                term = vals[j] / denom if denom > 0 else 0.0
-                vals[j] = saved + (right - xi) * term
-                saved = (xi - left) * term
-            vals[d] = saved
-        out[r, m - degree : m + 1] = vals
-    return out
+    if x.size == 0:
+        return np.zeros((0, n_basis))
+    return BSpline.design_matrix(x, knots, degree).toarray()
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from survcheck.data import (
     EVENT,
     INTERVAL_CENSORED,
     STATUSES,
+    DataError,
     DrawsMatrix,
     SurvivalDataset,
     TimeGrid,
@@ -28,7 +29,6 @@ from survcheck.loo import (
     gpd_fit,
     gpd_quantile,
     group_long_by_subject,
-    grouped_units,
     loglik_matrix,
     psis_smooth,
     read_loglik_csv,
@@ -251,10 +251,9 @@ class TestGrouped:
         assert grouped.unit_ids == (7,)
         assert grouped.values[0, 0] == pytest.approx(math.log(0.25))
 
-    def test_unmapped_rows_rejected(self):
-        ll = mat(np.zeros((5, 2)), ids=(1, 2))
-        with pytest.raises(LooError, match="not mapped"):
-            grouped_units(ll, lambda uid: None)
+    def test_subject_keyed_matrix_unchanged(self):
+        ll = mat(np.zeros((5, 2)), tags=("density", "probability"), ids=(1, 2))
+        assert group_long_by_subject(ll) is ll
 
     def test_bernoulli_grouped_equals_hazard_product_elpd(self):
         # grouped column value per draw = discrete-time likelihood of the
@@ -322,7 +321,7 @@ class TestLogLikMatrixBuilder:
 
 
 class TestBernoulliDichotomized:
-    """Event-by-horizon scores of a discrete-time model against a per-subject product."""
+    """A discrete-time model scores whole subjects: against per-subject products."""
 
     HORIZON = 4
 
@@ -375,6 +374,72 @@ class TestBernoulliDichotomized:
         with pytest.raises(LooError, match="whole"):
             bernoulli_dichotomized_loglik(self.spec, self.design, self.draws, self.long,
                                           horizon)
+
+    def hazard_products(self):
+        """Per-subject log likelihood prod_k p_k^y_k (1 - p_k)^(1 - y_k), row by row."""
+        cols = {}
+        for r in range(self.long.n_rows):
+            x = np.array([1.0] + [self.long.covariates[f][r] for f in self.spec.fixed])
+            p = 1.0 / (1.0 + np.exp(-(self.draws.draws @ x)))
+            score = np.log(p) if self.long.outcome[r] else np.log1p(-p)
+            sid = int(self.long.subject_id[r])
+            cols[sid] = cols.get(sid, 0.0) + score
+        return cols
+
+    @pytest.mark.parametrize("mode", ["raw", "interval", "dichotomized"])
+    def test_loglik_matrix_scores_subjects(self, mode):
+        ll = loglik_matrix(self.spec, self.design, self.draws, self.long, mode=mode,
+                           horizon=float(self.HORIZON))
+        ids = (1, 2, 4, 5) if mode == "dichotomized" else (1, 2, 3, 4, 5)
+        assert ll.unit_ids == ids
+        assert ll.tags == ("probability",) * len(ids)
+        if mode == "dichotomized":
+            expected = bernoulli_dichotomized_loglik(self.spec, self.design, self.draws,
+                                                     self.long, float(self.HORIZON))
+            assert ll.values.tobytes() == expected.values.tobytes()
+        else:
+            cols = self.hazard_products()
+            np.testing.assert_allclose(ll.values, np.column_stack([cols[s] for s in ids]),
+                                       rtol=1e-12)
+
+    def test_interval_mode_equals_raw(self):
+        raw = loglik_matrix(self.spec, self.design, self.draws, self.long)
+        interval = loglik_matrix(self.spec, self.design, self.draws, self.long,
+                                 mode="interval", grid=TimeGrid(0.5, 20))
+        assert raw.values.tobytes() == interval.values.tobytes()
+
+    @pytest.mark.parametrize("interleave", [False, True])
+    @pytest.mark.parametrize("mode", ["raw", "dichotomized"])
+    def test_reordered_rows_keep_first_appearance_order(self, mode, interleave):
+        sid = self.long.subject_id
+        rows = (np.random.default_rng(3).permutation(sid.size) if interleave else
+                np.concatenate([np.flatnonzero(sid == s) for s in (4, 1, 2, 5, 3)]))
+        shuffled = self.long.subset(rows)
+        kw = {"mode": mode, "horizon": float(self.HORIZON)}
+        ll = loglik_matrix(self.spec, self.design, self.draws, shuffled, **kw)
+        ref = loglik_matrix(self.spec, self.design, self.draws, self.long, **kw)
+        first_seen = dict.fromkeys(int(s) for s in shuffled.subject_id)
+        assert ll.unit_ids == tuple(s for s in first_seen if s in ref.unit_ids)
+        np.testing.assert_allclose(
+            ll.values, ref.values[:, [ref.unit_ids.index(s) for s in ll.unit_ids]],
+            rtol=1e-12)
+
+    def test_short_format_refused(self):
+        with pytest.raises(DataError, match="long-format"):
+            loglik_matrix(self.spec, self.design, self.draws, self.short)
+
+    def test_exact_refit_scores_subjects(self):
+        cfg = SamplerConfig(n_chains=2, n_warmup=100, n_keep=100, seed=6)
+        for mode, units in (("raw", [1, 3]), ("dichotomized", [1, 2])):
+            refits = exact_refit_loo(self.spec, self.long, cfg, units, mode=mode,
+                                     horizon=float(self.HORIZON))
+            assert not refits["failures"]
+            assert sorted(refits["elpd"]) == units
+            assert all(np.isfinite(v) for v in refits["elpd"].values())
+        # subject 3 is censored before the horizon: not a dichotomized unit
+        with pytest.raises(LooError, match="unit 3 is not a scoring unit"):
+            exact_refit_loo(self.spec, self.long, cfg, [3], mode="dichotomized",
+                            horizon=float(self.HORIZON))
 
 
 def four_status_data(rng, n=24):

@@ -99,6 +99,12 @@ class TestSplineBasis:
         with pytest.raises(ModelError, match="distinct"):
             spline_knots(np.array([1.0, 1.0, 2.0]), n_knots=5, degree=3)
 
+    def test_empty_input_and_short_knot_vector(self):
+        knots = spline_knots(np.arange(10.0), n_knots=3, degree=3)
+        assert spline_basis(np.array([]), knots, degree=3).shape == (0, len(knots) - 4)
+        with pytest.raises(ModelError, match="too short"):
+            spline_basis(np.array([0.5]), np.array([0.0, 0.0, 1.0, 1.0]), degree=2)
+
 
 class TestEta:
     def make_design(self, n=20, seed=0):
@@ -252,6 +258,17 @@ class TestBernoulliProb:
         assert logistic(-1e6) > 0.0
         assert logistic(1e6) < 1.0
         assert np.isfinite(np.log(logistic(-1e6)))
+
+    def test_bitwise_equal_to_two_branch_formula(self):
+        # the formula logistic replaced: both branches over the whole array
+        eta = np.concatenate([[800.0, -800.0, 0.0, -0.0, np.inf, -np.inf, 36.0, -36.0],
+                              np.random.default_rng(8).normal(scale=30, size=200)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            two_branch = np.where(eta >= 0, 1.0 / (1.0 + np.exp(-eta)),
+                                  np.exp(eta) / (1.0 + np.exp(eta)))
+        expected = np.clip(two_branch, 1e-15, 1.0 - 1e-15)
+        assert logistic(eta).tobytes() == expected.tobytes()
+        assert np.isnan(logistic(np.array([np.nan])))[0]
 
     def test_matches_high_precision(self):
         import mpmath

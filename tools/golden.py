@@ -1,0 +1,269 @@
+"""Golden-output check: capture survcheck's outputs, then compare after a change.
+
+    PYTHONPATH=<checkout>/src python tools/golden.py capture DIR
+    PYTHONPATH=src python tools/golden.py compare DIR
+
+``capture`` runs a fixed set of seeded workloads against the survcheck on
+the import path and writes each output under DIR: arrays as ``.npy``
+files, text artifacts and JSON-able values as bytes.  Run it at the commit
+before a change.  ``compare`` runs the same workloads against the changed
+code and reports every output whose bytes differ, with the largest
+absolute and relative difference of a float array.  The sign bit of a NaN
+is the one difference forgiven.  It exits 0 when every output matches.
+
+The workloads cover:
+
+* the simulated cohort, the design matrices and fits of the three presets,
+  and ``spline_basis`` and ``logistic`` on edge-case inputs;
+* ``loglik_matrix`` for every family and scoring mode, with PSIS and elpd
+  of each matrix.  A Bernoulli model is scored on its subjects: a
+  checkout whose ``loglik_matrix`` scores Bernoulli rows in raw mode only
+  is read through ``group_long_by_subject`` of the raw matrix (raw and
+  interval) and ``bernoulli_dichotomized_loglik`` (dichotomized).  The
+  long rows are scored as given and in a shuffled order;
+* ``exact_refit_loo`` for the Weibull and Bernoulli presets;
+* ``run_pipeline``, and the artifacts of ``survcheck simulate``, ``fit``,
+  ``compare interval|dichotomized`` with a Bernoulli model, and ``run``.
+
+Only numpy and the standard library are used besides survcheck itself.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+import survcheck as sc
+from survcheck.cli import main as cli_main
+from survcheck.loo import LooError, bernoulli_dichotomized_loglik
+
+HORIZON = 5.0
+PRESETS = ("exponential-gist", "weibull-gist", "bernoulli-gist")
+SAMPLER = sc.SamplerConfig(n_chains=2, n_warmup=150, n_keep=120, seed=3)
+REFIT_SAMPLER = sc.SamplerConfig(n_chains=2, n_warmup=100, n_keep=80, seed=4)
+PIPELINE = {
+    "scenario": {"n_subjects": 60, "seed": 13},
+    "sampler": {"n_chains": 2, "n_warmup": 150, "n_keep": 100, "seed": 9},
+    "horizon": 5,
+}
+CLI_SAMPLER = ["--chains", "2", "--warmup", "150", "--keep", "100"]
+
+
+def _json(value) -> bytes:
+    return json.dumps(value, sort_keys=True).encode()
+
+
+def _loglik(prefix, ll):
+    yield f"{prefix}.values", ll.values
+    yield f"{prefix}.tags", _json(list(ll.tags))
+    yield f"{prefix}.ids", _json([list(u) if isinstance(u, tuple) else u
+                                  for u in ll.unit_ids])
+    psis = sc.psis_smooth(ll)
+    report = sc.elpd_loo(ll, psis)
+    yield f"{prefix}.psis_log_weights", psis.log_weights
+    yield f"{prefix}.khat", psis.khat
+    yield f"{prefix}.elpd_pointwise", report.pointwise
+    yield f"{prefix}.elpd", _json([report.total, report.se])
+
+
+def _bernoulli_subjects(spec, design, draws, long, mode):
+    """One column per subject, through whichever API the checkout offers."""
+    try:
+        ll = sc.loglik_matrix(spec, design, draws, long, mode=mode, horizon=HORIZON)
+    except LooError:
+        if mode == "dichotomized":
+            ll = bernoulli_dichotomized_loglik(spec, design, draws, long, HORIZON)
+        else:
+            ll = sc.loglik_matrix(spec, design, draws, long, mode="raw")
+    return sc.group_long_by_subject(ll)
+
+
+def _primitives():
+    rng = np.random.default_rng(0)
+    special = np.array([800.0, -800.0, 0.0, -0.0, np.inf, -np.inf, np.nan, 36.0, -36.0])
+    yield "logistic", sc.models.logistic(np.concatenate([special, 50 * rng.normal(size=200)]))
+    for name, x in (("normal", rng.normal(size=300)), ("uniform", rng.uniform(0, 5, 200)),
+                    ("ties", np.repeat(np.arange(12.0), 7))):
+        for degree in (1, 2, 3):
+            for n_knots in (0, 3, 5, 8):
+                knots = sc.spline_knots(x, n_knots, degree)
+                pts = np.concatenate([x, knots, knots - 1e-9, knots + 1e-9,
+                                      [knots[0] - 3.0, knots[-1] + 3.0]])
+                yield f"spline.{name}.d{degree}.k{n_knots}", sc.spline_basis(pts, knots, degree)
+
+
+def _cohort():
+    long, short = sc.simulate_scenario(sc.ScenarioConfig(n_subjects=90, seed=5))
+    for name, col in short.covariates.items():
+        yield f"cohort.short.{name}", col
+    yield "cohort.short.time", short.time
+    yield "cohort.short.status", _json(list(short.status))
+    for name, col in long.covariates.items():
+        yield f"cohort.long.{name}", col
+    yield "cohort.long.outcome", long.outcome
+    short_scaled, record = sc.scale_covariates(short, ("Size", "AgeAtSurg", "MitHPF"))
+    long_scaled = sc.apply_scaling(long, record)
+    grid = sc.TimeGrid(1.0, 10)
+    fits = {}
+    for name in PRESETS:
+        spec = sc.get_preset(name)
+        data = long_scaled if spec.family == "bernoulli_logit" else short_scaled
+        design = sc.ModelDesign(spec, data.covariates)
+        yield f"design.{name}", design.matrix(data.covariates)
+        res = sc.fit(spec, data, SAMPLER)
+        fits[name] = res
+        yield f"fit.{name}.draws", res.draws.draws
+        yield f"fit.{name}.log_post", res.log_post
+        yield f"fit.{name}.accept_rate", res.accept_rate
+        for mode in ("raw", "interval", "dichotomized"):
+            if spec.family == "bernoulli_logit":
+                ll = _bernoulli_subjects(spec, design, res.draws, data, mode)
+            else:
+                ll = sc.loglik_matrix(spec, design, res.draws, data, mode=mode,
+                                      grid=grid, horizon=HORIZON)
+            yield from _loglik(f"loglik.{name}.{mode}", ll)
+
+    bern = sc.get_preset("bernoulli-gist")
+    order = np.random.default_rng(1).permutation(long_scaled.n_rows)
+    shuffled = long_scaled.subset(order)
+    design = sc.ModelDesign(bern, long_scaled.covariates)
+    for mode in ("raw", "interval", "dichotomized"):
+        ll = _bernoulli_subjects(bern, design, fits["bernoulli-gist"].draws, shuffled, mode)
+        yield from _loglik(f"loglik.bernoulli-gist.shuffled.{mode}", ll)
+
+    for name, data in (("weibull-gist", short_scaled), ("bernoulli-gist", long_scaled)):
+        units = [int(s) for s in short_scaled.subject_id[:2]]
+        refits = sc.exact_refit_loo(sc.get_preset(name), data, REFIT_SAMPLER, units)
+        yield f"refit.{name}", _json({"elpd": [refits["elpd"].get(u) for u in units],
+                                      "failures": sorted(map(str, refits["failures"]))})
+
+
+def _pipeline():
+    yield "run_pipeline", _json(sc.experiments.run_pipeline(PIPELINE))
+
+
+def _cli():
+    calls = [
+        ["simulate", "--out", "sim", "--seed", "3", "--n-subjects", "60"],
+        ["fit", "--data", "sim/short.csv", "--model", "weibull-gist",
+         "--out", "wei", *CLI_SAMPLER, "--seed", "1"],
+        ["fit", "--data", "sim/short.csv", "--model", "exponential-gist",
+         "--out", "exp", *CLI_SAMPLER, "--seed", "2"],
+        ["fit", "--data", "sim/long.csv", "--format", "long", "--model",
+         "bernoulli-gist", "--out", "bern", *CLI_SAMPLER, "--seed", "3"],
+        *[["compare", mode, "--data", "sim/short.csv", "--long-data", "sim/long.csv",
+           "--model", "wei", "weibull-gist", "wei/draws.csv",
+           "--model", "exp", "exponential-gist", "exp/draws.csv",
+           "--model", "bern", "bernoulli-gist", "bern/draws.csv",
+           "--out", f"cmp_{mode}", "--grid-intervals", "10", "--save-loglik"]
+          for mode in ("interval", "dichotomized")],
+        ["run", "--pipeline", "pipeline.json", "--out", "run"],
+    ]
+    out = []
+    # relative paths in a scratch directory keep the manifests independent
+    # of where the check runs
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(sys.stderr):
+        os.chdir(tmp)
+        try:
+            Path("pipeline.json").write_text(json.dumps(PIPELINE))
+            for argv in calls:
+                out.append((f"cli.exit.{argv[argv.index('--out') + 1]}",
+                            _json(cli_main(argv))))
+            out += [(f"cli.file.{path.as_posix()}", path.read_bytes())
+                    for path in sorted(Path(".").rglob("*"))
+                    if path.is_file() and path.name != "pipeline.json"]
+        finally:
+            os.chdir(cwd)
+    return out
+
+
+def outputs():
+    for workload in (_primitives, _cohort, _pipeline, _cli):
+        yield from workload()
+
+
+def _file(root: Path, name: str, value) -> Path:
+    stem = name.replace("/", "__")
+    return root / (stem + (".npy" if isinstance(value, np.ndarray) else ".bin"))
+
+
+def capture(root: Path) -> int:
+    root.mkdir(parents=True, exist_ok=True)
+    names = []
+    for name, value in outputs():
+        path = _file(root, name, value)
+        if isinstance(value, np.ndarray):
+            np.save(path, value, allow_pickle=False)
+        else:
+            path.write_bytes(value)
+        names.append(name)
+    (root / "index.json").write_text(json.dumps(names, indent=1))
+    print(f"captured {len(names)} outputs in {root}")
+    return 0
+
+
+def _canonical(a: np.ndarray) -> np.ndarray:
+    if a.dtype.kind in "fc":
+        a = np.where(np.isnan(a), np.nan, a)
+    return np.ascontiguousarray(a)
+
+
+def _difference(old, new) -> str | None:
+    if isinstance(old, bytes) or isinstance(new, bytes):
+        return None if old == new else "bytes differ"
+    if old.dtype != new.dtype or old.shape != new.shape:
+        return f"{old.dtype}{old.shape} became {new.dtype}{new.shape}"
+    if _canonical(old).tobytes() == _canonical(new).tobytes():
+        return None
+    if old.dtype.kind not in "fc":
+        return "values differ"
+    with np.errstate(invalid="ignore", divide="ignore"):
+        diff = np.abs(new - old)
+        rel = diff / np.abs(old)
+    finite = np.isfinite(diff)
+    return (f"max abs {np.max(diff[finite], initial=0.0):.3g}, "
+            f"max rel {np.max(rel[np.isfinite(rel)], initial=0.0):.3g}, "
+            f"{int(np.sum(~finite & ~(np.isnan(old) & np.isnan(new))))} non-finite mismatches")
+
+
+def compare(root: Path) -> int:
+    expected = json.loads((root / "index.json").read_text())
+    seen, failures, matched = set(), [], 0
+    for name, value in outputs():
+        seen.add(name)
+        path = _file(root, name, value)
+        if not path.exists():
+            failures.append(f"{name}: not in the capture")
+            continue
+        old = np.load(path, allow_pickle=False) if path.suffix == ".npy" else path.read_bytes()
+        why = _difference(old, value)
+        if why:
+            failures.append(f"{name}: {why}")
+        else:
+            matched += 1
+    failures += [f"{name}: captured but not produced" for name in expected if name not in seen]
+    for line in failures:
+        print(line)
+    print(f"{matched} of {len(expected)} captured outputs byte-identical, "
+          f"{len(failures)} problems")
+    return 1 if failures else 0
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("action", choices=("capture", "compare"))
+    ap.add_argument("dir", type=Path, help="capture directory (not committed)")
+    args = ap.parse_args(argv)
+    return (capture if args.action == "capture" else compare)(args.dir.resolve())
+
+
+if __name__ == "__main__":
+    sys.exit(main())
