@@ -19,6 +19,7 @@ from .data import (
     read_draws_csv,
     read_long_csv,
     read_short_csv,
+    require_valid,
     rescale_time,
     scale_covariates,
     to_short_form,

@@ -10,7 +10,9 @@ and outcome dichotomisation at a fixed horizon.
 Simultaneous bands are built by simulation: replicate statistics are drawn
 under perfect calibration, and a pointwise quantile level gamma is searched
 so that the requested fraction of replicates lies entirely inside the
-envelope.  This is assumption-free and validated by coverage tests.
+envelope.  This is assumption-free and validated by coverage tests.  PAV
+fits are SciPy's ``isotonic_regression`` (SciPy >= 1.12) over predictions
+sorted and pooled once; envelope quantiles are read off sorted replicates.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import isotonic_regression
 
 from .data import EVENT, RIGHT_CENSORED, SurvivalDataset
 from .series import PlotSeries
@@ -104,10 +107,6 @@ class CalibrationCurve:
     predictions: np.ndarray   # sorted ascending, ties in original order
     ceps: np.ndarray          # nondecreasing, in [0, 1]
     point_masses: dict        # distinct prediction -> count
-
-    def distinct(self) -> tuple[np.ndarray, np.ndarray]:
-        return (np.array(sorted(self.point_masses)),
-                np.array([self.point_masses[k] for k in sorted(self.point_masses)]))
 
 
 # ---------------------------------------------------------------------------
@@ -264,10 +263,23 @@ def simultaneous_envelope(sims: np.ndarray, level: float, tol: float = 1e-4):
     sims = np.asarray(sims, dtype=float)
     if not 0 < level < 1:
         raise CheckError("level must be in (0, 1)")
+    order_stats = np.sort(sims, axis=0)
+    top = order_stats.shape[0] - 1
+
+    def quantile(q):
+        # np.quantile's default (linear) method read off the sorted
+        # replicates, bit for bit: at or past the last row numpy
+        # interpolates the last row with itself
+        v = top * q
+        i = int(v) if v < top else -1
+        g = v - i
+        a, b = order_stats[i], order_stats[i + 1 if i >= 0 else -1]
+        d = b - a
+        return b - d * (1 - g) if g >= 0.5 else a + d * g
 
     def coverage(gamma):
-        lo = np.quantile(sims, gamma / 2, axis=0)
-        hi = np.quantile(sims, 1 - gamma / 2, axis=0)
+        lo = quantile(gamma / 2)
+        hi = quantile(1 - gamma / 2)
         inside = np.all((sims >= lo - 1e-12) & (sims <= hi + 1e-12), axis=1)
         return inside.mean(), lo, hi
 
@@ -346,31 +358,20 @@ def pit_ecdf_check(
 
 
 def pav_isotonic(values: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
-    """Isotonic least-squares fit of a sequence by pool-adjacent-violators.
+    """Weighted isotonic least-squares fit of a sequence (pool-adjacent-violators)."""
+    return isotonic_regression(np.asarray(values, dtype=float), weights=weights).x
 
-    Single left-to-right pass with a block stack: amortized O(n).
-    """
-    y = np.asarray(values, dtype=float)
-    w = np.ones_like(y) if weights is None else np.asarray(weights, dtype=float)
-    # blocks as (weighted mean, weight, count)
-    means, wts, counts = [], [], []
-    for yi, wi in zip(y, w):
-        means.append(float(yi))
-        wts.append(float(wi))
-        counts.append(1)
-        while len(means) > 1 and means[-2] >= means[-1]:
-            m2, w2, c2 = means.pop(), wts.pop(), counts.pop()
-            m1, w1, c1 = means.pop(), wts.pop(), counts.pop()
-            wt = w1 + w2
-            means.append((m1 * w1 + m2 * w2) / wt)
-            wts.append(wt)
-            counts.append(c1 + c2)
-    out = np.empty_like(y)
-    pos = 0
-    for m, c in zip(means, counts):
-        out[pos : pos + c] = m
-        pos += c
-    return out
+
+def _pooled(predictions):
+    """Stable sort order, sorted predictions, and their distinct values
+    with each sorted prediction's index among them and their counts."""
+    p = np.asarray(predictions, dtype=float)
+    if p.size == 0 or np.any((p < 0) | (p > 1)):
+        raise CheckError("predictions must be nonempty and lie in [0, 1]")
+    order = np.argsort(p, kind="stable")
+    p_sorted = p[order]
+    uniq, inverse, counts = np.unique(p_sorted, return_inverse=True, return_counts=True)
+    return order, p_sorted, uniq, inverse, counts
 
 
 def _pooled_pav(inverse: np.ndarray, counts: np.ndarray, z_sorted: np.ndarray) -> np.ndarray:
@@ -387,15 +388,10 @@ def pav_cep(predictions, outcomes) -> CalibrationCurve:
     index); tied predictions are pooled so the CEP is a function of the
     predicted probability, and the pooled blocks are isotonically regressed.
     """
-    p = np.asarray(predictions, dtype=float)
     z = np.asarray(outcomes, dtype=float)
-    if p.size != z.size or p.size == 0:
-        raise CheckError("predictions and outcomes must align and be nonempty")
-    if np.any((p < 0) | (p > 1)):
-        raise CheckError("predictions must lie in [0, 1]")
-    order = np.argsort(p, kind="stable")
-    p_sorted = p[order]
-    uniq, inverse, counts = np.unique(p_sorted, return_inverse=True, return_counts=True)
+    if np.size(predictions) != z.size:
+        raise CheckError("predictions and outcomes must align")
+    order, p_sorted, uniq, inverse, counts = _pooled(predictions)
     ceps = _pooled_pav(inverse, counts, z[order])
     masses = {float(u): int(c) for u, c in zip(uniq, counts)}
     return CalibrationCurve(p_sorted, ceps, masses)
@@ -411,23 +407,16 @@ def calibration_band(
     envelope widened by the same gamma-search as the PIT-ECDF band.  Dot
     sizes are the point masses of the distinct predictions, normalized.
     """
-    p = np.asarray(predictions, dtype=float)
-    if np.any((p < 0) | (p > 1)) or p.size == 0:
-        raise CheckError("predictions must lie in [0, 1]")
-    order = np.argsort(p, kind="stable")
-    p_sorted = p[order]
-    _, inverse, counts = np.unique(p_sorted, return_inverse=True, return_counts=True)
+    _, p_sorted, uniq, inverse, counts = _pooled(predictions)
     rng = np.random.default_rng(seed)
-    sims = np.empty((n_sim, p.size))
+    sims = np.empty((n_sim, p_sorted.size))
     for r in range(n_sim):
-        z = (rng.random(p.size) < p_sorted).astype(float)
+        z = (rng.random(p_sorted.size) < p_sorted).astype(float)
         sims[r] = _pooled_pav(inverse, counts, z)
     lower, upper, gamma = simultaneous_envelope(sims, level)
     band = BandSeries(p_sorted, lower, upper, level, pointwise_gamma=gamma)
-    uniq, counts = np.unique(p, return_counts=True)
-    sizes = counts / counts.max()
     dots = PlotSeries("prediction_density", "points",
-                      {"x": uniq, "y": np.zeros_like(uniq), "size": sizes},
+                      {"x": uniq, "y": np.zeros_like(uniq), "size": counts / counts.max()},
                       {"role": "predictive"})
     return band, dots
 

@@ -32,9 +32,8 @@ from .data import (
     read_draws_csv,
     read_long_csv,
     read_short_csv,
+    require_valid,
     scale_covariates,
-    validate_dataset,
-    validate_long,
     write_draws_csv,
     write_long_csv,
     write_short_csv,
@@ -105,14 +104,9 @@ def _load_model(spec_arg: str) -> ModelSpec:
 def _load_data(path, long_format: bool, args):
     """Read a data CSV, reject it listing every problem, re-apply --scaling
     (the scaling.json of a `fit --scale` run)."""
-    if long_format:
-        data = read_long_csv(path, time_unit=args.time_unit)
-        problems = validate_long(data)
-    else:
-        data = read_short_csv(path, time_unit=args.time_unit)
-        problems = validate_dataset(data)
-    if problems:
-        raise DataError(f"invalid data in {path}: " + "; ".join(problems))
+    read = read_long_csv if long_format else read_short_csv
+    data = read(path, time_unit=args.time_unit)
+    require_valid(data, f"data in {path}")
     if not args.scaling:
         return data
     stats = json.loads(Path(args.scaling).read_text())
@@ -336,8 +330,7 @@ def cmd_experiment(args) -> int:
     # hazard-curves
     scenario = (ScenarioConfig.from_dict(json.loads(Path(args.scenario).read_text()))
                 if args.scenario else ScenarioConfig())
-    sampler = SamplerConfig(n_chains=args.chains, n_warmup=args.warmup,
-                            n_keep=args.keep, seed=args.seed)
+    sampler = _sampler_config(args)
     run = RunDir(args.out, {"command": "experiment hazard-curves",
                             "scenario": scenario.to_dict(),
                             "sampler": asdict(sampler), "seed": args.seed})

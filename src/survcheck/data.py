@@ -338,6 +338,16 @@ def validate_dataset(data: SurvivalDataset) -> list[str]:
     return report
 
 
+def require_valid(data, name: str | None = None) -> None:
+    """Raise one DataError listing every problem ``validate_dataset`` (short
+    format) or ``validate_long`` finds; ``name`` labels the data."""
+    long = isinstance(data, LongDataset)
+    problems = validate_long(data) if long else validate_dataset(data)
+    if problems:
+        label = name or ("long dataset" if long else "dataset")
+        raise DataError(f"invalid {label}: " + "; ".join(problems))
+
+
 def _long_groups(long: LongDataset):
     """Row order grouped by subject (interval ascending) and group starts."""
     order = np.lexsort((long.interval_index, long.subject_id))
@@ -441,9 +451,7 @@ def expand_long(
     the subject had the event.  Intervals after the event or censoring are
     excluded.  Only event and right-censored records are supported.
     """
-    problems = validate_dataset(data)
-    if problems:
-        raise DataError("invalid dataset: " + "; ".join(problems))
+    require_valid(data)
     if not set(data.status) <= {EVENT, RIGHT_CENSORED}:
         raise DataError("long format supports event and right-censored records only")
     if not grid.covers(data.time):
@@ -476,9 +484,7 @@ def to_short_form(
     event iff the final outcome is 1.  Treatment receipt is summarized as a
     single binary covariate (any interval with ``on_name`` active).
     """
-    problems = validate_long(long)
-    if problems:
-        raise DataError("invalid long dataset: " + "; ".join(problems))
+    require_valid(long)
     order, starts = _long_groups(long)
     lengths = np.diff(np.concatenate([starts, [long.n_rows]]))
     lasts = order[starts + lengths - 1]
@@ -746,12 +752,17 @@ def write_draws_csv(draws: DrawsMatrix, path) -> None:
 
 
 def _read_rows(path_or_buf) -> list[list[str]]:
-    if isinstance(path_or_buf, io.TextIOBase):
-        rows = list(csv.reader(path_or_buf))
-    else:
+    """The non-empty rows of a CSV, each as wide as the header."""
+    if not isinstance(path_or_buf, io.TextIOBase):
         with open(path_or_buf, newline="") as fh:
-            rows = list(csv.reader(fh))
-    rows = [r for r in rows if r]
+            return _read_rows(fh)
+    reader = csv.reader(path_or_buf)
+    rows = []
+    for row in filter(None, reader):
+        if rows and len(row) != len(rows[0]):
+            raise DataError(f"CSV line {reader.line_num} has {len(row)} cells, "
+                            f"the header has {len(rows[0])}")
+        rows.append(row)
     if not rows:
         raise DataError("empty CSV (header row required)")
     return rows

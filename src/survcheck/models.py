@@ -298,8 +298,14 @@ def group_log_scores(family: str, groups, params) -> list[np.ndarray]:
 
 
 def bernoulli_log_score(z, p) -> np.ndarray:
-    """Row log score z log p + (1 - z) log(1 - p) of binary outcomes z."""
-    return z * np.log(p) + (1.0 - z) * np.log1p(-p)
+    """Row log score z log p + (1 - z) log(1 - p) of binary outcomes z,
+    computed in place in an array of p's shape (z broadcasts to it)."""
+    out = np.log1p(-p)
+    out *= 1.0 - z
+    log_p = np.log(p)
+    log_p *= z
+    out += log_p
+    return out
 
 
 def logistic(eta) -> np.ndarray:

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import ndtri
 from scipy.stats import rankdata
 
-from .data import DrawsMatrix, LongDataset, SurvivalDataset
+from .data import DrawsMatrix, LongDataset, SurvivalDataset, require_valid
 from .models import (
     ModelDesign,
     ModelError,
@@ -97,7 +97,7 @@ class PosteriorModel:
     def __init__(self, spec: ModelSpec, data):
         self.spec = spec
         self.data = data
-        self._prepare_data()  # rejects a wrong data type before the design is built
+        self._prepare_data()  # rejects wrong or invalid data before the design is built
         self.design = ModelDesign(spec, data.covariates)
         n_rows = data.n_rows if isinstance(data, LongDataset) else data.n
         self.X = self.design.matrix(data.covariates, n_rows=n_rows)
@@ -122,26 +122,21 @@ class PosteriorModel:
         if spec.family == "bernoulli_logit":
             if not isinstance(data, LongDataset):
                 raise ModelError("bernoulli_logit fits long-format data")
+        elif not isinstance(data, SurvivalDataset):
+            raise ModelError(f"{spec.family} fits short-format data")
+        require_valid(data)
+        if spec.family == "bernoulli_logit":
             self._z = np.asarray(data.outcome, dtype=float)
         else:
-            if not isinstance(data, SurvivalDataset):
-                raise ModelError(f"{spec.family} fits short-format data")
             self._groups = score_groups(data)
 
     # -- parameter bookkeeping ------------------------------------------------
 
     def init_point(self) -> np.ndarray:
         """Prior locations (positive parameters at log of the prior mean)."""
-        x = np.zeros(self.dim)
-        pr = self.spec.priors
-        j = 0
+        x = np.zeros(self.dim)  # alpha and the smoothing scales at 1
         if self.spec.intercept:
-            x[0] = pr.intercept.location
-            j = 1
-        if self.spec.has_shape:
-            x[self.n_beta] = 0.0  # alpha = 1
-        for k, _ in enumerate(self._smooth_scale_names):
-            x[self.n_beta + (1 if self.spec.has_shape else 0) + k] = 0.0  # scale = 1
+            x[0] = self.spec.priors.intercept.location
         return x
 
     def constrain(self, x: np.ndarray) -> np.ndarray:

@@ -442,6 +442,51 @@ class TestEnvelopeHelpers:
         assert np.all(lo99 <= lo90 + 1e-12)
         assert np.all(hi99 >= hi90 - 1e-12)
 
+    @staticmethod
+    def _envelope_by_np_quantile(sims, level, tol=1e-4):
+        # the bisection re-running np.quantile over the replicates at each level
+        def coverage(gamma):
+            lo = np.quantile(sims, gamma / 2, axis=0)
+            hi = np.quantile(sims, 1 - gamma / 2, axis=0)
+            inside = np.all((sims >= lo - 1e-12) & (sims <= hi + 1e-12), axis=1)
+            return inside.mean(), lo, hi
+
+        lo_g, hi_g = 0.0, 1.0 - level
+        best = coverage(lo_g)
+        if best[0] < level:
+            return best[1], best[2], lo_g
+        cov_hi = coverage(hi_g)
+        if cov_hi[0] >= level:
+            return cov_hi[1], cov_hi[2], hi_g
+        while hi_g - lo_g > tol * (1.0 - level):
+            mid = 0.5 * (lo_g + hi_g)
+            cov = coverage(mid)
+            if cov[0] >= level:
+                lo_g, best = mid, cov
+            else:
+                hi_g = mid
+        return best[1], best[2], lo_g
+
+    def test_envelope_bitwise_equal_to_np_quantile(self):
+        rng = np.random.default_rng(17)
+        cases = [
+            (rng.integers(0, 9, size=(300, 40)) / 8.0, (0.5, 0.9, 0.95, 0.99)),  # ties
+            (rng.standard_normal((250, 30)), (0.8, 0.95)),
+            (rng.random((1, 12)), (0.9,)),          # a single replicate
+            (rng.random((10, 25)), (0.999,)),       # bisects down to the gamma = 0 hull
+            (np.tile(rng.random(15), (50, 1)), (0.95,)),  # the first 1 - level step holds
+        ]
+        gammas = []
+        for sims, levels in cases:
+            for level in levels:
+                got = simultaneous_envelope(sims, level)
+                want = self._envelope_by_np_quantile(sims, level)
+                assert got[0].tobytes() == want[0].tobytes()
+                assert got[1].tobytes() == want[1].tobytes()
+                assert got[2] == want[2]
+                gammas.append(got[2])
+        assert gammas[-2] == 0.0 and gammas[-1] == pytest.approx(0.05)
+
     def test_step_function_eval(self):
         f = StepFunction([1.0, 3.0], [0.5, 0.2], initial_value=1.0)
         assert f(0.5) == 1.0

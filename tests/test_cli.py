@@ -219,12 +219,14 @@ def test_error_json_on_bad_input(tmp_path, capsys):
     err = json.loads(capsys.readouterr().out)
     assert "preset" in err["error"]["message"]
 
-    # rejected when loaded: a non-numeric cell, and a negative time that
-    # would otherwise reach the sampler
-    for cell, message in (("abc", "abc"), ("-1.5", "time must be positive")):
+    # rejected when loaded: a non-numeric cell, a negative time that would
+    # otherwise reach the sampler, and a row narrower than the header
+    for row, message in (("2,0,abc,rcens,0.1", "abc"),
+                         ("2,0,-1.5,rcens,0.1", "time must be positive"),
+                         ("2,0,1.5", "CSV line 3 has 3 cells, the header has 5")):
         bad = tmp_path / "bad.csv"
         bad.write_text("subject_id,entry_time,time,status,x\n"
-                       f"1,0,2.0,event,0.5\n2,0,{cell},rcens,0.1\n3,0,1.0,event,-0.2\n")
+                       f"1,0,2.0,event,0.5\n{row}\n3,0,1.0,event,-0.2\n")
         code = main(["fit", "--data", str(bad), "--model", "exponential-gist",
                      "--out", str(tmp_path / "x"), "--warmup", "10", "--keep", "10"])
         assert code == 1

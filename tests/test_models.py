@@ -12,6 +12,7 @@ from survcheck.models import (
     ModelError,
     ModelSpec,
     SaturationError,
+    bernoulli_log_score,
     cdf,
     eta,
     get_preset,
@@ -269,6 +270,14 @@ class TestBernoulliProb:
         expected = np.clip(two_branch, 1e-15, 1.0 - 1e-15)
         assert logistic(eta).tobytes() == expected.tobytes()
         assert np.isnan(logistic(np.array([np.nan])))[0]
+
+    def test_log_score_bitwise_equal_to_two_temporary_formula(self):
+        rng = np.random.default_rng(10)
+        p = logistic(rng.normal(scale=6, size=(300, 40)))
+        z = (rng.random((300, 1)) < 0.4).astype(float)
+        for zz, pp in ((z[:, 0], p[:, 0]), (z, p)):
+            expected = zz * np.log(pp) + (1.0 - zz) * np.log1p(-pp)
+            assert bernoulli_log_score(zz, pp).tobytes() == expected.tobytes()
 
     def test_matches_high_precision(self):
         import mpmath

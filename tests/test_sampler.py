@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from survcheck.data import SurvivalDataset
+from survcheck.data import DataError, SurvivalDataset
 from survcheck.models import ModelError, ModelSpec, get_preset, log_lik_point
 from survcheck.sampler import (
     PosteriorModel,
@@ -150,6 +150,22 @@ class TestFit:
         for chain_log in res.adaptation["chains"]:
             assert chain_log["last_update_iteration"] <= cfg.n_warmup
             assert chain_log["frozen_proposal_chol"].shape == (1, 1)
+
+
+class TestInvalidData:
+    # rejected when the model is bound, before the sampler starts
+    def test_negative_time(self):
+        data = SurvivalDataset([1, 2, 3], np.zeros(3), [2.0, -1.0, 1.5],
+                               np.array(["event", "right_censored", "event"], dtype=object), {})
+        with pytest.raises(DataError, match="time must be positive"):
+            fit(ModelSpec(family="exponential"), data, SamplerConfig(n_warmup=10, n_keep=10))
+
+    def test_long_interval_gap(self):
+        from survcheck.data import LongDataset
+
+        long = LongDataset([1, 1, 2, 2, 2], [1, 2, 1, 3, 4], [0, 1, 0, 0, 0], {})
+        with pytest.raises(DataError, match="subject 2: interval_index not contiguous"):
+            PosteriorModel(ModelSpec(family="bernoulli_logit"), long)
 
 
 class TestDetailedBalance:

@@ -22,6 +22,12 @@ The workloads cover:
   interval) and ``bernoulli_dichotomized_loglik`` (dichotomized).  The
   long rows are scored as given and in a shuffled order;
 * ``exact_refit_loo`` for the Weibull and Bernoulli presets;
+* the predictive checks on the Weibull and Bernoulli fits: ``km_overlay``
+  with imputed replicates, ``intervals_data``, ``pit_ecdf_check``,
+  ``calibration_check`` on horizon predictions and on Bernoulli rows, and
+  ``simultaneous_envelope`` on a seeded matrix with ties.  Every numeric
+  column of a series is saved as its own array (a CEP curve, a band
+  bound), so ``compare`` reports its largest difference;
 * ``run_pipeline``, and the artifacts of ``survcheck simulate``, ``fit``,
   ``compare interval|dichotomized`` with a Bernoulli model, and ``run``.
 
@@ -145,6 +151,49 @@ def _cohort():
                                       "failures": sorted(map(str, refits["failures"]))})
 
 
+def _series(prefix, series):
+    for s in series:
+        for key, col in s.data.items():
+            yield f"{prefix}.{s.name}.{key}", np.array(col, dtype=float)
+        yield f"{prefix}.{s.name}.metadata", _json(s.metadata)
+
+
+def _checks():
+    long, short = sc.simulate_scenario(sc.ScenarioConfig(n_subjects=120, seed=8))
+    short, record = sc.scale_covariates(short, ("Size", "AgeAtSurg", "MitHPF"))
+    long = sc.apply_scaling(long, record)
+    spec = sc.get_preset("weibull-gist")
+    design = sc.ModelDesign(spec, short.covariates)
+    draws = sc.fit(spec, short, SAMPLER).draws
+    rng = np.random.default_rng(21)
+    sims = sc.posterior_predictive_times(spec, design, draws, short, rng, n_draws=8)
+    imputed = sc.impute_censored(spec, design, draws, short, rng, 3)
+    yield from _series("checks.km", sc.km_overlay(short, sims, imputed=imputed))
+    sims = sc.posterior_predictive_times(spec, design, draws, short, rng)
+    yield from _series("checks.intervals", [sc.intervals_data(short.time, sims)])
+    series, inside = sc.pit_ecdf_check(imputed[0].time, sims, seed=2, n_sim=300)
+    yield from _series("checks.pit_ecdf", series)
+    yield "checks.pit_ecdf.inside", _json(inside)
+
+    p, z = sc.calibration_inputs(spec, design, draws, short, horizon=HORIZON)
+    series, inside = sc.calibration_check(p, z, seed=3, n_sim=300, zoom_mass=0.9)
+    yield from _series("checks.calibration.horizon", series)
+    yield "checks.calibration.horizon.inside", _json(inside)
+    bern = sc.get_preset("bernoulli-gist")
+    bern_design = sc.ModelDesign(bern, long.covariates)
+    p, z = sc.calibration_inputs(bern, bern_design, sc.fit(bern, long, SAMPLER).draws, long)
+    series, inside = sc.calibration_check(p, z, seed=4, n_sim=300, zoom_mass=0.9)
+    yield from _series("checks.calibration.bernoulli", series)
+    yield "checks.calibration.bernoulli.inside", _json(inside)
+
+    ties = np.random.default_rng(6).integers(0, 7, size=(400, 60)) / 6.0
+    for level in (0.5, 0.9, 0.95, 0.999):
+        lo, hi, gamma = sc.checks.simultaneous_envelope(ties, level)
+        yield f"checks.envelope.{level}.lower", lo
+        yield f"checks.envelope.{level}.upper", hi
+        yield f"checks.envelope.{level}.gamma", _json(gamma)
+
+
 def _pipeline():
     yield "run_pipeline", _json(sc.experiments.run_pipeline(PIPELINE))
 
@@ -186,7 +235,7 @@ def _cli():
 
 
 def outputs():
-    for workload in (_primitives, _cohort, _pipeline, _cli):
+    for workload in (_primitives, _cohort, _checks, _pipeline, _cli):
         yield from workload()
 
 
