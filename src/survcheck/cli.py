@@ -54,9 +54,9 @@ from .models import (
     impute_censored,
     posterior_predictive_times,
 )
-from .sampler import SamplerConfig, SamplingError, diagnose, fit
+from .sampler import SamplerConfig, SamplerConfigError, SamplingError, diagnose, fit
 from .series import PlotSeries, bundle_to_json, bundle_to_svg
-from .simulate import ScenarioConfig, scenario_report, simulate_scenario
+from .simulate import ScenarioConfig, SimulationError, scenario_report, simulate_scenario
 
 
 class CliError(ValueError):
@@ -469,8 +469,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, DataError, ModelError, LooError, SamplingError,
-            FileNotFoundError, json.JSONDecodeError) as err:
+    except (CliError, DataError, ModelError, LooError, SamplingError, SamplerConfigError,
+            SimulationError, FileNotFoundError, json.JSONDecodeError) as err:
         print(json.dumps({"error": {"type": type(err).__name__, "message": str(err)}}))
         return 1
 

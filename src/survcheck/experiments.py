@@ -310,7 +310,7 @@ def run_pipeline(config: dict) -> dict:
     pair.
     """
     scenario = ScenarioConfig.from_dict(config.get("scenario", {}))
-    sampler = SamplerConfig(**config.get("sampler", {}))
+    sampler = SamplerConfig.from_dict(config.get("sampler", {}))
     horizon = float(config.get("horizon", 5.0))
     rng = np.random.default_rng(config.get("seed", scenario.seed + 9))
 

@@ -68,8 +68,8 @@ class SaturationError(ModelError):
 # family math (vectorized over params and t)
 
 
-def _rate(family: str, params) -> np.ndarray:
-    """Canonical rate theta from a params dict with 'rate' or 'mean'."""
+def _rate(family: str, params, check: bool = True) -> np.ndarray:
+    """Canonical rate theta from 'rate' or 'mean'; ``check`` rejects one outside the support."""
     if "rate" in params and "mean" in params:
         raise ModelError("give either 'rate' or 'mean', not both")
     if family == "exponential":
@@ -80,7 +80,7 @@ def _rate(family: str, params) -> np.ndarray:
         else:
             raise ModelError("exponential needs 'rate' or 'mean'")
     elif family == "weibull_aft":
-        alpha = _shape(params)
+        alpha = _shape(params, check)
         if "rate" in params:
             theta = np.asarray(params["rate"], dtype=float)
         elif "mean" in params:
@@ -90,16 +90,28 @@ def _rate(family: str, params) -> np.ndarray:
             raise ModelError("weibull_aft needs 'rate' or 'mean'")
     else:
         raise ModelError(f"no continuous-time rate for family {family!r}")
-    if np.any(theta <= 0) or not np.all(np.isfinite(theta)):
+    if check and (np.any(theta <= 0) or not np.all(np.isfinite(theta))):
         raise ModelError("rate must be positive and finite")
     return theta
 
 
-def _shape(params) -> np.ndarray:
+def _shape(params, check: bool = True) -> np.ndarray:
     alpha = np.asarray(params.get("shape"), dtype=float)
-    if params.get("shape") is None or np.any(alpha <= 0):
+    if params.get("shape") is None or (check and np.any(alpha <= 0)):
         raise ModelError("weibull_aft needs a positive 'shape'")
     return alpha
+
+
+def in_support(family: str, params) -> np.ndarray:
+    """(S,) mask of the draws of an (n, S) 'mean' (and (1, S) 'shape') whose
+    rate on every row and shape are positive and finite: the others' scores
+    raise ModelError or are NaN.  Out-of-range values warn outside np.errstate."""
+    theta = _rate(family, params, check=False)
+    ok = np.all((theta > 0) & np.isfinite(theta), axis=0)
+    if family == "weibull_aft":
+        alpha = _shape(params, check=False)
+        ok &= np.all((alpha > 0) & np.isfinite(alpha), axis=0)
+    return ok
 
 
 def log_density(family: str, params, t) -> np.ndarray:

@@ -6,13 +6,17 @@ adapted during warmup is adequate and keeps the package dependency-free.
 Positive parameters (Weibull shape, smoothing scales) are sampled on the
 log scale with the Jacobian correction.
 
-Chains own independent RNG streams derived from (seed, chain_id), so runs
-are bit-reproducible for a given seed regardless of execution order.
+All chains step in lockstep: each iteration makes one call of the log
+posterior on the (C, dim) batch of proposals, which returns (C,) values.
+Each chain still owns an RNG stream derived from (seed, chain_id) and draws
+from it in a fixed order, so runs are bit-reproducible for a given seed and
+a chain's draws do not depend on the chains beside it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.special import ndtri
@@ -25,9 +29,18 @@ from .models import (
     ModelSpec,
     bernoulli_log_score,
     group_log_scores,
+    in_support,
     logistic,
     score_groups,
 )
+
+# warmup: chains start this jitter away from the init point with this
+# proposal scale; every window the scale is tuned towards the target
+# acceptance rate and the proposal covariance re-estimated
+INIT_JITTER = 0.1
+INIT_PROPOSAL_SCALE = 0.1
+ADAPT_WINDOW = 100
+TARGET_ACCEPT = 0.35
 
 
 class SamplingError(RuntimeError):
@@ -38,22 +51,29 @@ class SamplingError(RuntimeError):
         self.diagnostics = diagnostics or {}
 
 
+class SamplerConfigError(ValueError):
+    """Invalid sampler settings."""
+
+
 @dataclass(frozen=True)
 class SamplerConfig:
     n_chains: int = 4
     n_warmup: int = 1000
     n_keep: int = 1000
     seed: int = 0
-    init_jitter: float = 0.1
-    init_proposal_scale: float = 0.1
-    adapt_window: int = 100
-    target_accept: float = 0.35
 
     def __post_init__(self):
-        if min(self.n_chains, self.n_warmup, self.n_keep, self.adapt_window) < 1:
-            raise ValueError("all sampler counts must be positive")
-        if not 0 < self.target_accept < 1:
-            raise ValueError("target acceptance rate must be in (0, 1)")
+        for name in ("n_chains", "n_warmup", "n_keep"):
+            if getattr(self, name) < 1:
+                raise SamplerConfigError(f"{name} must be positive, got {getattr(self, name)!r}")
+
+    @staticmethod
+    def from_dict(d: dict) -> "SamplerConfig":
+        known = [f.name for f in fields(SamplerConfig)]
+        unknown = sorted(set(d) - set(known))
+        if unknown:
+            raise SamplerConfigError(f"unknown sampler settings {unknown}; known: {known}")
+        return SamplerConfig(**d)
 
 
 @dataclass
@@ -66,18 +86,24 @@ class FitResult:
     adaptation: dict = field(default_factory=dict)
     config: SamplerConfig | None = None
 
-    def summary(self) -> dict:
-        names = self.draws.parameter_names
-        d = self.draws.draws
-        return {
-            name: {
-                "mean": float(d[:, j].mean()),
-                "sd": float(d[:, j].std(ddof=1)) if d.shape[0] > 1 else 0.0,
-                "rhat": self.rhat[name],
-                "ess": self.ess[name],
-            }
-            for j, name in enumerate(names)
-        }
+
+def _by_row(method):
+    """Evaluate ``method`` on the rows of an (..., dim) array, passed as a
+    contiguous (C, dim) batch under one np.errstate; one vector gives a float."""
+
+    @functools.wraps(method)
+    def batched(self, x):
+        x = np.asarray(x, dtype=float)
+        with np.errstate(all="ignore"):
+            out = method(self, np.ascontiguousarray(x.reshape(-1, self.dim)))
+        return float(out[0]) if x.ndim == 1 else out.reshape(x.shape[:-1])
+
+    return batched
+
+
+def _row_sums(a) -> np.ndarray:
+    """Sum of each row of a (C, n) array: bitwise the np.sum of that row alone."""
+    return np.ascontiguousarray(a).sum(axis=1)
 
 
 class PosteriorModel:
@@ -85,8 +111,12 @@ class PosteriorModel:
 
     The unconstrained parameter vector is the regression coefficients,
     followed by log(alpha) for the Weibull family, followed by log smoothing
-    scales when hierarchical smooths are on.  ``log_posterior`` returns -inf
-    for out-of-support points instead of raising.
+    scales when hierarchical smooths are on.  ``log_prior``,
+    ``log_likelihood`` and ``log_posterior`` take an (..., dim) array: a
+    (C, dim) batch, one row per chain, gives (C,) values, each bitwise the
+    value of its row alone, and one vector a float.  A row outside the
+    support (a non-finite entry, an overflowing mean or Weibull shape, a NaN
+    value) gets -inf; nothing is raised or warned.
 
     Short-format rows are grouped by how they are scored once, at
     construction (``models.score_groups``); each log-likelihood evaluation
@@ -103,16 +133,10 @@ class PosteriorModel:
         self.X = self.design.matrix(data.covariates, n_rows=n_rows)
         self.n_beta = self.X.shape[1]
         names = list(self.design.parameter_names)
-        self._unconstrained_names = list(names)
         if spec.has_shape:
             names.append("alpha")
-            self._unconstrained_names.append("log_alpha")
-        self._smooth_scale_names = []
         if spec.hierarchical_smooths:
-            for sm in spec.smooths:
-                names.append(f"sd_{sm.name}")
-                self._unconstrained_names.append(f"log_sd_{sm.name}")
-                self._smooth_scale_names.append(sm.name)
+            names += [f"sd_{sm.name}" for sm in spec.smooths]
         self.parameter_names = names
         self.dim = len(names)
         self._smooth_slices = self.design.smooth_slices()
@@ -147,161 +171,136 @@ class PosteriorModel:
 
     # -- log densities ----------------------------------------------------------
 
-    def log_prior(self, x: np.ndarray) -> float:
+    @_by_row
+    def log_prior(self, x: np.ndarray) -> np.ndarray:
         """Log prior density of the unconstrained vector, Jacobian included."""
         pr = self.spec.priors
-        total = 0.0
+        total = np.zeros(len(x))
         j = 0
         if self.spec.intercept:
-            total += float(pr.intercept.log_pdf(x[0]))
+            total += pr.intercept.log_pdf(x[:, 0])
             j = 1
         n_fixed = len(self.spec.fixed)
         if n_fixed:
-            total += float(np.sum(pr.fixed.log_pdf(x[j : j + n_fixed])))
+            total += _row_sums(pr.fixed.log_pdf(x[:, j : j + n_fixed]))
         pos = self.n_beta
         if self.spec.has_shape:
-            log_alpha = x[pos]
-            total += float(pr.shape.log_pdf(np.exp(log_alpha))) + log_alpha
+            log_alpha = x[:, pos]
+            total += pr.shape.log_pdf(np.exp(log_alpha)) + log_alpha
             pos += 1
-        scale_of = {}
-        for k, sm_name in enumerate(self._smooth_scale_names):
-            log_sd = x[pos + k]
-            total += float(pr.smooth_scale.log_pdf(np.exp(log_sd))) + log_sd
-            scale_of[sm_name] = np.exp(log_sd)
-        for sm in self.spec.smooths:
-            coefs = x[self._smooth_slices[sm.name]]
+        if self.spec.hierarchical_smooths:
+            sd = np.exp(x[:, pos:])
+            for term in (pr.smooth_scale.log_pdf(sd) + x[:, pos:]).T:
+                total += term
+        for k, sm in enumerate(self.spec.smooths):
+            coefs = x[:, self._smooth_slices[sm.name]]
             if self.spec.hierarchical_smooths:
-                sd = scale_of[sm.name]
-                total += float(
-                    np.sum(-0.5 * (coefs / sd) ** 2 - np.log(sd) - 0.5 * np.log(2 * np.pi))
-                )
+                total += _row_sums(-0.5 * (coefs / sd[:, k, None]) ** 2
+                                   - np.log(sd[:, k, None]) - 0.5 * np.log(2 * np.pi))
             else:
-                total += float(np.sum(pr.smooth_coef.log_pdf(coefs)))
-        return total
+                total += _row_sums(pr.smooth_coef.log_pdf(coefs))
+        return np.where(np.isfinite(x).all(axis=1) & ~np.isnan(total), total, -np.inf)
 
-    def log_likelihood(self, x: np.ndarray) -> float:
+    @_by_row
+    def log_likelihood(self, x: np.ndarray) -> np.ndarray:
         spec = self.spec
-        lin = self.X @ x[: self.n_beta]
+        ok = np.isfinite(x).all(axis=1)
+        # one product per row keeps each row's predictor bitwise that of the
+        # vector alone (a matrix product over the batch sums in another order)
+        lin = np.stack([self.X @ row[: self.n_beta] for row in x])
+        ll = np.full(len(x), -np.inf)
         if spec.family == "bernoulli_logit":
-            return float(np.sum(bernoulli_log_score(self._z, logistic(lin))))
-        params = {"mean": np.exp(lin)}
-        if spec.has_shape:
-            params["shape"] = np.exp(x[self.n_beta])
-        scores = group_log_scores(spec.family, self._groups, params)
-        return sum((float(np.sum(s)) for s in scores), 0.0)
+            ll[ok] = _row_sums(bernoulli_log_score(self._z, logistic(lin[ok])))
+        else:
+            params = {"mean": np.exp(lin).T}
+            if spec.has_shape:
+                params["shape"] = np.exp(x[:, self.n_beta])[None, :]
+            ok &= in_support(spec.family, params)
+            scores = group_log_scores(spec.family, self._groups,
+                                      {k: v[:, ok] for k, v in params.items()})
+            ll[ok] = sum((_row_sums(s.T) for s in scores), 0.0)
+        return np.where(np.isnan(ll), -np.inf, ll)
 
-    def log_posterior(self, x) -> float:
+    @_by_row
+    def log_posterior(self, x: np.ndarray) -> np.ndarray:
         """Sum of log likelihood and log prior; -inf outside the support."""
-        x = np.asarray(x, dtype=float)
-        if not np.all(np.isfinite(x)):
-            return -np.inf
-        try:
-            lp = self.log_prior(x)
-            if not np.isfinite(lp):
-                return -np.inf
-            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                ll = self.log_likelihood(x)
-            if np.isnan(ll):
-                return -np.inf
-            return ll + lp
-        except (FloatingPointError, ModelError):
-            return -np.inf
+        lp = self.log_prior(x)
+        return np.where(np.isfinite(lp), self.log_likelihood(x) + lp, -np.inf)
 
 
 # ---------------------------------------------------------------------------
 # the random-walk kernel
 
 
-def sample_chain(log_prob, init, config: SamplerConfig, chain_id: int):
-    """One adaptive RWM chain; adaptation stops exactly at the end of warmup."""
-    rng = np.random.default_rng([config.seed, chain_id])
-    dim = len(init)
-    x = np.asarray(init, dtype=float) + config.init_jitter * rng.standard_normal(dim)
-    lp = log_prob(x)
-    if not np.isfinite(lp):
-        raise SamplingError(
-            "initial point has non-finite log posterior",
-            {"chain": chain_id, "init": x.tolist()},
-        )
-    n_total = config.n_warmup + config.n_keep
-    keep = np.empty((config.n_keep, dim))
-    lp_keep = np.empty(config.n_keep)
+def sample_posterior(log_prob, dim: int, config: SamplerConfig, init=None):
+    """Adaptive RWM, all chains in lockstep, adapting until the end of warmup.
 
-    log_scale = np.log(config.init_proposal_scale)
-    chol = np.eye(dim)
-    run_mean = np.zeros(dim)
-    run_cov = np.zeros((dim, dim))
-    n_seen = 0
-    window_accepts = 0
-    total_accepts = 0
-    adapt_log = []
+    ``log_prob`` maps a (C, dim) batch to (C,) values.  Each chain's step is
+    its own matrix-vector product, so its draws are bitwise those it makes
+    alone.  Returns the kept draws (C, n_keep, dim), their log_prob
+    (C, n_keep), and each chain's acceptance rate and adaptation record.
+    """
+    C = config.n_chains
+    rngs = [np.random.default_rng([config.seed, c]) for c in range(C)]
+    init = np.zeros(dim) if init is None else np.asarray(init, dtype=float)
+    x = init + INIT_JITTER * np.stack([rng.standard_normal(dim) for rng in rngs])
+    lp = log_prob(x)
+    if not np.all(np.isfinite(lp)):
+        c = int(np.argmin(np.isfinite(lp)))
+        raise SamplingError("initial point has non-finite log posterior",
+                            {"chain": c, "init": x[c].tolist()})
+    n_total = config.n_warmup + config.n_keep
+    keep = np.empty((C, config.n_keep, dim))
+    lp_keep = np.empty((C, config.n_keep))
+
+    log_scale = np.full(C, np.log(INIT_PROPOSAL_SCALE))
+    chol = np.broadcast_to(np.eye(dim), (C, dim, dim)).copy()
+    run_mean = np.zeros((C, dim))
+    run_cov = np.zeros((C, dim, dim))
+    window_accepts, total_accepts = np.zeros(C, dtype=int), np.zeros(C, dtype=int)
+    adapt_logs = [[] for _ in range(C)]
 
     for it in range(n_total):
-        z = rng.standard_normal(dim)
-        prop = x + np.exp(log_scale) * (chol @ z)
+        z = [rng.standard_normal(dim) for rng in rngs]
+        prop = x + np.exp(log_scale)[:, None] * np.stack([chol[c] @ z[c] for c in range(C)])
         lp_prop = log_prob(prop)
-        if np.log(rng.random()) < lp_prop - lp:
-            x, lp = prop, lp_prop
-            window_accepts += 1
-            total_accepts += 1
-        if it < config.n_warmup:
-            n_seen += 1
-            delta = x - run_mean
-            run_mean += delta / n_seen
-            run_cov += np.outer(delta, x - run_mean)
-            if (it + 1) % config.adapt_window == 0:
-                if window_accepts == 0:
-                    raise SamplingError(
-                        "no proposals accepted over a full adaptation window",
-                        {
-                            "chain": chain_id,
-                            "iteration": it + 1,
-                            "log_scale": float(log_scale),
-                            "position": x.tolist(),
-                            "log_posterior": float(lp),
-                        },
-                    )
-                rate = window_accepts / config.adapt_window
-                log_scale += 0.66 * (rate - config.target_accept)
-                if n_seen > 2 * dim:
-                    cov = run_cov / (n_seen - 1)
-                    cov = (2.38**2 / dim) * cov
-                    cov[np.diag_indices_from(cov)] += 1e-8 + 1e-6 * np.trace(cov) / dim
-                    try:
-                        chol = np.linalg.cholesky(cov)
-                    except np.linalg.LinAlgError:
-                        pass
-                adapt_log.append(
-                    {"iteration": it + 1, "accept_rate": rate, "log_scale": float(log_scale)}
-                )
-                window_accepts = 0
-        else:
-            keep[it - config.n_warmup] = x
-            lp_keep[it - config.n_warmup] = lp
-    accept_rate = total_accepts / n_total
-    frozen = np.exp(log_scale) * chol
-    return keep, lp_keep, accept_rate, {
-        "windows": adapt_log,
-        "frozen_proposal_chol": frozen,
-        "last_update_iteration": adapt_log[-1]["iteration"] if adapt_log else 0,
-    }
-
-
-def sample_posterior(log_prob, dim: int, config: SamplerConfig, init=None):
-    """Run all chains; returns (chains array (C, n_keep, dim), lp, rates, logs)."""
-    if init is None:
-        init = np.zeros(dim)
-    chains = np.empty((config.n_chains, config.n_keep, dim))
-    lps = np.empty((config.n_chains, config.n_keep))
-    rates = np.empty(config.n_chains)
-    logs = []
-    for c in range(config.n_chains):
-        keep, lp_keep, rate, alog = sample_chain(log_prob, init, config, c)
-        chains[c] = keep
-        lps[c] = lp_keep
-        rates[c] = rate
-        logs.append(alog)
-    return chains, lps, rates, logs
+        accept = np.log([rng.random() for rng in rngs]) < lp_prop - lp
+        x = np.where(accept[:, None], prop, x)
+        lp = np.where(accept, lp_prop, lp)
+        window_accepts += accept
+        total_accepts += accept
+        if it >= config.n_warmup:
+            keep[:, it - config.n_warmup] = x
+            lp_keep[:, it - config.n_warmup] = lp
+            continue
+        delta = x - run_mean
+        run_mean += delta / (it + 1)
+        run_cov += delta[:, :, None] * (x - run_mean)[:, None, :]
+        if (it + 1) % ADAPT_WINDOW:
+            continue
+        if not np.all(window_accepts):
+            c = int(np.argmin(window_accepts))
+            raise SamplingError("no proposals accepted over a full adaptation window", {
+                "chain": c, "iteration": it + 1, "log_scale": float(log_scale[c]),
+                "position": x[c].tolist(), "log_posterior": float(lp[c])})
+        rate = window_accepts / ADAPT_WINDOW
+        log_scale += 0.66 * (rate - TARGET_ACCEPT)
+        for c in range(C):
+            if it + 1 > 2 * dim:
+                cov = (2.38**2 / dim) * (run_cov[c] / it)
+                cov[np.diag_indices_from(cov)] += 1e-8 + 1e-6 * np.trace(cov) / dim
+                try:
+                    chol[c] = np.linalg.cholesky(cov)
+                except np.linalg.LinAlgError:
+                    pass
+            adapt_logs[c].append({"iteration": it + 1, "accept_rate": float(rate[c]),
+                                  "log_scale": float(log_scale[c])})
+        window_accepts[:] = 0
+    frozen = np.exp(log_scale)[:, None, None] * chol
+    logs = [{"windows": windows, "frozen_proposal_chol": frozen[c],
+             "last_update_iteration": windows[-1]["iteration"] if windows else 0}
+            for c, windows in enumerate(adapt_logs)]
+    return keep, lp_keep, total_accepts / n_total, logs
 
 
 def fit(spec: ModelSpec, data, config: SamplerConfig | None = None) -> FitResult:
@@ -313,22 +312,16 @@ def fit(spec: ModelSpec, data, config: SamplerConfig | None = None) -> FitResult
     config = config or SamplerConfig()
     post = PosteriorModel(spec, data)
     chains, lps, rates, logs = sample_posterior(
-        post.log_posterior, post.dim, config, post.init_point()
-    )
-    flat_unc = chains.reshape(-1, post.dim)
-    constrained = post.constrain(flat_unc)
-    chain_ids = np.repeat(np.arange(config.n_chains), config.n_keep)
-    draws = DrawsMatrix(constrained, post.parameter_names, chain_ids)
-    rhat, ess = _diagnostics_from_chains(chains, post.parameter_names, config)
-    return FitResult(
-        draws=draws,
-        rhat=rhat,
-        ess=ess,
-        accept_rate=rates,
-        log_post=lps.reshape(-1),
-        adaptation={"chains": logs, "n_warmup": config.n_warmup},
-        config=config,
-    )
+        post.log_posterior, post.dim, config, post.init_point())
+    draws = DrawsMatrix(post.constrain(chains.reshape(-1, post.dim)), post.parameter_names,
+                        np.repeat(np.arange(config.n_chains), config.n_keep))
+    cols = {name: chains[:, :, j] for j, name in enumerate(post.parameter_names)}
+    rhat = {name: split_rhat(c) if config.n_chains >= 2 else float("nan")
+            for name, c in cols.items()}
+    ess = {name: bulk_ess(c) for name, c in cols.items()}
+    return FitResult(draws=draws, rhat=rhat, ess=ess, accept_rate=rates,
+                     log_post=lps.reshape(-1), config=config,
+                     adaptation={"chains": logs, "n_warmup": config.n_warmup})
 
 
 # ---------------------------------------------------------------------------
@@ -370,9 +363,7 @@ def _split(chains: np.ndarray) -> np.ndarray:
 
 def _ess_from_sequences(seqs: np.ndarray) -> float:
     m, L = seqs.shape
-    acov = np.empty((m, L))
-    for i in range(m):
-        acov[i] = _autocov(seqs[i])
+    acov = np.array([_autocov(s) for s in seqs])
     chain_var = acov[:, 0] * L / (L - 1.0)
     mean_var = chain_var.mean()
     var_plus = mean_var * (L - 1.0) / L
@@ -405,15 +396,6 @@ def _autocov(x: np.ndarray) -> np.ndarray:
     f = np.fft.rfft(xc, size)
     acov = np.fft.irfft(f * np.conj(f), size)[:n].real
     return acov / n
-
-
-def _diagnostics_from_chains(chains, names, config):
-    rhat, ess = {}, {}
-    for j, name in enumerate(names):
-        mat = chains[:, :, j]
-        rhat[name] = split_rhat(mat) if config.n_chains >= 2 else float("nan")
-        ess[name] = bulk_ess(mat)
-    return rhat, ess
 
 
 def diagnose(result: FitResult, rhat_threshold: float = 1.01) -> dict:

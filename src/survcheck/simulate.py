@@ -12,7 +12,7 @@ right after it stops, then decay); they are not fitted to any real data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -96,7 +96,7 @@ class ScenarioConfig:
 
     def __post_init__(self):
         if self.n_subjects < 1:
-            raise SimulationError("n_subjects must be positive")
+            raise SimulationError(f"n_subjects must be positive, got {self.n_subjects!r}")
         if self.treatment_duration < 1 or self.max_follow_up < self.treatment_duration:
             raise SimulationError("follow-up must cover the treatment duration")
 
@@ -116,6 +116,10 @@ class ScenarioConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "ScenarioConfig":
+        known = [f.name for f in fields(ScenarioConfig)]
+        unknown = sorted(set(d) - set(known))
+        if unknown:
+            raise SimulationError(f"unknown scenario settings {unknown}; known: {known}")
         kw = dict(d)
         if "covariates" in kw:
             kw["covariates"] = {

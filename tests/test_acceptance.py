@@ -319,7 +319,7 @@ class TestCriterion10SamplerCalibration:
             data = SurvivalDataset(np.arange(1, n + 1), np.zeros(n), times,
                                    ["event"] * n, {})
             post = PosteriorModel(spec, data)
-            logp = np.array([post.log_posterior(np.array([b])) for b in grid])
+            logp = post.log_posterior(grid[:, None])
             w = np.exp(logp - logp.max())
             norm = np.trapezoid(w, grid)
             mean_grid = np.trapezoid(grid * w, grid) / norm

@@ -234,6 +234,30 @@ def test_error_json_on_bad_input(tmp_path, capsys):
         assert err["error"]["type"] == "DataError"
         assert message in err["error"]["message"]
 
+    # bad settings: a count of zero, and unknown keys in a pipeline config
+    good = tmp_path / "good.csv"
+    good.write_text("subject_id,entry_time,time,status,x\n"
+                    "1,0,2.0,event,0.5\n2,0,1.5,rcens,0.1\n3,0,1.0,event,-0.2\n")
+    cases = [
+        (["fit", "--data", str(good), "--model", "exponential-gist",
+          "--out", str(tmp_path / "x"), "--chains", "0"], "SamplerConfigError", "n_chains"),
+        (["simulate", "--out", str(tmp_path / "x"), "--n-subjects", "0"],
+         "SimulationError", "n_subjects"),
+    ]
+    for config, error, message in (
+            ({"sampler": {"n_chains": 0}}, "SamplerConfigError", "n_chains"),
+            ({"sampler": {"n_chain": 2}}, "SamplerConfigError", "'n_chain'"),
+            ({"scenario": {"n_subject": 60}}, "SimulationError", "'n_subject'")):
+        path = tmp_path / f"pipeline_{len(cases)}.json"
+        path.write_text(json.dumps(config))
+        cases.append((["run", "--pipeline", str(path), "--out", str(tmp_path / "x")],
+                      error, message))
+    for argv, error, message in cases:
+        assert main(argv) == 1
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"]["type"] == error
+        assert message in err["error"]["message"]
+
 
 def test_pipeline_run(tmp_path):
     cfg = {

@@ -1,10 +1,15 @@
 import math
+import warnings
+from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from survcheck.data import DataError, SurvivalDataset
-from survcheck.models import ModelError, ModelSpec, get_preset, log_lik_point
+from survcheck.data import INTERVAL_CENSORED, LEFT_CENSORED, STATUSES, DataError, SurvivalDataset
+from survcheck.models import ModelError, ModelSpec, SmoothSpec, get_preset, log_lik_point
 from survcheck.sampler import (
     PosteriorModel,
     SamplerConfig,
@@ -88,6 +93,93 @@ class TestLogPosterior:
             assert np.isfinite(post.log_posterior(post.init_point()))
 
 
+def all_statuses(short):
+    """``short`` with every status, cycling through them; a left-censored
+    record is censored at 1.5 t, an interval-censored one gets (0.5 t, 1.5 t)."""
+    status = np.array([STATUSES[i % 4] for i in range(short.n)], dtype=object)
+    time = short.time.copy()
+    bounds = np.full((short.n, 2), np.nan)
+    time[status == LEFT_CENSORED] *= 1.5
+    icens = status == INTERVAL_CENSORED
+    bounds[icens] = np.column_stack([0.5 * time[icens], 1.5 * time[icens]])
+    time[icens] *= 1.5
+    return replace(short, time=time, status=status, interval_bounds=bounds)
+
+
+BATCH_SPECS = {
+    "exponential": ModelSpec(family="exponential", fixed=("GenderMale",),
+                             smooths=(SmoothSpec("Size", n_knots=3),)),
+    "weibull": ModelSpec(family="weibull_aft", fixed=("GenderMale",),
+                         smooths=(SmoothSpec("Size", n_knots=3),)),
+    "weibull-hierarchical": ModelSpec(family="weibull_aft", fixed=("GenderMale",),
+                                      smooths=(SmoothSpec("Size", n_knots=3),
+                                               SmoothSpec("AgeAtSurg", n_knots=3)),
+                                      hierarchical_smooths=True),
+    "bernoulli": ModelSpec(family="bernoulli_logit", fixed=("AdjOn",),
+                           smooths=(SmoothSpec("Size", n_knots=3),)),
+}
+# non-finite entries, and values whose exp (a mean, shape or scale) overflows
+SPECIAL = (np.nan, np.inf, -np.inf, 1e308, -1e308, 800.0, -800.0)
+
+
+@lru_cache(maxsize=None)
+def batch_posterior(name):
+    long, short = simulate_scenario(ScenarioConfig(n_subjects=60, seed=5))
+    spec = BATCH_SPECS[name]
+    return PosteriorModel(spec, long if spec.family == "bernoulli_logit" else all_statuses(short))
+
+
+class TestBatchedLogPosterior:
+    @pytest.mark.parametrize("name", sorted(BATCH_SPECS))
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_batch_bitwise_equal_to_rows(self, name, data):
+        post = batch_posterior(name)
+        n_chains = data.draw(st.integers(1, 5), label="n_chains")
+        values = data.draw(st.lists(st.floats(-3, 3), min_size=n_chains * post.dim,
+                                    max_size=n_chains * post.dim), label="x")
+        x = np.array(values).reshape(n_chains, post.dim)
+        for _ in range(data.draw(st.integers(0, 3), label="n_special")):
+            x[data.draw(st.integers(0, n_chains - 1)), data.draw(st.integers(0, post.dim - 1))] = (
+                data.draw(st.sampled_from(SPECIAL)))
+        for method in (post.log_prior, post.log_likelihood, post.log_posterior):
+            batch = method(x)
+            assert batch.shape == (n_chains,)
+            assert np.array_equal(batch, [method(row) for row in x])
+            assert not np.any(np.isnan(batch))
+        assert np.all(post.log_posterior(x)[~np.isfinite(x).all(axis=1)] == -np.inf)
+
+    def test_out_of_support_rows_alone_are_minus_inf(self):
+        post = batch_posterior("weibull-hierarchical")
+        init = post.init_point()
+        x = np.tile(init, (7, 1))
+        x[1, 0] = np.nan
+        x[2, 0] = 1e308  # the mean overflows
+        x[3, post.n_beta] = 800.0  # the shape overflows
+        x[4, post.n_beta] = -800.0  # ... and underflows to 0
+        x[5, -1] = 800.0  # a smoothing scale overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lp = post.log_posterior(x)
+        assert np.all(lp[1:6] == -np.inf)
+        assert np.isfinite(lp[0]) and lp[0] == lp[6] == post.log_posterior(init)
+        assert isinstance(post.log_posterior(init), float)
+        assert np.array_equal(post.log_posterior(x.reshape(7, 1, -1)), lp[:, None])
+
+    def test_prior_overflow_is_minus_inf_without_warning(self):
+        post = batch_posterior("weibull-hierarchical")
+        x = post.init_point()
+        fixed = x.copy()
+        fixed[1] = 1e308  # the GenderMale effect: its squared z-score overflows
+        log_sd = x.copy()
+        log_sd[-1] = 800.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for point in (fixed, log_sd):
+                assert post.log_prior(point) == -np.inf
+                assert post.log_posterior(point) == -np.inf
+
+
 class TestFit:
     def test_recovers_known_rate(self):
         rng = np.random.default_rng(3)
@@ -120,7 +212,7 @@ class TestFit:
         spec = ModelSpec(family="bernoulli_logit")
         post = PosteriorModel(spec, long)
         grid = np.linspace(-8, 8, 8001)
-        logp = np.array([post.log_posterior(np.array([b])) for b in grid])
+        logp = post.log_posterior(grid[:, None])
         w = np.exp(logp - logp.max())
         w /= np.trapezoid(w, grid)
         p_mean_grid = np.trapezoid(expit(grid) * w, grid)
@@ -130,25 +222,26 @@ class TestFit:
         assert abs(p_draws.mean() - p_mean_grid) < 4 * mc_se + 1e-4
 
     def test_divergence_reported(self):
-        def log_prob(x):
-            # only a tiny ball around the init is allowed; wide proposals
-            # always land outside, so every proposal is rejected
-            return 0.0 if np.all(np.abs(x) < 1e-6) else -np.inf
+        calls = []
 
-        cfg = SamplerConfig(n_chains=1, n_warmup=100, n_keep=10, seed=0,
-                            init_jitter=1e-8, init_proposal_scale=10.0)
+        def log_prob(x):
+            # finite at the initial points only, so every proposal is rejected
+            calls.append(len(x))
+            return np.zeros(len(x)) if len(calls) == 1 else np.full(len(x), -np.inf)
+
+        cfg = SamplerConfig(n_chains=1, n_warmup=100, n_keep=10, seed=0)
         with pytest.raises(SamplingError) as err:
             sample_posterior(log_prob, 1, cfg)
         assert "window" in str(err.value)
-        assert "iteration" in err.value.diagnostics
+        assert err.value.diagnostics["iteration"] == 100
 
     def test_adaptation_freezes_after_warmup(self):
         rng = np.random.default_rng(6)
         data = exp_dataset(rng, n=40)
-        cfg = SamplerConfig(n_warmup=300, n_keep=300, seed=1, adapt_window=50)
+        cfg = SamplerConfig(n_warmup=300, n_keep=300, seed=1)
         res = fit(ModelSpec(family="exponential"), data, cfg)
         for chain_log in res.adaptation["chains"]:
-            assert chain_log["last_update_iteration"] <= cfg.n_warmup
+            assert chain_log["last_update_iteration"] == cfg.n_warmup
             assert chain_log["frozen_proposal_chol"].shape == (1, 1)
 
 
@@ -172,7 +265,7 @@ class TestDetailedBalance:
     def test_standard_normal_target(self):
         cfg = SamplerConfig(n_chains=4, n_warmup=1000, n_keep=10_000, seed=123)
         chains, _, rates, _ = sample_posterior(
-            lambda x: float(-0.5 * x @ x), 1, cfg, init=np.zeros(1))
+            lambda x: -0.5 * np.sum(x * x, axis=1), 1, cfg, init=np.zeros(1))
         draws = chains.reshape(-1)
         assert draws.size == 40_000
         assert abs(draws.mean()) < 0.05

@@ -15,6 +15,9 @@ The workloads cover:
 
 * the simulated cohort, the design matrices and fits of the three presets,
   and ``spline_basis`` and ``logistic`` on edge-case inputs;
+* fits the presets never reach: a Weibull fit with hierarchical smooths on
+  data holding all four statuses, and a one-chain fit.  Every fit saves its
+  draws, log posterior, acceptance rates and adaptation record;
 * ``loglik_matrix`` for every family and scoring mode, with PSIS and elpd
   of each matrix.  A Bernoulli model is scored on its subjects: a
   checkout whose ``loglik_matrix`` scores Bernoulli rows in raw mode only
@@ -42,6 +45,7 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -125,9 +129,7 @@ def _cohort():
         yield f"design.{name}", design.matrix(data.covariates)
         res = sc.fit(spec, data, SAMPLER)
         fits[name] = res
-        yield f"fit.{name}.draws", res.draws.draws
-        yield f"fit.{name}.log_post", res.log_post
-        yield f"fit.{name}.accept_rate", res.accept_rate
+        yield from _fit(f"fit.{name}", res)
         for mode in ("raw", "interval", "dichotomized"):
             if spec.family == "bernoulli_logit":
                 ll = _bernoulli_subjects(spec, design, res.draws, data, mode)
@@ -149,6 +151,42 @@ def _cohort():
         refits = sc.exact_refit_loo(sc.get_preset(name), data, REFIT_SAMPLER, units)
         yield f"refit.{name}", _json({"elpd": [refits["elpd"].get(u) for u in units],
                                       "failures": sorted(map(str, refits["failures"]))})
+
+
+def _fit(prefix, res):
+    yield f"{prefix}.draws", res.draws.draws
+    yield f"{prefix}.log_post", res.log_post
+    yield f"{prefix}.accept_rate", res.accept_rate
+    yield f"{prefix}.rhat_ess", _json([res.rhat, res.ess])
+    for c, log in enumerate(res.adaptation["chains"]):
+        yield f"{prefix}.adaptation.{c}", _json([log["windows"], log["last_update_iteration"]])
+        yield f"{prefix}.frozen_chol.{c}", log["frozen_proposal_chol"]
+
+
+def _all_statuses(short):
+    """``short`` with every status: cycling through them, a left-censored
+    record is censored at 1.5 times its time, an interval-censored one gets
+    the bounds (0.5 t, 1.5 t)."""
+    status = np.array([sc.data.STATUSES[i % 4] for i in range(short.n)], dtype=object)
+    time = short.time.copy()
+    bounds = np.full((short.n, 2), np.nan)
+    left = status == sc.data.LEFT_CENSORED
+    time[left] *= 1.5
+    icens = status == sc.data.INTERVAL_CENSORED
+    bounds[icens] = np.column_stack([0.5 * time[icens], 1.5 * time[icens]])
+    time[icens] *= 1.5
+    return replace(short, time=time, status=status, interval_bounds=bounds)
+
+
+def _uncommon_fits():
+    _, short = sc.simulate_scenario(sc.ScenarioConfig(n_subjects=80, seed=7))
+    short, _ = sc.scale_covariates(short, ("Size", "AgeAtSurg", "MitHPF"))
+    spec = replace(sc.get_preset("weibull-gist"), hierarchical_smooths=True)
+    yield from _fit("fit.weibull-hierarchical-all-statuses",
+                    sc.fit(spec, _all_statuses(short), SAMPLER))
+    yield from _fit("fit.exponential-one-chain",
+                    sc.fit(sc.get_preset("exponential-gist"), short,
+                           replace(SAMPLER, n_chains=1, seed=5)))
 
 
 def _series(prefix, series):
@@ -235,7 +273,7 @@ def _cli():
 
 
 def outputs():
-    for workload in (_primitives, _cohort, _checks, _pipeline, _cli):
+    for workload in (_primitives, _cohort, _uncommon_fits, _checks, _pipeline, _cli):
         yield from workload()
 
 
