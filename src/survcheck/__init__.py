@@ -38,7 +38,6 @@ from .models import (
     get_preset,
     hazard,
     impute_censored,
-    log_lik_point,
     posterior_predictive_times,
     sample_event_time,
     sample_truncated,

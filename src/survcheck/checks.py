@@ -26,6 +26,10 @@ from .data import EVENT, RIGHT_CENSORED, SurvivalDataset
 from .series import PlotSeries
 
 
+# a value this far outside a band still counts as inside it
+_SLACK = 1e-12
+
+
 class CheckError(ValueError):
     """Invalid inputs to a predictive check."""
 
@@ -90,9 +94,9 @@ class BandSeries:
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
 
-    def contains(self, values, slack: float = 1e-12) -> bool:
+    def contains(self, values) -> bool:
         v = np.asarray(values, dtype=float)
-        return bool(np.all((v >= self.lower - slack) & (v <= self.upper + slack)))
+        return bool(np.all((v >= self.lower - _SLACK) & (v <= self.upper + _SLACK)))
 
     def to_series(self, name: str, **meta) -> PlotSeries:
         return PlotSeries(name, "band",
@@ -253,12 +257,13 @@ def ecdf_on_grid(values, grid) -> np.ndarray:
     return np.searchsorted(values, np.asarray(grid, dtype=float), side="right") / values.size
 
 
-def simultaneous_envelope(sims: np.ndarray, level: float, tol: float = 1e-4):
+def simultaneous_envelope(sims: np.ndarray, level: float):
     """Pointwise-quantile envelope adjusted for simultaneous coverage.
 
-    Bisects the pointwise tail level gamma until the fraction of simulated
-    replicate curves lying entirely inside [q_{gamma/2}, q_{1-gamma/2}] is
-    at least ``level``.  Returns (lower, upper, gamma).
+    Bisects the pointwise tail level gamma, to 1e-4 (1 - level), until the
+    fraction of simulated replicate curves lying entirely inside
+    [q_{gamma/2}, q_{1-gamma/2}] is at least ``level``.  Returns (lower,
+    upper, gamma).
     """
     sims = np.asarray(sims, dtype=float)
     if not 0 < level < 1:
@@ -280,7 +285,7 @@ def simultaneous_envelope(sims: np.ndarray, level: float, tol: float = 1e-4):
     def coverage(gamma):
         lo = quantile(gamma / 2)
         hi = quantile(1 - gamma / 2)
-        inside = np.all((sims >= lo - 1e-12) & (sims <= hi + 1e-12), axis=1)
+        inside = np.all((sims >= lo - _SLACK) & (sims <= hi + _SLACK), axis=1)
         return inside.mean(), lo, hi
 
     lo_g, hi_g = 0.0, 1.0 - level
@@ -290,7 +295,7 @@ def simultaneous_envelope(sims: np.ndarray, level: float, tol: float = 1e-4):
     cov_hi = coverage(hi_g)
     if cov_hi[0] >= level:
         return cov_hi[1], cov_hi[2], hi_g
-    while hi_g - lo_g > tol * (1.0 - level):
+    while hi_g - lo_g > 1e-4 * (1.0 - level):
         mid = 0.5 * (lo_g + hi_g)
         cov = coverage(mid)
         if cov[0] >= level:

@@ -289,7 +289,7 @@ def cmd_compare(args) -> int:
         "command": f"compare {args.mode}",
         "models": [{"name": n, "spec": s, "draws": d} for n, s, d in args.model],
         "horizon": args.horizon, "grid_length": args.grid_length,
-        "scaling": args.scaling, "seed": args.seed,
+        "scaling": args.scaling,
     })
     for name, spec_arg, draws_path in args.model:
         spec = _load_model(spec_arg)
@@ -441,7 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-length", type=float, default=1.0)
     p.add_argument("--grid-intervals", type=int, default=50)
     p.add_argument("--save-loglik", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("experiment", help="paper-style experiments",

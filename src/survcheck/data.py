@@ -27,6 +27,15 @@ INTERVAL_CENSORED = "interval_censored"
 
 STATUSES = (EVENT, RIGHT_CENSORED, LEFT_CENSORED, INTERVAL_CENSORED)
 
+# the treatment indicator of the short form; the long form's treatment-rule columns
+TREATMENT_NAME = "AdjTreatm"
+TIME_NAME = "Time"
+ON_NAME = "AdjOn"
+SINCE_NAME = "TimeSinceAdjStopped"
+
+# scale_covariates maps each named covariate to this sample sd
+SCALED_SD = 0.5
+
 # compact status codes used in the CSV interface
 _STATUS_TO_CSV = {
     EVENT: "event",
@@ -104,24 +113,6 @@ class SurvivalDataset:
     def n(self) -> int:
         return self.subject_id.shape[0]
 
-    @property
-    def covariate_names(self) -> tuple[str, ...]:
-        return tuple(self.covariates)
-
-    def row(self, i: int):
-        """One record as a plain namespace-like dict (used by log_lik_point)."""
-        bounds = None
-        if self.interval_bounds is not None and self.status[i] == INTERVAL_CENSORED:
-            bounds = (float(self.interval_bounds[i, 0]), float(self.interval_bounds[i, 1]))
-        return Record(
-            subject_id=int(self.subject_id[i]),
-            entry_time=float(self.entry_time[i]),
-            time=float(self.time[i]),
-            status=str(self.status[i]),
-            bounds=bounds,
-            covariates={k: float(v[i]) for k, v in self.covariates.items()},
-        )
-
     def subset(self, mask) -> "SurvivalDataset":
         mask = np.asarray(mask)
         ib = self.interval_bounds[mask] if self.interval_bounds is not None else None
@@ -141,21 +132,11 @@ class SurvivalDataset:
 
 
 @dataclass(frozen=True)
-class Record:
-    subject_id: int
-    entry_time: float
-    time: float
-    status: str
-    bounds: tuple[float, float] | None
-    covariates: dict[str, float]
-
-
-@dataclass(frozen=True)
 class LongDataset:
     """Long-format data: one record per subject-interval.
 
     ``covariates`` holds both static and time-dependent columns;
-    ``static_names`` / ``td_names`` record which is which.
+    ``static_names`` records which are static.
     """
 
     subject_id: np.ndarray
@@ -163,7 +144,6 @@ class LongDataset:
     outcome: np.ndarray
     covariates: Mapping[str, np.ndarray] = field(default_factory=dict)
     static_names: tuple[str, ...] = ()
-    td_names: tuple[str, ...] = ()
     time_unit: str | None = None
 
     def __post_init__(self):
@@ -182,7 +162,6 @@ class LongDataset:
                 raise DataError(f"covariate {k!r} must have shape ({n},)")
         object.__setattr__(self, "covariates", cov)
         object.__setattr__(self, "static_names", tuple(self.static_names))
-        object.__setattr__(self, "td_names", tuple(self.td_names))
 
     @property
     def n_rows(self) -> int:
@@ -263,10 +242,6 @@ class TimeGrid:
             raise DataError("interval_length must be positive")
         if self.n_intervals < 1:
             raise DataError("n_intervals must be positive")
-
-    @property
-    def boundaries(self) -> np.ndarray:
-        return self.origin + self.interval_length * np.arange(self.n_intervals + 1)
 
     def covers(self, t) -> bool:
         tmax = self.origin + self.interval_length * self.n_intervals
@@ -387,18 +362,15 @@ class TreatmentRule:
     """Declarative time-dependent covariate rule for treatment episodes.
 
     A subject on treatment for ``duration`` leading intervals gets
-    ``on_name`` = 1 while the interval index is <= duration, and
-    ``since_name`` = max(0, interval_index - duration).  The interval index
-    itself is emitted under ``time_name``.  ``duration`` may be a scalar
+    ``ON_NAME`` = 1 while the interval index is <= duration, and
+    ``SINCE_NAME`` = max(0, interval_index - duration).  The interval index
+    itself is emitted under ``TIME_NAME``.  ``duration`` may be a scalar
     gated on a binary covariate (``treated_covariate``), or an explicit
     mapping subject_id -> duration.
     """
 
     duration: float | Mapping[int, float] = 3.0
-    treated_covariate: str | None = "AdjTreatm"
-    on_name: str = "AdjOn"
-    since_name: str = "TimeSinceAdjStopped"
-    time_name: str = "Time"
+    treated_covariate: str | None = TREATMENT_NAME
 
     def duration_for(self, sid, statics: Mapping[str, np.ndarray]) -> np.ndarray:
         """Treatment duration of each subject, broadcastable to the (n,) ids.
@@ -435,8 +407,8 @@ class TreatmentRule:
         dur = np.repeat(np.broadcast_to(self.duration_for(sid, statics), (n,)), counts)
         return {**{name: np.repeat(np.broadcast_to(v, (n,)), counts)
                    for name, v in statics.items()},
-                self.time_name: k, self.on_name: (k <= dur).astype(float),
-                self.since_name: np.maximum(0.0, k - dur)}
+                TIME_NAME: k, ON_NAME: (k <= dur).astype(float),
+                SINCE_NAME: np.maximum(0.0, k - dur)}
 
 
 def expand_long(
@@ -456,11 +428,9 @@ def expand_long(
         raise DataError("long format supports event and right-censored records only")
     if not grid.covers(data.time):
         raise DataError("grid does not cover the largest observed time")
-    rules = td_rules if td_rules is not None else TreatmentRule()
-
     k_last = grid.interval_of(data.time)
-    covariates = rules.rows(data.covariates, k_last, data.subject_id)
-    interval_index = covariates[rules.time_name].astype(int)
+    covariates = (td_rules or TreatmentRule()).rows(data.covariates, k_last, data.subject_id)
+    interval_index = covariates[TIME_NAME].astype(int)
     is_event = np.repeat(data.status == EVENT, k_last)
     return LongDataset(
         subject_id=np.repeat(data.subject_id, k_last),
@@ -468,21 +438,17 @@ def expand_long(
         outcome=((interval_index == np.repeat(k_last, k_last)) & is_event).astype(int),
         covariates=covariates,
         static_names=tuple(data.covariates),
-        td_names=(rules.time_name, rules.on_name, rules.since_name),
         time_unit=data.time_unit,
     )
 
 
-def to_short_form(
-    long: LongDataset,
-    treatment_name: str = "AdjTreatm",
-    on_name: str = "AdjOn",
-) -> SurvivalDataset:
+def to_short_form(long: LongDataset) -> SurvivalDataset:
     """Collapse long-format data to one record per subject.
 
     The event/censor time is the last interval index; the subject is an
     event iff the final outcome is 1.  Treatment receipt is summarized as a
-    single binary covariate (any interval with ``on_name`` active).
+    single binary covariate ``TREATMENT_NAME`` (any interval with ``ON_NAME``
+    active).
     """
     require_valid(long)
     order, starts = _long_groups(long)
@@ -493,11 +459,9 @@ def to_short_form(
     time = long.interval_index[lasts].astype(float)
     status = np.where(long.outcome[lasts] == 1, EVENT, RIGHT_CENSORED).astype(object)
     covs = {name: long.covariates[name][firsts].copy() for name in long.static_names}
-    if on_name in long.covariates:
-        active = long.covariates[on_name][order] != 0
-        covs[treatment_name] = np.array(
-            [1.0 if active[s : s + w].any() else 0.0 for s, w in zip(starts, lengths)]
-        )
+    if ON_NAME in long.covariates:
+        active = long.covariates[ON_NAME][order] != 0
+        covs[TREATMENT_NAME] = np.logical_or.reduceat(active, starts).astype(float)
     appearance = long.subject_ids
     pos = {s: j for j, s in enumerate(group_sids)}
     take = np.array([pos[s] for s in appearance])
@@ -526,7 +490,6 @@ class ScalingRecord:
     """Per-covariate (mean, sd) used by scale_covariates, for inverse/apply."""
 
     stats: Mapping[str, tuple[float, float]]
-    target_sd: float = 0.5
 
     def apply(self, covariates: Mapping[str, float | np.ndarray]) -> dict:
         """Scale a covariate dict (e.g. a new patient) with the stored stats."""
@@ -534,14 +497,14 @@ class ScalingRecord:
         for name, value in covariates.items():
             if name in self.stats:
                 mean, sd = self.stats[name]
-                out[name] = (np.asarray(value, dtype=float) - mean) / sd * self.target_sd
+                out[name] = (np.asarray(value, dtype=float) - mean) / sd * SCALED_SD
             else:
                 out[name] = np.asarray(value, dtype=float)
         return out
 
     def invert(self, name: str, scaled) -> np.ndarray:
         mean, sd = self.stats[name]
-        return np.asarray(scaled) / self.target_sd * sd + mean
+        return np.asarray(scaled) / SCALED_SD * sd + mean
 
 
 def apply_scaling(data, record: ScalingRecord):
@@ -549,10 +512,8 @@ def apply_scaling(data, record: ScalingRecord):
     return replace(data, covariates=record.apply(data.covariates))
 
 
-def scale_covariates(
-    data: SurvivalDataset, names, target_sd: float = 0.5
-) -> tuple[SurvivalDataset, ScalingRecord]:
-    """Rescale the named covariates to sample mean 0 and sd ``target_sd``.
+def scale_covariates(data: SurvivalDataset, names) -> tuple[SurvivalDataset, ScalingRecord]:
+    """Rescale the named covariates to sample mean 0 and sd ``SCALED_SD``.
 
     Returns the transformed dataset and a ScalingRecord carrying the
     original (mean, sd) per covariate so new inputs can be mapped the same
@@ -569,8 +530,8 @@ def scale_covariates(
         if sd == 0 or not np.isfinite(sd):
             raise DataError(f"covariate {name!r} has zero variance")
         stats[name] = (mean, sd)
-        covs[name] = (x - mean) / sd * target_sd
-    return replace(data, covariates=covs), ScalingRecord(stats, target_sd=target_sd)
+        covs[name] = (x - mean) / sd * SCALED_SD
+    return replace(data, covariates=covs), ScalingRecord(stats)
 
 
 # ---------------------------------------------------------------------------
@@ -581,8 +542,12 @@ def scale_covariates(
 #   the optional interval_lower / interval_upper columns.
 # Long format: subject_id, interval_index, event, <covariates...>.
 # Draws: header of parameter names, one row per draw, optional chain column.
-# A header row is required everywhere; column roles are remapped via the
-# ``columns`` argument, never by position.
+# Long-format columns that are constant within every subject are read as
+# static covariates, the others as time-dependent.
+# A header row is required everywhere; the short and long readers remap
+# column roles via the ``columns`` argument, never by position.  Every reader
+# (the log-lik CSV of ``loo`` too) takes its rows from ``_read_rows``, and a
+# row of the wrong width or a cell that is not a number is a DataError.
 
 def _csv_reader(read):
     """Report a cell that does not parse as a number as a DataError."""
@@ -683,32 +648,21 @@ def read_long_csv(path_or_buf, columns: Mapping[str, str] | None = None,
     cov_names = [h for h in header if h not in set(colmap.values())]
     covariates = {n: np.array([float(r[idx[n]]) for r in body]) for n in cov_names}
     subject_id = np.array([int(float(r[idx[colmap["subject_id"]]])) for r in body])
-    long = LongDataset(
+    return LongDataset(
         subject_id=subject_id,
         interval_index=[int(float(r[idx[colmap["interval_index"]]])) for r in body],
         outcome=[int(float(r[idx[colmap["event"]]])) for r in body],
         covariates=covariates,
         static_names=_infer_static(subject_id, covariates),
-        td_names=(),
         time_unit=time_unit,
     )
-    td = tuple(n for n in cov_names if n not in long.static_names)
-    object.__setattr__(long, "td_names", td)
-    return long
 
 
 def _infer_static(subject_id, covariates) -> tuple[str, ...]:
-    static = []
-    for name, col in covariates.items():
-        ok = True
-        for sid in np.unique(subject_id):
-            vals = col[subject_id == sid]
-            if not np.all(vals == vals[0]):
-                ok = False
-                break
-        if ok:
-            static.append(name)
-    return tuple(static)
+    """Names of the covariates constant on every subject's rows."""
+    order = np.argsort(subject_id, kind="stable")
+    first = order[np.searchsorted(subject_id[order], subject_id[order])]  # subject's first row
+    return tuple(name for name, col in covariates.items() if np.all(col[order] == col[first]))
 
 
 def write_long_csv(long: LongDataset, path) -> None:

@@ -15,7 +15,7 @@ treatment stops for the discrete-time model.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 import numpy as np
 
@@ -177,8 +177,6 @@ def _quantile_curves(values: np.ndarray, x: np.ndarray, name: str, level: float 
 def hazard_curves_experiment(
     scenario: ScenarioConfig | None = None,
     sampler: SamplerConfig | None = None,
-    n_knots: int = 5,
-    patient: dict | None = None,
 ) -> dict:
     """Predicted hazard / recurrence curves for the example patient.
 
@@ -188,23 +186,22 @@ def hazard_curves_experiment(
     """
     scenario = scenario or ScenarioConfig()
     sampler = sampler or SamplerConfig(n_warmup=2500, n_keep=750, seed=scenario.seed + 1)
-    patient = dict(patient or EXAMPLE_PATIENT)
     long, short = simulate_scenario(scenario)
     short_scaled, record = scale_covariates(short, CONTINUOUS_COVARIATES)
     long_scaled = apply_scaling(long, record)
 
     results = {"scenario": scenario.to_dict(), "sampler": asdict(sampler),
-               "patient": patient, "curves": {}, "diagnostics": {}}
+               "patient": dict(EXAMPLE_PATIENT), "curves": {}, "diagnostics": {}}
 
     # continuous models carry the treatment as a plain indicator
     t_grid = np.linspace(0.25, float(scenario.max_follow_up), 40)
-    for spec in (preset_exponential_gist(extra_fixed=("AdjTreatm",), n_knots=n_knots),
-                 preset_weibull_gist(extra_fixed=("AdjTreatm",), n_knots=n_knots)):
+    for spec in (preset_exponential_gist(extra_fixed=("AdjTreatm",)),
+                 preset_weibull_gist(extra_fixed=("AdjTreatm",))):
         res = fit(spec, short_scaled, sampler)
         results["diagnostics"][spec.name] = diagnose(res)
         design = ModelDesign(spec, short_scaled.covariates)
         for treated in (1.0, 0.0):
-            covs = record.apply({**patient, "AdjTreatm": treated})
+            covs = record.apply({**EXAMPLE_PATIENT, "AdjTreatm": treated})
             params = subject_params(spec, design, res.draws, covs, n_rows=1)
             haz = hazard(spec.family, params, t_grid[:, None])  # (n_t, S)
             label = "treated" if treated else "untreated"
@@ -212,14 +209,13 @@ def hazard_curves_experiment(
                 haz, t_grid, f"{spec.name} hazard ({label})")
 
     bern = get_preset("bernoulli-gist")
-    bern = replace(bern, smooths=tuple(replace(s, n_knots=n_knots) for s in bern.smooths))
     res_b = fit(bern, long_scaled, sampler)
     results["diagnostics"][bern.name] = diagnose(res_b)
     design_b = ModelDesign(bern, long_scaled.covariates)
     years = np.arange(1, scenario.max_follow_up + 1, dtype=float)
     rule = TreatmentRule(duration=float(scenario.treatment_duration))
     for treated in (1.0, 0.0):
-        rows = rule.rows({**patient, "AdjTreatm": treated}, scenario.max_follow_up)
+        rows = rule.rows({**EXAMPLE_PATIENT, "AdjTreatm": treated}, scenario.max_follow_up)
         p = subject_params(bern, design_b, res_b.draws, record.apply(rows))["p"]  # (n_years, S)
         label = "treated" if treated else "untreated"
         results["curves"][f"bernoulli-gist_{label}"] = _quantile_curves(

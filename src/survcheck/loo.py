@@ -31,6 +31,7 @@ from .data import (
     SurvivalDataset,
     TimeGrid,
     TreatmentRule,
+    _read_rows,
     to_short_form,
 )
 from .models import (
@@ -255,7 +256,8 @@ def bernoulli_dichotomized_loglik(
     covariates and the treatment rule, whatever its observed follow-up, and
     scored through one stacked design matrix, one block of rows per
     subject.  Subjects censored before the horizon are excluded, mirroring
-    the continuous-family rule.
+    the continuous-family rule.  A rebuilt row that contradicts its observed
+    row in a covariate of the model (data made under another rule) is a LooError.
     """
     k_max = int(round(horizon))
     if abs(horizon - k_max) > 1e-9 or k_max < 1:
@@ -267,12 +269,30 @@ def bernoulli_dichotomized_loglik(
     n_keep = len(keep)
     rows = rule.rows({name: col[keep] for name, col in short.covariates.items()},
                      k_max, short.subject_id[keep])
+    _check_rebuilt_rows(spec, long, short.subject_id[keep], k_max, rows)
     blocks = {name: col.reshape(n_keep, k_max) for name, col in rows.items()}
     p = subject_params(spec, design, draws, blocks, n_rows=n_keep * k_max)["p"]
     log_no_event = np.sum(np.log1p(-p), axis=1)  # (n_keep, S)
     vals = _dichotomized_scores(z, -np.expm1(log_no_event))
     ids = tuple(int(s) for s in short.subject_id[keep])
     return LogLikMatrix(vals.T, (PROBABILITY,) * len(keep), ids, long.time_unit)
+
+
+def _check_rebuilt_rows(spec: ModelSpec, long: LongDataset, subjects, k_max: int,
+                        rebuilt) -> None:
+    """Raise a LooError naming the first model covariate in which an observed
+    row of ``subjects``, up to interval ``k_max``, differs from its row in
+    ``rebuilt`` (rows 1..k_max of each subject, in ``subjects`` order)."""
+    offset = {s: j * k_max - 1 for j, s in enumerate(subjects.tolist())}
+    observed = np.isin(long.subject_id, subjects) & (long.interval_index <= k_max)
+    at = (np.array([offset[s] for s in long.subject_id[observed].tolist()], dtype=int)
+          + long.interval_index[observed])
+    used = set(spec.fixed) | {sm.name for sm in spec.smooths}
+    for name, col in rebuilt.items():
+        if (name in used and name in long.covariates
+                and np.any(long.covariates[name][observed] != col[at])):
+            raise LooError(f"covariate {name!r} of the observed rows differs from the rows the "
+                           "treatment rule rebuilds: the data were made under another rule")
 
 
 def group_long_by_subject(loglik: LogLikMatrix) -> LogLikMatrix:
@@ -370,7 +390,7 @@ def smooth_tail(log_ratios: np.ndarray) -> tuple[np.ndarray, float]:
     return np.minimum(out, 0.0), k  # truncate at the raw maximum
 
 
-def psis_smooth(loglik: LogLikMatrix, min_draws_warn: int = 100) -> PsisResult:
+def psis_smooth(loglik: LogLikMatrix) -> PsisResult:
     """Pareto smoothed importance weights for leaving each unit out.
 
     Raw log ratios are the negated pointwise log likelihoods.  Per column,
@@ -380,9 +400,9 @@ def psis_smooth(loglik: LogLikMatrix, min_draws_warn: int = 100) -> PsisResult:
     scores) are flagged and passed through unsmoothed.
     """
     S, N = loglik.values.shape
-    if S < min_draws_warn:
+    if S < 100:
         warnings.warn(
-            f"only {S} draws; PSIS is unreliable below ~{min_draws_warn}",
+            f"only {S} draws; PSIS is unreliable below ~100",
             stacklevel=2,
         )
     log_w = np.empty((S, N))
@@ -590,15 +610,18 @@ def write_loglik_csv(loglik: LogLikMatrix, path) -> None:
 
 
 def read_loglik_csv(path) -> LogLikMatrix:
-    with open(path, newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r]
+    """Read a log-lik CSV; malformed rows and cells are a DataError."""
+    rows = _read_rows(path)
     if len(rows) < 4 or rows[0][0] != "unit" or rows[1][0] != "tag":
         raise LooError("not a log-lik CSV (unit/tag header rows required)")
-    unit_ids = tuple(_uid_parse(u) for u in rows[0][1:])
     tags = tuple(rows[1][1:])
     body_start = 3 if rows[2][0] == "time_unit" else 2
     time_unit = rows[2][1] or None if body_start == 3 else None
-    vals = np.array([[float(v) for v in r[1:]] for r in rows[body_start:]])
+    try:
+        unit_ids = tuple(_uid_parse(u) for u in rows[0][1:])
+        vals = np.array([[float(v) for v in r[1:]] for r in rows[body_start:]])
+    except ValueError as err:
+        raise DataError(f"malformed CSV value: {err}") from None
     return LogLikMatrix(vals, tags, unit_ids, time_unit)
 
 

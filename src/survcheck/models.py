@@ -15,8 +15,9 @@ CDF differences for interval censoring).  Every log score carries a
 density/probability tag because the two must never be mixed when comparing
 models across time scales.  One vectorized kernel (``score_groups`` and
 ``group_log_scores``) computes these scores for both the sampler's
-likelihood and the pointwise LOO matrices; ``log_lik_point`` is the scalar
-reference it is tested against.
+likelihood and the pointwise LOO matrices.  Family parameters are a dict
+holding the 'mean' (and for Weibull the 'shape'); the scalar oracle the
+kernel is tested against is ``tests/pointwise_oracle.py``.
 
 ``subject_params`` is the one path from posterior draws to predictions: the
 family parameters of every (row, draw), or for the Bernoulli family the
@@ -41,7 +42,6 @@ from .data import (
     RIGHT_CENSORED,
     STATUSES,
     DrawsMatrix,
-    Record,
     SurvivalDataset,
     TimeGrid,
 )
@@ -69,27 +69,16 @@ class SaturationError(ModelError):
 
 
 def _rate(family: str, params, check: bool = True) -> np.ndarray:
-    """Canonical rate theta from 'rate' or 'mean'; ``check`` rejects one outside the support."""
-    if "rate" in params and "mean" in params:
-        raise ModelError("give either 'rate' or 'mean', not both")
-    if family == "exponential":
-        if "rate" in params:
-            theta = np.asarray(params["rate"], dtype=float)
-        elif "mean" in params:
-            theta = 1.0 / np.asarray(params["mean"], dtype=float)
-        else:
-            raise ModelError("exponential needs 'rate' or 'mean'")
-    elif family == "weibull_aft":
-        alpha = _shape(params, check)
-        if "rate" in params:
-            theta = np.asarray(params["rate"], dtype=float)
-        elif "mean" in params:
-            mu = np.asarray(params["mean"], dtype=float)
-            theta = np.exp(gammaln(1.0 + 1.0 / alpha)) / mu
-        else:
-            raise ModelError("weibull_aft needs 'rate' or 'mean'")
-    else:
+    """Canonical rate theta from the 'mean'; ``check`` rejects one outside the support."""
+    if family not in ("exponential", "weibull_aft"):
         raise ModelError(f"no continuous-time rate for family {family!r}")
+    if "mean" not in params:
+        raise ModelError(f"{family} needs a 'mean'")
+    mean = np.asarray(params["mean"], dtype=float)
+    if family == "exponential":
+        theta = 1.0 / mean
+    else:
+        theta = np.exp(gammaln(1.0 + 1.0 / _shape(params, check))) / mean
     if check and (np.any(theta <= 0) or not np.all(np.isfinite(theta))):
         raise ModelError("rate must be positive and finite")
     return theta
@@ -168,19 +157,23 @@ def hazard(family: str, params, t) -> np.ndarray:
     return theta * alpha * np.exp((alpha - 1.0) * (np.log(theta) + np.log(t)))
 
 
-def quantile(family: str, params, u) -> np.ndarray:
-    """Inverse CDF for u in [0, 1)."""
-    u = np.asarray(u, dtype=float)
-    if np.any((u < 0) | (u >= 1)):
-        raise ModelError("quantile needs u in [0, 1)")
+def _inverse_cumulative_hazard(family: str, params, h) -> np.ndarray:
+    """The time t whose cumulative hazard H(t) is h >= 0."""
     theta = _rate(family, params)
-    h = -np.log1p(-u)  # cumulative hazard at the quantile
     if family == "exponential":
         return h / theta
     alpha = _shape(params)
     with np.errstate(divide="ignore"):
         t = np.exp(np.log(np.where(h > 0, h, 1.0)) / alpha) / theta
     return np.where(h > 0, t, 0.0)
+
+
+def quantile(family: str, params, u) -> np.ndarray:
+    """Inverse CDF for u in [0, 1)."""
+    u = np.asarray(u, dtype=float)
+    if np.any((u < 0) | (u >= 1)):
+        raise ModelError("quantile needs u in [0, 1)")
+    return _inverse_cumulative_hazard(family, params, -np.log1p(-u))
 
 
 def sample_event_time(family: str, params, rng: np.random.Generator, size=None):
@@ -200,42 +193,11 @@ def sample_truncated(family: str, params, lower, rng: np.random.Generator, size=
     lower = np.asarray(lower, dtype=float)
     if np.any(cdf(family, params, lower) >= 1.0):
         raise SaturationError("survival at the truncation point underflows to zero")
-    theta = _rate(family, params)
     u = rng.random(size)
-    ls_lower = log_survival(family, params, lower)
-    h = -(ls_lower + np.log1p(-u))  # cumulative hazard of the draw
-    if family == "exponential":
-        out = h / theta
-    else:
-        alpha = _shape(params)
-        with np.errstate(divide="ignore"):
-            out = np.exp(np.log(np.where(h > 0, h, 1.0)) / alpha) / theta
-        out = np.where(h > 0, out, 0.0)
+    h = -(log_survival(family, params, lower) + np.log1p(-u))  # cumulative hazard of the draw
     # the contract is strictly greater than the truncation point; guard the
     # measure-zero u=0 draw and float round-down
-    return np.maximum(out, np.nextafter(lower, np.inf))
-
-
-def log_lik_point(family: str, params, record: Record) -> tuple[float, str]:
-    """Pointwise log score of one short-format record, with its tag.
-
-    Events score the log density (tag ``density``); every censored record
-    scores a log probability (tag ``probability``): survival beyond the
-    censor time, CDF below it, or the CDF difference over the bounds.
-    """
-    if record.status == EVENT:
-        return float(log_density(family, params, record.time)), DENSITY
-    if record.status == RIGHT_CENSORED:
-        return float(log_survival(family, params, record.time)), PROBABILITY
-    if record.status == LEFT_CENSORED:
-        with np.errstate(divide="ignore"):
-            return float(np.log(cdf(family, params, record.time))), PROBABILITY
-    if record.status == INTERVAL_CENSORED:
-        if record.bounds is None:
-            raise ModelError("interval-censored record without bounds")
-        a, b = record.bounds
-        return float(log_interval_prob(family, params, a, b)), PROBABILITY
-    raise ModelError(f"unknown status {record.status!r}")
+    return np.maximum(_inverse_cumulative_hazard(family, params, h), np.nextafter(lower, np.inf))
 
 
 def _log_cdf(family: str, params, t) -> np.ndarray:
@@ -589,12 +551,8 @@ class ModelDesign:
                 raise ModelError(f"fixed covariate {f!r} missing from data")
         self.parameter_names = names
 
-    @property
-    def n_columns(self) -> int:
-        return len(self.parameter_names)
-
     def coefficients(self, draws) -> np.ndarray:
-        """(S, n_columns) coefficients in design-column order.
+        """(S, len(parameter_names)) coefficients in design-column order.
 
         A DrawsMatrix is read by parameter name; an array is taken to hold
         the coefficients already.
@@ -729,41 +687,41 @@ def impute_censored(
 # shipped model presets (the GIST case-study blocks)
 
 
-def preset_bernoulli_gist(n_knots: int = 5) -> ModelSpec:
+def preset_bernoulli_gist() -> ModelSpec:
     """Discrete-time recurrence model on long-format rows."""
     return ModelSpec(
         family="bernoulli_logit",
         fixed=("AdjOn", "GenderMale", "Rupture", "Gastric"),
         smooths=(
-            SmoothSpec("TimeSinceAdjStopped", n_knots=n_knots),
-            SmoothSpec("Time", n_knots=n_knots),
-            SmoothSpec("Size", n_knots=n_knots),
-            SmoothSpec("AgeAtSurg", n_knots=n_knots),
-            SmoothSpec("MitHPF", n_knots=n_knots),
+            SmoothSpec("TimeSinceAdjStopped"),
+            SmoothSpec("Time"),
+            SmoothSpec("Size"),
+            SmoothSpec("AgeAtSurg"),
+            SmoothSpec("MitHPF"),
         ),
         priors=PriorSet(intercept=student_t(3, 0, 2.5)),
         name="bernoulli-gist",
     )
 
 
-def preset_exponential_gist(extra_fixed: tuple[str, ...] = (), n_knots: int = 5) -> ModelSpec:
+def preset_exponential_gist(extra_fixed: tuple[str, ...] = ()) -> ModelSpec:
     """Constant-hazard model on the short form."""
     return ModelSpec(
         family="exponential",
         fixed=("GenderMale", "Rupture", "Gastric") + tuple(extra_fixed),
         smooths=(
-            SmoothSpec("Size", n_knots=n_knots),
-            SmoothSpec("AgeAtSurg", n_knots=n_knots),
-            SmoothSpec("MitHPF", n_knots=n_knots),
+            SmoothSpec("Size"),
+            SmoothSpec("AgeAtSurg"),
+            SmoothSpec("MitHPF"),
         ),
         priors=PriorSet(intercept=student_t(3, 2.3, 2.5)),
         name="exponential-gist",
     )
 
 
-def preset_weibull_gist(extra_fixed: tuple[str, ...] = (), n_knots: int = 5) -> ModelSpec:
+def preset_weibull_gist(extra_fixed: tuple[str, ...] = ()) -> ModelSpec:
     """Weibull AFT model on the short form."""
-    spec = preset_exponential_gist(extra_fixed, n_knots)
+    spec = preset_exponential_gist(extra_fixed)
     return replace(spec, family="weibull_aft", name="weibull-gist")
 
 

@@ -16,6 +16,7 @@ a chain's draws do not depend on the chains beside it.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -41,6 +42,8 @@ INIT_JITTER = 0.1
 INIT_PROPOSAL_SCALE = 0.1
 ADAPT_WINDOW = 100
 TARGET_ACCEPT = 0.35
+# diagnose flags a parameter whose split-R-hat exceeds this
+RHAT_THRESHOLD = 1.01
 
 
 class SamplingError(RuntimeError):
@@ -63,9 +66,12 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_chains", "n_warmup", "n_keep"):
-            if getattr(self, name) < 1:
-                raise SamplerConfigError(f"{name} must be positive, got {getattr(self, name)!r}")
+        for name in ("n_chains", "n_warmup", "n_keep", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise SamplerConfigError(f"{name} must be an integer, got {value!r}")
+            if value < 1 and name != "seed":
+                raise SamplerConfigError(f"{name} must be positive, got {value!r}")
 
     @staticmethod
     def from_dict(d: dict) -> "SamplerConfig":
@@ -398,18 +404,18 @@ def _autocov(x: np.ndarray) -> np.ndarray:
     return acov / n
 
 
-def diagnose(result: FitResult, rhat_threshold: float = 1.01) -> dict:
+def diagnose(result: FitResult) -> dict:
     """Convergence report: per-parameter split-R-hat and bulk ESS, with flags."""
     flags = [
         name
         for name, r in result.rhat.items()
-        if not np.isnan(r) and r > rhat_threshold
+        if not np.isnan(r) and r > RHAT_THRESHOLD
     ]
     return {
         "rhat": dict(result.rhat),
         "ess": dict(result.ess),
         "accept_rate": [float(r) for r in result.accept_rate],
         "flagged": flags,
-        "rhat_threshold": rhat_threshold,
+        "rhat_threshold": RHAT_THRESHOLD,
         "ok": not flags,
     }

@@ -1,4 +1,4 @@
-"""Named, typed plot series with JSON/CSV/SVG serialization.
+"""Named, typed plot series with JSON/SVG serialization.
 
 Every diagnostic in this package returns data, not pictures: a bundle of
 PlotSeries that a caller can render however they like.  The optional SVG
@@ -79,32 +79,13 @@ def bundle_to_json(series, extra: dict | None = None) -> str:
     return json.dumps(doc, indent=1, sort_keys=True)
 
 
-def bundle_from_json(text: str) -> list[PlotSeries]:
-    doc = json.loads(text)
-    return [PlotSeries.from_dict(d) for d in doc["series"]]
-
-
-def series_to_csv(s: PlotSeries) -> str:
-    """Column-wise CSV of one series' data arrays."""
-    keys = list(s.data)
-    n = max((len(v) for v in s.data.values() if isinstance(v, list)), default=0)
-    lines = [",".join(keys)]
-    for i in range(n):
-        row = []
-        for k in keys:
-            v = s.data[k]
-            row.append(repr(v[i]) if isinstance(v, list) and i < len(v) and v[i] is not None else "")
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # SVG rendering
 
 
-def bundle_to_svg(series, title: str = "", width: int = 640, height: int = 420,
-                  xlabel: str = "", ylabel: str = "") -> str:
+def bundle_to_svg(series, title: str = "", xlabel: str = "", ylabel: str = "") -> str:
     """Fixed-layout SVG of a bundle.  Deterministic for identical inputs."""
+    width, height = 640, 420
     ml, mr, mt, mb = 56, 16, 34 if title else 16, 44
     pw, ph = width - ml - mr, height - mt - mb
     xs, ys = [], []

@@ -12,10 +12,12 @@ right after it stops, then decay); they are not fitted to any real data.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .data import ON_NAME, SINCE_NAME, TIME_NAME
 from .data import LongDataset, SurvivalDataset, TreatmentRule, to_short_form
 from .models import logistic
 
@@ -95,6 +97,10 @@ class ScenarioConfig:
     time_unit: str = "years"
 
     def __post_init__(self):
+        for name in ("n_subjects", "treatment_duration", "max_follow_up", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise SimulationError(f"{name} must be an integer, got {value!r}")
         if self.n_subjects < 1:
             raise SimulationError(f"n_subjects must be positive, got {self.n_subjects!r}")
         if self.treatment_duration < 1 or self.max_follow_up < self.treatment_duration:
@@ -171,8 +177,8 @@ def gen_events(covariates: dict, config: ScenarioConfig, rng: np.random.Generato
     rule = TreatmentRule(duration=float(config.treatment_duration))
     # every subject's rows 1..k_max; those after the event are dropped below
     full = rule.rows(covariates, np.full(n, k_max))
-    adj_on = full[rule.on_name].reshape(n, k_max)
-    tsa = full[rule.since_name].reshape(n, k_max)
+    adj_on = full[ON_NAME].reshape(n, k_max)
+    tsa = full[SINCE_NAME].reshape(n, k_max)
     u = rng.random((n, k_max))
     event_year = np.zeros(n, dtype=int)  # 0 = censored at follow-up end
     for k in range(1, k_max + 1):
@@ -181,14 +187,13 @@ def gen_events(covariates: dict, config: ScenarioConfig, rng: np.random.Generato
         event_year[hit] = k
     last = np.where(event_year > 0, event_year, k_max)
     observed = (np.arange(1, k_max + 1) <= last[:, None]).ravel()
-    row_k = full[rule.time_name][observed].astype(int)
+    row_k = full[TIME_NAME][observed].astype(int)
     return LongDataset(
         subject_id=np.repeat(np.arange(1, n + 1), last),
         interval_index=row_k,
         outcome=(row_k == np.repeat(event_year, last)).astype(int),
         covariates={name: col[observed] for name, col in full.items()},
         static_names=tuple(covariates),
-        td_names=(rule.time_name, rule.on_name, rule.since_name),
         time_unit=config.time_unit,
     )
 

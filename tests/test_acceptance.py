@@ -291,7 +291,7 @@ class TestCriterion9WeibullReduction:
         mu = rng.uniform(0.1, 20.0, size=n)
         u = rng.uniform(0.0, 0.999, size=n)
         w = {"shape": 1.0, "mean": mu}
-        e = {"rate": 1.0 / mu}
+        e = {"mean": mu}
         assert np.max(np.abs(log_density("weibull_aft", w, t)
                              - log_density("exponential", e, t))) <= 1e-10
         assert np.max(np.abs(log_survival("weibull_aft", w, t)
@@ -377,7 +377,7 @@ class TestCriterion12Imputation:
         # truncated exponential draws follow the shifted-exponential law
         theta, a = 0.7, 2.3
         for seed in range(10):
-            draws = sample_truncated("exponential", {"rate": theta}, a,
+            draws = sample_truncated("exponential", {"mean": 1 / theta}, a,
                                      np.random.default_rng(900 + seed),
                                      size=100_000)
             p = kstest(draws - a, expon(scale=1 / theta).cdf).pvalue

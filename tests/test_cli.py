@@ -234,7 +234,8 @@ def test_error_json_on_bad_input(tmp_path, capsys):
         assert err["error"]["type"] == "DataError"
         assert message in err["error"]["message"]
 
-    # bad settings: a count of zero, and unknown keys in a pipeline config
+    # bad settings: a count of zero, unknown keys and non-integer counts or
+    # seeds in a pipeline config
     good = tmp_path / "good.csv"
     good.write_text("subject_id,entry_time,time,status,x\n"
                     "1,0,2.0,event,0.5\n2,0,1.5,rcens,0.1\n3,0,1.0,event,-0.2\n")
@@ -247,7 +248,18 @@ def test_error_json_on_bad_input(tmp_path, capsys):
     for config, error, message in (
             ({"sampler": {"n_chains": 0}}, "SamplerConfigError", "n_chains"),
             ({"sampler": {"n_chain": 2}}, "SamplerConfigError", "'n_chain'"),
-            ({"scenario": {"n_subject": 60}}, "SimulationError", "'n_subject'")):
+            ({"scenario": {"n_subject": 60}}, "SimulationError", "'n_subject'"),
+            ({"sampler": {"n_chains": 2.5}}, "SamplerConfigError",
+             "n_chains must be an integer, got 2.5"),
+            ({"sampler": {"n_chains": "2"}}, "SamplerConfigError",
+             "n_chains must be an integer, got '2'"),
+            ({"sampler": {"n_chains": True}}, "SamplerConfigError",
+             "n_chains must be an integer, got True"),
+            ({"scenario": {"n_subjects": 20.5}}, "SimulationError",
+             "n_subjects must be an integer, got 20.5"),
+            ({"scenario": {"n_subjects": "20"}}, "SimulationError",
+             "n_subjects must be an integer, got '20'"),
+            ({"scenario": {"seed": "x"}}, "SimulationError", "seed must be an integer, got 'x'")):
         path = tmp_path / f"pipeline_{len(cases)}.json"
         path.write_text(json.dumps(config))
         cases.append((["run", "--pipeline", str(path), "--out", str(tmp_path / "x")],

@@ -111,7 +111,7 @@ class TestExpandLong:
         held = long.subset(long.subject_id == 8)
         assert list(held.interval_index) == [1, 2]
         assert list(held.covariates["Time"]) == [1, 2]
-        assert (held.static_names, held.td_names) == (long.static_names, long.td_names)
+        assert held.static_names == long.static_names
 
     @pytest.mark.parametrize("rule", [
         TreatmentRule(duration=2.0),

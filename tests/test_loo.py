@@ -34,8 +34,11 @@ from survcheck.loo import (
     read_loglik_csv,
     write_loglik_csv,
 )
-from survcheck.models import ModelDesign, ModelSpec, log_lik_point, subject_params
+from survcheck.models import ModelDesign, ModelSpec, subject_params
 from survcheck.sampler import PosteriorModel, SamplerConfig, fit
+from survcheck.simulate import ScenarioConfig, simulate_scenario
+
+from pointwise_oracle import log_lik_point, row
 
 
 def exp_data(rng, n=25, rate=0.6, censor_at=2.5, covariate=True):
@@ -363,11 +366,25 @@ class TestBernoulliDichotomized:
          lambda sid, treated: {1: 1.0, 4: 4.0, 5: 2.0}.get(sid, 0.0)),
     ])
     def test_matches_per_subject_product(self, rule, duration_of):
-        ll = bernoulli_dichotomized_loglik(self.spec, self.design, self.draws, self.long,
+        long = self.long if rule is None else expand_long(self.short, TimeGrid(1.0, 6), rule)
+        ll = bernoulli_dichotomized_loglik(self.spec, self.design, self.draws, long,
                                            float(self.HORIZON), rule=rule)
         assert ll.unit_ids == (1, 2, 4, 5)
         assert ll.tags == ("probability",) * 4
         np.testing.assert_allclose(ll.values, self.expected(duration_of), rtol=1e-12)
+
+    def test_simulated_cohort_of_another_duration_refused(self):
+        long, _ = simulate_scenario(ScenarioConfig(n_subjects=80, seed=3, treatment_duration=2))
+        spec = ModelSpec(family="bernoulli_logit", fixed=("AdjOn", "TimeSinceAdjStopped"))
+        design = ModelDesign(spec, long.covariates)
+        draws = DrawsMatrix(np.random.default_rng(4).normal(scale=0.5, size=(6, 3)),
+                            design.parameter_names)
+        with pytest.raises(LooError, match="'AdjOn'"):
+            loglik_matrix(spec, design, draws, long, mode="dichotomized", horizon=5.0)
+        # scored under the rule that made it, the cohort passes
+        ll = bernoulli_dichotomized_loglik(spec, design, draws, long, 5.0,
+                                           rule=TreatmentRule(duration=2.0))
+        assert ll.n_units > 0
 
     @pytest.mark.parametrize("horizon", [2.5, 0.0])
     def test_horizon_must_be_whole_intervals(self, horizon):
@@ -491,7 +508,7 @@ class TestScoringKernel:
                 p = {"mean": params["mean"][i, s]}
                 if "shape" in params:
                     p["shape"] = params["shape"][0, s]
-                value, tag = log_lik_point(family, p, scored.row(i))
+                value, tag = log_lik_point(family, p, row(scored, i))
                 assert ll.values[s, i] == value
                 assert ll.tags[i] == tag
         assert set(ll.tags) == ({"density", "probability"} if mode == "raw"
@@ -608,3 +625,20 @@ class TestCsvRoundTrip:
         write_loglik_csv(ll, path)
         back = read_loglik_csv(path)
         assert back.unit_ids == ((1, 1), (1, 2))
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda lines: lines[:4] + ["1,abc,0.5"] + lines[5:], "abc"),
+        (lambda lines: lines[:4] + ["1,0.5"] + lines[5:], "has 2 cells, the header has 3"),
+    ])
+    def test_malformed_rows_are_data_errors(self, tmp_path, corrupt, message):
+        path = tmp_path / "loglik.csv"
+        write_loglik_csv(mat(np.zeros((4, 2)), ids=(1, 2)), path)
+        path.write_text("\n".join(corrupt(path.read_text().splitlines())) + "\n")
+        with pytest.raises(DataError, match=message):
+            read_loglik_csv(path)
+
+    def test_other_csv_refused(self, tmp_path):
+        path = tmp_path / "draws.csv"
+        path.write_text("a,b\n1,2\n3,4\n5,6\n")
+        with pytest.raises(LooError, match="not a log-lik CSV"):
+            read_loglik_csv(path)

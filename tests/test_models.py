@@ -6,7 +6,7 @@ from scipy.integrate import quad
 from scipy.special import gammaln
 from scipy.stats import kstest
 
-from survcheck.data import DrawsMatrix, Record, SurvivalDataset
+from survcheck.data import DrawsMatrix, SurvivalDataset
 from survcheck.models import (
     ModelDesign,
     ModelError,
@@ -20,7 +20,6 @@ from survcheck.models import (
     impute_censored,
     log_density,
     log_interval_prob,
-    log_lik_point,
     log_survival,
     logistic,
     normal,
@@ -32,6 +31,8 @@ from survcheck.models import (
     student_t,
     subject_params,
 )
+
+from pointwise_oracle import Record, log_lik_point
 
 
 def record(time, status, bounds=None):
@@ -146,12 +147,12 @@ class TestEta:
 
 class TestLogLikPoint:
     def test_exponential_event(self):
-        value, tag = log_lik_point("exponential", {"rate": 1.0}, record(1.0, "event"))
+        value, tag = log_lik_point("exponential", {"mean": 1.0}, record(1.0, "event"))
         assert value == pytest.approx(-1.0)
         assert tag == "density"
 
     def test_right_censored_at_zero(self):
-        value, tag = log_lik_point("exponential", {"rate": 1.0}, record(0.0, "right_censored"))
+        value, tag = log_lik_point("exponential", {"mean": 1.0}, record(0.0, "right_censored"))
         assert value == 0.0
         assert tag == "probability"
 
@@ -168,7 +169,7 @@ class TestLogLikPoint:
         assert tag == "probability"
 
     def test_left_censored(self):
-        value, tag = log_lik_point("exponential", {"rate": 0.5}, record(2.0, "left_censored"))
+        value, tag = log_lik_point("exponential", {"mean": 2.0}, record(2.0, "left_censored"))
         assert value == pytest.approx(math.log(1 - math.exp(-1.0)))
         assert tag == "probability"
 
@@ -181,7 +182,7 @@ class TestLogLikPoint:
         }
         for status, expected in cases.items():
             bounds = (0.5, 1.5) if status == "interval_censored" else None
-            _, tag = log_lik_point("exponential", {"rate": 1.0}, record(1.0, status, bounds))
+            _, tag = log_lik_point("exponential", {"mean": 1.0}, record(1.0, status, bounds))
             assert tag == expected
 
     def test_interval_prob_matches_cdf_difference(self):
@@ -198,7 +199,13 @@ class TestLogLikPoint:
 
     def test_nonpositive_time_rejected(self):
         with pytest.raises(ModelError):
-            log_density("exponential", {"rate": 1.0}, -1.0)
+            log_density("exponential", {"mean": 1.0}, -1.0)
+
+    def test_rate_key_refused(self):
+        for family, params in (("exponential", {"rate": 1.0}),
+                               ("weibull_aft", {"shape": 1.5, "rate": 1.0})):
+            with pytest.raises(ModelError, match="'mean'"):
+                log_density(family, params, 1.0)
 
 
 class TestCdf:
@@ -206,12 +213,12 @@ class TestCdf:
         t = np.linspace(0.01, 10, 50)
         mu = 2.5
         w = cdf("weibull_aft", {"shape": 1.0, "mean": mu}, t)
-        e = cdf("exponential", {"rate": 1 / mu}, t)
+        e = cdf("exponential", {"mean": mu}, t)
         assert np.allclose(w, e, atol=1e-12)
 
     def test_boundaries(self):
-        assert cdf("exponential", {"rate": 2.0}, 0.0) == 0.0
-        assert cdf("exponential", {"rate": 2.0}, 1e9) == pytest.approx(1.0)
+        assert cdf("exponential", {"mean": 0.5}, 0.0) == 0.0
+        assert cdf("exponential", {"mean": 0.5}, 1e9) == pytest.approx(1.0)
 
     def test_weibull_against_quadrature(self):
         # shape 2, mean 1: rate is Gamma(1.5) ~ 0.8862, F(1) = 1 - exp(-rate^2)
@@ -229,12 +236,12 @@ class TestCdf:
 
 class TestHazard:
     def test_exponential_constant(self):
-        assert hazard("exponential", {"rate": 0.3}, 1.0) == pytest.approx(0.3)
-        assert hazard("exponential", {"rate": 0.3}, 100.0) == pytest.approx(0.3)
+        assert hazard("exponential", {"mean": 1 / 0.3}, 1.0) == pytest.approx(0.3)
+        assert hazard("exponential", {"mean": 1 / 0.3}, 100.0) == pytest.approx(0.3)
 
     def test_weibull_shape_one_reduces(self):
         t = np.linspace(0.1, 5, 20)
-        h = hazard("weibull_aft", {"shape": 1.0, "rate": 0.7}, t)
+        h = hazard("weibull_aft", {"shape": 1.0, "mean": 1 / 0.7}, t)
         assert np.allclose(h, 0.7, atol=1e-12)
 
     def test_hazard_is_density_over_survival(self):
@@ -294,18 +301,18 @@ class TestSampling:
         from survcheck.models import quantile
 
         u = 1 - math.exp(-2)
-        assert quantile("exponential", {"rate": 1.0}, u) == pytest.approx(2.0, abs=1e-12)
+        assert quantile("exponential", {"mean": 1.0}, u) == pytest.approx(2.0, abs=1e-12)
 
     def test_draws_match_analytic_cdf(self):
         rng = np.random.default_rng(10)
-        draws = sample_event_time("exponential", {"rate": 0.8}, rng, size=100_000)
-        stat = kstest(draws, lambda t: cdf("exponential", {"rate": 0.8}, t)).statistic
+        draws = sample_event_time("exponential", {"mean": 1.25}, rng, size=100_000)
+        stat = kstest(draws, lambda t: cdf("exponential", {"mean": 1.25}, t)).statistic
         assert stat < 0.01
 
     def test_weibull_shape_one_matches_exponential(self):
         rng = np.random.default_rng(11)
         a = sample_event_time("weibull_aft", {"shape": 1.0, "mean": 2.0}, rng, size=20_000)
-        p = kstest(a, lambda t: cdf("exponential", {"rate": 0.5}, t)).pvalue
+        p = kstest(a, lambda t: cdf("exponential", {"mean": 2.0}, t)).pvalue
         assert p > 0.01
 
     def test_pit_of_samples_uniform(self):
@@ -320,15 +327,15 @@ class TestTruncatedSampling:
     def test_memorylessness(self):
         rng = np.random.default_rng(13)
         a = 2.5
-        draws = sample_truncated("exponential", {"rate": 1.3}, a, rng, size=100_000)
+        draws = sample_truncated("exponential", {"mean": 1 / 1.3}, a, rng, size=100_000)
         assert np.all(draws > a)
-        p = kstest(draws - a, lambda t: cdf("exponential", {"rate": 1.3}, t)).pvalue
+        p = kstest(draws - a, lambda t: cdf("exponential", {"mean": 1 / 1.3}, t)).pvalue
         assert p > 0.01
 
     def test_zero_lower_matches_unconditional(self):
         rng = np.random.default_rng(14)
-        cut = sample_truncated("exponential", {"rate": 1.0}, 0.0, rng, size=50_000)
-        assert kstest(cut, lambda t: cdf("exponential", {"rate": 1.0}, t)).pvalue > 0.01
+        cut = sample_truncated("exponential", {"mean": 1.0}, 0.0, rng, size=50_000)
+        assert kstest(cut, lambda t: cdf("exponential", {"mean": 1.0}, t)).pvalue > 0.01
 
     def test_weibull_truncated_mean_vs_quadrature(self):
         params = {"shape": 2.0, "mean": 1.2}
@@ -343,7 +350,7 @@ class TestTruncatedSampling:
 
     def test_saturation_error(self):
         with pytest.raises(SaturationError):
-            sample_truncated("exponential", {"rate": 1.0}, 1e6, np.random.default_rng(0))
+            sample_truncated("exponential", {"mean": 1.0}, 1e6, np.random.default_rng(0))
 
 
 class TestChangeOfVariables:
@@ -353,12 +360,12 @@ class TestChangeOfVariables:
         c = 30.0
         for _ in range(300):
             t = rng.uniform(0.1, 50)
-            theta = rng.uniform(0.05, 2)
-            ld = log_density("exponential", {"rate": theta}, t)
-            ld_scaled = log_density("exponential", {"rate": c * theta}, t / c)
+            mu = 1 / rng.uniform(0.05, 2)
+            ld = log_density("exponential", {"mean": mu}, t)
+            ld_scaled = log_density("exponential", {"mean": mu / c}, t / c)
             assert ld + math.log(c) == pytest.approx(ld_scaled, abs=1e-10)
-            ls = log_survival("exponential", {"rate": theta}, t)
-            ls_scaled = log_survival("exponential", {"rate": c * theta}, t / c)
+            ls = log_survival("exponential", {"mean": mu}, t)
+            ls_scaled = log_survival("exponential", {"mean": mu / c}, t / c)
             assert ls == pytest.approx(ls_scaled, abs=1e-12)
 
 
@@ -368,7 +375,7 @@ class TestWeibullExponentialReduction:
         t = rng.uniform(0.05, 20, size=10_000)
         mu = rng.uniform(0.2, 10, size=10_000)
         w = {"shape": 1.0, "mean": mu}
-        e = {"rate": 1 / mu}
+        e = {"mean": mu}
         assert np.allclose(log_density("weibull_aft", w, t),
                            log_density("exponential", e, t), atol=1e-10)
         assert np.allclose(cdf("weibull_aft", w, t), cdf("exponential", e, t), atol=1e-10)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from survcheck.data import INTERVAL_CENSORED, LEFT_CENSORED, STATUSES, DataError, SurvivalDataset
-from survcheck.models import ModelError, ModelSpec, SmoothSpec, get_preset, log_lik_point
+from survcheck.models import ModelError, ModelSpec, SmoothSpec, get_preset
 from survcheck.sampler import (
     PosteriorModel,
     SamplerConfig,
@@ -21,6 +21,8 @@ from survcheck.sampler import (
     split_rhat,
 )
 from survcheck.simulate import ScenarioConfig, simulate_scenario
+
+from pointwise_oracle import log_lik_point, row
 
 
 def exp_dataset(rng, n=50, rate=0.5, censor_at=None):
@@ -63,7 +65,7 @@ class TestLogPosterior:
         x = np.array([0.4, math.log(1.3)])  # intercept, log shape
         mu = math.exp(0.4)
         by_hand = sum(
-            log_lik_point("weibull_aft", {"shape": 1.3, "mean": mu}, data.row(i))[0]
+            log_lik_point("weibull_aft", {"shape": 1.3, "mean": mu}, row(data, i))[0]
             for i in range(data.n)
         )
         assert post.log_likelihood(x) == pytest.approx(by_hand, abs=1e-12)
