@@ -451,6 +451,8 @@ def to_short_form(long: LongDataset) -> SurvivalDataset:
     active).
     """
     require_valid(long)
+    if long.n_rows == 0:
+        raise DataError("long data have no rows")
     order, starts = _long_groups(long)
     lengths = np.diff(np.concatenate([starts, [long.n_rows]]))
     lasts = order[starts + lengths - 1]

@@ -9,9 +9,10 @@ time scale while probabilities do not, so comparisons are refused unless
 the two models carry identical tag patterns.
 
 PSIS replaces the largest importance weights of each column with fitted
-generalized-Pareto order statistics; the tail shape k-hat diagnoses
-reliability, and units beyond the threshold can be recomputed exactly by
-refitting without them.
+generalized-Pareto order statistics, all columns in one pass and each
+bitwise as if smoothed alone; the tail shape k-hat diagnoses reliability,
+and units beyond the threshold can be recomputed exactly by refitting
+without them.
 """
 
 from __future__ import annotations
@@ -310,7 +311,61 @@ def group_long_by_subject(loglik: LogLikMatrix) -> LogLikMatrix:
 
 
 # ---------------------------------------------------------------------------
-# generalized Pareto tail fit (Zhang & Stephens style profile likelihood)
+# PSIS, all columns in one pass: one partial sort, one profile fit per tail
+# size.  Each reduction runs along a contiguous last axis of a lone column's
+# length, so each column comes out bitwise as if smoothed alone.
+
+_PRIOR_BS, _PRIOR_K = 3.0, 10.0
+_CHUNK = 1 << 18  # float64 elements per temporary block: 2 MiB
+
+
+def _grid_mean(b: np.ndarray, logl: np.ndarray) -> np.ndarray:
+    """Mean of each row's grid points b weighted by their likelihoods exp(logl)."""
+    w = np.exp(logl - logl.max(axis=1, keepdims=True))  # normalized in log space: no overflow
+    w /= w.sum(axis=1, keepdims=True)
+    return np.sum(b * w, axis=1)
+
+
+def _gpd_profile(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Zhang & Stephens profile fit of each row of x (rows, n), ascending
+    positive exceedances; nan where it does not converge."""
+    rows, n = x.shape
+    m = 30 + int(math.sqrt(n))
+    b = 1.0 - np.sqrt(m / (np.arange(1, m + 1) - 0.5))
+    b = b / (_PRIOR_BS * x[:, [int(n / 4 + 0.5) - 1]]) + 1.0 / x[:, -1:]
+    logl, step = np.empty((rows, m)), max(1, _CHUNK // (m * n))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for lo in range(0, rows, step):
+            bc = b[lo:lo + step]
+            k = np.mean(np.log1p(-bc[:, :, None] * x[lo:lo + step, None, :]), axis=2)
+            logl[lo:lo + step] = n * (np.log(-bc / k) - k - 1.0)
+        # the weights run over a row's finite grid points only
+        valid = np.isfinite(logl)
+        full = valid.all(axis=1)
+        b_post = np.full(rows, np.nan)
+        b_post[full] = _grid_mean(b[full], logl[full])
+        for r in np.flatnonzero(~full & valid.any(axis=1)):
+            b_post[r] = _grid_mean(b[r, valid[r]][None], logl[r, valid[r]][None])[0]
+        k_post = np.mean(np.log1p(-b_post[:, None] * x), axis=1)
+        sigma = -k_post / b_post
+    khat = (n * k_post + _PRIOR_K * 0.5) / (n + _PRIOR_K)
+    ok = np.isfinite(khat) & np.isfinite(sigma) & (sigma > 0)
+    return np.where(ok, khat, np.nan), np.where(ok, sigma, np.nan)
+
+
+def _fit_tails(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Generalized Pareto shape and scale of each row of x (rows, M), ascending
+    non-negative exceedances.  Zero exceedances (ties at the threshold, common
+    with Metropolis draws) carry no tail information and break the profile
+    grid; a row with fewer than 5 distinct positive ones gets nan."""
+    positive = x > 0
+    n = positive.sum(axis=1)
+    fits = np.sum(positive & (np.diff(x, axis=1, prepend=0.0) != 0), axis=1) >= 5
+    khat, sigma = np.full(len(x), np.nan), np.full(len(x), np.nan)
+    for size in np.unique(n[fits]):
+        r = np.flatnonzero(fits & (n == size))
+        khat[r], sigma[r] = _gpd_profile(np.ascontiguousarray(x[r, x.shape[1] - size:]))
+    return khat, sigma
 
 
 def gpd_fit(tail_sample) -> tuple[float, float]:
@@ -320,74 +375,39 @@ def gpd_fit(tail_sample) -> tuple[float, float]:
     0.5; needs at least 5 distinct values, otherwise the tail is degenerate.
     """
     x = np.sort(np.asarray(tail_sample, dtype=float))
-    if x.size < 5:
-        raise DegenerateTailError("need at least 5 tail values")
-    if x.size and x[0] < 0:
-        raise DegenerateTailError("tail sample must be non-negative exceedances")
-    # zero exceedances (ties at the threshold, common with Metropolis draws)
-    # carry no tail information and break the profile grid
-    x = x[x > 0]
-    n = x.size
-    if n < 5 or np.unique(x).size < 5:
-        raise DegenerateTailError("need at least 5 distinct positive tail values")
-    prior_bs, prior_k = 3.0, 10.0
-    m = 30 + int(math.sqrt(n))
-    b = 1.0 - np.sqrt(m / (np.arange(1, m + 1) - 0.5))
-    b /= prior_bs * x[int(n / 4 + 0.5) - 1]
-    b += 1.0 / x[-1]
-    k = np.mean(np.log1p(-b[:, None] * x), axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logl = n * (np.log(-b / k) - k - 1.0)
-    valid = np.isfinite(logl)
-    if not valid.any():
-        raise DegenerateTailError("tail fit did not converge")
-    b, logl = b[valid], logl[valid]
-    w = np.exp(logl - logl.max())  # normalized in log space: no overflow
-    w /= w.sum()
-    b_post = float(np.sum(b * w))
-    k_post = float(np.mean(np.log1p(-b_post * x)))
-    sigma = -k_post / b_post
-    khat = (n * k_post + prior_k * 0.5) / (n + prior_k)
-    if not (np.isfinite(khat) and np.isfinite(sigma) and sigma > 0):
-        raise DegenerateTailError("tail fit did not converge")
-    return float(khat), float(sigma)
+    if x.size < 5 or x[0] < 0:
+        raise DegenerateTailError("need at least 5 non-negative exceedances")
+    khat, sigma = _fit_tails(x[None])
+    if np.isnan(khat[0]):
+        raise DegenerateTailError("need 5 distinct positive exceedances and a converging fit")
+    return float(khat[0]), float(sigma[0])
 
 
-def gpd_quantile(u, khat: float, sigma: float) -> np.ndarray:
-    u = np.asarray(u, dtype=float)
-    if abs(khat) < 1e-12:
-        return -sigma * np.log1p(-u)
-    return sigma / khat * np.expm1(-khat * np.log1p(-u))
+def gpd_quantile(u, khat, sigma) -> np.ndarray:
+    """Quantiles at u; khat and sigma broadcast against u ((rows, 1) for a fit per row)."""
+    u, khat, sigma = (np.asarray(a, dtype=float) for a in (u, khat, sigma))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        q = sigma / khat * np.expm1(-khat * np.log1p(-u))
+    return np.where(np.abs(khat) < 1e-12, -sigma * np.log1p(-u), q)
 
 
 def psis_tail_size(n_draws: int) -> int:
     return int(min(0.2 * n_draws, 3.0 * math.sqrt(n_draws)))
 
 
-def smooth_tail(log_ratios: np.ndarray) -> tuple[np.ndarray, float]:
-    """Pareto-smooth one column of raw log importance ratios.
-
-    Returns the unnormalized smoothed log weights (shifted so the raw
-    maximum is 0, and truncated there) and the fitted tail shape.  Raises
-    DegenerateTailError when the tail cannot be fitted.
-    """
-    lw = np.asarray(log_ratios, dtype=float)
-    S = lw.size
-    M = psis_tail_size(S)
-    lw = lw - lw.max()
-    if M < 5:
-        raise DegenerateTailError("too few draws for tail smoothing")
-    order = np.argsort(lw, kind="stable")
-    tail = order[-M:]
-    cutoff = lw[order[-M - 1]]
-    exceed = np.exp(lw[tail]) - np.exp(cutoff)
-    k, sigma = gpd_fit(exceed)
-    q = (np.arange(1, M + 1) - 0.5) / M
-    smoothed = np.exp(cutoff) + gpd_quantile(q, k, sigma)
-    tail_asc = tail[np.argsort(lw[tail], kind="stable")]
-    out = lw.copy()
-    out[tail_asc] = np.log(smoothed)
-    return np.minimum(out, 0.0), k  # truncate at the raw maximum
+def _top_ascending(lw: np.ndarray, k: int) -> np.ndarray:
+    """Indices of each row's k largest entries, in the order that ends a
+    stable ascending ``argsort`` of the row: by value, ties by index."""
+    S = lw.shape[1]
+    top = np.sort(np.argpartition(lw, S - k, axis=1)[:, S - k:], axis=1)
+    vals = np.take_along_axis(lw, top, axis=1)
+    top = np.take_along_axis(top, np.argsort(vals, axis=1, kind="stable"), axis=1)
+    # the partition may split a tie group at the cutoff and keep the wrong
+    # members of it: those rows take the full stable sort
+    cut = vals.min(axis=1, keepdims=True)
+    split = np.sum(lw == cut, axis=1) > np.sum(vals == cut, axis=1)
+    top[split] = np.argsort(lw[split], axis=1, kind="stable")[:, S - k:]
+    return top
 
 
 def psis_smooth(loglik: LogLikMatrix) -> PsisResult:
@@ -396,33 +416,40 @@ def psis_smooth(loglik: LogLikMatrix) -> PsisResult:
     Raw log ratios are the negated pointwise log likelihoods.  Per column,
     the largest M = min(0.2 S, 3 sqrt(S)) weights are replaced by fitted
     GPD order statistics, truncated at the raw maximum, then normalized.
-    Columns whose tail cannot be fitted (constant, or containing -inf
-    scores) are flagged and passed through unsmoothed.
+    Columns whose tail cannot be fitted (constant, fewer than 5 distinct
+    positive exceedances, or containing -inf scores) are flagged and passed
+    through unsmoothed.
+
+    All columns go through at once: a partial sort picks every tail and one
+    profile fit runs per tail size.  Log weights, k-hat, ESS and flags are
+    bitwise those of smoothing each column alone with a stable ``argsort``
+    and a scalar fit, as ``tests/psis_oracle.py`` does.
     """
-    S, N = loglik.values.shape
+    ll = loglik.values
+    S, N = ll.shape
     if S < 100:
-        warnings.warn(
-            f"only {S} draws; PSIS is unreliable below ~100",
-            stacklevel=2,
-        )
-    log_w = np.empty((S, N))
+        warnings.warn(f"only {S} draws; PSIS is unreliable below ~100", stacklevel=2)
+    finite = np.all(np.isfinite(ll), axis=0)
+    log_w = np.zeros((S, N))  # uniform where a score is -inf
     khat = np.full(N, np.nan)
-    degenerate = np.zeros(N, dtype=bool)
-    for j in range(N):
-        ll = loglik.values[:, j]
-        if not np.all(np.isfinite(ll)):
-            degenerate[j] = True
-            log_w[:, j] = 0.0  # uniform
-            continue
-        try:
-            log_w[:, j], khat[j] = smooth_tail(-ll)
-        except DegenerateTailError:
-            degenerate[j] = True
-            log_w[:, j] = ll.min() - ll  # raw log ratios -ll, shifted to a maximum of 0
+    lw = np.negative(ll[:, finite].T, order="C")  # raw log ratios -ll ...
+    lw -= lw.max(axis=1, keepdims=True)  # ... shifted to a maximum of 0
+    M = psis_tail_size(S)
+    order, step = np.empty((len(lw), M + 1), dtype=np.intp), max(1, _CHUNK // S)
+    for lo in range(0, len(lw), step):
+        order[lo:lo + step] = _top_ascending(lw[lo:lo + step], M + 1)
+    top = np.take_along_axis(lw, order, axis=1)  # cutoff, then the tail
+    k, sigma = _fit_tails(np.sort(np.exp(top[:, 1:]) - np.exp(top[:, :1]), axis=1))
+    khat[finite] = k
+    ok = np.flatnonzero(~np.isnan(k))
+    q = (np.arange(1, M + 1) - 0.5) / M
+    smoothed = np.exp(top[ok, :1]) + gpd_quantile(q, k[ok, None], sigma[ok, None])
+    lw[ok[:, None], order[ok, 1:]] = np.log(smoothed)
+    log_w[:, finite] = np.minimum(lw, 0.0, out=lw).T  # truncate at the raw maximum
     log_w -= logsumexp(log_w, axis=0)  # every column at once
     w = np.exp(log_w)
     ess = 1.0 / np.sum(w * w, axis=0)
-    return PsisResult(log_w, khat, ess, degenerate)
+    return PsisResult(log_w, khat, ess, np.isnan(khat))
 
 
 # ---------------------------------------------------------------------------

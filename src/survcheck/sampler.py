@@ -72,6 +72,8 @@ class SamplerConfig:
                 raise SamplerConfigError(f"{name} must be an integer, got {value!r}")
             if value < 1 and name != "seed":
                 raise SamplerConfigError(f"{name} must be positive, got {value!r}")
+            if value < 0:
+                raise SamplerConfigError(f"{name} must be non-negative, got {value!r}")
 
     @staticmethod
     def from_dict(d: dict) -> "SamplerConfig":

@@ -103,6 +103,8 @@ class ScenarioConfig:
                 raise SimulationError(f"{name} must be an integer, got {value!r}")
         if self.n_subjects < 1:
             raise SimulationError(f"n_subjects must be positive, got {self.n_subjects!r}")
+        if self.seed < 0:
+            raise SimulationError(f"seed must be non-negative, got {self.seed!r}")
         if self.treatment_duration < 1 or self.max_follow_up < self.treatment_duration:
             raise SimulationError("follow-up must cover the treatment duration")
 

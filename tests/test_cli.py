@@ -234,8 +234,8 @@ def test_error_json_on_bad_input(tmp_path, capsys):
         assert err["error"]["type"] == "DataError"
         assert message in err["error"]["message"]
 
-    # bad settings: a count of zero, unknown keys and non-integer counts or
-    # seeds in a pipeline config
+    # bad settings: a count of zero, unknown keys, non-integer counts or
+    # seeds and negative seeds in a pipeline config
     good = tmp_path / "good.csv"
     good.write_text("subject_id,entry_time,time,status,x\n"
                     "1,0,2.0,event,0.5\n2,0,1.5,rcens,0.1\n3,0,1.0,event,-0.2\n")
@@ -259,7 +259,11 @@ def test_error_json_on_bad_input(tmp_path, capsys):
              "n_subjects must be an integer, got 20.5"),
             ({"scenario": {"n_subjects": "20"}}, "SimulationError",
              "n_subjects must be an integer, got '20'"),
-            ({"scenario": {"seed": "x"}}, "SimulationError", "seed must be an integer, got 'x'")):
+            ({"scenario": {"seed": "x"}}, "SimulationError", "seed must be an integer, got 'x'"),
+            ({"scenario": {"n_subjects": 5, "seed": -3}}, "SimulationError",
+             "seed must be non-negative, got -3"),
+            ({"sampler": {"seed": -1}}, "SamplerConfigError",
+             "seed must be non-negative, got -1")):
         path = tmp_path / f"pipeline_{len(cases)}.json"
         path.write_text(json.dumps(config))
         cases.append((["run", "--pipeline", str(path), "--out", str(tmp_path / "x")],

@@ -6,6 +6,7 @@ import pytest
 from survcheck.data import (
     DataError,
     DrawsMatrix,
+    LongDataset,
     SurvivalDataset,
     TimeGrid,
     TreatmentRule,
@@ -197,6 +198,10 @@ class TestShortForm:
         short = to_short_form(expand_long(ds, TimeGrid(1.0, 5)))
         assert short.time[0] == 1.0
         assert short.status[0] == "right_censored"
+
+    def test_empty_long_data_refused(self):
+        with pytest.raises(DataError, match="no rows"):
+            to_short_form(LongDataset([], [], []))
 
     def test_round_trip_recovers_event_times(self):
         rng = np.random.default_rng(5)

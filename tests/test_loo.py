@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from survcheck.data import (
@@ -31,6 +34,7 @@ from survcheck.loo import (
     group_long_by_subject,
     loglik_matrix,
     psis_smooth,
+    psis_tail_size,
     read_loglik_csv,
     write_loglik_csv,
 )
@@ -38,6 +42,7 @@ from survcheck.models import ModelDesign, ModelSpec, subject_params
 from survcheck.sampler import PosteriorModel, SamplerConfig, fit
 from survcheck.simulate import ScenarioConfig, simulate_scenario
 
+import psis_oracle
 from pointwise_oracle import log_lik_point, row
 
 
@@ -83,6 +88,32 @@ class TestGpdFit:
         x = rng.exponential(1.0, size=10_000)
         khat, _ = gpd_fit(x)
         assert abs(khat) < 0.05
+
+    def test_grid_point_at_zero_skipped_as_alone(self):
+        # a lower quartile that puts profile grid point 5 at exactly b = 0:
+        # its log-likelihood is nan, and the posterior weights run over the
+        # other points, in the per-column order
+        n = 8
+        m = 30 + int(math.sqrt(n))
+        grid = 1.0 - np.sqrt(m / (np.arange(1, m + 1) - 0.5))
+        xq = -grid[5] / 3.0
+        for _ in range(100):
+            if grid[5] / (3.0 * xq) + 1.0 == 0.0:
+                break
+            xq = np.nextafter(xq, np.inf)
+        x = np.concatenate([[xq / 4, xq], np.geomspace(1.5 * xq, 1.0, n - 2)])
+        assert grid[5] / (3.0 * x[int(n / 4 + 0.5) - 1]) + 1.0 / x[-1] == 0.0
+        assert gpd_fit(x) == psis_oracle.gpd_fit(x)
+
+    def test_quantiles_broadcast_one_fit_per_row(self):
+        u = np.array([0.05, 0.5, 0.95])
+        khat = np.array([[0.0], [0.5], [-0.25]])
+        sigma = np.array([[1.0], [2.0], [0.5]])
+        q = gpd_quantile(u, khat, sigma)
+        assert q.shape == (3, 3)
+        assert np.array_equal(q[0], -1.0 * np.log1p(-u))
+        for row_q, k, s in zip(q[1:], khat[1:, 0], sigma[1:, 0]):
+            assert np.array_equal(row_q, s / k * np.expm1(-k * np.log1p(-u)))
 
 
 class TestPsis:
@@ -130,17 +161,106 @@ class TestPsis:
             psis_smooth(mat(rng.normal(size=(30, 2))))
 
     def test_smoothed_weights_capped_at_raw_max(self):
-        from survcheck.loo import smooth_tail
-
         rng = np.random.default_rng(5)
-        lr = rng.normal(0, 2, size=1000)
-        smoothed, khat = smooth_tail(lr)
-        # shifted so the raw max is 0; truncation keeps everything <= 0
-        assert smoothed.max() <= 0.0
-        assert np.isfinite(khat)
+        lr = rng.normal(0, 2, size=1000)  # raw log ratios
+        res = psis_smooth(mat(-lr[:, None]))
+        assert not res.degenerate[0]
+        assert np.isfinite(res.khat[0])
+        # the smallest ratio is outside the tail, so it keeps its raw value
+        # (shifted so the raw max is 0): undo the normalization with it
+        low = np.argmin(lr)
+        smoothed = res.log_weights[:, 0] + (lr[low] - lr.max() - res.log_weights[low, 0])
+        # truncation keeps everything <= 0
+        assert smoothed.max() <= 1e-12
         # only the tail changes
-        M = len(lr) - np.count_nonzero(np.isclose(smoothed, lr - lr.max()))
-        assert M <= int(min(0.2 * 1000, 3 * math.sqrt(1000)))
+        M = np.count_nonzero(~np.isclose(smoothed, lr - lr.max()))
+        assert M <= psis_tail_size(1000)
+
+
+def _metropolis_repeats(rng, values):
+    """Rows repeated as a random-walk Metropolis chain repeats a rejected draw."""
+    moves = np.where(rng.random(len(values)) < 0.3, np.arange(len(values)), 0)
+    return values[np.maximum.accumulate(moves)]
+
+
+def _odd_columns(rng, values, n_exceedances):
+    """Overwrite the leading columns with a constant column, a column with a
+    -inf score, and one whose tail has ``n_exceedances`` distinct positive
+    exceedances over a flat body."""
+    S, N = values.shape
+    if N > 0:
+        values[:, 0] = -1.3
+    if N > 1:
+        values[rng.integers(S), 1] = -np.inf
+    if N > 2:
+        values[:, 2] = -1.0
+        values[:n_exceedances, 2] = -2.0 - np.arange(n_exceedances)
+    return values
+
+
+def assert_psis_matches_oracle(values):
+    loglik = mat(values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # fewer than 100 draws
+        got, want = psis_smooth(loglik), psis_oracle.psis_smooth(loglik)
+    for field in ("log_weights", "khat", "ess", "degenerate"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), field
+        assert a.tobytes() == b.tobytes(), field
+
+
+class TestPsisMatchesPerColumnOracle:
+    """``psis_smooth`` smooths all columns in one pass; each column's log
+    weights, k-hat, ESS and degenerate flag are bitwise those of the
+    per-column oracle."""
+
+    @pytest.mark.parametrize("n_draws", [100, 1000, 4000])
+    def test_draw_counts(self, n_draws):
+        rng = np.random.default_rng(n_draws)
+        assert_psis_matches_oracle(
+            rng.standard_t(5, size=(n_draws, 12)) * rng.uniform(0.05, 3.0, 12) - 2.0)
+
+    def test_repeated_draws(self):
+        rng = np.random.default_rng(7)
+        values = _metropolis_repeats(rng, rng.normal(-2.0, 1.0, size=(1000, 40)))
+        assert_psis_matches_oracle(values)
+
+    def test_ties_straddling_the_cutoff(self):
+        rng = np.random.default_rng(8)
+        values = np.round(rng.normal(-2.0, 1.0, size=(1000, 40)), 1)
+        # the (M+1)-th largest log ratio, the cutoff, recurs below it in
+        # most columns, and in the tail above it in most
+        lr = np.sort(-values, axis=0)
+        M = psis_tail_size(1000)
+        assert np.count_nonzero(lr[-M - 1] == lr[-M - 2]) >= 30
+        assert np.count_nonzero(lr[-M - 1] == lr[-M]) >= 30
+        assert_psis_matches_oracle(values)
+
+    @pytest.mark.parametrize("n_exceedances", [3, 4, 5, 6])
+    def test_constant_nonfinite_and_few_distinct_columns(self, n_exceedances):
+        rng = np.random.default_rng(9)
+        values = _odd_columns(rng, rng.normal(-1.0, 0.7, size=(400, 6)), n_exceedances)
+        res = psis_smooth(mat(values))
+        assert list(res.degenerate[:3]) == [True, True, n_exceedances < 5]
+        assert_psis_matches_oracle(values)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(n_draws=st.sampled_from([30, 100, 1000, 4000]), n_units=st.integers(1, 8),
+           seed=st.integers(0, 2**32 - 1), df=st.integers(2, 30),
+           repeats=st.booleans(), decimals=st.sampled_from([None, 0, 1, 2]),
+           odd=st.booleans(), n_exceedances=st.integers(0, 8))
+    def test_random_matrices(self, n_draws, n_units, seed, df, repeats, decimals, odd,
+                             n_exceedances):
+        rng = np.random.default_rng(seed)
+        values = (rng.standard_t(df, size=(n_draws, n_units))
+                  * rng.uniform(0.05, 3.0, n_units) - 2.0)
+        if repeats:
+            values = _metropolis_repeats(rng, values)
+        if decimals is not None:
+            values = np.round(values, decimals)
+        if odd:
+            values = _odd_columns(rng, values, n_exceedances)
+        assert_psis_matches_oracle(values)
 
 
 class TestElpd:

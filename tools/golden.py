@@ -18,12 +18,13 @@ The workloads cover:
 * fits the presets never reach: a Weibull fit with hierarchical smooths on
   data holding all four statuses, and a one-chain fit.  Every fit saves its
   draws, log posterior, acceptance rates and adaptation record;
-* ``loglik_matrix`` for every family and scoring mode, with PSIS and elpd
-  of each matrix.  A Bernoulli model is scored on its subjects: a
-  checkout whose ``loglik_matrix`` scores Bernoulli rows in raw mode only
-  is read through ``group_long_by_subject`` of the raw matrix (raw and
-  interval) and ``bernoulli_dichotomized_loglik`` (dichotomized).  The
-  long rows are scored as given and in a shuffled order;
+* ``loglik_matrix`` for every family and scoring mode, with PSIS (log
+  weights, k-hat, ESS, degenerate flags) and elpd of each matrix.  A
+  Bernoulli model is scored on its subjects: a checkout whose
+  ``loglik_matrix`` scores Bernoulli rows in raw mode only is read through
+  ``group_long_by_subject`` of the raw matrix (raw and interval) and
+  ``bernoulli_dichotomized_loglik`` (dichotomized).  The long rows are
+  scored as given and in a shuffled order;
 * ``exact_refit_loo`` for the Weibull and Bernoulli presets;
 * the predictive checks on the Weibull and Bernoulli fits: ``km_overlay``
   with imputed replicates, ``intervals_data``, ``pit_ecdf_check``,
@@ -31,6 +32,11 @@ The workloads cover:
   ``simultaneous_envelope`` on a seeded matrix with ties.  Every numeric
   column of a series is saved as its own array (a CEP curve, a band
   bound), so ``compare`` reports its largest difference;
+* PSIS on seeded edge-case matrices: tie-heavy matrices of 100, 1000 and
+  4000 draws whose rows repeat as Metropolis draws do, and one with a
+  constant column, a ``-inf`` entry, few distinct values, few distinct
+  positive exceedances, ties at the tail cutoff, underflowing weights and
+  a heavy tail;
 * ``run_pipeline``, and the artifacts of ``survcheck simulate``, ``fit``,
   ``compare interval|dichotomized`` with a Bernoulli model, and ``run``.
 
@@ -77,10 +83,16 @@ def _loglik(prefix, ll):
                                   for u in ll.unit_ids])
     psis = sc.psis_smooth(ll)
     report = sc.elpd_loo(ll, psis)
-    yield f"{prefix}.psis_log_weights", psis.log_weights
-    yield f"{prefix}.khat", psis.khat
+    yield from _psis(prefix, psis)
     yield f"{prefix}.elpd_pointwise", report.pointwise
     yield f"{prefix}.elpd", _json([report.total, report.se])
+
+
+def _psis(prefix, psis):
+    yield f"{prefix}.psis_log_weights", psis.log_weights
+    yield f"{prefix}.khat", psis.khat
+    yield f"{prefix}.ess", psis.ess
+    yield f"{prefix}.degenerate", psis.degenerate
 
 
 def _bernoulli_subjects(spec, design, draws, long, mode):
@@ -232,6 +244,33 @@ def _checks():
         yield f"checks.envelope.{level}.gamma", _json(gamma)
 
 
+def _psis_edge_cases():
+    """PSIS on seeded matrices the fitted log-lik matrices rarely reach."""
+    rng = np.random.default_rng(17)
+    for n_draws in (100, 1000, 4000):
+        # a Metropolis chain repeats its draw on every rejection: whole rows
+        # recur, so each column ties within itself, often across the cutoff
+        moves = np.where(rng.random(n_draws) < 0.3, np.arange(n_draws), 0)
+        ties = rng.standard_t(8, size=(n_draws, 60)) * rng.uniform(0.1, 1.5, 60) - 2.0
+        ties = ties[np.maximum.accumulate(moves)]
+        yield from _psis(f"psis.ties.{n_draws}", sc.psis_smooth(sc.LogLikMatrix(
+            ties, ("density",) * 60, tuple(range(60)))))
+
+    odd = rng.normal(-1.0, 0.7, size=(400, 10))
+    odd[:, 0] = -1.3                                    # constant
+    odd[7, 1] = -np.inf                                 # an impossible draw
+    odd[:, 2] = -rng.integers(1, 4, 400).astype(float)  # three distinct values
+    odd[:, 3] = -1.0                                    # a flat tail but for
+    odd[:4, 3] = [-2.0, -3.0, -4.0, -5.0]               # four distinct exceedances
+    odd[:, 4] = -1.0
+    odd[:5, 4] = [-2.0, -3.0, -4.0, -5.0, -6.0]         # five
+    odd[:, 5] = np.round(odd[:, 5], 1)                  # ties at the cutoff
+    odd[:, 6] = -30.0 * rng.exponential(size=400)       # exp(lw) underflows
+    odd[:, 7] = -np.abs(rng.standard_cauchy(400))       # heavy tail, large k-hat
+    yield from _psis("psis.odd_columns", sc.psis_smooth(sc.LogLikMatrix(
+        odd, ("probability",) * 10, tuple(range(10)))))
+
+
 def _pipeline():
     yield "run_pipeline", _json(sc.experiments.run_pipeline(PIPELINE))
 
@@ -273,7 +312,8 @@ def _cli():
 
 
 def outputs():
-    for workload in (_primitives, _cohort, _uncommon_fits, _checks, _pipeline, _cli):
+    for workload in (_primitives, _cohort, _uncommon_fits, _checks, _psis_edge_cases,
+                     _pipeline, _cli):
         yield from workload()
 
 
