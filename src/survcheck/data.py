@@ -446,9 +446,9 @@ def to_short_form(long: LongDataset) -> SurvivalDataset:
     """Collapse long-format data to one record per subject.
 
     The event/censor time is the last interval index; the subject is an
-    event iff the final outcome is 1.  Treatment receipt is summarized as a
-    single binary covariate ``TREATMENT_NAME`` (any interval with ``ON_NAME``
-    active).
+    event iff the final outcome is 1.  Static covariates keep their values,
+    a static ``TREATMENT_NAME`` column included.  Long data without one get
+    it derived as a binary covariate: any interval with ``ON_NAME`` active.
     """
     require_valid(long)
     if long.n_rows == 0:
@@ -461,7 +461,7 @@ def to_short_form(long: LongDataset) -> SurvivalDataset:
     time = long.interval_index[lasts].astype(float)
     status = np.where(long.outcome[lasts] == 1, EVENT, RIGHT_CENSORED).astype(object)
     covs = {name: long.covariates[name][firsts].copy() for name in long.static_names}
-    if ON_NAME in long.covariates:
+    if ON_NAME in long.covariates and TREATMENT_NAME not in covs:
         active = long.covariates[ON_NAME][order] != 0
         covs[TREATMENT_NAME] = np.logical_or.reduceat(active, starts).astype(float)
     appearance = long.subject_ids

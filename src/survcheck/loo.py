@@ -28,6 +28,7 @@ from scipy.special import logsumexp
 from .checks import dichotomize_outcomes
 from .data import (
     DataError,
+    DrawsMatrix,
     LongDataset,
     SurvivalDataset,
     TimeGrid,
@@ -72,6 +73,8 @@ class LogLikMatrix:
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 2:
             raise LooError("log-lik matrix must be 2-D (draws x units)")
+        if v.shape[0] == 0:
+            raise LooError("log-lik matrix has no draws")
         if np.any(np.isnan(v)) or np.any(v == np.inf):
             raise LooError("log-lik entries must be finite or -inf")
         tags = tuple(self.tags)
@@ -558,31 +561,55 @@ def exact_refit_loo(
     For each unit (a subject: all its rows in long format), the model is
     refitted on the remaining records and the held-out unit's predictive
     score (``loglik_matrix`` in ``mode``) is the log average of its
-    likelihood over the refit draws; a unit not scored in ``mode`` is a
-    LooError.  Returns {unit_id: elpd} plus per-unit failures.
-    Each refit derives its own seed from (config.seed, unit index), so runs
-    are deterministic and units are independent.
-    """
-    from .sampler import SamplingError, fit as run_fit
+    likelihood over the refit draws.  A unit not in the data is a LooError
+    before any sampling, one not scored in ``mode`` a LooError after it.
+    Returns {unit_id: elpd} plus per-unit failures.
 
-    corrections: dict = {}
-    failures: dict = {}
+    All refits run as one batch (``PosteriorModel`` with ``held_out``) in one
+    lockstep sampling loop; only units whose spline widths differ (tied
+    covariates) form separate batches.  Each unit's chains are seeded from
+    (config.seed, unit index) as its lone fit's would be, so units are
+    independent: a unit whose chain fails goes into ``failures`` and the
+    batch reruns without it.  A batch of N units holds N * n_chains *
+    n_keep * dim kept draws and N design matrices over all rows at once.
+    """
+    from .sampler import PosteriorModel, SamplingError, sample_posterior
+
+    if not isinstance(data, (SurvivalDataset, LongDataset)):
+        raise DataError("unsupported data type")
+    unit_ids = list(unit_ids)
+    batches: dict = {}
     for idx, uid in enumerate(unit_ids):
-        train, held = _split_unit(data, uid)
-        sub_cfg = replace(config, seed=config.seed * 100003 + idx + 1)
-        try:
-            res = run_fit(spec, train, sub_cfg)
-        except SamplingError as err:
-            failures[uid] = str(err)
-            continue
-        post_design = ModelDesign(spec, train.covariates)
-        ll = loglik_matrix(spec, post_design, res.draws, held,
-                           mode=mode, grid=grid, horizon=horizon)
-        if uid not in ll.unit_ids:
-            raise LooError(f"unit {uid!r} is not a scoring unit in {mode} mode")
-        col = ll.values[:, ll.unit_ids.index(uid)]
-        corrections[uid] = float(logsumexp(col) - math.log(col.size))
-    return {"elpd": corrections, "failures": failures}
+        keep = data.subject_id != uid
+        if keep.all():
+            raise LooError(f"unit {uid!r} not present in the data")
+        train = {k: v[keep] for k, v in data.covariates.items()}
+        batches.setdefault(tuple(ModelDesign(spec, train).parameter_names), []).append(idx)
+    C = config.n_chains
+    results = {}
+    for pending in batches.values():
+        while pending:
+            post = PosteriorModel(spec, data, [unit_ids[i] for i in pending])
+            seeds = [(config.seed * 100003 + i + 1, c) for i in pending for c in range(C)]
+            try:
+                chains = sample_posterior(post.log_posterior, post.dim, config, seeds,
+                                          post.init_point())[0]
+                break
+            except SamplingError as err:
+                failed = pending.pop(err.diagnostics["chain"] // C)
+                results[failed] = ("failures", str(err))
+        for b, idx in enumerate(pending):
+            uid = unit_ids[idx]
+            draws = DrawsMatrix(post.constrain(chains[b * C:(b + 1) * C].reshape(-1, post.dim)),
+                                post.parameter_names)
+            ll = loglik_matrix(spec, post.designs[b], draws, data.subset(data.subject_id == uid),
+                               mode=mode, grid=grid, horizon=horizon)
+            if uid not in ll.unit_ids:
+                raise LooError(f"unit {uid!r} is not a scoring unit in {mode} mode")
+            col = ll.values[:, ll.unit_ids.index(uid)]
+            results[idx] = ("elpd", float(logsumexp(col) - math.log(col.size)))
+    return {kind: {unit_ids[i]: v for i, (k, v) in sorted(results.items()) if k == kind}
+            for kind in ("elpd", "failures")}
 
 
 def apply_refits(report: ElpdReport, refits: dict) -> ElpdReport:
@@ -611,15 +638,6 @@ def flag_for_refit(report: ElpdReport, threshold: float = DEFAULT_KHAT_THRESHOLD
         if np.isnan(k) or k > threshold:
             flagged.append(uid)
     return flagged
-
-
-def _split_unit(data, uid):
-    if not isinstance(data, (SurvivalDataset, LongDataset)):
-        raise DataError("unsupported data type")
-    mask = data.subject_id == uid
-    if not mask.any():
-        raise LooError(f"unit {uid!r} not present in the data")
-    return data.subset(~mask), data.subset(mask)
 
 
 # ---------------------------------------------------------------------------

@@ -115,7 +115,7 @@ def _row_sums(a) -> np.ndarray:
 
 
 class PosteriorModel:
-    """Log posterior of a ModelSpec bound to a dataset.
+    """Log posterior of a ModelSpec bound to a dataset, or a batch of them.
 
     The unconstrained parameter vector is the regression coefficients,
     followed by log(alpha) for the Weibull family, followed by log smoothing
@@ -126,21 +126,33 @@ class PosteriorModel:
     support (a non-finite entry, an overflowing mean or Weibull shape, a NaN
     value) gets -inf; nothing is raised or warned.
 
+    With B ``held_out`` unit ids it is a batch: member b is the posterior
+    without unit ``held_out[b]``'s rows, with a ``ModelDesign`` built on its
+    training covariates, and a batch of rows is B equal blocks, block b
+    evaluated under member b.  Zeroing the held-out scores adds a 0.0 to
+    each row sum, so a member's value is that of a model on its training
+    data to within a few ulp.  It holds B design matrices over all rows.
+
     Short-format rows are grouped by how they are scored once, at
     construction (``models.score_groups``); each log-likelihood evaluation
     sums the groups' scores from ``models.group_log_scores``, the same
     kernel that builds the pointwise LOO matrices.
     """
 
-    def __init__(self, spec: ModelSpec, data):
-        self.spec = spec
-        self.data = data
+    def __init__(self, spec: ModelSpec, data, held_out=()):
+        self.spec, self.data, self.held_out = spec, data, tuple(held_out)
         self._prepare_data()  # rejects wrong or invalid data before the design is built
-        self.design = ModelDesign(spec, data.covariates)
-        n_rows = data.n_rows if isinstance(data, LongDataset) else data.n
-        self.X = self.design.matrix(data.covariates, n_rows=n_rows)
-        self.n_beta = self.X.shape[1]
+        keeps = [data.subject_id != u for u in self.held_out]
+        self._keep = np.stack(keeps) if keeps else None  # (B, n); None: one member, every row
+        self.designs = [ModelDesign(spec, {k: v[keep] for k, v in data.covariates.items()})
+                        for keep in keeps] or [ModelDesign(spec, data.covariates)]
+        self.design = self.designs[0]
         names = list(self.design.parameter_names)
+        if any(d.parameter_names != names for d in self.designs):
+            raise ModelError("held-out members' designs differ in their parameters")
+        n_rows = data.n_rows if isinstance(data, LongDataset) else data.n
+        self.X = np.stack([d.matrix(data.covariates, n_rows=n_rows) for d in self.designs])
+        self.n_beta = self.X.shape[2]
         if spec.has_shape:
             names.append("alpha")
         if spec.hierarchical_smooths:
@@ -213,20 +225,29 @@ class PosteriorModel:
     def log_likelihood(self, x: np.ndarray) -> np.ndarray:
         spec = self.spec
         ok = np.isfinite(x).all(axis=1)
+        B = len(self.X)
+        if len(x) % B:
+            raise ModelError(f"a batch of {B} members needs a multiple of {B} rows, got {len(x)}")
+        member = np.arange(len(x)) // (len(x) // B)
         # one product per row keeps each row's predictor bitwise that of the
         # vector alone (a matrix product over the batch sums in another order)
-        lin = np.stack([self.X @ row[: self.n_beta] for row in x])
-        ll = np.full(len(x), -np.inf)
+        lin = np.stack([self.X[b] @ row[: self.n_beta] for b, row in zip(member, x)])
+        keep = None if self._keep is None else self._keep[member]
         if spec.family == "bernoulli_logit":
-            ll[ok] = _row_sums(bernoulli_log_score(self._z, logistic(lin[ok])))
+            scores = [(slice(None), bernoulli_log_score(self._z, logistic(lin[ok])))]
         else:
+            if keep is not None:
+                lin = np.where(keep, lin, 0.0)  # held-out rows stay inside the support
             params = {"mean": np.exp(lin).T}
             if spec.has_shape:
                 params["shape"] = np.exp(x[:, self.n_beta])[None, :]
             ok &= in_support(spec.family, params)
-            scores = group_log_scores(spec.family, self._groups,
-                                      {k: v[:, ok] for k, v in params.items()})
-            ll[ok] = sum((_row_sums(s.T) for s in scores), 0.0)
+            scores = [(g.rows, s.T) for g, s in zip(self._groups, group_log_scores(
+                spec.family, self._groups, {k: v[:, ok] for k, v in params.items()}))]
+        if keep is not None:  # held-out rows score 0 (where, not a product: -inf * 0 is nan)
+            scores = [(rows, np.where(keep[ok][:, rows], s, 0.0)) for rows, s in scores]
+        ll = np.full(len(x), -np.inf)
+        ll[ok] = sum((_row_sums(s) for _, s in scores), 0.0)
         return np.where(np.isnan(ll), -np.inf, ll)
 
     @_by_row
@@ -240,16 +261,18 @@ class PosteriorModel:
 # the random-walk kernel
 
 
-def sample_posterior(log_prob, dim: int, config: SamplerConfig, init=None):
+def sample_posterior(log_prob, dim: int, config: SamplerConfig, seeds, init=None):
     """Adaptive RWM, all chains in lockstep, adapting until the end of warmup.
 
-    ``log_prob`` maps a (C, dim) batch to (C,) values.  Each chain's step is
-    its own matrix-vector product, so its draws are bitwise those it makes
-    alone.  Returns the kept draws (C, n_keep, dim), their log_prob
-    (C, n_keep), and each chain's acceptance rate and adaptation record.
+    Chain c draws from ``default_rng(seeds[c])``; ``config`` sets the warmup
+    and kept lengths.  ``log_prob`` maps a (C, dim) batch to (C,) values.
+    Each chain's step is its own matrix-vector product, so its draws are
+    bitwise those it makes alone.  Returns the kept draws (C, n_keep, dim),
+    their log_prob (C, n_keep), and each chain's acceptance rate and
+    adaptation record.  A SamplingError's diagnostics name the chain.
     """
-    C = config.n_chains
-    rngs = [np.random.default_rng([config.seed, c]) for c in range(C)]
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    C = len(rngs)
     init = np.zeros(dim) if init is None else np.asarray(init, dtype=float)
     x = init + INIT_JITTER * np.stack([rng.standard_normal(dim) for rng in rngs])
     lp = log_prob(x)
@@ -320,7 +343,8 @@ def fit(spec: ModelSpec, data, config: SamplerConfig | None = None) -> FitResult
     config = config or SamplerConfig()
     post = PosteriorModel(spec, data)
     chains, lps, rates, logs = sample_posterior(
-        post.log_posterior, post.dim, config, post.init_point())
+        post.log_posterior, post.dim, config, [(config.seed, c) for c in range(config.n_chains)],
+        post.init_point())
     draws = DrawsMatrix(post.constrain(chains.reshape(-1, post.dim)), post.parameter_names,
                         np.repeat(np.arange(config.n_chains), config.n_keep))
     cols = {name: chains[:, :, j] for j, name in enumerate(post.parameter_names)}

@@ -202,7 +202,7 @@ class TestCriterion6PsisVsExactLoo:
         exact = apply_refits(report, refits)
         diff = abs(report.total - exact.total)
         elapsed = time.time() - start
-        assert elapsed < 600.0
+        assert elapsed < 60.0
         assert diff <= 0.3
         _report(6, f"PSIS vs exact LOO |diff|={diff:.3f}, {elapsed:.0f}s")
 

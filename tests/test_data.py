@@ -1,4 +1,5 @@
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -192,6 +193,26 @@ class TestShortForm:
         assert short.status[0] == "event"    # Censored = 0
         assert short.covariates["AdjTreatm"][0] == 1.0
         assert short.covariates["Size"][0] == 75.0
+
+    def test_static_treatment_kept_under_a_per_subject_rule(self):
+        # subject 2 is treated but on for no interval, subject 4 untreated but
+        # on for four: the static column, not AdjOn, is what they recorded
+        ds = make_dataset([2.0, 6.0, 2.0, 5.0, 4.0],
+                          ["event", "right_censored", "right_censored", "event", "event"],
+                          covariates={"z": [0.3, -1.2, 0.8, 0.0, 1.5],
+                                      "AdjTreatm": [1.0, 1.0, 0.0, 0.0, 1.0]})
+        rule = TreatmentRule(duration={1: 1.0, 4: 4.0, 5: 2.0})
+        short = to_short_form(expand_long(ds, TimeGrid(1.0, 6), rule))
+        assert short.covariates.keys() == ds.covariates.keys()
+        for name, col in ds.covariates.items():
+            assert short.covariates[name].tobytes() == col.tobytes()
+
+    def test_treatment_derived_without_a_static_column(self):
+        ds = make_dataset([3.0, 2.0], ["event", "event"], covariates={"AdjTreatm": [1.0, 0.0]})
+        long = expand_long(ds, TimeGrid(1.0, 4), TreatmentRule(duration=2))
+        long = replace(long, covariates={k: v for k, v in long.covariates.items()
+                                         if k != "AdjTreatm"}, static_names=())
+        assert to_short_form(long).covariates["AdjTreatm"].tolist() == [1.0, 0.0]
 
     def test_single_censored_row(self):
         ds = make_dataset([1.0], ["right_censored"])

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
+from survcheck.checks import dichotomize_outcomes
 from survcheck.data import (
     EVENT,
     INTERVAL_CENSORED,
@@ -16,8 +18,11 @@ from survcheck.data import (
     SurvivalDataset,
     TimeGrid,
     TreatmentRule,
+    apply_scaling,
     expand_long,
     rescale_time,
+    scale_covariates,
+    to_short_form,
 )
 from survcheck.loo import (
     DegenerateTailError,
@@ -38,7 +43,14 @@ from survcheck.loo import (
     read_loglik_csv,
     write_loglik_csv,
 )
-from survcheck.models import ModelDesign, ModelSpec, subject_params
+from survcheck.models import (
+    ModelDesign,
+    ModelError,
+    ModelSpec,
+    SmoothSpec,
+    get_preset,
+    subject_params,
+)
 from survcheck.sampler import PosteriorModel, SamplerConfig, fit
 from survcheck.simulate import ScenarioConfig, simulate_scenario
 
@@ -282,6 +294,10 @@ class TestElpd:
                            np.array([2.0]), np.array([True]))
         rep = elpd_loo(loglik, equal)
         assert rep.pointwise[0] == pytest.approx(math.log(0.3))
+
+    def test_matrix_without_draws_refused(self):
+        with pytest.raises(LooError, match="no draws"):
+            mat(np.empty((0, 3)))
 
     def test_all_minus_inf_column(self):
         loglik = mat(np.full((150, 1), -np.inf))
@@ -723,6 +739,147 @@ class TestExactRefit:
 
         rep2 = replace(rep, khat=bad)
         assert flag_for_refit(rep2, threshold=0.7) == [2]
+
+
+def bernoulli_cohort(n_subjects=30, seed=9):
+    long, short = simulate_scenario(ScenarioConfig(n_subjects=n_subjects, seed=seed))
+    short, record = scale_covariates(short, ("Size", "AgeAtSurg", "MitHPF"))
+    return apply_scaling(long, record)
+
+
+def tied_smooth_data():
+    """Four-status cohort whose smoothed covariate is tied so that leaving out
+    unit 2 gives its design one spline column more than units 1 and 4 get."""
+    data = four_status_data(np.random.default_rng(30))
+    tied = np.random.default_rng(4).integers(0, 6, data.n).astype(float)
+    return replace(data, covariates={"x": tied})
+
+
+def lone_refit_elpd(spec, data, config, uid, idx, **scoring):
+    """The exact-refit score of one unit from its own fit on the training subset."""
+    train = data.subset(data.subject_id != uid)
+    res = fit(spec, train, replace(config, seed=config.seed * 100003 + idx + 1))
+    ll = loglik_matrix(spec, ModelDesign(spec, train.covariates), res.draws,
+                       data.subset(data.subject_id == uid), **scoring)
+    col = ll.values[:, ll.unit_ids.index(uid)]
+    return float(logsumexp(col) - math.log(col.size))
+
+
+class TestRefitBatch:
+    """Exact refits run as one batch of leave-one-out members of a PosteriorModel."""
+
+    SMOOTH = ModelSpec(family="weibull_aft", smooths=(SmoothSpec("x", n_knots=3),),
+                       hierarchical_smooths=True)
+    CASES = {
+        "exponential-four-status": (ModelSpec(family="exponential", fixed=("x",)),
+                                    lambda: four_status_data(np.random.default_rng(31)),
+                                    [1, 2, 3, 4, 9]),
+        "weibull-hierarchical-four-status": (
+            SMOOTH, lambda: four_status_data(np.random.default_rng(32)), [1, 2, 3, 4]),
+        "bernoulli-preset": (get_preset("bernoulli-gist"), bernoulli_cohort, [1, 5, 12]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_member_equals_model_on_training_subset(self, case):
+        spec, make_data, units = self.CASES[case]
+        data = make_data()
+        batch = PosteriorModel(spec, data, held_out=units)
+        C = 3
+        rng = np.random.default_rng(33)
+        x = batch.init_point() + 0.4 * rng.standard_normal((len(units) * C, batch.dim))
+        x[::C][:, 0] = 800.0  # an extreme intercept: exp overflows, logistic saturates
+        x[1::C][:, -1] = np.nan
+        values = batch.log_posterior(x)
+        assert values.shape == (len(units) * C,)
+        for b, uid in enumerate(units):
+            lone = PosteriorModel(spec, data.subset(data.subject_id != uid))
+            assert lone.parameter_names == batch.parameter_names
+            expected = lone.log_posterior(x[b * C:(b + 1) * C])
+            got = values[b * C:(b + 1) * C]
+            assert np.all(np.isfinite(expected[2:]))
+            np.testing.assert_allclose(got, expected, rtol=1e-15, atol=0.0)
+            assert np.array_equal(np.isfinite(got), np.isfinite(expected))
+
+    def test_held_out_row_outside_the_support_ignored(self):
+        data = four_status_data(np.random.default_rng(31))
+        spec = ModelSpec(family="exponential", fixed=("x",))
+        top = int(np.argmax(data.covariates["x"]))
+        uid = int(data.subject_id[top])
+        # a slope whose mean overflows on the held-out unit's row alone
+        x = np.array([0.0, 710.0 / data.covariates["x"][top]])
+        lone = PosteriorModel(spec, data.subset(data.subject_id != uid)).log_posterior(x)
+        assert np.isfinite(lone)
+        assert PosteriorModel(spec, data, held_out=[uid]).log_posterior(x) == pytest.approx(
+            lone, rel=1e-15)
+
+    def test_batch_rows_must_split_into_members(self):
+        post = PosteriorModel(ModelSpec(family="exponential"),
+                              four_status_data(np.random.default_rng(34)), held_out=[1, 2])
+        with pytest.raises(ModelError, match="multiple of 2 rows"):
+            post.log_posterior(np.zeros((3, post.dim)))
+
+    @pytest.mark.parametrize("case", ["four-status-raw", "four-status-interval",
+                                      "tied-widths", "bernoulli-dichotomized"])
+    def test_elpd_equals_lone_fits(self, case):
+        config = SamplerConfig(n_chains=2, n_warmup=100, n_keep=60, seed=7)
+        scoring = {}
+        if case.startswith("four-status"):
+            spec, data, units = (ModelSpec(family="weibull_aft", fixed=("x",)),
+                                 four_status_data(np.random.default_rng(35)), [1, 2, 3, 4])
+            if case.endswith("interval"):
+                scoring = {"mode": "interval", "grid": TimeGrid(0.5, 40)}
+        elif case == "tied-widths":
+            spec, data, units = (ModelSpec(family="exponential",
+                                           smooths=(SmoothSpec("x", n_knots=3),)),
+                                 tied_smooth_data(), [1, 2, 4])
+            widths = {len(ModelDesign(spec, data.subset(data.subject_id != u).covariates)
+                          .parameter_names) for u in units}
+            assert len(widths) == 2
+        else:
+            spec, data = get_preset("bernoulli-gist"), bernoulli_cohort()
+            short = to_short_form(data)
+            units = [int(s) for s in short.subject_id[dichotomize_outcomes(short, 5.0)[1]][:3]]
+            scoring = {"mode": "dichotomized", "horizon": 5.0}
+        refits = exact_refit_loo(spec, data, config, units, **scoring)
+        assert not refits["failures"]
+        assert list(refits["elpd"]) == units
+        for idx, uid in enumerate(units):
+            assert refits["elpd"][uid] == pytest.approx(
+                lone_refit_elpd(spec, data, config, uid, idx, **scoring), rel=1e-12, abs=1e-12)
+
+    def test_failing_unit_isolated(self, monkeypatch):
+        spec = ModelSpec(family="weibull_aft", fixed=("x",))
+        data = four_status_data(np.random.default_rng(36))
+        config = SamplerConfig(n_chains=2, n_warmup=200, n_keep=50, seed=8)
+        units = [1, 2, 3, 4]
+        clean = exact_refit_loo(spec, data, config, units)
+        log_posterior = PosteriorModel.log_posterior
+        calls = []
+
+        def unit_3_rejects_every_proposal(self, x):
+            calls.append(self.held_out)
+            lp = log_posterior(self, x)
+            if len(calls) == 1:  # the initial points stay finite
+                return lp
+            return np.where(np.repeat(np.array(self.held_out) == 3, len(x) // len(self.held_out)),
+                            -np.inf, lp)
+
+        monkeypatch.setattr(PosteriorModel, "log_posterior", unit_3_rejects_every_proposal)
+        refits = exact_refit_loo(spec, data, config, units)
+        assert list(refits["failures"]) == [3]
+        assert "no proposals accepted" in refits["failures"][3]
+        assert refits["elpd"] == {u: v for u, v in clean["elpd"].items() if u != 3}
+        assert (1, 2, 3, 4) in calls and (1, 2, 4) in calls  # the batch reran without unit 3
+
+    def test_unknown_unit_refused_before_sampling(self, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before refusing the unit")
+
+        monkeypatch.setattr("survcheck.sampler.sample_posterior", no_sampling)
+        data = four_status_data(np.random.default_rng(37))
+        with pytest.raises(LooError, match="unit 999 not present"):
+            exact_refit_loo(ModelSpec(family="exponential"), data,
+                            SamplerConfig(n_chains=2, n_warmup=10, n_keep=10), [1, 999])
 
 
 class TestCsvRoundTrip:

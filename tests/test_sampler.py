@@ -233,7 +233,7 @@ class TestFit:
 
         cfg = SamplerConfig(n_chains=1, n_warmup=100, n_keep=10, seed=0)
         with pytest.raises(SamplingError) as err:
-            sample_posterior(log_prob, 1, cfg)
+            sample_posterior(log_prob, 1, cfg, [(0, 0)])
         assert "window" in str(err.value)
         assert err.value.diagnostics["iteration"] == 100
 
@@ -267,7 +267,8 @@ class TestDetailedBalance:
     def test_standard_normal_target(self):
         cfg = SamplerConfig(n_chains=4, n_warmup=1000, n_keep=10_000, seed=123)
         chains, _, rates, _ = sample_posterior(
-            lambda x: -0.5 * np.sum(x * x, axis=1), 1, cfg, init=np.zeros(1))
+            lambda x: -0.5 * np.sum(x * x, axis=1), 1, cfg, [(123, c) for c in range(4)],
+            init=np.zeros(1))
         draws = chains.reshape(-1)
         assert draws.size == 40_000
         assert abs(draws.mean()) < 0.05

@@ -25,7 +25,10 @@ The workloads cover:
   ``group_long_by_subject`` of the raw matrix (raw and interval) and
   ``bernoulli_dichotomized_loglik`` (dichotomized).  The long rows are
   scored as given and in a shuffled order;
-* ``exact_refit_loo`` for the Weibull and Bernoulli presets;
+* ``exact_refit_loo`` for the Weibull and Bernoulli presets in raw mode, the
+  Weibull preset on data holding all four statuses in raw and interval
+  modes (one held-out unit of each status), and the Bernoulli preset in
+  dichotomized mode on five held-out subjects;
 * the predictive checks on the Weibull and Bernoulli fits: ``km_overlay``
   with imputed replicates, ``intervals_data``, ``pit_ecdf_check``,
   ``calibration_check`` on horizon predictions and on Bernoulli rows, and
@@ -121,6 +124,12 @@ def _primitives():
                 yield f"spline.{name}.d{degree}.k{n_knots}", sc.spline_basis(pts, knots, degree)
 
 
+def _refits(prefix, spec, data, units, **scoring):
+    refits = sc.exact_refit_loo(spec, data, REFIT_SAMPLER, units, **scoring)
+    yield prefix, _json({"elpd": [refits["elpd"].get(u) for u in units],
+                         "failures": sorted(map(str, refits["failures"]))})
+
+
 def _cohort():
     long, short = sc.simulate_scenario(sc.ScenarioConfig(n_subjects=90, seed=5))
     for name, col in short.covariates.items():
@@ -160,9 +169,26 @@ def _cohort():
 
     for name, data in (("weibull-gist", short_scaled), ("bernoulli-gist", long_scaled)):
         units = [int(s) for s in short_scaled.subject_id[:2]]
-        refits = sc.exact_refit_loo(sc.get_preset(name), data, REFIT_SAMPLER, units)
-        yield f"refit.{name}", _json({"elpd": [refits["elpd"].get(u) for u in units],
-                                      "failures": sorted(map(str, refits["failures"]))})
+        yield from _refits(f"refit.{name}", sc.get_preset(name), data, units)
+
+
+def _masked_refits():
+    """Exact refits through every status and scoring mode."""
+    _, short = sc.simulate_scenario(sc.ScenarioConfig(n_subjects=80, seed=7))
+    short, _ = sc.scale_covariates(short, ("Size", "AgeAtSurg", "MitHPF"))
+    statuses = _all_statuses(short)
+    units = [int(s) for s in statuses.subject_id[:4]]  # one of each status
+    grid = sc.TimeGrid(1.0, int(np.ceil(statuses.time.max())) + 1)
+    for mode in ("raw", "interval"):
+        yield from _refits(f"refit.weibull-gist.all-statuses.{mode}", sc.get_preset("weibull-gist"),
+                           statuses, units, mode=mode, grid=grid)
+    long, short = sc.simulate_scenario(sc.ScenarioConfig(n_subjects=60, seed=11))
+    short, record = sc.scale_covariates(short, ("Size", "AgeAtSurg", "MitHPF"))
+    long = sc.apply_scaling(long, record)
+    scored = (short.status == sc.data.EVENT) | (short.time >= HORIZON)
+    units = [int(s) for s in short.subject_id[scored][:5]]
+    yield from _refits("refit.bernoulli-gist.dichotomized", sc.get_preset("bernoulli-gist"),
+                       long, units, mode="dichotomized", horizon=HORIZON)
 
 
 def _fit(prefix, res):
@@ -312,8 +338,8 @@ def _cli():
 
 
 def outputs():
-    for workload in (_primitives, _cohort, _uncommon_fits, _checks, _psis_edge_cases,
-                     _pipeline, _cli):
+    for workload in (_primitives, _cohort, _uncommon_fits, _masked_refits, _checks,
+                     _psis_edge_cases, _pipeline, _cli):
         yield from workload()
 
 
