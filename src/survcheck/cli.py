@@ -11,13 +11,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import experiments
 from .checks import (
+    CheckError,
     calibration_check,
     intervals_data,
     km_overlay,
@@ -63,6 +64,12 @@ class CliError(ValueError):
     pass
 
 
+def _json(payload) -> str:
+    # strict JSON (RFC 8259) has no NaN or infinity: they are written as null
+    payload = json.loads(json.dumps(payload), parse_constant=lambda _: None)
+    return json.dumps(payload, indent=1, sort_keys=True, allow_nan=False)
+
+
 class RunDir:
     """Output directory with a manifest of artifacts and resolved config."""
 
@@ -72,14 +79,10 @@ class RunDir:
         self.manifest = {"config": config, "artifacts": []}
 
     def write_json(self, name: str, payload: dict):
-        text = json.dumps(payload, indent=1, sort_keys=True)
-        (self.path / name).write_text(text)
-        self.manifest["artifacts"].append(name)
-        return self.path / name
+        return self.write_text(name, _json(payload))
 
     def write_text(self, name: str, text: str):
-        (self.path / name).write_text(text)
-        self.manifest["artifacts"].append(name)
+        self.register(name).write_text(text)
         return self.path / name
 
     def register(self, name: str):
@@ -87,8 +90,7 @@ class RunDir:
         return self.path / name
 
     def finish(self):
-        (self.path / "manifest.json").write_text(
-            json.dumps(self.manifest, indent=1, sort_keys=True))
+        (self.path / "manifest.json").write_text(_json(self.manifest))
 
 
 def _load_model(spec_arg: str) -> ModelSpec:
@@ -109,8 +111,7 @@ def _load_data(path, long_format: bool, args):
     require_valid(data, f"data in {path}")
     if not args.scaling:
         return data
-    stats = json.loads(Path(args.scaling).read_text())
-    return apply_scaling(data, ScalingRecord({k: tuple(v) for k, v in stats.items()}))
+    return apply_scaling(data, ScalingRecord(json.loads(Path(args.scaling).read_text())))
 
 
 def _sampler_config(args) -> SamplerConfig:
@@ -119,11 +120,11 @@ def _sampler_config(args) -> SamplerConfig:
     )
 
 
-def _add_sampler_args(p):
+def _add_sampler_args(p, warmup=1000, keep=1000, seed=0):
     p.add_argument("--chains", type=int, default=4)
-    p.add_argument("--warmup", type=int, default=1000)
-    p.add_argument("--keep", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--warmup", type=int, default=warmup)
+    p.add_argument("--keep", type=int, default=keep)
+    p.add_argument("--seed", type=int, default=seed)
 
 
 def _add_data_args(p):
@@ -139,15 +140,10 @@ def _add_data_args(p):
 
 
 def cmd_simulate(args) -> int:
-    if args.config:
-        scenario = ScenarioConfig.from_dict(json.loads(Path(args.config).read_text()))
-    else:
-        scenario = ScenarioConfig()
-    if args.seed is not None:
-        scenario = ScenarioConfig.from_dict({**scenario.to_dict(), "seed": args.seed})
-    if args.n_subjects is not None:
-        scenario = ScenarioConfig.from_dict(
-            {**scenario.to_dict(), "n_subjects": args.n_subjects})
+    scenario = (ScenarioConfig.from_dict(json.loads(Path(args.config).read_text()))
+                if args.config else ScenarioConfig())
+    overrides = {"seed": args.seed, "n_subjects": args.n_subjects}
+    scenario = replace(scenario, **{k: v for k, v in overrides.items() if v is not None})
     run = RunDir(args.out, {"command": "simulate", "scenario": scenario.to_dict(),
                             "seed": scenario.seed})
     long, short = simulate_scenario(scenario)
@@ -355,7 +351,7 @@ def cmd_run(args) -> int:
         series = result["checks"][key]
         if isinstance(series, list):
             run.write_text(f"{key}.json", bundle_to_json(
-                [PlotSeries.from_dict(d) for d in series], {"config": result["config"]}))
+                [PlotSeries(**d) for d in series], {"config": result["config"]}))
             result["checks"][key] = f"{key}.json"
     run.write_json("pipeline_results.json", result)
     run.finish()
@@ -450,10 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--factor", type=float, default=30.0)
     p.add_argument("--scenario", help="scenario JSON for hazard-curves")
     p.add_argument("--svg", action="store_true")
-    p.add_argument("--chains", type=int, default=4)
-    p.add_argument("--warmup", type=int, default=2500)
-    p.add_argument("--keep", type=int, default=750)
-    p.add_argument("--seed", type=int, default=7)
+    _add_sampler_args(p, warmup=2500, keep=750, seed=7)
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("run", help="drive a whole pipeline from one config",
@@ -468,8 +461,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, DataError, ModelError, LooError, SamplingError, SamplerConfigError,
-            SimulationError, FileNotFoundError, json.JSONDecodeError) as err:
+    except (CheckError, CliError, DataError, LooError, ModelError, SamplerConfigError,
+            SamplingError, SimulationError, FileNotFoundError, json.JSONDecodeError) as err:
         print(json.dumps({"error": {"type": type(err).__name__, "message": str(err)}}))
         return 1
 

@@ -15,8 +15,9 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import numbers
 from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -49,6 +50,41 @@ _CSV_TO_STATUS.update({s: s for s in STATUSES})
 
 class DataError(ValueError):
     """Malformed dataset or transform precondition failure."""
+
+
+def settings(cls, d, error, **build):
+    """Dataclass ``cls`` from the JSON object ``d``, ``build`` giving each field's
+    builder.  A non-object, unknown key or plain Type/ValueError (a missing key,
+    a wrong type) raises ``error``; the package's own errors pass unchanged."""
+    name, key, kwargs = cls.__name__, None, {}
+    if not isinstance(d, dict):
+        raise error(f"{name} settings must be a JSON object, got {type(d).__name__}")
+    known = [f.name for f in fields(cls)]
+    unknown = sorted(set(d) - set(known))
+    if unknown:
+        raise error(f"unknown {name} settings {unknown}; known: {known}")
+    try:
+        for key, value in d.items():
+            kwargs[key] = build[key](value) if key in build else value
+        key = None
+        return cls(**kwargs)
+    except (AttributeError, TypeError, ValueError) as err:
+        if type(err) not in (AttributeError, TypeError, ValueError):
+            raise
+        raise error(f"bad {name} setting{'s' if key is None else f' {key!r}'}: {err}") from None
+
+
+def require_counts(obj, error, positive, non_negative=()):
+    """Raise ``error`` unless the named fields of ``obj`` are integers, at
+    least 1 for those in ``positive`` and at least 0 for ``non_negative``."""
+    for name in (*positive, *non_negative):
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise error(f"{name} must be an integer, got {value!r}")
+        if value < 1 and name in positive:
+            raise error(f"{name} must be positive, got {value!r}")
+        if value < 0:
+            raise error(f"{name} must be non-negative, got {value!r}")
 
 
 def _freeze(a):
@@ -492,6 +528,14 @@ class ScalingRecord:
     """Per-covariate (mean, sd) used by scale_covariates, for inverse/apply."""
 
     stats: Mapping[str, tuple[float, float]]
+
+    def __post_init__(self):
+        try:
+            ok = all(np.isfinite([mean, sd]).all() and sd > 0 for mean, sd in self.stats.values())
+        except (AttributeError, TypeError, ValueError):
+            ok = False
+        if not ok:
+            raise DataError(f"scaling needs finite (mean, sd > 0) pairs, got {self.stats!r}")
 
     def apply(self, covariates: Mapping[str, float | np.ndarray]) -> dict:
         """Scale a covariate dict (e.g. a new patient) with the stored stats."""

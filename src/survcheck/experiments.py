@@ -15,19 +15,22 @@ treatment stops for the discrete-time model.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .checks import calibration_check, dichotomize_outcomes, interval_outcomes, km_overlay
 from .data import (
+    DataError,
     DrawsMatrix,
     SurvivalDataset,
     TimeGrid,
     TreatmentRule,
     apply_scaling,
+    require_counts,
     rescale_time,
     scale_covariates,
+    settings,
 )
 from .loo import compare, elpd_loo, loglik_matrix, psis_smooth
 from .models import (
@@ -44,7 +47,7 @@ from .models import (
     preset_weibull_gist,
     subject_params,
 )
-from .sampler import SamplerConfig, diagnose, fit
+from .sampler import SamplerConfig, SamplerConfigError, diagnose, fit
 from .series import PlotSeries
 from .simulate import ScenarioConfig, simulate_scenario
 
@@ -296,19 +299,34 @@ def calibration_inputs(spec: ModelSpec, design: ModelDesign, draws, data,
 # whole-pipeline driver (simulate -> fit -> check -> compare)
 
 
+@dataclass(frozen=True)
+class PipelineConfig:
+    """The settings of ``run_pipeline``; the seed defaults to the scenario's + 9."""
+
+    scenario: ScenarioConfig = field(default_factory=ScenarioConfig)
+    sampler: SamplerConfig = field(default_factory=SamplerConfig)
+    horizon: float = 5.0
+    seed: int | None = None
+
+    def __post_init__(self):
+        if self.seed is not None:
+            require_counts(self, DataError, (), ("seed",))
+
+
 def run_pipeline(config: dict) -> dict:
     """One-command case-study reproduction; returns a results dict.
 
     Config keys (all optional): scenario {...}, sampler {...}, horizon,
-    seed.  The pipeline simulates the cohort, fits the three models, runs
-    the recommended checks for each, and compares them on the probability
-    scale (interval mode) plus the dichotomized task for the continuous
-    pair.
+    seed; anything else is a DataError.  The pipeline simulates the cohort,
+    fits the three models, runs the recommended checks for each, and
+    compares them on the probability scale (interval mode) plus the
+    dichotomized task for the continuous pair.
     """
-    scenario = ScenarioConfig.from_dict(config.get("scenario", {}))
-    sampler = SamplerConfig.from_dict(config.get("sampler", {}))
-    horizon = float(config.get("horizon", 5.0))
-    rng = np.random.default_rng(config.get("seed", scenario.seed + 9))
+    pipeline = settings(
+        PipelineConfig, config, DataError, scenario=ScenarioConfig.from_dict, horizon=float,
+        sampler=lambda d: settings(SamplerConfig, d, SamplerConfigError))
+    scenario, sampler, horizon = pipeline.scenario, pipeline.sampler, pipeline.horizon
+    rng = np.random.default_rng(scenario.seed + 9 if pipeline.seed is None else pipeline.seed)
 
     long, short = simulate_scenario(scenario)
     short_scaled, record = scale_covariates(short, CONTINUOUS_COVARIATES)

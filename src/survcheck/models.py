@@ -29,7 +29,7 @@ unconstrained vector directly and is not a prediction path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 from scipy.interpolate import BSpline
@@ -44,6 +44,8 @@ from .data import (
     DrawsMatrix,
     SurvivalDataset,
     TimeGrid,
+    require_counts,
+    settings,
 )
 
 FAMILIES = ("exponential", "weibull_aft", "bernoulli_logit")
@@ -348,9 +350,6 @@ class Prior:
         shape, rate = self.params
         return shape / rate
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "params": list(self.params)}
-
 
 def _t_log_pdf(x, df, loc, scale):
     z = (np.asarray(x, dtype=float) - loc) / scale
@@ -381,10 +380,6 @@ def gamma(shape, rate) -> Prior:
     return Prior("gamma", (float(shape), float(rate)))
 
 
-def prior_from_dict(d: dict) -> Prior:
-    return Prior(d["kind"], tuple(float(v) for v in d["params"]))
-
-
 # ---------------------------------------------------------------------------
 # spline basis
 
@@ -398,10 +393,7 @@ class SmoothSpec:
     n_knots: int = 5
 
     def __post_init__(self):
-        if self.degree < 1:
-            raise ModelError("basis degree must be >= 1")
-        if self.n_knots < 0:
-            raise ModelError("n_knots must be >= 0")
+        require_counts(self, ModelError, ("degree",), ("n_knots",))
 
 
 def spline_knots(x, n_knots: int, degree: int) -> np.ndarray:
@@ -453,15 +445,6 @@ class PriorSet:
     shape: Prior = field(default_factory=lambda: gamma(0.01, 0.01))
     smooth_scale: Prior = field(default_factory=lambda: half_student_t(3, 2.5))
 
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k).to_dict() for k in
-                ("intercept", "fixed", "smooth_coef", "shape", "smooth_scale")}
-
-    @staticmethod
-    def from_dict(d: dict) -> "PriorSet":
-        kw = {k: prior_from_dict(v) for k, v in d.items()}
-        return PriorSet(**kw)
-
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -494,33 +477,17 @@ class ModelSpec:
         return self.family == "weibull_aft"
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "family": self.family,
-            "intercept": self.intercept,
-            "fixed": list(self.fixed),
-            "smooths": [
-                {"name": s.name, "degree": s.degree, "n_knots": s.n_knots}
-                for s in self.smooths
-            ],
-            "hierarchical_smooths": self.hierarchical_smooths,
-            "priors": self.priors.to_dict(),
-        }
+        return asdict(self)
 
     @staticmethod
-    def from_dict(d: dict) -> "ModelSpec":
-        return ModelSpec(
-            family=d["family"],
-            fixed=tuple(d.get("fixed", ())),
-            smooths=tuple(
-                SmoothSpec(s["name"], s.get("degree", 3), s.get("n_knots", 5))
-                for s in d.get("smooths", ())
-            ),
-            intercept=d.get("intercept", True),
-            priors=PriorSet.from_dict(d["priors"]) if "priors" in d else PriorSet(),
-            hierarchical_smooths=d.get("hierarchical_smooths", False),
-            name=d.get("name", ""),
-        )
+    def from_dict(d) -> "ModelSpec":
+        def prior(p):
+            return settings(Prior, p, ModelError, params=lambda v: tuple(map(float, v)))
+        return settings(
+            ModelSpec, d, ModelError,
+            smooths=lambda terms: [settings(SmoothSpec, t, ModelError) for t in terms],
+            priors=lambda ps: settings(PriorSet, ps, ModelError,
+                                       **{f.name: prior for f in fields(PriorSet)}))
 
 
 class ModelDesign:
@@ -559,6 +526,9 @@ class ModelDesign:
         """
         if isinstance(draws, DrawsMatrix):
             names = draws.parameter_names
+            missing = [nm for nm in self.parameter_names if nm not in names]
+            if missing:
+                raise ModelError(f"draws lack the model's parameters {missing}")
             return draws.draws.take([names.index(nm) for nm in self.parameter_names], axis=1)
         return np.asarray(draws, dtype=float)
 
@@ -643,6 +613,8 @@ def posterior_predictive_times(
     """Simulate event times, one (S, n) matrix of times: row s uses draw s."""
     if spec.family == "bernoulli_logit":
         raise ModelError("posterior predictive event times are for continuous families")
+    if n_draws is not None and n_draws < 1:
+        raise ModelError(f"n_draws must be at least 1, got {n_draws}")
     params = subject_params(spec, design, draws, data.covariates, n_rows=data.n)
     total = params["mean"].shape[1]
     if n_draws is not None and n_draws < total:

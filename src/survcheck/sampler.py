@@ -16,14 +16,14 @@ a chain's draws do not depend on the chains beside it.
 from __future__ import annotations
 
 import functools
-import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtri
 from scipy.stats import rankdata
 
 from .data import DrawsMatrix, LongDataset, SurvivalDataset, require_valid
+from .data import require_counts
 from .models import (
     ModelDesign,
     ModelError,
@@ -66,22 +66,7 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_chains", "n_warmup", "n_keep", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise SamplerConfigError(f"{name} must be an integer, got {value!r}")
-            if value < 1 and name != "seed":
-                raise SamplerConfigError(f"{name} must be positive, got {value!r}")
-            if value < 0:
-                raise SamplerConfigError(f"{name} must be non-negative, got {value!r}")
-
-    @staticmethod
-    def from_dict(d: dict) -> "SamplerConfig":
-        known = [f.name for f in fields(SamplerConfig)]
-        unknown = sorted(set(d) - set(known))
-        if unknown:
-            raise SamplerConfigError(f"unknown sampler settings {unknown}; known: {known}")
-        return SamplerConfig(**d)
+        require_counts(self, SamplerConfigError, ("n_chains", "n_warmup", "n_keep"), ("seed",))
 
 
 @dataclass

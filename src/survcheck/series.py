@@ -50,10 +50,6 @@ class PlotSeries:
         return {"name": self.name, "kind": self.kind, "data": self.data,
                 "metadata": self.metadata}
 
-    @staticmethod
-    def from_dict(d: dict) -> "PlotSeries":
-        return PlotSeries(d["name"], d["kind"], d["data"], d.get("metadata", {}))
-
     @property
     def color(self) -> str:
         return self.metadata.get(

@@ -12,12 +12,11 @@ right after it stops, then decay); they are not fitted to any real data.
 
 from __future__ import annotations
 
-import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .data import ON_NAME, SINCE_NAME, TIME_NAME
+from .data import ON_NAME, SINCE_NAME, TIME_NAME, require_counts, settings
 from .data import LongDataset, SurvivalDataset, TreatmentRule, to_short_form
 from .models import logistic
 
@@ -46,9 +45,6 @@ class CovariateGen:
                 raise SimulationError("bernoulli probability must be in [0, 1]")
             return (rng.random(n) < p).astype(float)
         raise SimulationError(f"unknown covariate generator {self.kind!r}")
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "params": list(self.params)}
 
 
 def _default_covariates() -> dict[str, CovariateGen]:
@@ -97,46 +93,21 @@ class ScenarioConfig:
     time_unit: str = "years"
 
     def __post_init__(self):
-        for name in ("n_subjects", "treatment_duration", "max_follow_up", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise SimulationError(f"{name} must be an integer, got {value!r}")
-        if self.n_subjects < 1:
-            raise SimulationError(f"n_subjects must be positive, got {self.n_subjects!r}")
-        if self.seed < 0:
-            raise SimulationError(f"seed must be non-negative, got {self.seed!r}")
+        require_counts(self, SimulationError, ("n_subjects",),
+                       ("treatment_duration", "max_follow_up", "seed"))
         if self.treatment_duration < 1 or self.max_follow_up < self.treatment_duration:
             raise SimulationError("follow-up must cover the treatment duration")
 
     def to_dict(self) -> dict:
-        return {
-            "n_subjects": self.n_subjects,
-            "covariates": {k: v.to_dict() for k, v in self.covariates.items()},
-            "coefficients": dict(self.coefficients),
-            "tsa_scale": self.tsa_scale,
-            "tsa_decay": self.tsa_decay,
-            "standardize": {k: list(v) for k, v in self.standardize.items()},
-            "treatment_duration": self.treatment_duration,
-            "max_follow_up": self.max_follow_up,
-            "seed": self.seed,
-            "time_unit": self.time_unit,
-        }
+        return asdict(self)
 
     @staticmethod
-    def from_dict(d: dict) -> "ScenarioConfig":
-        known = [f.name for f in fields(ScenarioConfig)]
-        unknown = sorted(set(d) - set(known))
-        if unknown:
-            raise SimulationError(f"unknown scenario settings {unknown}; known: {known}")
-        kw = dict(d)
-        if "covariates" in kw:
-            kw["covariates"] = {
-                k: CovariateGen(v["kind"], tuple(v["params"]))
-                for k, v in kw["covariates"].items()
-            }
-        if "standardize" in kw:
-            kw["standardize"] = {k: tuple(v) for k, v in kw["standardize"].items()}
-        return ScenarioConfig(**kw)
+    def from_dict(d) -> "ScenarioConfig":
+        def gen(g):
+            return settings(CovariateGen, g, SimulationError, params=tuple)
+        return settings(ScenarioConfig, d, SimulationError,
+                        covariates=lambda gens: {k: gen(g) for k, g in gens.items()},
+                        standardize=lambda pairs: {k: tuple(v) for k, v in pairs.items()})
 
 
 def gen_covariates(config: ScenarioConfig, rng: np.random.Generator) -> dict:

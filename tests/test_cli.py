@@ -206,7 +206,7 @@ def test_experiment_timescale(tmp_path, capsys):
     assert "censored_max_abs_change" in printed
 
 
-def test_error_json_on_bad_input(tmp_path, capsys):
+def test_error_json_on_bad_input(workspace, tmp_path, capsys):
     code = main(["fit", "--data", str(tmp_path / "missing.csv"),
                  "--model", "exponential-gist", "--out", str(tmp_path / "x")])
     assert code == 1
@@ -245,6 +245,55 @@ def test_error_json_on_bad_input(tmp_path, capsys):
         (["simulate", "--out", str(tmp_path / "x"), "--n-subjects", "0"],
          "SimulationError", "n_subjects"),
     ]
+
+    def settings_file(name, payload):
+        path = tmp_path / name
+        path.write_text(json.dumps(payload))
+        return str(path)
+
+    # spec files: a misspelt key, an unknown prior slot, a smooth without a
+    # name and a prior without params
+    spec = {"family": "exponential", "fixed": ["x"]}
+    for n, (bad, message) in enumerate((
+            ({"hierarchical_smooth": True}, "'hierarchical_smooth'"),
+            ({"priors": {"slope": {"kind": "normal", "params": [0, 1]}}}, "'slope'"),
+            ({"smooths": [{"degree": 3}]}, "'name'"),
+            ({"priors": {"fixed": {"kind": "normal"}}}, "'params'"))):
+        cases.append((["fit", "--data", str(good), "--out", str(tmp_path / "x"),
+                       "--model", settings_file(f"spec_{n}.json", {**spec, **bad})],
+                      "ModelError", message))
+    # scenario files: a covariate generator without params, a standardize
+    # entry that is not a (center, spread) pair
+    for n, (bad, message) in enumerate((
+            ({"covariates": {"Size": {"kind": "lognormal"}}}, "'params'"),
+            ({"standardize": {"Size": 5}}, "'standardize'"))):
+        cases.append((["simulate", "--out", str(tmp_path / "x"),
+                       "--config", settings_file(f"scenario_{n}.json", bad)],
+                      "SimulationError", message))
+    # pipeline files: a misspelt top-level key, a list, a negative seed
+    for n, (bad, message) in enumerate((({"samplr": {"n_chains": 1}}, "'samplr'"),
+                                        ([1, 2], "got list"),
+                                        ({"seed": -2}, "seed must be non-negative, got -2"))):
+        cases.append((["run", "--out", str(tmp_path / "x"),
+                       "--pipeline", settings_file(f"top_{n}.json", bad)], "DataError", message))
+
+    # check options, draws of another model, a malformed --scaling file
+    sim, fitdir = workspace["sim"], workspace["fits"]["exponential-gist"]
+    check = ["--data", str(sim / "short.csv"), "--model", "exponential-gist",
+             "--draws", str(fitdir / "draws.csv"), "--scaling", str(fitdir / "scaling.json"),
+             "--out", str(tmp_path / "x")]
+    cases += [
+        (["check", "km", *check, "--cutoff-factor", "0.5"], "CheckError", "cutoff_factor"),
+        (["check", "pit-ecdf", *check, "--level", "1.5"], "CheckError", "level"),
+        (["check", "km", *check, "--n-pred-draws", "0"], "ModelError", "n_draws"),
+        (["check", "km", *check, "--n-pred-draws", "-3"], "ModelError", "got -3"),
+        (["check", "calibration", "--data", str(sim / "long.csv"), "--format", "long",
+          "--model", "bernoulli-gist", "--draws", str(fitdir / "draws.csv"),
+          "--out", str(tmp_path / "x")], "ModelError", "'b_AdjOn'"),
+        (["fit", "--data", str(good), "--model", "exponential-gist",
+          "--out", str(tmp_path / "x"), "--scaling", settings_file("scaling.json", {"x": 5})],
+         "DataError", "{'x': 5}"),
+    ]
     for config, error, message in (
             ({"sampler": {"n_chains": 0}}, "SamplerConfigError", "n_chains"),
             ({"sampler": {"n_chain": 2}}, "SamplerConfigError", "'n_chain'"),
@@ -273,6 +322,20 @@ def test_error_json_on_bad_input(tmp_path, capsys):
         err = json.loads(capsys.readouterr().out)
         assert err["error"]["type"] == error
         assert message in err["error"]["message"]
+
+
+def test_one_chain_diagnostics_are_strict_json(workspace, tmp_path):
+    # split-R-hat needs two chains; its NaN is written as null, not a bare NaN
+    out = tmp_path / "one"
+    assert main(["fit", "--data", str(workspace["sim"] / "short.csv"), "--model",
+                 "exponential-gist", "--out", str(out), "--chains", "1", "--warmup", "50",
+                 "--keep", "50"]) == 0
+
+    def refuse(token):
+        raise ValueError(f"non-JSON constant {token}")
+
+    diag = json.loads((out / "diagnostics.json").read_text(), parse_constant=refuse)
+    assert all(v is None for v in diag["rhat"].values())
 
 
 def test_pipeline_run(tmp_path):

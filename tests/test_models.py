@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -11,11 +12,16 @@ from survcheck.models import (
     ModelDesign,
     ModelError,
     ModelSpec,
+    PRESETS,
+    PriorSet,
     SaturationError,
+    SmoothSpec,
     bernoulli_log_score,
     cdf,
     eta,
+    gamma,
     get_preset,
+    half_student_t,
     hazard,
     impute_censored,
     log_density,
@@ -450,6 +456,14 @@ class TestPresets:
         assert w.priors.shape.params == (0.01, 0.01)
 
     def test_spec_dict_round_trip(self):
-        spec = get_preset("weibull-gist")
-        back = ModelSpec.from_dict(spec.to_dict())
-        assert back == spec
+        custom = ModelSpec(
+            family="weibull_aft", fixed=("GenderMale",), name="custom",
+            smooths=(SmoothSpec("Size", degree=2, n_knots=3), SmoothSpec("MitHPF")),
+            hierarchical_smooths=True,
+            priors=PriorSet(intercept=student_t(3, 2.3, 2.5), fixed=normal(0, 1.5),
+                            shape=gamma(2, 1), smooth_scale=half_student_t(3, 1)))
+        for spec in [get_preset(name) for name in PRESETS] + [custom]:
+            text = json.dumps(spec.to_dict(), sort_keys=True)
+            back = ModelSpec.from_dict(json.loads(text))
+            assert back == spec
+            assert json.dumps(back.to_dict(), sort_keys=True) == text

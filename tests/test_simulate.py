@@ -147,6 +147,12 @@ class TestReport:
         assert rep["censoring_fraction"] == pytest.approx(direct)
 
     def test_config_round_trip(self):
-        cfg = ScenarioConfig(n_subjects=33, seed=13)
-        back = ScenarioConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
+        cfg = ScenarioConfig(
+            n_subjects=33, seed=13, treatment_duration=2, max_follow_up=7,
+            covariates={"Size": CovariateGen("lognormal", (4.0, 0.5)),
+                        "AdjTreatm": CovariateGen("bernoulli", (0.3,))},
+            coefficients={"intercept": -2.0, "Size": 0.4}, standardize={"Size": (50, 30.5)})
+        text = json.dumps(cfg.to_dict(), sort_keys=True)
+        back = ScenarioConfig.from_dict(json.loads(text))
         assert back == cfg
+        assert json.dumps(back.to_dict(), sort_keys=True) == text

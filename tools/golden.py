@@ -41,7 +41,11 @@ The workloads cover:
   positive exceedances, ties at the tail cutoff, underflowing weights and
   a heavy tail;
 * ``run_pipeline``, and the artifacts of ``survcheck simulate``, ``fit``,
-  ``compare interval|dichotomized`` with a Bernoulli model, and ``run``.
+  ``compare interval|dichotomized`` with a Bernoulli model, and ``run``;
+* settings files read from disk: ``simulate --config`` with a scenario
+  that sets every field, ``fit --model`` with a hierarchical-smooths
+  Weibull spec whose priors use all four kinds, and ``run`` with a
+  pipeline naming every top-level key.
 
 Only numpy and the standard library are used besides survcheck itself.
 """
@@ -73,6 +77,50 @@ PIPELINE = {
     "horizon": 5,
 }
 CLI_SAMPLER = ["--chains", "2", "--warmup", "150", "--keep", "100"]
+# settings files that set every field; integers where the readers take floats
+SCENARIO = {
+    "n_subjects": 70,
+    "covariates": {
+        "Size": {"kind": "lognormal", "params": [4.1, 0.5]},
+        "AgeAtSurg": {"kind": "normal", "params": [60, 11]},
+        "MitHPF": {"kind": "lognormal", "params": [1.5, 0.9]},
+        "GenderMale": {"kind": "bernoulli", "params": [0.45]},
+        "Rupture": {"kind": "bernoulli", "params": [0.2]},
+        "Gastric": {"kind": "bernoulli", "params": [0.55]},
+        "AdjTreatm": {"kind": "bernoulli", "params": [0.6]},
+    },
+    "coefficients": {"intercept": -2.8, "AdjOn": -1.4, "Rupture": 1, "Size": 0.5,
+                     "MitHPF": 0.6},
+    "tsa_scale": 1.1,
+    "tsa_decay": 0.5,
+    "standardize": {"Size": [60, 40], "AgeAtSurg": [60.0, 11.0], "MitHPF": [7, 9]},
+    "treatment_duration": 2,
+    "max_follow_up": 8,
+    "seed": 19,
+    "time_unit": "years",
+}
+SPEC = {
+    "name": "weibull-custom",
+    "family": "weibull_aft",
+    "intercept": True,
+    "fixed": ["GenderMale", "Rupture", "AdjTreatm"],
+    "smooths": [{"name": "Size", "degree": 2, "n_knots": 3}, {"name": "MitHPF"},
+                {"name": "AgeAtSurg", "n_knots": 4}],
+    "hierarchical_smooths": True,
+    "priors": {
+        "intercept": {"kind": "student_t", "params": [3, 2.3, 2.5]},
+        "fixed": {"kind": "normal", "params": [0, 1.5]},
+        "smooth_coef": {"kind": "normal", "params": [0.0, 2]},
+        "shape": {"kind": "gamma", "params": [2, 1]},
+        "smooth_scale": {"kind": "half_student_t", "params": [3, 1]},
+    },
+}
+FULL_PIPELINE = {
+    "scenario": {**SCENARIO, "n_subjects": 60},
+    "sampler": {"n_chains": 2, "n_warmup": 120, "n_keep": 80, "seed": 6},
+    "horizon": 4,
+    "seed": 23,
+}
 
 
 def _json(value) -> bytes:
@@ -301,8 +349,31 @@ def _pipeline():
     yield "run_pipeline", _json(sc.experiments.run_pipeline(PIPELINE))
 
 
+def _cli_files(prefix, inputs, calls):
+    """Run CLI ``calls`` in a scratch directory holding the JSON ``inputs``;
+    yield each call's exit code and every file it wrote."""
+    out = []
+    # relative paths in a scratch directory keep the manifests independent
+    # of where the check runs
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(sys.stderr):
+        os.chdir(tmp)
+        try:
+            for name, value in inputs.items():
+                Path(name).write_text(json.dumps(value))
+            for argv in calls:
+                out.append((f"{prefix}.exit.{argv[argv.index('--out') + 1]}",
+                            _json(cli_main(argv))))
+            out += [(f"{prefix}.file.{path.as_posix()}", path.read_bytes())
+                    for path in sorted(Path(".").rglob("*"))
+                    if path.is_file() and path.name not in inputs]
+        finally:
+            os.chdir(cwd)
+    return out
+
+
 def _cli():
-    calls = [
+    return _cli_files("cli", {"pipeline.json": PIPELINE}, [
         ["simulate", "--out", "sim", "--seed", "3", "--n-subjects", "60"],
         ["fit", "--data", "sim/short.csv", "--model", "weibull-gist",
          "--out", "wei", *CLI_SAMPLER, "--seed", "1"],
@@ -317,29 +388,26 @@ def _cli():
            "--out", f"cmp_{mode}", "--grid-intervals", "10", "--save-loglik"]
           for mode in ("interval", "dichotomized")],
         ["run", "--pipeline", "pipeline.json", "--out", "run"],
-    ]
-    out = []
-    # relative paths in a scratch directory keep the manifests independent
-    # of where the check runs
-    cwd = os.getcwd()
-    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(sys.stderr):
-        os.chdir(tmp)
-        try:
-            Path("pipeline.json").write_text(json.dumps(PIPELINE))
-            for argv in calls:
-                out.append((f"cli.exit.{argv[argv.index('--out') + 1]}",
-                            _json(cli_main(argv))))
-            out += [(f"cli.file.{path.as_posix()}", path.read_bytes())
-                    for path in sorted(Path(".").rglob("*"))
-                    if path.is_file() and path.name != "pipeline.json"]
-        finally:
-            os.chdir(cwd)
-    return out
+    ])
+
+
+def _settings():
+    """Settings files read from disk: a scenario that sets every field, a
+    spec with hierarchical smooths and custom priors of every kind, and a
+    pipeline naming every top-level key."""
+    return _cli_files("settings", {
+        "scenario.json": SCENARIO, "spec.json": SPEC, "pipeline.json": FULL_PIPELINE,
+    }, [
+        ["simulate", "--config", "scenario.json", "--out", "sim"],
+        ["fit", "--data", "sim/short.csv", "--model", "spec.json", "--out", "fit",
+         "--scale", "Size,AgeAtSurg,MitHPF", *CLI_SAMPLER, "--seed", "4"],
+        ["run", "--pipeline", "pipeline.json", "--out", "run"],
+    ])
 
 
 def outputs():
     for workload in (_primitives, _cohort, _uncommon_fits, _masked_refits, _checks,
-                     _psis_edge_cases, _pipeline, _cli):
+                     _psis_edge_cases, _pipeline, _cli, _settings):
         yield from workload()
 
 
