@@ -166,7 +166,7 @@ def km_overlay(
     (optionally) one KM curve per imputed dataset replicate, tagged with the
     ``imputed`` role so renderers can separate the colours.
     """
-    if cutoff_factor < 1:
+    if not cutoff_factor >= 1:  # NaN too
         raise CheckError("cutoff_factor must be >= 1")
     draws = np.atleast_2d(np.asarray(predictive_draws, dtype=float))
     if draws.shape[0] < 1:

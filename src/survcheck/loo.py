@@ -41,6 +41,7 @@ from .models import (
     PROBABILITY,
     ModelDesign,
     ModelSpec,
+    Rate,
     bernoulli_log_score,
     cdf,
     group_log_scores,
@@ -212,10 +213,14 @@ def loglik_matrix(
     if mode == "interval" and grid is None:
         raise LooError("interval mode needs a grid")
     groups = score_groups(data, grid if mode == "interval" else None)
+    # the kernel takes rows on the last axis: (S, n) views of the (n, S) params
+    rate = Rate.of(spec.family, {k: v.T for k, v in params.items()})
     vals = np.empty(params["mean"].shape)
     tags = np.empty(data.n, dtype=object)
-    for g, scores in zip(groups, group_log_scores(spec.family, groups, params)):
-        vals[g.rows] = scores
+    with np.errstate(divide="ignore"):
+        scores = group_log_scores(spec.family, groups, rate)
+    for g, s in zip(groups, scores):
+        vals[g.rows] = s.T
         tags[g.rows] = g.tag
     ids = tuple(int(s) for s in data.subject_id)
     return LogLikMatrix(vals.T, tuple(tags), ids, data.time_unit)
@@ -561,9 +566,9 @@ def exact_refit_loo(
     For each unit (a subject: all its rows in long format), the model is
     refitted on the remaining records and the held-out unit's predictive
     score (``loglik_matrix`` in ``mode``) is the log average of its
-    likelihood over the refit draws.  A unit not in the data is a LooError
-    before any sampling, one not scored in ``mode`` a LooError after it.
-    Returns {unit_id: elpd} plus per-unit failures.
+    likelihood over the refit draws.  A unit not in the data, or one given
+    twice, is a LooError before any sampling, one not scored in ``mode`` a
+    LooError after it.  Returns {unit_id: elpd} plus per-unit failures.
 
     All refits run as one batch (``PosteriorModel`` with ``held_out``) in one
     lockstep sampling loop; only units whose spline widths differ (tied
@@ -578,18 +583,21 @@ def exact_refit_loo(
     if not isinstance(data, (SurvivalDataset, LongDataset)):
         raise DataError("unsupported data type")
     unit_ids = list(unit_ids)
+    if len(set(unit_ids)) < len(unit_ids):
+        raise LooError("unit ids to refit must be distinct")
     batches: dict = {}
+    designs = []  # each unit's, built once: they batch the units and bind the model
     for idx, uid in enumerate(unit_ids):
         keep = data.subject_id != uid
         if keep.all():
             raise LooError(f"unit {uid!r} not present in the data")
-        train = {k: v[keep] for k, v in data.covariates.items()}
-        batches.setdefault(tuple(ModelDesign(spec, train).parameter_names), []).append(idx)
+        designs.append(ModelDesign(spec, {k: v[keep] for k, v in data.covariates.items()}))
+        batches.setdefault(tuple(designs[idx].parameter_names), []).append(idx)
     C = config.n_chains
     results = {}
     for pending in batches.values():
         while pending:
-            post = PosteriorModel(spec, data, [unit_ids[i] for i in pending])
+            post = PosteriorModel(spec, data, {unit_ids[i]: designs[i] for i in pending})
             seeds = [(config.seed * 100003 + i + 1, c) for i in pending for c in range(C)]
             try:
                 chains = sample_posterior(post.log_posterior, post.dim, config, seeds,

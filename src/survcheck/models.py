@@ -15,9 +15,15 @@ CDF differences for interval censoring).  Every log score carries a
 density/probability tag because the two must never be mixed when comparing
 models across time scales.  One vectorized kernel (``score_groups`` and
 ``group_log_scores``) computes these scores for both the sampler's
-likelihood and the pointwise LOO matrices.  Family parameters are a dict
-holding the 'mean' (and for Weibull the 'shape'); the scalar oracle the
-kernel is tested against is ``tests/pointwise_oracle.py``.
+likelihood and the pointwise LOO matrices.  Its time terms (log t, and
+the t > 0 mask of censor times) are fixed per score group when the data is
+bound, and checked there once; each evaluation computes the rate theta
+once, over all rows (a ``Rate``), and each status's score reads it.  The
+score of each status is written once, for both the kernel and the family
+functions (``log_density``, ``log_survival``, ...), so each kernel score
+is bitwise the family function's.  Family parameters are a dict holding
+the 'mean' (and for Weibull the 'shape'); the scalar oracle the kernel is
+tested against is ``tests/pointwise_oracle.py``.
 
 ``subject_params`` is the one path from posterior draws to predictions: the
 family parameters of every (row, draw), or for the Bernoulli family the
@@ -28,6 +34,7 @@ unconstrained vector directly and is not a prediction path.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass, field, fields, replace
 
@@ -70,22 +77,6 @@ class SaturationError(ModelError):
 # family math (vectorized over params and t)
 
 
-def _rate(family: str, params, check: bool = True) -> np.ndarray:
-    """Canonical rate theta from the 'mean'; ``check`` rejects one outside the support."""
-    if family not in ("exponential", "weibull_aft"):
-        raise ModelError(f"no continuous-time rate for family {family!r}")
-    if "mean" not in params:
-        raise ModelError(f"{family} needs a 'mean'")
-    mean = np.asarray(params["mean"], dtype=float)
-    if family == "exponential":
-        theta = 1.0 / mean
-    else:
-        theta = np.exp(gammaln(1.0 + 1.0 / _shape(params, check))) / mean
-    if check and (np.any(theta <= 0) or not np.all(np.isfinite(theta))):
-        raise ModelError("rate must be positive and finite")
-    return theta
-
-
 def _shape(params, check: bool = True) -> np.ndarray:
     alpha = np.asarray(params.get("shape"), dtype=float)
     if params.get("shape") is None or (check and np.any(alpha <= 0)):
@@ -93,42 +84,119 @@ def _shape(params, check: bool = True) -> np.ndarray:
     return alpha
 
 
-def in_support(family: str, params) -> np.ndarray:
-    """(S,) mask of the draws of an (n, S) 'mean' (and (1, S) 'shape') whose
-    rate on every row and shape are positive and finite: the others' scores
-    raise ModelError or are NaN.  Out-of-range values warn outside np.errstate."""
-    theta = _rate(family, params, check=False)
-    ok = np.all((theta > 0) & np.isfinite(theta), axis=0)
-    if family == "weibull_aft":
-        alpha = _shape(params, check=False)
-        ok &= np.all((alpha > 0) & np.isfinite(alpha), axis=0)
+class Rate:
+    """The rate theta of a family and, for Weibull, the shape alpha and its
+    log; log theta is computed on first use.  The score of every status is
+    read off one Rate, so an evaluation computes theta once."""
+
+    def __init__(self, theta, shape=None, log_shape=None):
+        self.theta, self.shape, self._log_theta = theta, shape, None
+        self.log_shape = log_shape if shape is None or log_shape is not None else np.log(shape)
+
+    @property
+    def log_theta(self) -> np.ndarray:
+        if self._log_theta is None:
+            self._log_theta = np.log(self.theta)
+        return self._log_theta
+
+    @classmethod
+    def of(cls, family: str, params, check: bool = True) -> "Rate":
+        """Canonical rate theta from the 'mean' (and Weibull 'shape');
+        ``check`` rejects one outside the support with a ModelError."""
+        if family not in ("exponential", "weibull_aft"):
+            raise ModelError(f"no continuous-time rate for family {family!r}")
+        if "mean" not in params:
+            raise ModelError(f"{family} needs a 'mean'")
+        mean = np.asarray(params["mean"], dtype=float)
+        shape = None
+        if family == "exponential":
+            theta = 1.0 / mean
+        else:
+            shape = _shape(params, check)
+            theta = np.exp(gammaln(1.0 + 1.0 / shape)) / mean
+        if check and (np.any(theta <= 0) or not np.all(np.isfinite(theta))):
+            raise ModelError("rate must be positive and finite")
+        return cls(theta, shape)
+
+    def take(self, rows) -> "Rate":
+        """The rate of the rows ``rows`` of the last axis (shape shared)."""
+        theta = self.theta
+        # take copies an array that is not C-ordered to C order first
+        part = theta.take(rows, axis=-1) if theta.flags.c_contiguous else theta[..., rows]
+        return Rate(part, self.shape, self.log_shape)
+
+
+def in_support(rate: Rate) -> np.ndarray:
+    """Mask over the leading axes of the draws whose rate on every row (the
+    last axis) and shape are positive and finite: the others' scores raise
+    ModelError or are NaN.  Out-of-range values warn outside np.errstate."""
+    ok = ((rate.theta > 0) & np.isfinite(rate.theta)).all(axis=-1)
+    if rate.shape is not None:
+        ok &= ((rate.shape > 0) & np.isfinite(rate.shape)).all(axis=-1)
     return ok
 
 
-def log_density(family: str, params, t) -> np.ndarray:
+# the score of each status, written once for the family functions below and
+# the kernel (``group_log_scores``): a Rate and fixed time terms, t and log t
+# (for survival, -inf at t = 0, and the mask t > 0)
+
+
+def _event_terms(t) -> tuple:
     t = np.asarray(t, dtype=float)
     if np.any(t <= 0):
         raise ModelError("event times must be positive")
-    theta = _rate(family, params)
-    if family == "exponential":
-        return np.log(theta) - theta * t
-    alpha = _shape(params)
-    z = np.exp(alpha * (np.log(theta) + np.log(t)))
-    return np.log(alpha) + alpha * np.log(theta) + (alpha - 1.0) * np.log(t) - z
+    return t, np.log(t)
 
 
-def log_survival(family: str, params, t) -> np.ndarray:
+def _survival_terms(t) -> tuple:
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ModelError("times must be non-negative")
-    theta = _rate(family, params)
-    if family == "exponential":
-        return -theta * t
-    alpha = _shape(params)
     with np.errstate(divide="ignore"):
-        logt = np.where(t > 0, np.log(np.maximum(t, 1e-300)), -np.inf)
-    z = np.where(t > 0, np.exp(alpha * (np.log(theta) + logt)), 0.0)
-    return -z
+        return t, np.where(t > 0, np.log(np.maximum(t, 1e-300)), -np.inf), t > 0
+
+
+def _interval_terms(a, b) -> tuple:
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if np.any(a >= b):
+        raise ModelError("interval bounds need a < b")
+    return _survival_terms(a), _survival_terms(b)
+
+
+def _event_score(family: str, r: Rate, t, log_t) -> np.ndarray:
+    if family == "exponential":
+        return r.log_theta - r.theta * t
+    z = np.exp(r.shape * (r.log_theta + log_t))
+    return r.log_shape + r.shape * r.log_theta + (r.shape - 1.0) * log_t - z
+
+
+def _survival_score(family: str, r: Rate, t, log_t, positive) -> np.ndarray:
+    if family == "exponential":
+        return -r.theta * t
+    return -np.where(positive, np.exp(r.shape * (r.log_theta + log_t)), 0.0)
+
+
+def _left_score(family: str, r: Rate, *terms) -> np.ndarray:
+    """log F(t); -inf where F(t) is 0 (divide warnings are the caller's)."""
+    return np.log(-np.expm1(_survival_score(family, r, *terms)))
+
+
+def _interval_score(family: str, r: Rate, a_terms, b_terms) -> np.ndarray:
+    """log(S(a) - S(b)); -inf where it is 0 (divide warnings are the caller's)."""
+    ls_a = _survival_score(family, r, *a_terms)
+    ls_b = _survival_score(family, r, *b_terms)
+    return ls_a + np.log(-np.expm1(np.minimum(ls_b - ls_a, 0.0)))
+
+
+def log_density(family: str, params, t) -> np.ndarray:
+    terms = _event_terms(t)
+    return _event_score(family, Rate.of(family, params), *terms)
+
+
+def log_survival(family: str, params, t) -> np.ndarray:
+    terms = _survival_terms(t)
+    return _survival_score(family, Rate.of(family, params), *terms)
 
 
 def cdf(family: str, params, t) -> np.ndarray:
@@ -138,35 +206,29 @@ def cdf(family: str, params, t) -> np.ndarray:
 
 def log_interval_prob(family: str, params, a, b) -> np.ndarray:
     """log(F(b) - F(a)) = log(S(a) - S(b)), stable for short intervals."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if np.any(a >= b):
-        raise ModelError("interval bounds need a < b")
-    ls_a = log_survival(family, params, a)
-    ls_b = log_survival(family, params, b)
+    terms = _interval_terms(a, b)
+    rate = Rate.of(family, params)
     with np.errstate(divide="ignore"):
-        return ls_a + np.log(-np.expm1(np.minimum(ls_b - ls_a, 0.0)))
+        return _interval_score(family, rate, *terms)
 
 
 def hazard(family: str, params, t) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     if np.any(t <= 0):
         raise ModelError("hazard needs t > 0")
-    theta = _rate(family, params)
+    r = Rate.of(family, params)
     if family == "exponential":
-        return np.broadcast_to(theta, np.broadcast_shapes(theta.shape, t.shape)).copy()
-    alpha = _shape(params)
-    return theta * alpha * np.exp((alpha - 1.0) * (np.log(theta) + np.log(t)))
+        return np.broadcast_to(r.theta, np.broadcast_shapes(r.theta.shape, t.shape)).copy()
+    return r.theta * r.shape * np.exp((r.shape - 1.0) * (r.log_theta + np.log(t)))
 
 
 def _inverse_cumulative_hazard(family: str, params, h) -> np.ndarray:
     """The time t whose cumulative hazard H(t) is h >= 0."""
-    theta = _rate(family, params)
+    r = Rate.of(family, params)
     if family == "exponential":
-        return h / theta
-    alpha = _shape(params)
+        return h / r.theta
     with np.errstate(divide="ignore"):
-        t = np.exp(np.log(np.where(h > 0, h, 1.0)) / alpha) / theta
+        t = np.exp(np.log(np.where(h > 0, h, 1.0)) / r.shape) / r.theta
     return np.where(h > 0, t, 0.0)
 
 
@@ -202,18 +264,14 @@ def sample_truncated(family: str, params, lower, rng: np.random.Generator, size=
     return np.maximum(_inverse_cumulative_hazard(family, params, h), np.nextafter(lower, np.inf))
 
 
-def _log_cdf(family: str, params, t) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        return np.log(cdf(family, params, t))
-
-
-# the score each status takes; rows are grouped by it once, when the data is
-# bound, so that an evaluation makes one vectorized call per group
+# the score and fixed time terms each status takes; rows are grouped by
+# status once, when the data is bound, so that an evaluation makes one
+# vectorized call per group
 _LOG_SCORE = {
-    EVENT: log_density,
-    RIGHT_CENSORED: log_survival,
-    LEFT_CENSORED: _log_cdf,
-    INTERVAL_CENSORED: log_interval_prob,
+    EVENT: (_event_score, _event_terms),
+    RIGHT_CENSORED: (_survival_score, _survival_terms),
+    LEFT_CENSORED: (_left_score, _survival_terms),
+    INTERVAL_CENSORED: (_interval_score, _interval_terms),
 }
 
 
@@ -221,13 +279,14 @@ _LOG_SCORE = {
 class ScoreGroup:
     """Rows of a short-format dataset that take the score of status ``kind``.
 
-    ``times`` holds one array per argument of that score: the event or
-    censor times, or the (a, b) bounds of an interval score.
+    ``terms`` holds the fixed time terms of each argument of that score,
+    computed and checked once: (t, log t) of event times, (t, log t, t > 0)
+    of censor times, or those of the (a, b) bounds of an interval score.
     """
 
     kind: str
     rows: np.ndarray
-    times: tuple[np.ndarray, ...]
+    terms: tuple
 
     @property
     def tag(self) -> str:
@@ -240,7 +299,8 @@ def score_groups(data: SurvivalDataset, grid: TimeGrid | None = None) -> tuple[S
     Events score a log density or, given a ``grid``, the log probability of
     the grid interval holding the event; right-, left- and interval-censored
     rows score log S(t), log F(t) and log(F(b) - F(a)).  Empty groups are
-    dropped so that evaluations never pay for them.
+    dropped so that evaluations never pay for them; times a score cannot
+    take are a ModelError here, not at each evaluation.
     """
     groups = []
     for kind in STATUSES:
@@ -254,23 +314,21 @@ def score_groups(data: SurvivalDataset, grid: TimeGrid | None = None) -> tuple[S
             times = (data.interval_bounds[rows, 0], data.interval_bounds[rows, 1])
         elif kind == EVENT and grid is not None:
             kind, times = INTERVAL_CENSORED, grid.bounds(grid.interval_of(times[0]))
-        groups.append(ScoreGroup(kind, rows, times))
+        groups.append(ScoreGroup(kind, rows, _LOG_SCORE[kind][1](*times)))
     return tuple(groups)
 
 
-def group_log_scores(family: str, groups, params) -> list[np.ndarray]:
-    """Log scores of each group's rows under the family parameters.
+def group_log_scores(family: str, groups, rate: Rate) -> list[np.ndarray]:
+    """Log scores of each group's rows under one Rate.
 
-    ``params['mean']`` has shape (n,) or (n, S) over all rows of the dataset
-    the groups came from; the result holds one (n_g,) or (n_g, S) array per
-    group.
+    The rate holds every row of the dataset the groups came from on its
+    last axis, as (n,), (C, n) or (B, C, n) arrays (a Weibull shape
+    broadcasting against them); the result holds one array per group with
+    the group's rows on its last axis.  Elementwise, each score is bitwise
+    the family function's.  Call it under np.errstate: a left- or
+    interval-censored score of probability 0 divides by zero.
     """
-    mean = params["mean"]
-    out = []
-    for g in groups:
-        times = [t[:, None] for t in g.times] if mean.ndim == 2 else g.times
-        out.append(_LOG_SCORE[g.kind](family, {**params, "mean": mean[g.rows]}, *times))
-    return out
+    return [_LOG_SCORE[g.kind][0](family, rate.take(g.rows), *g.terms) for g in groups]
 
 
 def bernoulli_log_score(z, p) -> np.ndarray:
@@ -331,15 +389,22 @@ class Prior:
             return -0.5 * z * z - math.log(scale) - 0.5 * math.log(2 * math.pi)
         if self.kind == "student_t":
             df, loc, scale = self.params
-            return _t_log_pdf(x, df, loc, scale)
+            return _t_log_pdf(x, df, loc, scale, self._t_log_norm)
         if self.kind == "half_student_t":
             df, scale = self.params
-            out = _t_log_pdf(x, df, 0.0, scale) + math.log(2.0)
+            out = _t_log_pdf(x, df, 0.0, scale, self._t_log_norm) + math.log(2.0)
             return np.where(x >= 0, out, -np.inf)
         shape, rate = self.params
         with np.errstate(divide="ignore", invalid="ignore"):
             out = shape * math.log(rate) - gammaln(shape) + (shape - 1.0) * np.log(x) - rate * x
         return np.where(x > 0, out, -np.inf)
+
+    @functools.cached_property
+    def _t_log_norm(self) -> float:
+        """Log normalising constant of a Student-t prior, computed once."""
+        df, scale = self.params[0], self.params[-1]
+        return float(gammaln((df + 1.0) / 2.0) - gammaln(df / 2.0)
+                     - 0.5 * math.log(df * math.pi) - math.log(scale))
 
     @property
     def location(self) -> float:
@@ -351,17 +416,11 @@ class Prior:
         return shape / rate
 
 
-def _t_log_pdf(x, df, loc, scale):
+def _t_log_pdf(x, df, loc, scale, log_norm):
     z = (np.asarray(x, dtype=float) - loc) / scale
     with np.errstate(over="ignore"):
         tail = np.log1p(np.minimum(z * z, 1e300) / df)
-    return (
-        gammaln((df + 1.0) / 2.0)
-        - gammaln(df / 2.0)
-        - 0.5 * math.log(df * math.pi)
-        - math.log(scale)
-        - (df + 1.0) / 2.0 * tail
-    )
+    return log_norm - (df + 1.0) / 2.0 * tail
 
 
 def normal(loc, scale) -> Prior:

@@ -8,9 +8,12 @@ log scale with the Jacobian correction.
 
 All chains step in lockstep: each iteration makes one call of the log
 posterior on the (C, dim) batch of proposals, which returns (C,) values.
-Each chain still owns an RNG stream derived from (seed, chain_id) and draws
-from it in a fixed order, so runs are bit-reproducible for a given seed and
-a chain's draws do not depend on the chains beside it.
+That call is one pass, and each chain's value in it is bitwise its value
+alone (``PosteriorModel`` says how).  Each chain still owns an RNG stream
+derived from (seed, chain_id) and draws from it in a fixed order, and its
+proposal step is its own matrix-vector product, so runs are
+bit-reproducible for a given seed and a chain's draws do not depend on the
+chains beside it.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from .models import (
     ModelDesign,
     ModelError,
     ModelSpec,
+    Rate,
     bernoulli_log_score,
     group_log_scores,
     in_support,
@@ -95,8 +99,9 @@ def _by_row(method):
 
 
 def _row_sums(a) -> np.ndarray:
-    """Sum of each row of a (C, n) array: bitwise the np.sum of that row alone."""
-    return np.ascontiguousarray(a).sum(axis=1)
+    """Sums over the last axis of an (..., n) array, each bitwise the np.sum
+    of its row alone: an F-ordered array would be summed in another order."""
+    return np.ascontiguousarray(a).sum(axis=-1)
 
 
 class PosteriorModel:
@@ -113,24 +118,34 @@ class PosteriorModel:
 
     With B ``held_out`` unit ids it is a batch: member b is the posterior
     without unit ``held_out[b]``'s rows, with a ``ModelDesign`` built on its
-    training covariates, and a batch of rows is B equal blocks, block b
-    evaluated under member b.  Zeroing the held-out scores adds a 0.0 to
-    each row sum, so a member's value is that of a model on its training
-    data to within a few ulp.  It holds B design matrices over all rows.
+    training covariates (``held_out`` may map each id to that design, built
+    already), and a batch of rows is B equal blocks, block b evaluated under
+    member b.  Zeroing the held-out scores adds a 0.0 to each row sum, so a
+    member's value is that of a model on its training data to within a few
+    ulp.  It holds B design matrices over all rows.
 
+    One evaluation is one pass under one np.errstate.  The linear predictor
+    is one matrix-vector product (gemv) per row, in one batched
+    ``np.matmul``, bitwise the product of that row alone: a matrix product
+    (gemm) over the batch would sum in another order, so none is used.
     Short-format rows are grouped by how they are scored once, at
-    construction (``models.score_groups``); each log-likelihood evaluation
-    sums the groups' scores from ``models.group_log_scores``, the same
-    kernel that builds the pointwise LOO matrices.
+    construction, with each group's time terms fixed
+    (``models.score_groups``); each evaluation computes the rate once, over
+    all rows, and sums the groups' scores from ``models.group_log_scores``,
+    the same kernel that builds the pointwise LOO matrices.  Every row sum
+    is over a C-ordered array, for the same reason.  Each prior's density
+    is one call over all the coefficients that share it.
     """
 
     def __init__(self, spec: ModelSpec, data, held_out=()):
         self.spec, self.data, self.held_out = spec, data, tuple(held_out)
         self._prepare_data()  # rejects wrong or invalid data before the design is built
         keeps = [data.subject_id != u for u in self.held_out]
-        self._keep = np.stack(keeps) if keeps else None  # (B, n); None: one member, every row
-        self.designs = [ModelDesign(spec, {k: v[keep] for k, v in data.covariates.items()})
-                        for keep in keeps] or [ModelDesign(spec, data.covariates)]
+        if isinstance(held_out, dict):
+            self.designs = list(held_out.values())
+        else:
+            self.designs = [ModelDesign(spec, {k: v[keep] for k, v in data.covariates.items()})
+                            for keep in keeps] or [ModelDesign(spec, data.covariates)]
         self.design = self.designs[0]
         names = list(self.design.parameter_names)
         if any(d.parameter_names != names for d in self.designs):
@@ -138,13 +153,28 @@ class PosteriorModel:
         n_rows = data.n_rows if isinstance(data, LongDataset) else data.n
         self.X = np.stack([d.matrix(data.covariates, n_rows=n_rows) for d in self.designs])
         self.n_beta = self.X.shape[2]
+        # (B, 1, n) rows each member keeps, and each score group's; None: every row
+        self._keep = np.stack(keeps)[:, None, :] if keeps else None
+        if self._keep is not None and spec.family != "bernoulli_logit":
+            self._group_keep = [self._keep.take(g.rows, axis=-1) for g in self._groups]
         if spec.has_shape:
             names.append("alpha")
         if spec.hierarchical_smooths:
             names += [f"sd_{sm.name}" for sm in spec.smooths]
         self.parameter_names = names
         self.dim = len(names)
-        self._smooth_slices = self.design.smooth_slices()
+        # the coefficient columns after the intercept: the fixed effects,
+        # then the smooths, each smooth term a slice of the smooth columns
+        self._n_fixed = len(spec.fixed)
+        self._fixed = slice(int(spec.intercept), int(spec.intercept) + self._n_fixed)
+        self._smooth = slice(self._fixed.stop, self.n_beta)
+        start = self._smooth.start
+        self._smooth_terms = [slice(sl.start - start, sl.stop - start)
+                              for sl in self.design.smooth_slices().values()]
+        self._term_of_column = np.repeat(np.arange(len(self._smooth_terms)),
+                                         [sl.stop - sl.start for sl in self._smooth_terms])
+        pr = spec.priors
+        self._shared_prior = not spec.hierarchical_smooths and pr.fixed == pr.smooth_coef
 
     def _prepare_data(self):
         spec, data = self.spec, self.data
@@ -176,70 +206,77 @@ class PosteriorModel:
 
     # -- log densities ----------------------------------------------------------
 
-    @_by_row
-    def log_prior(self, x: np.ndarray) -> np.ndarray:
+    def _prior(self, x: np.ndarray) -> np.ndarray:
         """Log prior density of the unconstrained vector, Jacobian included."""
-        pr = self.spec.priors
+        spec, pr = self.spec, self.spec.priors
+        pos = self.n_beta  # log alpha, then the log smoothing scales
+        if spec.hierarchical_smooths:
+            sd = np.exp(x[:, pos + spec.has_shape :])
+        # one density call per prior over all the coefficient columns it covers
+        if self._shared_prior:
+            coef = pr.fixed.log_pdf(x[:, self._fixed.start : self.n_beta])
+            lp_fixed, lp_smooth = coef[:, : self._n_fixed], coef[:, self._n_fixed :]
+        else:
+            lp_fixed = pr.fixed.log_pdf(x[:, self._fixed])
+            if spec.hierarchical_smooths:  # N(0, sd) on each smooth's columns
+                col_sd = sd.take(self._term_of_column, axis=1)
+                lp_smooth = (-0.5 * (x[:, self._smooth] / col_sd) ** 2
+                             - np.log(sd).take(self._term_of_column, axis=1)
+                             - 0.5 * np.log(2 * np.pi))
+            else:
+                lp_smooth = pr.smooth_coef.log_pdf(x[:, self._smooth])
+        # the terms add up in a fixed order, each row sum over one term's columns
         total = np.zeros(len(x))
-        j = 0
-        if self.spec.intercept:
+        if spec.intercept:
             total += pr.intercept.log_pdf(x[:, 0])
-            j = 1
-        n_fixed = len(self.spec.fixed)
-        if n_fixed:
-            total += _row_sums(pr.fixed.log_pdf(x[:, j : j + n_fixed]))
-        pos = self.n_beta
-        if self.spec.has_shape:
+        if self._n_fixed:
+            total += _row_sums(lp_fixed)
+        if spec.has_shape:
             log_alpha = x[:, pos]
             total += pr.shape.log_pdf(np.exp(log_alpha)) + log_alpha
             pos += 1
-        if self.spec.hierarchical_smooths:
-            sd = np.exp(x[:, pos:])
+        if spec.hierarchical_smooths:
             for term in (pr.smooth_scale.log_pdf(sd) + x[:, pos:]).T:
                 total += term
-        for k, sm in enumerate(self.spec.smooths):
-            coefs = x[:, self._smooth_slices[sm.name]]
-            if self.spec.hierarchical_smooths:
-                total += _row_sums(-0.5 * (coefs / sd[:, k, None]) ** 2
-                                   - np.log(sd[:, k, None]) - 0.5 * np.log(2 * np.pi))
-            else:
-                total += _row_sums(pr.smooth_coef.log_pdf(coefs))
+        for cols in self._smooth_terms:
+            total += _row_sums(lp_smooth[:, cols])
         return np.where(np.isfinite(x).all(axis=1) & ~np.isnan(total), total, -np.inf)
 
-    @_by_row
-    def log_likelihood(self, x: np.ndarray) -> np.ndarray:
+    def _likelihood(self, x: np.ndarray) -> np.ndarray:
         spec = self.spec
-        ok = np.isfinite(x).all(axis=1)
-        B = len(self.X)
-        if len(x) % B:
-            raise ModelError(f"a batch of {B} members needs a multiple of {B} rows, got {len(x)}")
-        member = np.arange(len(x)) // (len(x) // B)
-        # one product per row keeps each row's predictor bitwise that of the
-        # vector alone (a matrix product over the batch sums in another order)
-        lin = np.stack([self.X[b] @ row[: self.n_beta] for b, row in zip(member, x)])
-        keep = None if self._keep is None else self._keep[member]
+        B, N = len(self.X), len(x)
+        if N % B:
+            raise ModelError(f"a batch of {B} members needs a multiple of {B} rows, got {N}")
+        x = x.reshape(B, N // B, self.dim)  # block b holds member b's rows
+        ok = np.isfinite(x).all(axis=-1)
+        lin = np.matmul(self.X[:, None], x[..., : self.n_beta, None])[..., 0]  # (B, C, n)
+        keep = self._keep
         if spec.family == "bernoulli_logit":
-            scores = [(slice(None), bernoulli_log_score(self._z, logistic(lin[ok])))]
+            scores = [bernoulli_log_score(self._z, logistic(lin))]
+            if keep is not None:  # held-out rows score 0 (where, not a product: -inf * 0 is nan)
+                scores = [np.where(keep, scores[0], 0.0)]
         else:
             if keep is not None:
                 lin = np.where(keep, lin, 0.0)  # held-out rows stay inside the support
-            params = {"mean": np.exp(lin).T}
+            params = {"mean": np.exp(lin)}
             if spec.has_shape:
-                params["shape"] = np.exp(x[:, self.n_beta])[None, :]
-            ok &= in_support(spec.family, params)
-            scores = [(g.rows, s.T) for g, s in zip(self._groups, group_log_scores(
-                spec.family, self._groups, {k: v[:, ok] for k, v in params.items()}))]
-        if keep is not None:  # held-out rows score 0 (where, not a product: -inf * 0 is nan)
-            scores = [(rows, np.where(keep[ok][:, rows], s, 0.0)) for rows, s in scores]
-        ll = np.full(len(x), -np.inf)
-        ll[ok] = sum((_row_sums(s) for _, s in scores), 0.0)
-        return np.where(np.isnan(ll), -np.inf, ll)
+                params["shape"] = np.exp(x[..., self.n_beta, None])
+            rate = Rate.of(spec.family, params, check=False)
+            ok &= in_support(rate)
+            scores = group_log_scores(spec.family, self._groups, rate)
+            if keep is not None:
+                scores = [np.where(k, s, 0.0) for k, s in zip(self._group_keep, scores)]
+        ll = sum((_row_sums(s) for s in scores), 0.0)
+        return np.where(ok & ~np.isnan(ll), ll, -np.inf).reshape(N)
 
-    @_by_row
-    def log_posterior(self, x: np.ndarray) -> np.ndarray:
+    def _posterior(self, x: np.ndarray) -> np.ndarray:
         """Sum of log likelihood and log prior; -inf outside the support."""
-        lp = self.log_prior(x)
-        return np.where(np.isfinite(lp), self.log_likelihood(x) + lp, -np.inf)
+        lp = self._prior(x)
+        return np.where(np.isfinite(lp), self._likelihood(x) + lp, -np.inf)
+
+    log_prior = _by_row(_prior)
+    log_likelihood = _by_row(_likelihood)
+    log_posterior = _by_row(_posterior)
 
 
 # ---------------------------------------------------------------------------
@@ -251,10 +288,10 @@ def sample_posterior(log_prob, dim: int, config: SamplerConfig, seeds, init=None
 
     Chain c draws from ``default_rng(seeds[c])``; ``config`` sets the warmup
     and kept lengths.  ``log_prob`` maps a (C, dim) batch to (C,) values.
-    Each chain's step is its own matrix-vector product, so its draws are
-    bitwise those it makes alone.  Returns the kept draws (C, n_keep, dim),
-    their log_prob (C, n_keep), and each chain's acceptance rate and
-    adaptation record.  A SamplingError's diagnostics name the chain.
+    Each chain's step is its own matrix-vector product (a gemv per chain in
+    one batched ``np.matmul``), so its draws are bitwise those it makes
+    alone.  Returns the kept draws (C, n_keep, dim), their log_prob (C,
+    n_keep), and each chain's acceptance rate and adaptation record.  A SamplingError's diagnostics name the chain.
     """
     rngs = [np.random.default_rng(seed) for seed in seeds]
     C = len(rngs)
@@ -277,8 +314,8 @@ def sample_posterior(log_prob, dim: int, config: SamplerConfig, seeds, init=None
     adapt_logs = [[] for _ in range(C)]
 
     for it in range(n_total):
-        z = [rng.standard_normal(dim) for rng in rngs]
-        prop = x + np.exp(log_scale)[:, None] * np.stack([chol[c] @ z[c] for c in range(C)])
+        z = np.stack([rng.standard_normal(dim) for rng in rngs])
+        prop = x + np.exp(log_scale)[:, None] * np.matmul(chol, z[:, :, None])[..., 0]
         lp_prop = log_prob(prop)
         accept = np.log([rng.random() for rng in rngs]) < lp_prop - lp
         x = np.where(accept[:, None], prop, x)

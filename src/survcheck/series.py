@@ -9,6 +9,7 @@ identical inputs, no timestamps or generated ids).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,21 +59,28 @@ class PlotSeries:
 
 
 def _aslist(v):
+    """A column as a list of floats, a non-finite one as None (JSON null)."""
     if isinstance(v, np.ndarray):
-        return [None if not np.isfinite(x) else float(x) for x in v.ravel()]
+        return [_finite(x) for x in v.ravel()]
     if isinstance(v, (list, tuple)):
         return [(_aslist(x) if isinstance(x, (list, tuple, np.ndarray)) else
-                 (float(x) if isinstance(x, (int, float, np.floating, np.integer)) else x))
+                 (_finite(x) if isinstance(x, (int, float, np.floating, np.integer)) else x))
                 for x in v]
     return v
 
 
+def _finite(x) -> float | None:
+    x = float(x)
+    return x if math.isfinite(x) else None
+
+
 def bundle_to_json(series, extra: dict | None = None) -> str:
-    """Serialize a series bundle (plus config/seed metadata) to stable JSON."""
+    """Serialize a series bundle (plus config/seed metadata) to stable,
+    strict JSON: a NaN or infinity left in it is a ValueError."""
     doc = {"series": [s.to_dict() for s in series]}
     if extra:
         doc.update(extra)
-    return json.dumps(doc, indent=1, sort_keys=True)
+    return json.dumps(doc, indent=1, sort_keys=True, allow_nan=False)
 
 
 # ---------------------------------------------------------------------------

@@ -17,12 +17,16 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .data import ON_NAME, SINCE_NAME, TIME_NAME, require_counts, settings
-from .data import LongDataset, SurvivalDataset, TreatmentRule, to_short_form
+from .data import DataError, LongDataset, ScalingRecord, SurvivalDataset, TreatmentRule
+from .data import to_short_form
 from .models import logistic
 
 
 class SimulationError(ValueError):
     pass
+
+
+_N_PARAMS = {"lognormal": 2, "normal": 2, "bernoulli": 1}
 
 
 @dataclass(frozen=True)
@@ -32,6 +36,15 @@ class CovariateGen:
     kind: str
     params: tuple[float, ...]
 
+    def __post_init__(self):
+        if self.kind not in _N_PARAMS:
+            raise SimulationError(f"unknown covariate generator {self.kind!r}")
+        if len(self.params) != _N_PARAMS[self.kind]:
+            raise SimulationError(f"a {self.kind} generator needs {_N_PARAMS[self.kind]} "
+                                  f"'params', got {list(self.params)}")
+        if self.kind == "bernoulli" and not 0 <= self.params[0] <= 1:
+            raise SimulationError("bernoulli probability must be in [0, 1]")
+
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         if self.kind == "lognormal":
             mu, sigma = self.params
@@ -39,12 +52,8 @@ class CovariateGen:
         if self.kind == "normal":
             mu, sigma = self.params
             return rng.normal(mu, sigma, size=n)
-        if self.kind == "bernoulli":
-            (p,) = self.params
-            if not 0 <= p <= 1:
-                raise SimulationError("bernoulli probability must be in [0, 1]")
-            return (rng.random(n) < p).astype(float)
-        raise SimulationError(f"unknown covariate generator {self.kind!r}")
+        (p,) = self.params
+        return (rng.random(n) < p).astype(float)
 
 
 def _default_covariates() -> dict[str, CovariateGen]:
@@ -97,6 +106,10 @@ class ScenarioConfig:
                        ("treatment_duration", "max_follow_up", "seed"))
         if self.treatment_duration < 1 or self.max_follow_up < self.treatment_duration:
             raise SimulationError("follow-up must cover the treatment duration")
+        try:  # the rule of a ScalingRecord: finite (center, spread > 0) pairs
+            ScalingRecord(self.standardize)
+        except DataError as err:
+            raise SimulationError(f"bad 'standardize': {err}") from None
 
     def to_dict(self) -> dict:
         return asdict(self)

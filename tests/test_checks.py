@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from survcheck.checks import (
     zoom_region,
 )
 from survcheck.data import SurvivalDataset
+from survcheck.series import PlotSeries, bundle_to_json
 
 
 def make_dataset(times, statuses, entries=None):
@@ -172,8 +175,31 @@ class TestKmOverlay:
 
     def test_rejects_bad_cutoff(self):
         ds = make_dataset([1.0], ["event"])
-        with pytest.raises(CheckError):
-            km_overlay(ds, np.array([[1.0]]), cutoff_factor=0.5)
+        for factor in (0.5, float("nan")):
+            with pytest.raises(CheckError, match="cutoff_factor"):
+                km_overlay(ds, np.array([[1.0]]), cutoff_factor=factor)
+
+
+class TestBundleJson:
+    def test_non_finite_values_are_null(self):
+        series = PlotSeries("s", "points", {
+            "x": [1, 2.5, float("nan"), np.float64(np.inf)],
+            "y": np.array([-np.inf, 0.5, np.nan, 2.0]),
+            "size": [[1.0, float("-inf")], (np.nan, 3)],
+        })
+
+        def refuse(token):
+            raise AssertionError(f"bare {token} in the JSON")
+
+        doc = json.loads(bundle_to_json([series], {"seed": 1}), parse_constant=refuse)
+        data = doc["series"][0]["data"]
+        assert data["x"] == [1.0, 2.5, None, None]
+        assert data["y"] == [None, 0.5, None, 2.0]
+        assert data["size"] == [[1.0, None], [None, 3.0]]
+
+    def test_non_finite_metadata_refused(self):
+        with pytest.raises(ValueError):
+            bundle_to_json([PlotSeries("s", "points", {"x": [1.0]}, {"gamma": float("nan")})])
 
 
 class TestIntervalsData:

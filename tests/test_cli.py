@@ -262,11 +262,18 @@ def test_error_json_on_bad_input(workspace, tmp_path, capsys):
         cases.append((["fit", "--data", str(good), "--out", str(tmp_path / "x"),
                        "--model", settings_file(f"spec_{n}.json", {**spec, **bad})],
                       "ModelError", message))
-    # scenario files: a covariate generator without params, a standardize
-    # entry that is not a (center, spread) pair
+    # scenario files: a covariate generator without params, with too few, of
+    # an unknown kind or with a probability outside [0, 1], and standardize
+    # entries that are not finite (center, spread > 0) pairs
     for n, (bad, message) in enumerate((
             ({"covariates": {"Size": {"kind": "lognormal"}}}, "'params'"),
-            ({"standardize": {"Size": 5}}, "'standardize'"))):
+            ({"covariates": {"Size": {"kind": "normal", "params": [1]}}}, "'params', got [1]"),
+            ({"covariates": {"Size": {"kind": "poisson", "params": [1]}}}, "'poisson'"),
+            ({"covariates": {"Rupture": {"kind": "bernoulli", "params": [1.5]}}},
+             "probability"),
+            ({"standardize": {"Size": 5}}, "'standardize'"),
+            ({"standardize": {"Size": [60]}}, "'standardize'"),
+            ({"standardize": {"Size": [60, 0]}}, "'standardize'"))):
         cases.append((["simulate", "--out", str(tmp_path / "x"),
                        "--config", settings_file(f"scenario_{n}.json", bad)],
                       "SimulationError", message))
@@ -284,6 +291,7 @@ def test_error_json_on_bad_input(workspace, tmp_path, capsys):
              "--out", str(tmp_path / "x")]
     cases += [
         (["check", "km", *check, "--cutoff-factor", "0.5"], "CheckError", "cutoff_factor"),
+        (["check", "km", *check, "--cutoff-factor", "nan"], "CheckError", "cutoff_factor"),
         (["check", "pit-ecdf", *check, "--level", "1.5"], "CheckError", "level"),
         (["check", "km", *check, "--n-pred-draws", "0"], "ModelError", "n_draws"),
         (["check", "km", *check, "--n-pred-draws", "-3"], "ModelError", "got -3"),

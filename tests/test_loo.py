@@ -877,9 +877,11 @@ class TestRefitBatch:
 
         monkeypatch.setattr("survcheck.sampler.sample_posterior", no_sampling)
         data = four_status_data(np.random.default_rng(37))
+        config = SamplerConfig(n_chains=2, n_warmup=10, n_keep=10)
         with pytest.raises(LooError, match="unit 999 not present"):
-            exact_refit_loo(ModelSpec(family="exponential"), data,
-                            SamplerConfig(n_chains=2, n_warmup=10, n_keep=10), [1, 999])
+            exact_refit_loo(ModelSpec(family="exponential"), data, config, [1, 999])
+        with pytest.raises(LooError, match="must be distinct"):
+            exact_refit_loo(ModelSpec(family="exponential"), data, config, [1, 2, 1])
 
 
 class TestCsvRoundTrip:

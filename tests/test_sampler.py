@@ -9,7 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from survcheck.data import INTERVAL_CENSORED, LEFT_CENSORED, STATUSES, DataError, SurvivalDataset
-from survcheck.models import ModelError, ModelSpec, SmoothSpec, get_preset
+from survcheck.models import (
+    ModelError,
+    ModelSpec,
+    PriorSet,
+    SmoothSpec,
+    gamma,
+    get_preset,
+    half_student_t,
+    normal,
+    student_t,
+)
 from survcheck.sampler import (
     PosteriorModel,
     SamplerConfig,
@@ -22,6 +32,7 @@ from survcheck.sampler import (
 )
 from survcheck.simulate import ScenarioConfig, simulate_scenario
 
+import posterior_oracle
 from pointwise_oracle import log_lik_point, row
 
 
@@ -180,6 +191,63 @@ class TestBatchedLogPosterior:
             for point in (fixed, log_sd):
                 assert post.log_prior(point) == -np.inf
                 assert post.log_posterior(point) == -np.inf
+
+
+ORACLE_SPECS = {
+    **BATCH_SPECS,
+    "weibull-gist": get_preset("weibull-gist"),
+    # every prior kind, and fixed and smooth coefficients under different priors
+    "weibull-priors": ModelSpec(
+        family="weibull_aft", fixed=("GenderMale", "Rupture"),
+        smooths=(SmoothSpec("Size", n_knots=3), SmoothSpec("AgeAtSurg", degree=2, n_knots=2)),
+        priors=PriorSet(intercept=normal(1.0, 3.0), fixed=student_t(4, 0.5, 1.5),
+                        smooth_coef=half_student_t(3, 2.0), shape=gamma(2.0, 1.5))),
+}
+# besides SPECIAL: a mean or Weibull shape that is huge or tiny but finite
+ORACLE_SPECIAL = SPECIAL + (300.0, -300.0, 30.0, -30.0)
+
+
+@lru_cache(maxsize=None)
+def oracle_posterior(name, held_out):
+    long, short = simulate_scenario(ScenarioConfig(n_subjects=60, seed=5))
+    spec = ORACLE_SPECS[name]
+    data = long if spec.family == "bernoulli_logit" else all_statuses(short)
+    units = [int(u) for u in short.subject_id[:4]] if held_out else []  # one of each status
+    return PosteriorModel(spec, data, units)
+
+
+class TestBitwiseAgainstOracle:
+    """Every value is byte-equal to the old one-row-at-a-time bodies
+    (``posterior_oracle``), out-of-support rows included."""
+
+    @pytest.mark.parametrize("held_out", [False, True])
+    @pytest.mark.parametrize("name", sorted(ORACLE_SPECS))
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_byte_equal_to_oracle(self, name, held_out, data):
+        post = oracle_posterior(name, held_out)
+        n_chains = data.draw(st.sampled_from([1, 4, 120]), label="n_chains")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        scale = data.draw(st.sampled_from([0.1, 1.0, 4.0]), label="scale")
+        rng = np.random.default_rng(seed)
+        x = post.init_point() + scale * rng.standard_normal((len(post.designs) * n_chains,
+                                                             post.dim))
+        # the intercept moves every mean; the last column is log alpha or a log scale
+        columns = st.one_of(st.sampled_from([0, min(post.n_beta, post.dim - 1), post.dim - 1]),
+                            st.integers(0, post.dim - 1))
+        for _ in range(data.draw(st.integers(0, 6), label="n_special")):
+            x[data.draw(st.integers(0, len(x) - 1)), data.draw(columns)] = data.draw(
+                st.sampled_from(ORACLE_SPECIAL))
+        for method in ("log_prior", "log_likelihood", "log_posterior"):
+            got = getattr(post, method)(x)
+            want = getattr(posterior_oracle, method)(post, x)
+            assert got.shape == want.shape == (len(x),)
+            assert got.tobytes() == want.tobytes(), method
+            if not held_out:
+                one = getattr(post, method)(x[-1])
+                assert isinstance(one, float)
+                assert np.float64(one).tobytes() == np.float64(
+                    getattr(posterior_oracle, method)(post, x[-1])).tobytes()
 
 
 class TestFit:

@@ -41,6 +41,23 @@ class TestCovariates:
         with pytest.raises(SimulationError):
             CovariateGen("bernoulli", (1.5,)).sample(10, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("kind, params, message", [
+        ("normal", (1.0,), "needs 2 'params'"),
+        ("lognormal", (1.0, 2.0, 3.0), "needs 2 'params'"),
+        ("bernoulli", (), "needs 1 'params'"),
+        ("bernoulli", (-0.1,), "probability"),
+        ("poisson", (1.0,), "unknown covariate generator 'poisson'"),
+    ])
+    def test_malformed_generator_rejected_when_built(self, kind, params, message):
+        with pytest.raises(SimulationError, match=message):
+            CovariateGen(kind, params)
+
+    @pytest.mark.parametrize("pair", [(60.0,), (60.0, 0.0), (60.0, -4.0), (np.nan, 4.0),
+                                      (60.0, np.inf), ("a", 4.0)])
+    def test_standardize_needs_finite_center_and_positive_spread(self, pair):
+        with pytest.raises(SimulationError, match="'standardize'"):
+            ScenarioConfig(standardize={"Size": pair})
+
 
 class TestEvents:
     def test_near_zero_hazard_all_censored(self):

@@ -45,7 +45,14 @@ The workloads cover:
 * settings files read from disk: ``simulate --config`` with a scenario
   that sets every field, ``fit --model`` with a hierarchical-smooths
   Weibull spec whose priors use all four kinds, and ``run`` with a
-  pipeline naming every top-level key.
+  pipeline naming every top-level key;
+* ``PosteriorModel.log_prior``, ``log_likelihood`` and ``log_posterior``
+  called directly on seeded batches of 4 and 120 chains and on one vector,
+  for the three presets, a hierarchical-smooths Weibull model on data
+  holding all four statuses, and held-out batches of that model and of the
+  Bernoulli preset.  The 120-chain batches hold rows a fit rarely visits:
+  non-finite entries, an overflowing or vanishing mean, a huge or tiny
+  Weibull shape and an overflowing smoothing scale.
 
 Only numpy and the standard library are used besides survcheck itself.
 """
@@ -345,6 +352,49 @@ def _psis_edge_cases():
         odd, ("probability",) * 10, tuple(range(10)))))
 
 
+def _special_rows(post, x):
+    """Set rows of ``x`` to points outside or at the edge of the support."""
+    specials = [(0, np.nan), (0, np.inf), (0, -np.inf), (0, 1e308), (0, 800.0),
+                (0, -800.0), (1, 1e308), (-1, np.nan)]
+    if post.spec.has_shape:
+        specials += [(post.n_beta, v) for v in (800.0, -800.0, 30.0, -30.0, np.inf)]
+    if post.spec.hierarchical_smooths:
+        specials += [(post.dim - 1, v) for v in (800.0, -800.0, np.nan)]
+    for i, (col, value) in enumerate(specials):
+        x[5 * i + 3, col] = value
+    return x
+
+
+def _log_posterior():
+    long, short = sc.simulate_scenario(sc.ScenarioConfig(n_subjects=90, seed=5))
+    short, record = sc.scale_covariates(short, ("Size", "AgeAtSurg", "MitHPF"))
+    long = sc.apply_scaling(long, record)
+    statuses = _all_statuses(short)
+    weibull = sc.get_preset("weibull-gist")
+    hierarchical = replace(weibull, hierarchical_smooths=True)
+    units = [int(s) for s in statuses.subject_id[:3]]
+    models = [(name, sc.get_preset(name), long if name == "bernoulli-gist" else short, ())
+              for name in PRESETS]
+    models += [("weibull-hierarchical-all-statuses", hierarchical, statuses, ()),
+               ("weibull-hierarchical-all-statuses.held-out", hierarchical, statuses, units),
+               ("bernoulli-gist.held-out", sc.get_preset("bernoulli-gist"), long, units)]
+    rng = np.random.default_rng(29)
+    for name, spec, data, held_out in models:
+        post = sc.PosteriorModel(spec, data, held_out)
+        members = max(len(held_out), 1)
+        for n_chains in (4, 120):
+            x = post.init_point() + 0.4 * rng.standard_normal((members * n_chains, post.dim))
+            if n_chains > 4:
+                x = _special_rows(post, x)
+            for method in ("log_prior", "log_likelihood", "log_posterior"):
+                yield f"log_posterior.{name}.{n_chains}.{method}", getattr(post, method)(x)
+        if not held_out:
+            x = post.init_point() + 0.4 * rng.standard_normal(post.dim)
+            yield f"log_posterior.{name}.vector", _json(
+                [repr(getattr(post, m)(x)) for m in ("log_prior", "log_likelihood",
+                                                    "log_posterior")])
+
+
 def _pipeline():
     yield "run_pipeline", _json(sc.experiments.run_pipeline(PIPELINE))
 
@@ -407,7 +457,7 @@ def _settings():
 
 def outputs():
     for workload in (_primitives, _cohort, _uncommon_fits, _masked_refits, _checks,
-                     _psis_edge_cases, _pipeline, _cli, _settings):
+                     _psis_edge_cases, _log_posterior, _pipeline, _cli, _settings):
         yield from workload()
 
 
