@@ -382,7 +382,12 @@ class Prior:
             raise ModelError(f"unknown prior kind {k!r}")
 
     def log_pdf(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
+        """Log density at ``x``, -inf outside the support; nothing is warned."""
+        with np.errstate(all="ignore"):
+            return self._log_pdf(np.asarray(x, dtype=float))
+
+    def _log_pdf(self, x: np.ndarray) -> np.ndarray:
+        """``log_pdf`` of a float array, for callers already under an np.errstate."""
         if self.kind == "normal":
             loc, scale = self.params
             z = (x - loc) / scale
@@ -395,8 +400,7 @@ class Prior:
             out = _t_log_pdf(x, df, 0.0, scale, self._t_log_norm) + math.log(2.0)
             return np.where(x >= 0, out, -np.inf)
         shape, rate = self.params
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = shape * math.log(rate) - gammaln(shape) + (shape - 1.0) * np.log(x) - rate * x
+        out = shape * math.log(rate) - gammaln(shape) + (shape - 1.0) * np.log(x) - rate * x
         return np.where(x > 0, out, -np.inf)
 
     @functools.cached_property
@@ -417,9 +421,8 @@ class Prior:
 
 
 def _t_log_pdf(x, df, loc, scale, log_norm):
-    z = (np.asarray(x, dtype=float) - loc) / scale
-    with np.errstate(over="ignore"):
-        tail = np.log1p(np.minimum(z * z, 1e300) / df)
+    z = (x - loc) / scale
+    tail = np.log1p(np.minimum(z * z, 1e300) / df)
     return log_norm - (df + 1.0) / 2.0 * tail
 
 

@@ -9,16 +9,21 @@ log scale with the Jacobian correction.
 All chains step in lockstep: each iteration makes one call of the log
 posterior on the (C, dim) batch of proposals, which returns (C,) values.
 That call is one pass, and each chain's value in it is bitwise its value
-alone (``PosteriorModel`` says how).  Each chain still owns an RNG stream
-derived from (seed, chain_id) and draws from it in a fixed order, and its
-proposal step is its own matrix-vector product, so runs are
-bit-reproducible for a given seed and a chain's draws do not depend on the
-chains beside it.
+alone (``PosteriorModel`` says how).  The loop runs one adaptation window
+at a time: the proposal scale and covariance are fixed within a window, so
+each chain draws the window's normals and uniforms at its start, and the
+window's proposal steps are computed at once.  Each chain owns an RNG
+stream derived from (seed, chain_id) and draws from it in a fixed order,
+one iteration after another, and each proposal step is its own
+matrix-vector product, so runs are bit-reproducible for a given seed and a
+chain's draws do not depend on the chains beside it or on the window
+lengths.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -214,29 +219,29 @@ class PosteriorModel:
             sd = np.exp(x[:, pos + spec.has_shape :])
         # one density call per prior over all the coefficient columns it covers
         if self._shared_prior:
-            coef = pr.fixed.log_pdf(x[:, self._fixed.start : self.n_beta])
+            coef = pr.fixed._log_pdf(x[:, self._fixed.start : self.n_beta])
             lp_fixed, lp_smooth = coef[:, : self._n_fixed], coef[:, self._n_fixed :]
         else:
-            lp_fixed = pr.fixed.log_pdf(x[:, self._fixed])
+            lp_fixed = pr.fixed._log_pdf(x[:, self._fixed])
             if spec.hierarchical_smooths:  # N(0, sd) on each smooth's columns
                 col_sd = sd.take(self._term_of_column, axis=1)
                 lp_smooth = (-0.5 * (x[:, self._smooth] / col_sd) ** 2
                              - np.log(sd).take(self._term_of_column, axis=1)
                              - 0.5 * np.log(2 * np.pi))
             else:
-                lp_smooth = pr.smooth_coef.log_pdf(x[:, self._smooth])
+                lp_smooth = pr.smooth_coef._log_pdf(x[:, self._smooth])
         # the terms add up in a fixed order, each row sum over one term's columns
         total = np.zeros(len(x))
         if spec.intercept:
-            total += pr.intercept.log_pdf(x[:, 0])
+            total += pr.intercept._log_pdf(x[:, 0])
         if self._n_fixed:
             total += _row_sums(lp_fixed)
         if spec.has_shape:
             log_alpha = x[:, pos]
-            total += pr.shape.log_pdf(np.exp(log_alpha)) + log_alpha
+            total += pr.shape._log_pdf(np.exp(log_alpha)) + log_alpha
             pos += 1
         if spec.hierarchical_smooths:
-            for term in (pr.smooth_scale.log_pdf(sd) + x[:, pos:]).T:
+            for term in (pr.smooth_scale._log_pdf(sd) + x[:, pos:]).T:
                 total += term
         for cols in self._smooth_terms:
             total += _row_sums(lp_smooth[:, cols])
@@ -288,21 +293,33 @@ def sample_posterior(log_prob, dim: int, config: SamplerConfig, seeds, init=None
 
     Chain c draws from ``default_rng(seeds[c])``; ``config`` sets the warmup
     and kept lengths.  ``log_prob`` maps a (C, dim) batch to (C,) values.
-    Each chain's step is its own matrix-vector product (a gemv per chain in
-    one batched ``np.matmul``), so its draws are bitwise those it makes
-    alone.  Returns the kept draws (C, n_keep, dim), their log_prob (C,
-    n_keep), and each chain's acceptance rate and adaptation record.  A SamplingError's diagnostics name the chain.
+
+    The loop runs window by window.  A window is ``ADAPT_WINDOW``
+    iterations, or fewer at the end of warmup or of the kept draws; the
+    proposal scale and Cholesky factor change only at the end of a full
+    warmup window.  At a window's start each chain draws the whole window's
+    randomness from its own stream, one iteration after another: ``dim``
+    normals, then one uniform.  The window's proposal steps are one batched
+    ``np.matmul``, a matrix-vector product (gemv) per chain and iteration:
+    a matrix product (gemm) over them would sum in another order, so none is
+    used.  Each iteration is then one ``log_prob`` call, the accept test
+    and the state update.  A chain's draws are thus bitwise those it makes
+    alone, or in a loop that draws and steps one iteration at a time.
+
+    Returns the kept draws (C, n_keep, dim), their log_prob (C, n_keep), and
+    each chain's acceptance rate and adaptation record.  A SamplingError's
+    diagnostics name the chain.
     """
     rngs = [np.random.default_rng(seed) for seed in seeds]
     C = len(rngs)
     init = np.zeros(dim) if init is None else np.asarray(init, dtype=float)
     x = init + INIT_JITTER * np.stack([rng.standard_normal(dim) for rng in rngs])
-    lp = log_prob(x)
+    lp = np.array(log_prob(x), dtype=float)
     if not np.all(np.isfinite(lp)):
         c = int(np.argmin(np.isfinite(lp)))
         raise SamplingError("initial point has non-finite log posterior",
                             {"chain": c, "init": x[c].tolist()})
-    n_total = config.n_warmup + config.n_keep
+    n_warmup, n_total = config.n_warmup, config.n_warmup + config.n_keep
     keep = np.empty((C, config.n_keep, dim))
     lp_keep = np.empty((C, config.n_keep))
 
@@ -310,45 +327,62 @@ def sample_posterior(log_prob, dim: int, config: SamplerConfig, seeds, init=None
     chol = np.broadcast_to(np.eye(dim), (C, dim, dim)).copy()
     run_mean = np.zeros((C, dim))
     run_cov = np.zeros((C, dim, dim))
-    window_accepts, total_accepts = np.zeros(C, dtype=int), np.zeros(C, dtype=int)
+    total_accepts = np.zeros(C, dtype=int)
     adapt_logs = [[] for _ in range(C)]
+    # one window's normals, uniforms, accept flags and warmup states
+    W = min(ADAPT_WINDOW, n_total)
+    z, u, accepted = np.empty((C, W, dim)), np.empty((C, W)), np.empty((C, W), dtype=bool)
+    warm_x, warm_lp = np.empty((C, W, dim)), np.empty((C, W))
+    delta, dev, outer = np.empty((C, dim)), np.empty((C, dim)), np.empty((C, dim, dim))
 
-    for it in range(n_total):
-        z = np.stack([rng.standard_normal(dim) for rng in rngs])
-        prop = x + np.exp(log_scale)[:, None] * np.matmul(chol, z[:, :, None])[..., 0]
-        lp_prop = log_prob(prop)
-        accept = np.log([rng.random() for rng in rngs]) < lp_prop - lp
-        x = np.where(accept[:, None], prop, x)
-        lp = np.where(accept, lp_prop, lp)
-        window_accepts += accept
-        total_accepts += accept
-        if it >= config.n_warmup:
-            keep[:, it - config.n_warmup] = x
-            lp_keep[:, it - config.n_warmup] = lp
+    bounds = [*range(0, n_warmup, ADAPT_WINDOW), *range(n_warmup, n_total, ADAPT_WINDOW), n_total]
+    for start, stop in itertools.pairwise(bounds):
+        w, warm = stop - start, start < n_warmup
+        for zc, uc, rng in zip(z, u, rngs):
+            normal, uniform = rng.standard_normal, rng.random
+            for i in range(w):
+                normal(out=zc[i])
+                uc[i] = uniform()
+        steps = (np.exp(log_scale)[:, None, None]
+                 * np.matmul(chol[:, None], z[:, :w, :, None])[..., 0])
+        log_u = np.log(u[:, :w])
+        xs, lps = ((warm_x, warm_lp) if warm else
+                   (keep[:, start - n_warmup:], lp_keep[:, start - n_warmup:]))
+        for i in range(w):
+            prop = x + steps[:, i]
+            lp_prop = log_prob(prop)
+            accept = np.less(log_u[:, i], lp_prop - lp, out=accepted[:, i])
+            np.copyto(x, prop, where=accept[:, None])
+            np.copyto(lp, lp_prop, where=accept)
+            xs[:, i] = x
+            lps[:, i] = lp
+        window_accepts = accepted[:, :w].sum(axis=1)
+        total_accepts += window_accepts
+        if not warm or stop % ADAPT_WINDOW:  # a warmup window cut short adapts nothing
             continue
-        delta = x - run_mean
-        run_mean += delta / (it + 1)
-        run_cov += delta[:, :, None] * (x - run_mean)[:, None, :]
-        if (it + 1) % ADAPT_WINDOW:
-            continue
+        for i, it in enumerate(range(start, stop)):  # Welford, one state at a time
+            np.subtract(xs[:, i], run_mean, out=delta)
+            run_mean += delta / (it + 1)
+            np.subtract(xs[:, i], run_mean, out=dev)
+            # one product per entry, bitwise a broadcast multiply's, in fewer inner loops
+            run_cov += np.einsum("ci,cj->cij", delta, dev, out=outer)
         if not np.all(window_accepts):
             c = int(np.argmin(window_accepts))
             raise SamplingError("no proposals accepted over a full adaptation window", {
-                "chain": c, "iteration": it + 1, "log_scale": float(log_scale[c]),
+                "chain": c, "iteration": stop, "log_scale": float(log_scale[c]),
                 "position": x[c].tolist(), "log_posterior": float(lp[c])})
         rate = window_accepts / ADAPT_WINDOW
         log_scale += 0.66 * (rate - TARGET_ACCEPT)
         for c in range(C):
-            if it + 1 > 2 * dim:
-                cov = (2.38**2 / dim) * (run_cov[c] / it)
+            if stop > 2 * dim:
+                cov = (2.38**2 / dim) * (run_cov[c] / (stop - 1))
                 cov[np.diag_indices_from(cov)] += 1e-8 + 1e-6 * np.trace(cov) / dim
                 try:
                     chol[c] = np.linalg.cholesky(cov)
                 except np.linalg.LinAlgError:
                     pass
-            adapt_logs[c].append({"iteration": it + 1, "accept_rate": float(rate[c]),
+            adapt_logs[c].append({"iteration": stop, "accept_rate": float(rate[c]),
                                   "log_scale": float(log_scale[c])})
-        window_accepts[:] = 0
     frozen = np.exp(log_scale)[:, None, None] * chol
     logs = [{"windows": windows, "frozen_proposal_chol": frozen[c],
              "last_update_iteration": windows[-1]["iteration"] if windows else 0}

@@ -33,6 +33,7 @@ from survcheck.sampler import (
 from survcheck.simulate import ScenarioConfig, simulate_scenario
 
 import posterior_oracle
+import sampler_oracle
 from pointwise_oracle import log_lik_point, row
 
 
@@ -249,6 +250,23 @@ class TestBitwiseAgainstOracle:
                 assert np.float64(one).tobytes() == np.float64(
                     getattr(posterior_oracle, method)(post, x[-1])).tobytes()
 
+    @pytest.mark.parametrize("prior", [normal(1.0, 3.0), student_t(4, 0.5, 1.5),
+                                       half_student_t(3, 2.0), gamma(2.0, 1.5),
+                                       gamma(0.01, 0.01)], ids=lambda p: p.kind)
+    def test_prior_log_pdf_alone_is_silent(self, prior):
+        # the posterior evaluates each density under its own np.errstate;
+        # called alone, log_pdf enters one itself
+        x = np.array([0.0, -0.0, -1.0, 0.5, 3.0, 1e-300, 1e155, 1e308, -1e308,
+                      np.inf, -np.inf, np.nan])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = prior.log_pdf(x)
+            one = prior.log_pdf(3.0)
+        with np.errstate(all="ignore"):
+            want = posterior_oracle.prior_log_pdf(prior, x)
+        assert got.tobytes() == want.tobytes()
+        assert np.float64(one).tobytes() == want[4].tobytes()
+
 
 class TestFit:
     def test_recovers_known_rate(self):
@@ -329,6 +347,92 @@ class TestInvalidData:
         long = LongDataset([1, 1, 2, 2, 2], [1, 2, 1, 3, 4], [0, 1, 0, 0, 0], {})
         with pytest.raises(DataError, match="subject 2: interval_index not contiguous"):
             PosteriorModel(ModelSpec(family="bernoulli_logit"), long)
+
+
+def gaussian_target(dim, seed, scale):
+    """A correlated normal log density with ``scale`` times the proposal's spread."""
+    rng = np.random.default_rng(seed)
+    root = (np.eye(dim) + 0.4 * np.tril(rng.standard_normal((dim, dim)), -1)) / scale
+
+    def log_prob(x):
+        return -0.5 * np.sum((x @ root) ** 2, axis=1)
+    return log_prob
+
+
+def half_space_target(dim, seed, scale, edge):
+    """``gaussian_target`` cut to x[0] < edge: -inf beyond, NaN far beyond.
+    An edge near 0 puts some chain's jittered start outside: the
+    initial-point SamplingError."""
+    base = gaussian_target(dim, seed, scale)
+
+    def log_prob(x):
+        lp = np.where(x[:, 0] < edge, base(x), -np.inf)
+        return np.where(x[:, 0] > edge + 3.0, np.nan, lp)
+    return log_prob
+
+
+def sticky_target(dim, seed, scale, chains, after):
+    """Normal, but the named chains' proposals are -inf after ``after``
+    calls: a full window without acceptances, the other SamplingError."""
+    base = gaussian_target(dim, seed, scale)
+    calls = []
+
+    def log_prob(x):
+        calls.append(None)
+        lp = base(x)
+        if len(calls) > after:
+            lp[chains] = -np.inf
+        return lp
+    return log_prob
+
+
+def sampler_outcome(sampler, make_target, dim, config, seeds):
+    """Everything ``sampler`` returns, or its SamplingError, as comparable bytes."""
+    try:
+        keep, lp_keep, rates, logs = sampler(make_target(), dim, config, seeds,
+                                             init=np.linspace(-0.2, 0.2, dim))
+    except SamplingError as err:
+        return ("SamplingError", str(err), repr(err.diagnostics))
+    return (keep.shape, keep.tobytes(), lp_keep.tobytes(), rates.tobytes(),
+            [(repr(log["windows"]), log["last_update_iteration"],
+              log["frozen_proposal_chol"].tobytes()) for log in logs])
+
+
+class TestWindowedSamplerAgainstOracle:
+    """``sample_posterior`` runs window by window; every output is byte-equal
+    to the old loop that drew and stepped one iteration at a time
+    (``sampler_oracle``), errors included."""
+
+    @pytest.mark.parametrize("n_keep", [1, 99, 100, 101])
+    @pytest.mark.parametrize("n_warmup", [1, 99, 100, 101, 250])
+    @settings(max_examples=6, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_byte_equal_to_oracle(self, n_warmup, n_keep, data):
+        n_chains = data.draw(st.sampled_from([1, 4, 8]), label="n_chains")
+        dim = data.draw(st.integers(1, 50), label="dim")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        scale = data.draw(st.sampled_from([0.01, 1.0, 30.0]), label="scale")
+        kind = data.draw(st.sampled_from(["gaussian", "half-space", "sticky"]), label="target")
+        if kind == "gaussian":
+            def make_target():
+                return gaussian_target(dim, seed, scale)
+        elif kind == "half-space":
+            edge = data.draw(st.sampled_from([-0.1, 0.05, 1.0, 10.0]), label="edge")
+
+            def make_target():
+                return half_space_target(dim, seed, scale, edge)
+        else:
+            chains = data.draw(st.sets(st.integers(0, n_chains - 1), min_size=1), label="chains")
+            after = data.draw(st.sampled_from([1, 60, 130]), label="after")
+
+            def make_target():
+                return sticky_target(dim, seed, scale, sorted(chains), after)
+        config = SamplerConfig(n_chains=n_chains, n_warmup=n_warmup, n_keep=n_keep, seed=seed)
+        seeds = [(seed, c) for c in range(n_chains)]
+        got = sampler_outcome(sample_posterior, make_target, dim, config, seeds)
+        want = sampler_outcome(sampler_oracle.sample_posterior, make_target, dim, config, seeds)
+        assert got[0] == want[0]
+        assert got == want
 
 
 class TestDetailedBalance:

@@ -16,8 +16,10 @@ The workloads cover:
 * the simulated cohort, the design matrices and fits of the three presets,
   and ``spline_basis`` and ``logistic`` on edge-case inputs;
 * fits the presets never reach: a Weibull fit with hierarchical smooths on
-  data holding all four statuses, and a one-chain fit.  Every fit saves its
-  draws, log posterior, acceptance rates and adaptation record;
+  data holding all four statuses, a one-chain fit, and fits whose warmup
+  and kept lengths (150 / 70 and 1 / 30) end mid adaptation window.  Every
+  fit saves its draws, log posterior, acceptance rates and adaptation
+  record;
 * ``loglik_matrix`` for every family and scoring mode, with PSIS (log
   weights, k-hat, ESS, degenerate flags) and elpd of each matrix.  A
   Bernoulli model is scored on its subjects: a checkout whose
@@ -28,7 +30,8 @@ The workloads cover:
 * ``exact_refit_loo`` for the Weibull and Bernoulli presets in raw mode, the
   Weibull preset on data holding all four statuses in raw and interval
   modes (one held-out unit of each status), and the Bernoulli preset in
-  dichotomized mode on five held-out subjects;
+  dichotomized mode on five held-out subjects, and the Weibull preset with
+  8 chains per held-out unit;
 * the predictive checks on the Weibull and Bernoulli fits: ``km_overlay``
   with imputed replicates, ``intervals_data``, ``pit_ecdf_check``,
   ``calibration_check`` on horizon predictions and on Bernoulli rows, and
@@ -179,8 +182,8 @@ def _primitives():
                 yield f"spline.{name}.d{degree}.k{n_knots}", sc.spline_basis(pts, knots, degree)
 
 
-def _refits(prefix, spec, data, units, **scoring):
-    refits = sc.exact_refit_loo(spec, data, REFIT_SAMPLER, units, **scoring)
+def _refits(prefix, spec, data, units, config=REFIT_SAMPLER, **scoring):
+    refits = sc.exact_refit_loo(spec, data, config, units, **scoring)
     yield prefix, _json({"elpd": [refits["elpd"].get(u) for u in units],
                          "failures": sorted(map(str, refits["failures"]))})
 
@@ -244,6 +247,8 @@ def _masked_refits():
     units = [int(s) for s in short.subject_id[scored][:5]]
     yield from _refits("refit.bernoulli-gist.dichotomized", sc.get_preset("bernoulli-gist"),
                        long, units, mode="dichotomized", horizon=HORIZON)
+    yield from _refits("refit.weibull-gist.8-chains", sc.get_preset("weibull-gist"), short,
+                       units[:3], replace(REFIT_SAMPLER, n_chains=8))
 
 
 def _fit(prefix, res):
@@ -280,6 +285,11 @@ def _uncommon_fits():
     yield from _fit("fit.exponential-one-chain",
                     sc.fit(sc.get_preset("exponential-gist"), short,
                            replace(SAMPLER, n_chains=1, seed=5)))
+    # lengths that end mid adaptation window, and a warmup of one iteration
+    for name, n_warmup, n_keep in (("weibull-gist", 150, 70), ("exponential-gist", 1, 30)):
+        yield from _fit(f"fit.{name}.{n_warmup}-{n_keep}",
+                        sc.fit(sc.get_preset(name), short,
+                               replace(SAMPLER, n_warmup=n_warmup, n_keep=n_keep, seed=8)))
 
 
 def _series(prefix, series):
