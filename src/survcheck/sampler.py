@@ -2,9 +2,10 @@
 
 The posterior dimension here stays small (a few dozen parameters at most
 with splines), so a joint multivariate-normal random walk with covariance
-adapted during warmup is adequate and keeps the package dependency-free.
-Positive parameters (Weibull shape, smoothing scales) are sampled on the
-log scale with the Jacobian correction.
+adapted during warmup is adequate; the sampler and its diagnostics need
+only numpy and ``scipy.special``.  Positive parameters (Weibull shape,
+smoothing scales) are sampled on the log scale with the Jacobian
+correction.
 
 All chains step in lockstep: each iteration makes one call of the log
 posterior on the (C, dim) batch of proposals, which returns (C,) values.
@@ -18,6 +19,11 @@ one iteration after another, and each proposal step is its own
 matrix-vector product, so runs are bit-reproducible for a given seed and a
 chain's draws do not depend on the chains beside it or on the window
 lengths.
+
+Split-R-hat and bulk ESS take every parameter's chains in one pass, in
+blocks of parameters: one rank-normalisation, one batched FFT for the
+autocovariances and Geyer's initial monotone sequence by cumulative
+minimum and sum, each value bitwise what one parameter gives alone.
 """
 
 from __future__ import annotations
@@ -28,7 +34,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtri
-from scipy.stats import rankdata
 
 from .data import DrawsMatrix, LongDataset, SurvivalDataset, require_valid
 from .data import require_counts
@@ -51,7 +56,7 @@ INIT_JITTER = 0.1
 INIT_PROPOSAL_SCALE = 0.1
 ADAPT_WINDOW = 100
 TARGET_ACCEPT = 0.35
-# diagnose flags a parameter whose split-R-hat exceeds this
+# diagnose flags a parameter whose split-R-hat exceeds this or is NaN
 RHAT_THRESHOLD = 1.01
 
 
@@ -403,11 +408,10 @@ def fit(spec: ModelSpec, data, config: SamplerConfig | None = None) -> FitResult
         post.init_point())
     draws = DrawsMatrix(post.constrain(chains.reshape(-1, post.dim)), post.parameter_names,
                         np.repeat(np.arange(config.n_chains), config.n_keep))
-    cols = {name: chains[:, :, j] for j, name in enumerate(post.parameter_names)}
-    rhat = {name: split_rhat(c) if config.n_chains >= 2 else float("nan")
-            for name, c in cols.items()}
-    ess = {name: bulk_ess(c) for name, c in cols.items()}
-    return FitResult(draws=draws, rhat=rhat, ess=ess, accept_rate=rates,
+    rhat = split_rhat(chains) if config.n_chains >= 2 else np.full(post.dim, np.nan)
+    names = post.parameter_names
+    return FitResult(draws=draws, rhat=dict(zip(names, rhat.tolist())),
+                     ess=dict(zip(names, bulk_ess(chains).tolist())), accept_rate=rates,
                      log_post=lps.reshape(-1), config=config,
                      adaptation={"chains": logs, "n_warmup": config.n_warmup})
 
@@ -416,83 +420,125 @@ def fit(spec: ModelSpec, data, config: SamplerConfig | None = None) -> FitResult
 # convergence diagnostics
 
 
-def split_rhat(chains: np.ndarray) -> float:
-    """Split-R-hat of one parameter; ``chains`` is (n_chains, n_iter)."""
-    seqs = _split(chains)
-    m, L = seqs.shape
+# float64 elements per parameter block of the diagnostics' FFT temporaries: 2 MiB
+_CHUNK = 1 << 18
+
+
+def split_rhat(chains: np.ndarray):
+    """Split-R-hat of each parameter: a float for one parameter's
+    (n_chains, n_iter) chains, (k,) values for (n_chains, n_iter, k)."""
+    return _per_parameter(_split_rhat, chains)
+
+
+def bulk_ess(chains: np.ndarray):
+    """Bulk effective sample size (rank-normalized) of each parameter: a
+    float for one parameter's (n_chains, n_iter) chains, (k,) values for
+    (n_chains, n_iter, k)."""
+    return _per_parameter(_bulk_ess, chains)
+
+
+def _per_parameter(stat, chains):
+    """``stat`` of the split sequences of every parameter, in blocks of
+    parameters.  Each block is a C-ordered (k, m, L) array, so every mean,
+    variance and FFT runs along a contiguous last axis as it does for one
+    parameter's (m, L) sequences, and each value is bitwise its value alone."""
+    chains = np.asarray(chains, dtype=float)
+    one = chains.ndim < 3
+    if one:
+        chains = np.atleast_2d(chains)[..., None]
+    n_chains, n_iter, k = chains.shape
+    half = n_iter // 2
+    step = max(1, _CHUNK // (2 * n_chains * _fft_size(half)))
+    out = np.empty(k)
+    with np.errstate(all="ignore"):
+        for j in range(0, k, step):
+            block = chains[:, : 2 * half, j : j + step]
+            b = block.shape[2]
+            # (b, 2, C, half): every chain's first half, then every second half
+            seqs = np.ascontiguousarray(block.reshape(n_chains, 2, half, b).transpose(3, 1, 0, 2))
+            out[j : j + b] = stat(seqs.reshape(b, 2 * n_chains, half))
+    return float(out[0]) if one else out
+
+
+def _split_rhat(seqs: np.ndarray) -> np.ndarray:
+    k, m, L = seqs.shape
     if m < 2 or L < 2:
-        return float("nan")
-    means = seqs.mean(axis=1)
-    vars_ = seqs.var(axis=1, ddof=1)
-    W = vars_.mean()
-    B = L * means.var(ddof=1)
-    if W == 0:
-        return float("nan") if B == 0 else float("inf")
+        return np.full(k, np.nan)
+    W = seqs.var(axis=-1, ddof=1).mean(axis=-1)
+    B = L * seqs.mean(axis=-1).var(axis=-1, ddof=1)
     var_plus = (L - 1) / L * W + B / L
-    return float(np.sqrt(var_plus / W))
+    return np.where(W == 0, np.where(B == 0, np.nan, np.inf), np.sqrt(var_plus / W))
 
 
-def bulk_ess(chains: np.ndarray) -> float:
-    """Bulk effective sample size (rank-normalized) of one parameter."""
-    seqs = _split(chains)
-    m, L = seqs.shape
+def _bulk_ess(seqs: np.ndarray) -> np.ndarray:
+    k, m, L = seqs.shape
     if L < 4:
-        return float("nan")
-    ranks = rankdata(seqs.reshape(-1)).reshape(m, L)
-    z = ndtri((ranks - 0.375) / (m * L + 0.25))
-    return _ess_from_sequences(z)
+        return np.full(k, np.nan)
+    ranks = _average_ranks(seqs.reshape(k, m * L))
+    return _ess(ndtri((ranks - 0.375) / (m * L + 0.25)).reshape(k, m, L))
 
 
-def _split(chains: np.ndarray) -> np.ndarray:
-    chains = np.atleast_2d(np.asarray(chains, dtype=float))
-    half = chains.shape[1] // 2
-    return np.concatenate([chains[:, :half], chains[:, half : 2 * half]], axis=0)
+def _average_ranks(a: np.ndarray) -> np.ndarray:
+    """1-based ranks along the rows of a (k, n) array, a tie group's the mean
+    of its positions (scipy.stats.rankdata's 'average'); a row holding a NaN
+    is all NaN."""
+    k, n = a.shape
+    order = np.argsort(a, axis=-1, kind="stable")
+    ordered = np.take_along_axis(a, order, axis=-1)
+    starts = np.ones((k, n), dtype=bool)
+    np.not_equal(ordered[:, 1:], ordered[:, :-1], out=starts[:, 1:])
+    lo = np.flatnonzero(starts)
+    counts = np.diff(lo, append=k * n)
+    lo %= n
+    hi = lo + counts  # one past each tie group's last position
+    ranks = np.empty((k, n))
+    np.put_along_axis(ranks, order, np.repeat(0.5 * (hi + lo + 1), counts).reshape(k, n), axis=-1)
+    ranks[np.isnan(ordered[:, -1])] = np.nan  # NaN sorts last
+    return ranks
 
 
-def _ess_from_sequences(seqs: np.ndarray) -> float:
-    m, L = seqs.shape
-    acov = np.array([_autocov(s) for s in seqs])
-    chain_var = acov[:, 0] * L / (L - 1.0)
-    mean_var = chain_var.mean()
+def _fft_size(n: int) -> int:
+    return 2 ** int(np.ceil(np.log2(2 * n))) if n else 1
+
+
+def _ess(seqs: np.ndarray) -> np.ndarray:
+    """ESS of each parameter's (m, L) sequences in a (k, m, L) array: the
+    autocovariances by one batched FFT, then Geyer's initial monotone
+    sequence over lag pairs, summed in lag order up to the first pair that
+    is not positive."""
+    k, m, L = seqs.shape
+    size = _fft_size(L)
+    f = np.fft.rfft(seqs - seqs.mean(axis=-1, keepdims=True), size)
+    # not ``f * np.conj(f)``: numpy reuses a temporary operand of 256 KiB or
+    # more in place, which swaps the operands of a product whose fused
+    # complex multiply is not symmetric in them
+    acov = np.fft.irfft(np.multiply(f, np.conj(f)), size)[..., :L] / L
+    mean_var = (acov[..., 0] * L / (L - 1.0)).mean(axis=-1)
     var_plus = mean_var * (L - 1.0) / L
     if m > 1:
-        var_plus += seqs.mean(axis=1).var(ddof=1)
-    if var_plus == 0:
-        return float("nan")
-    rho = 1.0 - (mean_var - acov.mean(axis=0)) / var_plus
-    rho[0] = 1.0
-    # Geyer initial monotone positive sequence over lag pairs
-    tau = 0.0
-    prev_pair = np.inf
-    t = 0
-    while t + 1 < L:
-        pair = rho[t] + rho[t + 1]
-        if pair <= 0:
-            break
-        pair = min(pair, prev_pair)
-        tau += pair
-        prev_pair = pair
-        t += 2
-    tau = max(2.0 * tau - 1.0, 1.0 / np.log10(m * L + 10.0))
-    return float(min(m * L / tau, m * L))
-
-
-def _autocov(x: np.ndarray) -> np.ndarray:
-    n = len(x)
-    xc = x - x.mean()
-    size = 2 ** int(np.ceil(np.log2(2 * n)))
-    f = np.fft.rfft(xc, size)
-    acov = np.fft.irfft(f * np.conj(f), size)[:n].real
-    return acov / n
+        var_plus += seqs.mean(axis=-1).var(axis=-1, ddof=1)
+    rho = 1.0 - (mean_var[:, None] - acov.mean(axis=1)) / var_plus[:, None]
+    rho[:, 0] = 1.0
+    pairs = rho[:, 0 : L - 1 : 2] + rho[:, 1:L:2]
+    n_pairs = pairs.shape[1]
+    stop = np.where((pairs <= 0).any(axis=-1), np.argmax(pairs <= 0, axis=-1), n_pairs)
+    sums = np.zeros((k, n_pairs + 1))  # sums[:, t]: the first t monotone pairs, in order
+    np.cumsum(np.minimum.accumulate(pairs, axis=-1), axis=-1, out=sums[:, 1:])
+    tau = 2.0 * sums[np.arange(k), stop] - 1.0
+    floor = 1.0 / np.log10(m * L + 10.0)
+    tau = np.where(floor > tau, floor, tau)  # max(tau, floor), a NaN tau kept
+    ess = m * L / tau
+    return np.where(var_plus == 0, np.nan, np.where(m * L < ess, m * L, ess))
 
 
 def diagnose(result: FitResult) -> dict:
-    """Convergence report: per-parameter split-R-hat and bulk ESS, with flags."""
-    flags = [
-        name
-        for name, r in result.rhat.items()
-        if not np.isnan(r) and r > RHAT_THRESHOLD
-    ]
+    """Convergence report: per-parameter split-R-hat and bulk ESS, with flags.
+
+    A parameter is flagged unless its R-hat is at most ``RHAT_THRESHOLD``:
+    an R-hat that cannot be computed (NaN: one chain, fewer than 4 kept
+    draws, a parameter constant and equal across chains) shows no
+    convergence, so it is flagged too."""
+    flags = [name for name, r in result.rhat.items() if not r <= RHAT_THRESHOLD]
     return {
         "rhat": dict(result.rhat),
         "ess": dict(result.ess),

@@ -344,6 +344,20 @@ def test_one_chain_diagnostics_are_strict_json(workspace, tmp_path):
 
     diag = json.loads((out / "diagnostics.json").read_text(), parse_constant=refuse)
     assert all(v is None for v in diag["rhat"].values())
+    assert sorted(diag["flagged"]) == sorted(diag["rhat"]) and diag["ok"] is False
+
+
+def test_fit_keeping_one_draw_is_not_ok(workspace, tmp_path):
+    # one kept draw per chain leaves no split sequence to compare: every
+    # R-hat is unavailable, so every parameter is flagged
+    out = tmp_path / "keep1"
+    assert main(["fit", "--data", str(workspace["sim"] / "short.csv"), "--model",
+                 "exponential-gist", "--out", str(out), "--chains", "2", "--warmup", "50",
+                 "--keep", "1"]) == 0
+    diag = json.loads((out / "diagnostics.json").read_text())
+    assert diag["rhat"] and all(v is None for v in diag["rhat"].values())
+    assert sorted(diag["flagged"]) == sorted(diag["rhat"])
+    assert diag["ok"] is False
 
 
 def test_pipeline_run(tmp_path):

@@ -21,6 +21,7 @@ from survcheck.models import (
     student_t,
 )
 from survcheck.sampler import (
+    FitResult,
     PosteriorModel,
     SamplerConfig,
     SamplingError,
@@ -28,10 +29,12 @@ from survcheck.sampler import (
     diagnose,
     fit,
     sample_posterior,
+    _average_ranks,
     split_rhat,
 )
 from survcheck.simulate import ScenarioConfig, simulate_scenario
 
+import diagnostics_oracle
 import posterior_oracle
 import sampler_oracle
 from pointwise_oracle import log_lik_point, row
@@ -484,3 +487,82 @@ class TestDiagnostics:
                   SamplerConfig(n_chains=1, n_warmup=300, n_keep=300, seed=3))
         assert math.isnan(res.rhat["b_Intercept"])
         assert np.isfinite(res.ess["b_Intercept"])
+        # an R-hat that cannot be computed shows no convergence
+        rep = diagnose(res)
+        assert rep["flagged"] == ["b_Intercept"]
+        assert rep["ok"] is False
+
+    def test_nan_and_inf_rhat_flagged(self):
+        res = FitResult(draws=None, rhat={"a": 1.0, "b": float("nan"), "c": float("inf")},
+                        ess={}, accept_rate=np.ones(2), log_post=np.zeros(2))
+        rep = diagnose(res)
+        assert rep["flagged"] == ["b", "c"]
+        assert rep["ok"] is False
+        assert math.isnan(split_rhat(np.full((3, 40), 2.5)))
+
+
+def chain_set(data, n_chains, n_iter, k):
+    """(n_chains, n_iter, k) chains drawn by hypothesis: autocorrelated,
+    rounded (heavy ties) or Metropolis-like (repeated states), with some
+    parameters constant and equal across chains, constant and disjoint, or
+    holding infinite or NaN draws."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    kind = data.draw(st.sampled_from(["iid", "ar", "rounded", "metropolis"]), label="kind")
+    x = rng.standard_normal((n_chains, n_iter, k))
+    if kind in ("ar", "rounded"):
+        phi = data.draw(st.sampled_from([0.5, 0.9, 0.99]), label="phi")
+        for t in range(1, n_iter):
+            x[:, t] += phi * x[:, t - 1]
+        if kind == "rounded":
+            x = np.round(x, data.draw(st.integers(-1, 1), label="decimals"))
+    elif kind == "metropolis":
+        accept = data.draw(st.sampled_from([0.02, 0.2, 0.5]), label="accept")
+        x = np.cumsum(x * (rng.random((n_chains, n_iter, 1)) < accept), axis=1)
+    x += data.draw(st.sampled_from([0.0, 1.0]), label="offset") * np.arange(n_chains)[:, None, None]
+    for j in data.draw(st.sets(st.integers(0, k - 1), max_size=4), label="special"):
+        what = data.draw(st.sampled_from(["equal", "disjoint", "inf", "-inf", "nan"]))
+        if what == "equal":
+            x[:, :, j] = 1.5
+        elif what == "disjoint":
+            x[:, :, j] = np.arange(n_chains)[:, None]
+        else:
+            x[rng.integers(n_chains), rng.integers(n_iter), j] = float(what)
+    return x
+
+
+class TestDiagnosticsAgainstOracle:
+    """``split_rhat`` and ``bulk_ess`` take every parameter in one pass; each
+    value is byte-equal to the old one-parameter bodies (``diagnostics_oracle``,
+    ranks from ``scipy.stats.rankdata``), and one parameter's chains give a
+    float."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_byte_equal_to_oracle(self, data):
+        n_chains = data.draw(st.integers(1, 8), label="n_chains")
+        n_iter = data.draw(st.one_of(st.integers(1, 9), st.integers(1, 600)), label="n_iter")
+        k = data.draw(st.integers(1, 50), label="k")
+        x = chain_set(data, n_chains, n_iter, k)
+        rhat, ess = split_rhat(x), bulk_ess(x)
+        assert rhat.shape == ess.shape == (k,)
+        for j in range(k):
+            with np.errstate(all="ignore"):
+                want = (diagnostics_oracle.split_rhat(x[:, :, j]),
+                        diagnostics_oracle.bulk_ess(x[:, :, j]))
+            alone = split_rhat(x[:, :, j]), bulk_ess(x[:, :, j])
+            assert [type(v) for v in alone] == [float, float]
+            assert np.array(alone).tobytes() == np.array(want).tobytes()
+            assert np.array([rhat[j], ess[j]]).tobytes() == np.array(want).tobytes()
+
+    def test_average_ranks_match_rankdata(self):
+        from scipy.stats import rankdata
+        rng = np.random.default_rng(12)
+        a = rng.integers(0, 6, size=(40, 97)).astype(float)
+        a[3, 5] = np.nan
+        a[7] = -0.0
+        a[7, ::2] = 0.0
+        a[9, :3] = [np.inf, -np.inf, np.inf]
+        got = _average_ranks(a)
+        want = np.array([rankdata(row) for row in a])
+        assert got.tobytes() == want.tobytes()
+        assert np.isnan(got[3]).all() and not np.isnan(got[4]).any()

@@ -55,7 +55,18 @@ The workloads cover:
   holding all four statuses, and held-out batches of that model and of the
   Bernoulli preset.  The 120-chain batches hold rows a fit rarely visits:
   non-finite entries, an overflowing or vanishing mean, a huge or tiny
-  Weibull shape and an overflowing smoothing scale.
+  Weibull shape and an overflowing smoothing scale;
+* ``split_rhat`` and ``bulk_ess`` on seeded chain sets (autocorrelated,
+  odd and short lengths, 1 to 8 chains, up to 50 parameters, heavy ties,
+  equal and disjoint constant chains, infinite and NaN draws), called on
+  each parameter's (n_chains, n_iter) chains and on all parameters'
+  (n_chains, n_iter, k) chains at once (a checkout that takes only the
+  former is called per parameter), and ``diagnose`` of every fit above and
+  of ``survcheck fit --keep 1``.
+
+``DECLARED`` names the outputs a change alters on purpose and the JSON keys
+in them that may differ; ``compare`` reports those keys and requires every
+other key to match.
 
 Only numpy and the standard library are used besides survcheck itself.
 """
@@ -124,6 +135,13 @@ SPEC = {
         "shape": {"kind": "gamma", "params": [2, 1]},
         "smooth_scale": {"kind": "half_student_t", "params": [3, 1]},
     },
+}
+# outputs the change under test alters on purpose -> the JSON keys that may
+# differ: a NaN R-hat (one chain, fewer than 4 kept draws) is flagged, so the
+# fit is not ok.  Empty it once the capture postdates that change.
+DECLARED = {
+    "fit.exponential-one-chain.diagnose": ("flagged", "ok"),
+    "diagnose.file.keep-1/diagnostics.json": ("flagged", "ok"),
 }
 FULL_PIPELINE = {
     "scenario": {**SCENARIO, "n_subjects": 60},
@@ -256,6 +274,7 @@ def _fit(prefix, res):
     yield f"{prefix}.log_post", res.log_post
     yield f"{prefix}.accept_rate", res.accept_rate
     yield f"{prefix}.rhat_ess", _json([res.rhat, res.ess])
+    yield f"{prefix}.diagnose", _json(sc.diagnose(res))
     for c, log in enumerate(res.adaptation["chains"]):
         yield f"{prefix}.adaptation.{c}", _json([log["windows"], log["last_update_iteration"]])
         yield f"{prefix}.frozen_chol.{c}", log["frozen_proposal_chol"]
@@ -405,6 +424,63 @@ def _log_posterior():
                                                     "log_posterior")])
 
 
+def _chain_sets():
+    """Seeded (n_chains, n_iter, k) chains for the convergence diagnostics."""
+    rng = np.random.default_rng(31)
+
+    def ar1(n_chains, n_iter, k, phi):
+        x = rng.standard_normal((n_chains, n_iter, k))
+        for t in range(1, n_iter):
+            x[:, t] += phi * x[:, t - 1]
+        return x
+
+    # a Metropolis chain repeats its state on every rejection
+    moves = rng.standard_normal((4, 400, 8)) * (rng.random((4, 400, 1)) < 0.2)
+    special = rng.standard_normal((4, 100, 7))
+    special[:, :, 0] = 1.5                      # equal constant chains: NaN
+    special[:, :, 1] = np.arange(4.0)[:, None]  # disjoint constant chains: inf
+    special[2, 10, 2] = np.inf
+    special[1, 50:, 3] = -np.inf
+    special[0, 7, 4] = np.nan
+    special[:, :, 5] = np.round(special[:, :, 5])
+    special[:, :, 6] = np.where(special[:, :, 6] > 0, -0.0, 0.0)  # signed zeros
+    return {
+        "ar1": ar1(4, 1000, 6, 0.9) + 0.1 * np.arange(6),
+        "separated": ar1(4, 300, 3, 0.5) + np.arange(4.0)[:, None, None],
+        "odd": ar1(3, 601, 4, 0.5),
+        "eight-chains": rng.standard_normal((8, 200, 50)),
+        "one-chain": ar1(1, 301, 3, 0.9),
+        "rounded": np.round(ar1(4, 151, 5, 0.7), 1),
+        "metropolis": np.cumsum(moves, axis=1),
+        "special": special,
+        **{f"length-{n}": rng.standard_normal((2, n, 3)) for n in (1, 2, 3, 4, 5, 7)},
+    }
+
+
+def _takes_all_parameters(stat) -> bool:
+    """Whether ``stat`` takes (n_chains, n_iter, k) chains."""
+    try:
+        return np.shape(stat(np.zeros((2, 8, 3)))) == (3,)
+    except ValueError:
+        return False
+
+
+def _diagnostics():
+    for name, chains in _chain_sets().items():
+        for stat in (sc.sampler.split_rhat, sc.sampler.bulk_ess):
+            prefix = f"diagnostics.{name}.{stat.__name__}"
+            with np.errstate(all="ignore"):
+                alone = [stat(chains[:, :, j]) for j in range(chains.shape[2])]
+                together = stat(chains) if _takes_all_parameters(stat) else np.array(alone)
+            yield f"{prefix}.per-parameter", _json([repr(v) for v in alone])
+            yield f"{prefix}.all-parameters", together
+    yield from _cli_files("diagnose", {}, [
+        ["simulate", "--out", "sim", "--seed", "3", "--n-subjects", "40"],
+        ["fit", "--data", "sim/short.csv", "--model", "exponential-gist", "--out", "keep-1",
+         "--chains", "2", "--warmup", "150", "--keep", "1", "--seed", "2"],
+    ])
+
+
 def _pipeline():
     yield "run_pipeline", _json(sc.experiments.run_pipeline(PIPELINE))
 
@@ -467,7 +543,8 @@ def _settings():
 
 def outputs():
     for workload in (_primitives, _cohort, _uncommon_fits, _masked_refits, _checks,
-                     _psis_edge_cases, _log_posterior, _pipeline, _cli, _settings):
+                     _psis_edge_cases, _log_posterior, _diagnostics, _pipeline, _cli,
+                     _settings):
         yield from workload()
 
 
@@ -515,9 +592,21 @@ def _difference(old, new) -> str | None:
             f"{int(np.sum(~finite & ~(np.isnan(old) & np.isnan(new))))} non-finite mismatches")
 
 
+def _declared(name, old: bytes, new: bytes) -> str | None:
+    """How JSON output ``name`` differs in its declared keys, or None if it
+    differs elsewhere too."""
+    keys = DECLARED[name]
+    old, new = json.loads(old), json.loads(new)
+    if {k: v for k, v in old.items() if k not in keys} != {
+            k: v for k, v in new.items() if k not in keys}:
+        return None
+    return "; ".join(f"{k}: {old.get(k)!r} became {new.get(k)!r}"
+                     for k in keys if old.get(k) != new.get(k))
+
+
 def compare(root: Path) -> int:
     expected = json.loads((root / "index.json").read_text())
-    seen, failures, matched = set(), [], 0
+    seen, failures, declared, matched = set(), [], [], 0
     for name, value in outputs():
         seen.add(name)
         path = _file(root, name, value)
@@ -526,15 +615,17 @@ def compare(root: Path) -> int:
             continue
         old = np.load(path, allow_pickle=False) if path.suffix == ".npy" else path.read_bytes()
         why = _difference(old, value)
-        if why:
+        if why and name in DECLARED and (change := _declared(name, old, value)):
+            declared.append(f"{name}: declared change, {change}")
+        elif why:
             failures.append(f"{name}: {why}")
         else:
             matched += 1
     failures += [f"{name}: captured but not produced" for name in expected if name not in seen]
-    for line in failures:
+    for line in declared + failures:
         print(line)
     print(f"{matched} of {len(expected)} captured outputs byte-identical, "
-          f"{len(failures)} problems")
+          f"{len(declared)} declared changes, {len(failures)} problems")
     return 1 if failures else 0
 
 
