@@ -47,7 +47,7 @@ from .models import (
     preset_weibull_gist,
     subject_params,
 )
-from .sampler import SamplerConfig, SamplerConfigError, diagnose, fit
+from .sampler import FitResult, SamplerConfig, SamplerConfigError, _run_jobs, diagnose, fit
 from .series import PlotSeries
 from .simulate import ScenarioConfig, simulate_scenario
 
@@ -102,8 +102,7 @@ def timescale_experiment(
     sampler = sampler or SamplerConfig(n_warmup=800, n_keep=500, seed=seed)
     spec_w = ModelSpec(family="weibull_aft", fixed=("x",), name="weibull")
     spec_e = ModelSpec(family="exponential", fixed=("x",), name="exponential")
-    fit_w = fit(spec_w, data, sampler)
-    fit_e = fit(spec_e, data, sampler)
+    fit_w, fit_e = _run_jobs(_fit_job, [(spec_w, data, sampler), (spec_e, data, sampler)])
     design = ModelDesign(spec_w, data.covariates)
     design_e = ModelDesign(spec_e, data.covariates)
 
@@ -186,6 +185,11 @@ def hazard_curves_experiment(
     Fits the exponential, Weibull AFT (both with a treatment indicator) and
     discrete-time Bernoulli models to a synthetic cohort, then predicts the
     treated and untreated curves for one patient.
+
+    The three fits run at once, each in a forked worker process that holds
+    its fit's draws (``sampler._run_jobs``; one after another in this
+    process where there is no ``fork`` or inside a worker).  Each keeps its
+    seed, so the results are bit for bit those of one process.
     """
     scenario = scenario or ScenarioConfig()
     sampler = sampler or SamplerConfig(n_warmup=2500, n_keep=750, seed=scenario.seed + 1)
@@ -197,10 +201,13 @@ def hazard_curves_experiment(
                "patient": dict(EXAMPLE_PATIENT), "curves": {}, "diagnostics": {}}
 
     # continuous models carry the treatment as a plain indicator
+    specs = (preset_exponential_gist(extra_fixed=("AdjTreatm",)),
+             preset_weibull_gist(extra_fixed=("AdjTreatm",)))
+    bern = get_preset("bernoulli-gist")
+    *fits, res_b = _run_jobs(_fit_job, [*((spec, short_scaled, sampler) for spec in specs),
+                                        (bern, long_scaled, sampler)])
     t_grid = np.linspace(0.25, float(scenario.max_follow_up), 40)
-    for spec in (preset_exponential_gist(extra_fixed=("AdjTreatm",)),
-                 preset_weibull_gist(extra_fixed=("AdjTreatm",))):
-        res = fit(spec, short_scaled, sampler)
+    for spec, res in zip(specs, fits):
         results["diagnostics"][spec.name] = diagnose(res)
         design = ModelDesign(spec, short_scaled.covariates)
         for treated in (1.0, 0.0):
@@ -211,8 +218,6 @@ def hazard_curves_experiment(
             results["curves"][f"{spec.name}_{label}"] = _quantile_curves(
                 haz, t_grid, f"{spec.name} hazard ({label})")
 
-    bern = get_preset("bernoulli-gist")
-    res_b = fit(bern, long_scaled, sampler)
     results["diagnostics"][bern.name] = diagnose(res_b)
     design_b = ModelDesign(bern, long_scaled.covariates)
     years = np.arange(1, scenario.max_follow_up + 1, dtype=float)
@@ -243,6 +248,11 @@ def hazard_curves_experiment(
          "bernoulli_jump_after_treatment")
     )
     return results
+
+
+def _fit_job(job) -> FitResult:
+    """``fit(spec, data, sampler)`` of a (spec, data, sampler) job."""
+    return fit(*job)
 
 
 def curves_to_series(curves: dict) -> list[PlotSeries]:
@@ -321,6 +331,14 @@ def run_pipeline(config: dict) -> dict:
     fits the three models, runs the recommended checks for each, and
     compares them on the probability scale (interval mode) plus the
     dichotomized task for the continuous pair.
+
+    The three models are fitted and scored by PSIS-LOO at once, each in a
+    forked worker process that holds its fit's draws and log-lik matrices
+    (``sampler._run_jobs``; one after another in this process where there
+    is no ``fork`` or inside a worker).  The checks that draw from the
+    pipeline's RNG (predictive times, imputations, the calibration band's
+    seed) then run here in a fixed order, so the results are bit for bit
+    those of one process.
     """
     pipeline = settings(
         PipelineConfig, config, DataError, scenario=ScenarioConfig.from_dict, horizon=float,
@@ -337,43 +355,42 @@ def run_pipeline(config: dict) -> dict:
                       "horizon": horizon},
            "checks": {}, "diagnostics": {}}
 
-    fits, designs, specs = {}, {}, {}
-    for spec in (preset_exponential_gist(extra_fixed=("AdjTreatm",)),
-                 preset_weibull_gist(extra_fixed=("AdjTreatm",))):
-        res = fit(spec, short_scaled, sampler)
-        fits[spec.name], designs[spec.name], specs[spec.name] = res, ModelDesign(
-            spec, short_scaled.covariates), spec
+    specs = (preset_exponential_gist(extra_fixed=("AdjTreatm",)),
+             preset_weibull_gist(extra_fixed=("AdjTreatm",)))
+    bern = get_preset("bernoulli-gist")
+    jobs = [*((spec, short_scaled, sampler, grid, horizon) for spec in specs),
+            (bern, long_scaled, sampler, None, None)]
+    done = _run_jobs(_pipeline_job, jobs)
+    for (spec, *_), (res, _, _) in zip(jobs, done):
         out["diagnostics"][spec.name] = diagnose(res)
-        sims = posterior_predictive_times(spec, designs[spec.name], res.draws,
-                                          short_scaled, rng, n_draws=50)
-        imputed = impute_censored(spec, designs[spec.name], res.draws,
-                                  short_scaled, rng, n_imputations=10)
+    *models, (res_b, design_b, reports_b) = done
+
+    for spec, (res, design, _) in zip(specs, models):
+        sims = posterior_predictive_times(spec, design, res.draws, short_scaled, rng, n_draws=50)
+        imputed = impute_censored(spec, design, res.draws, short_scaled, rng, n_imputations=10)
         bundle = km_overlay(short_scaled, sims, cutoff_factor=1.2, imputed=imputed)
         out["checks"][f"km_overlay_{spec.name}"] = [s.to_dict() for s in bundle]
 
-    bern = get_preset("bernoulli-gist")
-    res_b = fit(bern, long_scaled, sampler)
-    out["diagnostics"][bern.name] = diagnose(res_b)
-    design_b = ModelDesign(bern, long_scaled.covariates)
     p_mean, outcomes = calibration_inputs(bern, design_b, res_b.draws, long_scaled)
     series, inside = calibration_check(p_mean, outcomes,
                                        seed=int(rng.integers(2**31)), zoom_mass=0.9)
     out["checks"]["calibration_bernoulli-gist"] = [s.to_dict() for s in series]
     out["checks"]["calibration_inside_band"] = bool(inside)
 
-    reports = []
-    for name in ("exponential-gist", "weibull-gist"):
-        ll = loglik_matrix(specs[name], designs[name], fits[name].draws,
-                           short_scaled, mode="interval", grid=grid)
-        reports.append(elpd_loo(ll, name=name))
-    ll_b = loglik_matrix(bern, design_b, res_b.draws, long_scaled, mode="interval")
-    reports.append(elpd_loo(ll_b, name="bernoulli-gist"))
-    out["compare_interval"] = compare(reports).to_dict()
-
-    dich = []
-    for name in ("exponential-gist", "weibull-gist"):
-        ll = loglik_matrix(specs[name], designs[name], fits[name].draws,
-                           short_scaled, mode="dichotomized", horizon=horizon)
-        dich.append(elpd_loo(ll, name=name))
-    out["compare_dichotomized"] = compare(dich).to_dict()
+    out["compare_interval"] = compare([reports[0] for *_, reports in models]
+                                      + reports_b).to_dict()
+    out["compare_dichotomized"] = compare([reports[1] for *_, reports in models]).to_dict()
     return out
+
+
+def _pipeline_job(job) -> tuple:
+    """Fit one of ``run_pipeline``'s models: (fit, design, PSIS-LOO reports),
+    the reports in interval mode and, with a ``horizon``, dichotomized."""
+    spec, data, sampler, grid, horizon = job
+    res = fit(spec, data, sampler)
+    design = ModelDesign(spec, data.covariates)
+    scoring = [{"mode": "interval", "grid": grid}]
+    if horizon is not None:
+        scoring.append({"mode": "dichotomized", "horizon": horizon})
+    return res, design, [elpd_loo(loglik_matrix(spec, design, res.draws, data, **kw),
+                                  name=spec.name) for kw in scoring]

@@ -570,15 +570,20 @@ def exact_refit_loo(
     twice, is a LooError before any sampling, one not scored in ``mode`` a
     LooError after it.  Returns {unit_id: elpd} plus per-unit failures.
 
-    All refits run as one batch (``PosteriorModel`` with ``held_out``) in one
-    lockstep sampling loop; only units whose spline widths differ (tied
-    covariates) form separate batches.  Each unit's chains are seeded from
-    (config.seed, unit index) as its lone fit's would be, so units are
-    independent: a unit whose chain fails goes into ``failures`` and the
-    batch reruns without it.  A batch of N units holds N * n_chains *
-    n_keep * dim kept draws and N design matrices over all rows at once.
+    The refits run as lockstep batches (``PosteriorModel`` with
+    ``held_out``): units whose spline widths differ (tied covariates) form
+    separate batches, and each batch is split, in order, into min(units,
+    usable CPUs) sub-batches, each sampled and scored in a forked worker
+    process of its own (``sampler._run_jobs``; one after another in this
+    process where there is no ``fork`` or inside a worker).  Each unit's
+    chains are seeded from (config.seed, unit index) as its lone fit's
+    would be, so units are independent and the scores are bit for bit the
+    same however the units are split: a unit whose chain fails goes into
+    ``failures`` and its sub-batch reruns without it.  A worker's sub-batch
+    of N units holds N * n_chains * n_keep * dim kept draws and N design
+    matrices over all rows at once.
     """
-    from .sampler import PosteriorModel, SamplingError, sample_posterior
+    from .sampler import _run_jobs, _usable_cpus
 
     if not isinstance(data, (SurvivalDataset, LongDataset)):
         raise DataError("unsupported data type")
@@ -586,38 +591,54 @@ def exact_refit_loo(
     if len(set(unit_ids)) < len(unit_ids):
         raise LooError("unit ids to refit must be distinct")
     batches: dict = {}
-    designs = []  # each unit's, built once: they batch the units and bind the model
     for idx, uid in enumerate(unit_ids):
         keep = data.subject_id != uid
         if keep.all():
             raise LooError(f"unit {uid!r} not present in the data")
-        designs.append(ModelDesign(spec, {k: v[keep] for k, v in data.covariates.items()}))
-        batches.setdefault(tuple(designs[idx].parameter_names), []).append(idx)
-    C = config.n_chains
+        # each unit's design, built once: it batches the units and binds the model
+        design = ModelDesign(spec, {k: v[keep] for k, v in data.covariates.items()})
+        batches.setdefault(tuple(design.parameter_names), []).append((idx, uid, design))
+    scoring = {"mode": mode, "grid": grid, "horizon": horizon}
     results = {}
-    for pending in batches.values():
-        while pending:
-            post = PosteriorModel(spec, data, {unit_ids[i]: designs[i] for i in pending})
-            seeds = [(config.seed * 100003 + i + 1, c) for i in pending for c in range(C)]
-            try:
-                chains = sample_posterior(post.log_posterior, post.dim, config, seeds,
-                                          post.init_point())[0]
-                break
-            except SamplingError as err:
-                failed = pending.pop(err.diagnostics["chain"] // C)
-                results[failed] = ("failures", str(err))
-        for b, idx in enumerate(pending):
-            uid = unit_ids[idx]
-            draws = DrawsMatrix(post.constrain(chains[b * C:(b + 1) * C].reshape(-1, post.dim)),
-                                post.parameter_names)
-            ll = loglik_matrix(spec, post.designs[b], draws, data.subset(data.subject_id == uid),
-                               mode=mode, grid=grid, horizon=horizon)
-            if uid not in ll.unit_ids:
-                raise LooError(f"unit {uid!r} is not a scoring unit in {mode} mode")
-            col = ll.values[:, ll.unit_ids.index(uid)]
-            results[idx] = ("elpd", float(logsumexp(col) - math.log(col.size)))
+    for batch in batches.values():
+        n = min(len(batch), _usable_cpus())
+        parts = [batch[j * len(batch) // n:(j + 1) * len(batch) // n] for j in range(n)]
+        for done in _run_jobs(_refit_units, [(spec, data, config, part, scoring)
+                                             for part in parts]):
+            results.update(done)
     return {kind: {unit_ids[i]: v for i, (k, v) in sorted(results.items()) if k == kind}
             for kind in ("elpd", "failures")}
+
+
+def _refit_units(job) -> dict:
+    """Refit one sub-batch of ``exact_refit_loo``'s (index, id, design)
+    units in one lockstep loop, rerun without each unit whose chain fails,
+    and score the units: {index: ("elpd" | "failures", value)}."""
+    from .sampler import PosteriorModel, SamplingError, sample_posterior
+
+    spec, data, config, pending, scoring = job
+    C = config.n_chains
+    results = {}
+    while pending:
+        post = PosteriorModel(spec, data, {uid: design for _, uid, design in pending})
+        seeds = [(config.seed * 100003 + idx + 1, c) for idx, _, _ in pending for c in range(C)]
+        try:
+            chains = sample_posterior(post.log_posterior, post.dim, config, seeds,
+                                      post.init_point())[0]
+            break
+        except SamplingError as err:
+            failed = pending.pop(err.diagnostics["chain"] // C)[0]
+            results[failed] = ("failures", str(err))
+    for b, (idx, uid, _) in enumerate(pending):
+        draws = DrawsMatrix(post.constrain(chains[b * C:(b + 1) * C].reshape(-1, post.dim)),
+                            post.parameter_names)
+        ll = loglik_matrix(spec, post.designs[b], draws, data.subset(data.subject_id == uid),
+                           **scoring)
+        if uid not in ll.unit_ids:
+            raise LooError(f"unit {uid!r} is not a scoring unit in {scoring['mode']} mode")
+        col = ll.values[:, ll.unit_ids.index(uid)]
+        results[idx] = ("elpd", float(logsumexp(col) - math.log(col.size)))
+    return results
 
 
 def apply_refits(report: ElpdReport, refits: dict) -> ElpdReport:

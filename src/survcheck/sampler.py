@@ -24,12 +24,19 @@ Split-R-hat and bulk ESS take every parameter's chains in one pass, in
 blocks of parameters: one rank-normalisation, one batched FFT for the
 autocovariances and Geyer's initial monotone sequence by cumulative
 minimum and sum, each value bitwise what one parameter gives alone.
+
+Fits that share nothing (the pipeline's models, the experiments' fits,
+sub-batches of exact refits) run in forked worker processes through
+``_run_jobs``; each keeps its own seeds, so its draws do not change.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -414,6 +421,39 @@ def fit(spec: ModelSpec, data, config: SamplerConfig | None = None) -> FitResult
                      ess=dict(zip(names, bulk_ess(chains).tolist())), accept_rate=rates,
                      log_post=lps.reshape(-1), config=config,
                      adaptation={"chains": logs, "n_warmup": config.n_warmup})
+
+
+# ---------------------------------------------------------------------------
+# independent jobs in worker processes
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_jobs(fn, jobs) -> list:
+    """``[fn(job) for job in jobs]`` in a pool of as many forked worker
+    processes as jobs.
+
+    ``fn`` is a module-level function (it is pickled by name), and each job
+    and result is pickled; the results come back in job order.  A worker's
+    exception is raised here, that of the first failing job in order, with
+    its type, message and attributes (a SamplingError keeps its
+    diagnostics).  The workers are joined before this returns or raises.
+    One job, a platform without the ``fork`` start method, or a call made
+    inside a worker runs the jobs here, one after another, so pools never
+    nest.  Only ``fork`` is used: under ``forkserver`` or ``spawn`` every
+    worker would import survcheck again.
+    """
+    jobs = list(jobs)
+    if (len(jobs) < 2 or multiprocessing.parent_process() is not None
+            or "fork" not in multiprocessing.get_all_start_methods()):
+        return list(map(fn, jobs))
+    with ProcessPoolExecutor(len(jobs), mp_context=multiprocessing.get_context("fork")) as pool:
+        return list(pool.map(fn, jobs))
 
 
 # ---------------------------------------------------------------------------

@@ -847,29 +847,33 @@ class TestRefitBatch:
             assert refits["elpd"][uid] == pytest.approx(
                 lone_refit_elpd(spec, data, config, uid, idx, **scoring), rel=1e-12, abs=1e-12)
 
-    def test_failing_unit_isolated(self, monkeypatch):
+    def test_failing_unit_isolated(self, monkeypatch, tmp_path):
         spec = ModelSpec(family="weibull_aft", fixed=("x",))
         data = four_status_data(np.random.default_rng(36))
         config = SamplerConfig(n_chains=2, n_warmup=200, n_keep=50, seed=8)
         units = [1, 2, 3, 4]
         clean = exact_refit_loo(spec, data, config, units)
         log_posterior = PosteriorModel.log_posterior
-        calls = []
+        runs = tmp_path / "runs"  # each sampling run's members, written by whichever process ran it
 
         def unit_3_rejects_every_proposal(self, x):
-            calls.append(self.held_out)
             lp = log_posterior(self, x)
-            if len(calls) == 1:  # the initial points stay finite
+            if not hasattr(self, "started"):  # the initial points stay finite
+                self.started = True
+                with open(runs, "a") as fh:
+                    fh.write(f"{self.held_out}\n")
                 return lp
             return np.where(np.repeat(np.array(self.held_out) == 3, len(x) // len(self.held_out)),
                             -np.inf, lp)
 
         monkeypatch.setattr(PosteriorModel, "log_posterior", unit_3_rejects_every_proposal)
+        monkeypatch.setattr("survcheck.sampler._usable_cpus", lambda: 2)  # (1, 2) and (3, 4)
         refits = exact_refit_loo(spec, data, config, units)
         assert list(refits["failures"]) == [3]
         assert "no proposals accepted" in refits["failures"][3]
         assert refits["elpd"] == {u: v for u, v in clean["elpd"].items() if u != 3}
-        assert (1, 2, 3, 4) in calls and (1, 2, 4) in calls  # the batch reran without unit 3
+        # the sub-batch holding unit 3 reran without it; the other ran once
+        assert sorted(runs.read_text().splitlines()) == ["(1, 2)", "(3, 4)", "(4,)"]
 
     def test_unknown_unit_refused_before_sampling(self, monkeypatch):
         def no_sampling(*args, **kwargs):

@@ -30,8 +30,10 @@ The workloads cover:
 * ``exact_refit_loo`` for the Weibull and Bernoulli presets in raw mode, the
   Weibull preset on data holding all four statuses in raw and interval
   modes (one held-out unit of each status), and the Bernoulli preset in
-  dichotomized mode on five held-out subjects, and the Weibull preset with
-  8 chains per held-out unit;
+  dichotomized mode on five held-out subjects, the Weibull preset with
+  8 chains per held-out unit, and the Weibull preset on 5 and on 7 held-out
+  units, more units than a machine has CPUs, so that a split of the units
+  into sub-batches is uneven;
 * the predictive checks on the Weibull and Bernoulli fits: ``km_overlay``
   with imputed replicates, ``intervals_data``, ``pit_ecdf_check``,
   ``calibration_check`` on horizon predictions and on Bernoulli rows, and
@@ -43,6 +45,8 @@ The workloads cover:
   constant column, a ``-inf`` entry, few distinct values, few distinct
   positive exceedances, ties at the tail cutoff, underflowing weights and
   a heavy tail;
+* ``hazard_curves_experiment`` and ``timescale_experiment`` at small
+  sampler settings;
 * ``run_pipeline``, and the artifacts of ``survcheck simulate``, ``fit``,
   ``compare interval|dichotomized`` with a Bernoulli model, and ``run``;
 * settings files read from disk: ``simulate --config`` with a scenario
@@ -92,6 +96,7 @@ HORIZON = 5.0
 PRESETS = ("exponential-gist", "weibull-gist", "bernoulli-gist")
 SAMPLER = sc.SamplerConfig(n_chains=2, n_warmup=150, n_keep=120, seed=3)
 REFIT_SAMPLER = sc.SamplerConfig(n_chains=2, n_warmup=100, n_keep=80, seed=4)
+EXPERIMENT_SAMPLER = sc.SamplerConfig(n_chains=2, n_warmup=200, n_keep=100, seed=5)
 PIPELINE = {
     "scenario": {"n_subjects": 60, "seed": 13},
     "sampler": {"n_chains": 2, "n_warmup": 150, "n_keep": 100, "seed": 9},
@@ -137,12 +142,8 @@ SPEC = {
     },
 }
 # outputs the change under test alters on purpose -> the JSON keys that may
-# differ: a NaN R-hat (one chain, fewer than 4 kept draws) is flagged, so the
-# fit is not ok.  Empty it once the capture postdates that change.
-DECLARED = {
-    "fit.exponential-one-chain.diagnose": ("flagged", "ok"),
-    "diagnose.file.keep-1/diagnostics.json": ("flagged", "ok"),
-}
+# differ.  Empty it once the capture postdates that change.
+DECLARED: dict[str, tuple[str, ...]] = {}
 FULL_PIPELINE = {
     "scenario": {**SCENARIO, "n_subjects": 60},
     "sampler": {"n_chains": 2, "n_warmup": 120, "n_keep": 80, "seed": 6},
@@ -267,6 +268,11 @@ def _masked_refits():
                        long, units, mode="dichotomized", horizon=HORIZON)
     yield from _refits("refit.weibull-gist.8-chains", sc.get_preset("weibull-gist"), short,
                        units[:3], replace(REFIT_SAMPLER, n_chains=8))
+    ids = [int(s) for s in short.subject_id]
+    yield from _refits("refit.weibull-gist.5-units", sc.get_preset("weibull-gist"), short,
+                       ids[10:15])
+    yield from _refits("refit.weibull-gist.7-units", sc.get_preset("weibull-gist"), short,
+                       ids[20:48:4])
 
 
 def _fit(prefix, res):
@@ -485,6 +491,13 @@ def _pipeline():
     yield "run_pipeline", _json(sc.experiments.run_pipeline(PIPELINE))
 
 
+def _experiments():
+    yield "hazard_curves_experiment", _json(sc.experiments.hazard_curves_experiment(
+        sc.ScenarioConfig(n_subjects=60, seed=17), EXPERIMENT_SAMPLER))
+    yield "timescale_experiment", _json(sc.experiments.timescale_experiment(
+        n_subjects=60, seed=19, sampler=EXPERIMENT_SAMPLER))
+
+
 def _cli_files(prefix, inputs, calls):
     """Run CLI ``calls`` in a scratch directory holding the JSON ``inputs``;
     yield each call's exit code and every file it wrote."""
@@ -543,8 +556,8 @@ def _settings():
 
 def outputs():
     for workload in (_primitives, _cohort, _uncommon_fits, _masked_refits, _checks,
-                     _psis_edge_cases, _log_posterior, _diagnostics, _pipeline, _cli,
-                     _settings):
+                     _psis_edge_cases, _log_posterior, _diagnostics, _pipeline, _experiments,
+                     _cli, _settings):
         yield from workload()
 
 
