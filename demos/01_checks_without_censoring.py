@@ -11,7 +11,6 @@ from pathlib import Path
 import numpy as np
 
 from survcheck import (
-    ModelDesign,
     ModelSpec,
     SamplerConfig,
     SurvivalDataset,
@@ -41,8 +40,7 @@ print("posterior shape alpha:",
       f"{result.draws.column('alpha').mean():.2f}",
       f"(rhat {result.rhat['alpha']:.3f})")
 
-design = ModelDesign(spec, data.covariates)
-sims = posterior_predictive_times(spec, design, result.draws, data, rng)
+sims = posterior_predictive_times(spec, result.design, result.draws, data, rng)
 
 series = [intervals_data(data.time, sims)]
 (out / "intervals.svg").write_text(bundle_to_svg(series, title="Intervals plot"))

@@ -11,7 +11,6 @@ into the region holding 90% of the predictions.
 from pathlib import Path
 
 from survcheck import (
-    ModelDesign,
     SamplerConfig,
     apply_scaling,
     bundle_to_svg,
@@ -33,9 +32,8 @@ long_scaled = apply_scaling(long, record)
 
 spec = get_preset("bernoulli-gist")
 result = fit(spec, long_scaled, SamplerConfig(n_warmup=1500, n_keep=500, seed=20))
-design = ModelDesign(spec, long_scaled.covariates)
 # posterior-mean recurrence probability of every subject-year row
-p_mean, outcomes = calibration_inputs(spec, design, result.draws, long_scaled)
+p_mean, outcomes = calibration_inputs(spec, result.design, result.draws, long_scaled)
 
 series, inside = calibration_check(p_mean, outcomes, seed=21, zoom_mass=0.9)
 print("calibration curve inside 95% consistency band:", inside)

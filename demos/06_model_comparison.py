@@ -12,7 +12,6 @@ from pathlib import Path
 import numpy as np
 
 from survcheck import (
-    ModelDesign,
     SamplerConfig,
     TimeGrid,
     apply_scaling,
@@ -49,17 +48,15 @@ specs = {}
 for spec in (preset_exponential_gist(extra_fixed=("AdjTreatm",)),
              preset_weibull_gist(extra_fixed=("AdjTreatm",))):
     res = fit(spec, short_scaled, sampler)
-    design = ModelDesign(spec, short_scaled.covariates)
-    specs[spec.name] = (spec, design, res)
-    ll = loglik_matrix(spec, design, res.draws, short_scaled,
+    specs[spec.name] = (spec, res)
+    ll = loglik_matrix(spec, res.design, res.draws, short_scaled,
                        mode="interval", grid=grid)
     reports.append(elpd_loo(ll, name=spec.name))
 
 bern = get_preset("bernoulli-gist")
 res_b = fit(bern, long_scaled, sampler)
-design_b = ModelDesign(bern, long_scaled.covariates)
 # one column per subject: the joint probability of its yearly outcomes
-ll_b = loglik_matrix(bern, design_b, res_b.draws, long_scaled, mode="interval")
+ll_b = loglik_matrix(bern, res_b.design, res_b.draws, long_scaled, mode="interval")
 reports.append(elpd_loo(ll_b, name=bern.name))
 
 interval_cmp = compare(reports)
@@ -67,8 +64,8 @@ print_table("interval-probability comparison (yearly grid):", interval_cmp)
 
 dich = []
 for name in ("exponential-gist", "weibull-gist"):
-    spec, design, res = specs[name]
-    ll = loglik_matrix(spec, design, res.draws, short_scaled,
+    spec, res = specs[name]
+    ll = loglik_matrix(spec, res.design, res.draws, short_scaled,
                        mode="dichotomized", horizon=5.0)
     dich.append(elpd_loo(ll, name=name))
 print_table("dichotomized comparison (event within 5 years):", compare(dich))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -128,8 +129,7 @@ def _add_sampler_args(p, warmup=1000, keep=1000, seed=0):
 
 
 def _add_data_args(p):
-    p.add_argument("--data", required=True, help="input CSV")
-    p.add_argument("--format", choices=("short", "long"), default="short")
+    p.add_argument("--data", required=True, help="input CSV, long format for bernoulli_logit")
     p.add_argument("--time-unit", default=None)
     p.add_argument("--scaling", default=None,
                    help="scaling.json from a `fit --scale` run, re-applied here")
@@ -157,7 +157,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_fit(args) -> int:
     spec = _load_model(args.model)
-    data = _load_data(args.data, args.format == "long", args)
+    data = _load_data(args.data, spec.family == "bernoulli_logit", args)
     scaling = None
     if args.scale:
         if not isinstance(data, SurvivalDataset):
@@ -181,7 +181,7 @@ def cmd_fit(args) -> int:
 
 def _predictive_setup(args):
     spec = _load_model(args.model)
-    data = _load_data(args.data, args.format == "long", args)
+    data = _load_data(args.data, spec.family == "bernoulli_logit", args)
     draws = read_draws_csv(args.draws)
     design = ModelDesign(spec, data.covariates)
     return spec, data, draws, design
@@ -203,8 +203,6 @@ def cmd_check(args) -> int:
     common = {"config": run.manifest["config"]}
 
     if args.kind == "km":
-        if not isinstance(data, SurvivalDataset):
-            raise CliError("check km needs short-format data")
         sims = posterior_predictive_times(spec, design, draws, data, rng,
                                           n_draws=args.n_pred_draws)
         imputed = None
@@ -217,8 +215,6 @@ def cmd_check(args) -> int:
             run.write_text("km.svg", bundle_to_svg(
                 bundle, title="Kaplan-Meier overlay", xlabel="time", ylabel="S(t)"))
     elif args.kind in ("intervals", "pit-ecdf"):
-        if not isinstance(data, SurvivalDataset):
-            raise CliError(f"check {args.kind} needs short-format data")
         sims = posterior_predictive_times(spec, design, draws, data, rng)
         y = data.time.copy()
         flags = np.zeros(data.n, dtype=int)
@@ -255,8 +251,6 @@ def cmd_check(args) -> int:
 
 def cmd_impute(args) -> int:
     spec, data, draws, design = _predictive_setup(args)
-    if not isinstance(data, SurvivalDataset):
-        raise CliError("impute needs short-format data")
     rng = np.random.default_rng(args.seed)
     run = RunDir(args.out, {
         "command": "impute", "model": spec.to_dict(), "data": str(args.data),
@@ -460,6 +454,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for name, value in vars(args).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise CliError(f"--{name.replace('_', '-')} must be finite, got {value}")
         return args.func(args)
     except (CheckError, CliError, DataError, LooError, ModelError, SamplerConfigError,
             SamplingError, SimulationError, FileNotFoundError, json.JSONDecodeError) as err:

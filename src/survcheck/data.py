@@ -268,24 +268,23 @@ class TimeGrid:
 
     interval_length: float
     n_intervals: int
-    origin: float = 0.0
 
     # relative snap tolerance: times this close to a boundary count as on it
     _SNAP = 1e-9
 
     def __post_init__(self):
-        if self.interval_length <= 0:
-            raise DataError("interval_length must be positive")
-        if self.n_intervals < 1:
-            raise DataError("n_intervals must be positive")
+        if not (np.isfinite(self.interval_length) and self.interval_length > 0):
+            raise DataError(f"interval_length must be finite and positive, "
+                            f"got {self.interval_length!r}")
+        require_counts(self, DataError, ("n_intervals",))
 
     def covers(self, t) -> bool:
-        tmax = self.origin + self.interval_length * self.n_intervals
+        tmax = self.interval_length * self.n_intervals
         return bool(np.all(np.asarray(t) <= tmax * (1 + self._SNAP) + self._SNAP))
 
     def interval_of(self, t):
         """1-based index of the right-closed interval containing t."""
-        r = (np.asarray(t, dtype=float) - self.origin) / self.interval_length
+        r = np.asarray(t, dtype=float) / self.interval_length
         k = np.ceil(r - self._SNAP).astype(int)
         if np.any(k < 1) or np.any(k > self.n_intervals):
             raise DataError("time outside grid")
@@ -294,11 +293,11 @@ class TimeGrid:
     def bounds(self, k):
         """(a, b) bounds of interval k (1-based)."""
         k = np.asarray(k)
-        a = self.origin + self.interval_length * (k - 1)
+        a = self.interval_length * (k - 1)
         return a, a + self.interval_length
 
     def scaled(self, c: float) -> "TimeGrid":
-        return TimeGrid(self.interval_length / c, self.n_intervals, self.origin / c)
+        return TimeGrid(self.interval_length / c, self.n_intervals)
 
 
 # ---------------------------------------------------------------------------
@@ -590,10 +589,10 @@ def scale_covariates(data: SurvivalDataset, names) -> tuple[SurvivalDataset, Sca
 # Draws: header of parameter names, one row per draw, optional chain column.
 # Long-format columns that are constant within every subject are read as
 # static covariates, the others as time-dependent.
-# A header row is required everywhere; the short and long readers remap
-# column roles via the ``columns`` argument, never by position.  Every reader
-# (the log-lik CSV of ``loo`` too) takes its rows from ``_read_rows``, and a
-# row of the wrong width or a cell that is not a number is a DataError.
+# A header row is required everywhere and columns are found by name, never
+# by position.  Every reader (the log-lik CSV of ``loo`` too) takes its rows
+# from ``_read_rows``, and a row of the wrong width or a cell that is not a
+# number is a DataError.
 
 def _csv_reader(read):
     """Report a cell that does not parse as a number as a DataError."""
@@ -611,19 +610,17 @@ def _csv_reader(read):
 
 _SHORT_ROLES = ("subject_id", "entry_time", "time", "status")
 _RESERVED_SHORT = set(_SHORT_ROLES) | {"interval_lower", "interval_upper"}
+_LONG_ROLES = ("subject_id", "interval_index", "event")
 
 
 @_csv_reader
-def read_short_csv(path_or_buf, columns: Mapping[str, str] | None = None,
-                   time_unit: str | None = None) -> SurvivalDataset:
-    """Read a short-format CSV.  ``columns`` remaps role -> column name."""
-    colmap = {r: r for r in _SHORT_ROLES}
-    colmap.update(columns or {})
+def read_short_csv(path_or_buf, time_unit: str | None = None) -> SurvivalDataset:
+    """Read a short-format CSV."""
     rows = _read_rows(path_or_buf)
     header = rows[0]
     for role in ("subject_id", "time", "status"):
-        if colmap[role] not in header:
-            raise DataError(f"missing required column {colmap[role]!r}")
+        if role not in header:
+            raise DataError(f"missing required column {role!r}")
     idx = {name: header.index(name) for name in header}
     body = rows[1:]
 
@@ -633,22 +630,21 @@ def read_short_csv(path_or_buf, columns: Mapping[str, str] | None = None,
         return [r[idx[name]] for r in body]
 
     status = []
-    for s in col(colmap["status"]):
+    for s in col("status"):
         key = s.strip()
         if key not in _CSV_TO_STATUS:
             raise DataError(f"unknown status code {key!r}")
         status.append(_CSV_TO_STATUS[key])
-    mapped = set(colmap.values()) | {"interval_lower", "interval_upper"}
-    cov_names = [h for h in header if h not in mapped]
+    cov_names = [h for h in header if h not in _RESERVED_SHORT]
     bounds = None
     if "interval_lower" in idx or "interval_upper" in idx:
         lo = [float(v) if v not in ("", None) else np.nan for v in col("interval_lower", "")]
         hi = [float(v) if v not in ("", None) else np.nan for v in col("interval_upper", "")]
         bounds = np.column_stack([lo, hi])
     return SurvivalDataset(
-        subject_id=[int(float(v)) for v in col(colmap["subject_id"])],
-        entry_time=[float(v) if v not in ("", None) else 0.0 for v in col(colmap["entry_time"], "")],
-        time=[float(v) for v in col(colmap["time"])],
+        subject_id=[int(float(v)) for v in col("subject_id")],
+        entry_time=[float(v) if v not in ("", None) else 0.0 for v in col("entry_time", "")],
+        time=[float(v) for v in col("time")],
         status=status,
         covariates={name: [float(v) for v in col(name)] for name in cov_names},
         interval_bounds=bounds,
@@ -680,24 +676,21 @@ def write_short_csv(data: SurvivalDataset, path) -> None:
 
 
 @_csv_reader
-def read_long_csv(path_or_buf, columns: Mapping[str, str] | None = None,
-                  time_unit: str | None = None) -> LongDataset:
-    colmap = {"subject_id": "subject_id", "interval_index": "interval_index", "event": "event"}
-    colmap.update(columns or {})
+def read_long_csv(path_or_buf, time_unit: str | None = None) -> LongDataset:
     rows = _read_rows(path_or_buf)
     header = rows[0]
-    for role, name in colmap.items():
+    for name in _LONG_ROLES:
         if name not in header:
             raise DataError(f"missing required column {name!r}")
     idx = {name: header.index(name) for name in header}
     body = rows[1:]
-    cov_names = [h for h in header if h not in set(colmap.values())]
+    cov_names = [h for h in header if h not in _LONG_ROLES]
     covariates = {n: np.array([float(r[idx[n]]) for r in body]) for n in cov_names}
-    subject_id = np.array([int(float(r[idx[colmap["subject_id"]]])) for r in body])
+    subject_id = np.array([int(float(r[idx["subject_id"]])) for r in body])
     return LongDataset(
         subject_id=subject_id,
-        interval_index=[int(float(r[idx[colmap["interval_index"]]])) for r in body],
-        outcome=[int(float(r[idx[colmap["event"]]])) for r in body],
+        interval_index=[int(float(r[idx["interval_index"]])) for r in body],
+        outcome=[int(float(r[idx["event"]])) for r in body],
         covariates=covariates,
         static_names=_infer_static(subject_id, covariates),
         time_unit=time_unit,
@@ -712,7 +705,7 @@ def _infer_static(subject_id, covariates) -> tuple[str, ...]:
 
 
 def write_long_csv(long: LongDataset, path) -> None:
-    header = ["subject_id", "interval_index", "event"] + list(long.covariates)
+    header = list(_LONG_ROLES) + list(long.covariates)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)

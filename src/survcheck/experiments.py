@@ -103,8 +103,7 @@ def timescale_experiment(
     spec_w = ModelSpec(family="weibull_aft", fixed=("x",), name="weibull")
     spec_e = ModelSpec(family="exponential", fixed=("x",), name="exponential")
     fit_w, fit_e = _run_jobs(_fit_job, [(spec_w, data, sampler), (spec_e, data, sampler)])
-    design = ModelDesign(spec_w, data.covariates)
-    design_e = ModelDesign(spec_e, data.covariates)
+    design, design_e = fit_w.design, fit_e.design
 
     scaled = rescale_time(data, factor, time_unit="months")
     draws_w2 = map_draws_to_scale(fit_w.draws, factor)
@@ -193,38 +192,30 @@ def hazard_curves_experiment(
     """
     scenario = scenario or ScenarioConfig()
     sampler = sampler or SamplerConfig(n_warmup=2500, n_keep=750, seed=scenario.seed + 1)
-    long, short = simulate_scenario(scenario)
-    short_scaled, record = scale_covariates(short, CONTINUOUS_COVARIATES)
-    long_scaled = apply_scaling(long, record)
+    short_scaled, long_scaled, record, specs, bern = _case_study(scenario)
 
     results = {"scenario": scenario.to_dict(), "sampler": asdict(sampler),
                "patient": dict(EXAMPLE_PATIENT), "curves": {}, "diagnostics": {}}
 
-    # continuous models carry the treatment as a plain indicator
-    specs = (preset_exponential_gist(extra_fixed=("AdjTreatm",)),
-             preset_weibull_gist(extra_fixed=("AdjTreatm",)))
-    bern = get_preset("bernoulli-gist")
     *fits, res_b = _run_jobs(_fit_job, [*((spec, short_scaled, sampler) for spec in specs),
                                         (bern, long_scaled, sampler)])
     t_grid = np.linspace(0.25, float(scenario.max_follow_up), 40)
     for spec, res in zip(specs, fits):
         results["diagnostics"][spec.name] = diagnose(res)
-        design = ModelDesign(spec, short_scaled.covariates)
         for treated in (1.0, 0.0):
             covs = record.apply({**EXAMPLE_PATIENT, "AdjTreatm": treated})
-            params = subject_params(spec, design, res.draws, covs, n_rows=1)
+            params = subject_params(spec, res.design, res.draws, covs, n_rows=1)
             haz = hazard(spec.family, params, t_grid[:, None])  # (n_t, S)
             label = "treated" if treated else "untreated"
             results["curves"][f"{spec.name}_{label}"] = _quantile_curves(
                 haz, t_grid, f"{spec.name} hazard ({label})")
 
     results["diagnostics"][bern.name] = diagnose(res_b)
-    design_b = ModelDesign(bern, long_scaled.covariates)
     years = np.arange(1, scenario.max_follow_up + 1, dtype=float)
     rule = TreatmentRule(duration=float(scenario.treatment_duration))
     for treated in (1.0, 0.0):
         rows = rule.rows({**EXAMPLE_PATIENT, "AdjTreatm": treated}, scenario.max_follow_up)
-        p = subject_params(bern, design_b, res_b.draws, record.apply(rows))["p"]  # (n_years, S)
+        p = subject_params(bern, res_b.design, res_b.draws, record.apply(rows))["p"]  # (n_years, S)
         label = "treated" if treated else "untreated"
         results["curves"][f"bernoulli-gist_{label}"] = _quantile_curves(
             p, years, f"recurrence probability ({label})")
@@ -248,6 +239,19 @@ def hazard_curves_experiment(
          "bernoulli_jump_after_treatment")
     )
     return results
+
+
+def _case_study(scenario: ScenarioConfig) -> tuple:
+    """The case study's cohort and models: (short, long, scaling record,
+    continuous specs, Bernoulli spec).  The data holds ``scenario``'s cohort
+    with its continuous covariates scaled; the exponential and Weibull
+    presets carry the treatment as a plain indicator."""
+    long, short = simulate_scenario(scenario)
+    short_scaled, record = scale_covariates(short, CONTINUOUS_COVARIATES)
+    specs = (preset_exponential_gist(extra_fixed=("AdjTreatm",)),
+             preset_weibull_gist(extra_fixed=("AdjTreatm",)))
+    return (short_scaled, apply_scaling(long, record), record, specs,
+            get_preset("bernoulli-gist"))
 
 
 def _fit_job(job) -> FitResult:
@@ -346,51 +350,47 @@ def run_pipeline(config: dict) -> dict:
     scenario, sampler, horizon = pipeline.scenario, pipeline.sampler, pipeline.horizon
     rng = np.random.default_rng(scenario.seed + 9 if pipeline.seed is None else pipeline.seed)
 
-    long, short = simulate_scenario(scenario)
-    short_scaled, record = scale_covariates(short, CONTINUOUS_COVARIATES)
-    long_scaled = apply_scaling(long, record)
+    short_scaled, long_scaled, _, specs, bern = _case_study(scenario)
     grid = TimeGrid(1.0, scenario.max_follow_up)
 
     out = {"config": {"scenario": scenario.to_dict(), "sampler": asdict(sampler),
                       "horizon": horizon},
            "checks": {}, "diagnostics": {}}
 
-    specs = (preset_exponential_gist(extra_fixed=("AdjTreatm",)),
-             preset_weibull_gist(extra_fixed=("AdjTreatm",)))
-    bern = get_preset("bernoulli-gist")
     jobs = [*((spec, short_scaled, sampler, grid, horizon) for spec in specs),
             (bern, long_scaled, sampler, None, None)]
     done = _run_jobs(_pipeline_job, jobs)
-    for (spec, *_), (res, _, _) in zip(jobs, done):
+    for (spec, *_), (res, _) in zip(jobs, done):
         out["diagnostics"][spec.name] = diagnose(res)
-    *models, (res_b, design_b, reports_b) = done
+    *models, (res_b, reports_b) = done
 
-    for spec, (res, design, _) in zip(specs, models):
-        sims = posterior_predictive_times(spec, design, res.draws, short_scaled, rng, n_draws=50)
-        imputed = impute_censored(spec, design, res.draws, short_scaled, rng, n_imputations=10)
+    for spec, (res, _) in zip(specs, models):
+        sims = posterior_predictive_times(spec, res.design, res.draws, short_scaled, rng,
+                                          n_draws=50)
+        imputed = impute_censored(spec, res.design, res.draws, short_scaled, rng,
+                                  n_imputations=10)
         bundle = km_overlay(short_scaled, sims, cutoff_factor=1.2, imputed=imputed)
         out["checks"][f"km_overlay_{spec.name}"] = [s.to_dict() for s in bundle]
 
-    p_mean, outcomes = calibration_inputs(bern, design_b, res_b.draws, long_scaled)
+    p_mean, outcomes = calibration_inputs(bern, res_b.design, res_b.draws, long_scaled)
     series, inside = calibration_check(p_mean, outcomes,
                                        seed=int(rng.integers(2**31)), zoom_mass=0.9)
     out["checks"]["calibration_bernoulli-gist"] = [s.to_dict() for s in series]
     out["checks"]["calibration_inside_band"] = bool(inside)
 
-    out["compare_interval"] = compare([reports[0] for *_, reports in models]
+    out["compare_interval"] = compare([reports[0] for _, reports in models]
                                       + reports_b).to_dict()
-    out["compare_dichotomized"] = compare([reports[1] for *_, reports in models]).to_dict()
+    out["compare_dichotomized"] = compare([reports[1] for _, reports in models]).to_dict()
     return out
 
 
 def _pipeline_job(job) -> tuple:
-    """Fit one of ``run_pipeline``'s models: (fit, design, PSIS-LOO reports),
-    the reports in interval mode and, with a ``horizon``, dichotomized."""
+    """Fit one of ``run_pipeline``'s models: (fit, PSIS-LOO reports), the
+    reports in interval mode and, with a ``horizon``, dichotomized."""
     spec, data, sampler, grid, horizon = job
     res = fit(spec, data, sampler)
-    design = ModelDesign(spec, data.covariates)
     scoring = [{"mode": "interval", "grid": grid}]
     if horizon is not None:
         scoring.append({"mode": "dichotomized", "horizon": horizon})
-    return res, design, [elpd_loo(loglik_matrix(spec, design, res.draws, data, **kw),
-                                  name=spec.name) for kw in scoring]
+    return res, [elpd_loo(loglik_matrix(spec, res.design, res.draws, data, **kw),
+                          name=spec.name) for kw in scoring]

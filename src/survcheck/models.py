@@ -696,6 +696,10 @@ def impute_censored(
     parameter uncertainty propagates across replicates.  Every imputed time
     strictly exceeds the censor time it replaces.
     """
+    if spec.family == "bernoulli_logit":
+        raise ModelError("imputed event times are for continuous families")
+    if n_imputations < 1:
+        raise ModelError(f"n_imputations must be at least 1, got {n_imputations}")
     params = subject_params(spec, design, draws, data.covariates, n_rows=data.n)
     total = params["mean"].shape[1]
     if n_imputations > total:

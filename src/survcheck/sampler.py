@@ -99,6 +99,7 @@ class FitResult:
     log_post: np.ndarray
     adaptation: dict = field(default_factory=dict)
     config: SamplerConfig | None = None
+    design: ModelDesign | None = None  # the design the fit's coefficients belong to
 
 
 def _by_row(method):
@@ -419,7 +420,7 @@ def fit(spec: ModelSpec, data, config: SamplerConfig | None = None) -> FitResult
     names = post.parameter_names
     return FitResult(draws=draws, rhat=dict(zip(names, rhat.tolist())),
                      ess=dict(zip(names, bulk_ess(chains).tolist())), accept_rate=rates,
-                     log_post=lps.reshape(-1), config=config,
+                     log_post=lps.reshape(-1), config=config, design=post.design,
                      adaptation={"chains": logs, "n_warmup": config.n_warmup})
 
 

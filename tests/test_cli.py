@@ -177,7 +177,7 @@ def test_check_km_on_unscaled_fit(tmp_path):
 
     # interval-mode comparison including the bernoulli model
     bern = tmp_path / "fit_bern"
-    assert main(["fit", "--data", str(sim / "long.csv"), "--format", "long",
+    assert main(["fit", "--data", str(sim / "long.csv"),
                  "--model", "bernoulli-gist", "--out", str(bern),
                  "--chains", "2", "--warmup", "400", "--keep", "150",
                  "--seed", "2"]) == 0
@@ -291,13 +291,35 @@ def test_error_json_on_bad_input(workspace, tmp_path, capsys):
              "--out", str(tmp_path / "x")]
     cases += [
         (["check", "km", *check, "--cutoff-factor", "0.5"], "CheckError", "cutoff_factor"),
-        (["check", "km", *check, "--cutoff-factor", "nan"], "CheckError", "cutoff_factor"),
         (["check", "pit-ecdf", *check, "--level", "1.5"], "CheckError", "level"),
         (["check", "km", *check, "--n-pred-draws", "0"], "ModelError", "n_draws"),
         (["check", "km", *check, "--n-pred-draws", "-3"], "ModelError", "got -3"),
-        (["check", "calibration", "--data", str(sim / "long.csv"), "--format", "long",
+        (["check", "calibration", "--data", str(sim / "long.csv"),
           "--model", "bernoulli-gist", "--draws", str(fitdir / "draws.csv"),
           "--out", str(tmp_path / "x")], "ModelError", "'b_AdjOn'"),
+        # the model picks the reader: a continuous model reads long rows as short
+        (["check", "calibration", "--data", str(sim / "long.csv"),
+          "--model", "exponential-gist", "--draws", str(fitdir / "draws.csv"),
+          "--horizon", "5", "--out", str(tmp_path / "x")],
+         "DataError", "missing required column 'time'"),
+        (["impute", *check, "--n-imputations", "-1"], "ModelError", "at least 1, got -1"),
+        (["impute", *check, "--n-imputations", "0"], "ModelError", "at least 1, got 0"),
+        # non-finite float options, refused before they reach a bundle or a grid
+        (["check", "km", *check, "--cutoff-factor", "nan"], "CliError",
+         "--cutoff-factor must be finite, got nan"),
+        (["check", "km", *check, "--cutoff-factor", "inf"], "CliError",
+         "--cutoff-factor must be finite, got inf"),
+        (["check", "intervals", *check, "--cutoff-factor", "inf"], "CliError",
+         "--cutoff-factor"),
+        (["check", "km", *check, "--level", "nan"], "CliError", "--level must be finite"),
+        (["check", "calibration", *check, "--horizon=-inf"], "CliError", "--horizon"),
+        (["check", "calibration", *check, "--horizon", "5", "--zoom-mass", "nan"],
+         "CliError", "--zoom-mass"),
+        (["compare", "interval", "--data", str(sim / "short.csv"), "--model", "expo",
+          "exponential-gist", str(fitdir / "draws.csv"), "--grid-length", "nan",
+          "--out", str(tmp_path / "x")], "CliError", "--grid-length must be finite, got nan"),
+        (["experiment", "timescale", "--factor", "inf", "--out", str(tmp_path / "x")],
+         "CliError", "--factor"),
         (["fit", "--data", str(good), "--model", "exponential-gist",
           "--out", str(tmp_path / "x"), "--scaling", settings_file("scaling.json", {"x": 5})],
          "DataError", "{'x': 5}"),
@@ -386,7 +408,7 @@ def test_check_calibration_bernoulli_long(tmp_path):
     assert main(["simulate", "--out", str(sim), "--seed", "3",
                  "--n-subjects", "60"]) == 0
     fitdir = tmp_path / "fit"
-    assert main(["fit", "--data", str(sim / "long.csv"), "--format", "long",
+    assert main(["fit", "--data", str(sim / "long.csv"),
                  "--model", "bernoulli-gist", "--out", str(fitdir),
                  "--chains", "2", "--warmup", "200", "--keep", "100",
                  "--seed", "2"]) == 0
@@ -398,7 +420,7 @@ def test_check_calibration_bernoulli_long(tmp_path):
                           (["--interval", "2"], int(np.sum(long.interval_index == 2)))):
         out = tmp_path / f"cal{len(extra)}"
         assert main(["check", "calibration", "--data", str(sim / "long.csv"),
-                     "--format", "long", "--model", "bernoulli-gist",
+                     "--model", "bernoulli-gist",
                      "--draws", str(fitdir / "draws.csv"), "--out", str(out),
                      *extra]) == 0
         doc = json.loads((out / "calibration.json").read_text())

@@ -437,6 +437,16 @@ class TestPredictiveHelpers:
             assert np.all(ds.time[cens] > data.time[cens])
             assert np.array_equal(ds.time[~cens], data.time[~cens])
 
+    def test_imputation_count_and_family_refused(self):
+        spec, design, beta, data = self.make_fit_inputs()
+        rng = np.random.default_rng(1)
+        for n_imputations in (0, -1):
+            with pytest.raises(ModelError, match=f"at least 1, got {n_imputations}"):
+                impute_censored(spec, design, beta, data, rng, n_imputations)
+        bern = get_preset("bernoulli-gist")
+        with pytest.raises(ModelError, match="continuous families"):
+            impute_censored(bern, design, beta, data, rng, 1)
+
 
 class TestPresets:
     def test_presets_build(self):

@@ -48,7 +48,11 @@ The workloads cover:
 * ``hazard_curves_experiment`` and ``timescale_experiment`` at small
   sampler settings;
 * ``run_pipeline``, and the artifacts of ``survcheck simulate``, ``fit``,
-  ``compare interval|dichotomized`` with a Bernoulli model, and ``run``;
+  ``check km|intervals|pit-ecdf|calibration`` on a Weibull fit,
+  ``check calibration`` on a Bernoulli fit, ``impute``, ``compare
+  interval|dichotomized`` with a Bernoulli model, and ``run``.  A checkout
+  whose CLI has ``--format`` is passed ``--format long`` with the long CSV;
+  otherwise the model picks the reader;
 * settings files read from disk: ``simulate --config`` with a scenario
   that sets every field, ``fit --model`` with a hierarchical-smooths
   Weibull spec whose priors use all four kinds, and ``run`` with a
@@ -89,7 +93,7 @@ from pathlib import Path
 import numpy as np
 
 import survcheck as sc
-from survcheck.cli import main as cli_main
+from survcheck.cli import build_parser, main as cli_main
 from survcheck.loo import LooError, bernoulli_dichotomized_loglik
 
 HORIZON = 5.0
@@ -521,15 +525,35 @@ def _cli_files(prefix, inputs, calls):
     return out
 
 
+def _long_format() -> list[str]:
+    """``--format long`` where the checkout's CLI has that option."""
+    args, _ = build_parser().parse_known_args(
+        ["impute", "--data", "d", "--model", "m", "--draws", "d", "--out", "o"])
+    return ["--format", "long"] if hasattr(args, "format") else []
+
+
 def _cli():
+    long = ["--data", "sim/long.csv", *_long_format()]
+    wei = ["--data", "sim/short.csv", "--model", "weibull-gist", "--draws", "wei/draws.csv"]
+    bern = [*long, "--model", "bernoulli-gist", "--draws", "bern/draws.csv"]
     return _cli_files("cli", {"pipeline.json": PIPELINE}, [
         ["simulate", "--out", "sim", "--seed", "3", "--n-subjects", "60"],
         ["fit", "--data", "sim/short.csv", "--model", "weibull-gist",
          "--out", "wei", *CLI_SAMPLER, "--seed", "1"],
         ["fit", "--data", "sim/short.csv", "--model", "exponential-gist",
          "--out", "exp", *CLI_SAMPLER, "--seed", "2"],
-        ["fit", "--data", "sim/long.csv", "--format", "long", "--model",
-         "bernoulli-gist", "--out", "bern", *CLI_SAMPLER, "--seed", "3"],
+        ["fit", *long, "--model", "bernoulli-gist", "--out", "bern", *CLI_SAMPLER,
+         "--seed", "3"],
+        ["check", "km", *wei, "--out", "km", "--impute", "3", "--n-pred-draws", "20",
+         "--svg", "--seed", "4"],
+        ["check", "intervals", *wei, "--out", "intervals", "--impute", "1", "--svg"],
+        ["check", "pit-ecdf", *wei, "--out", "pit", "--level", "0.9", "--svg", "--seed", "5"],
+        ["check", "calibration", *wei, "--out", "cal_horizon", "--horizon", "4", "--svg"],
+        ["check", "calibration", *wei, "--out", "cal_interval", "--interval", "2",
+         "--grid-length", "1.5", "--grid-intervals", "8", "--seed", "6"],
+        ["check", "calibration", *bern, "--out", "cal_bern", "--seed", "7"],
+        ["check", "calibration", *bern, "--out", "cal_bern_interval", "--interval", "2"],
+        ["impute", *wei, "--out", "imp", "--n-imputations", "3", "--seed", "8"],
         *[["compare", mode, "--data", "sim/short.csv", "--long-data", "sim/long.csv",
            "--model", "wei", "weibull-gist", "wei/draws.csv",
            "--model", "exp", "exponential-gist", "exp/draws.csv",
