@@ -72,7 +72,6 @@ from .loo import (
     elpd_loo,
     exact_refit_loo,
     flag_for_refit,
-    gpd_fit,
     group_long_by_subject,
     loglik_matrix,
     psis_smooth,

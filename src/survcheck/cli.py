@@ -2,8 +2,8 @@
 
 Every subcommand writes its artifacts under a run directory together with a
 manifest embedding the fully resolved configuration and seeds, so rerunning
-with the same manifest inputs is byte-identical.  Failures exit nonzero and
-print a machine-readable error JSON to stdout.
+with the same manifest inputs is byte-identical.  Failures, usage errors
+among them, exit nonzero and print a machine-readable error JSON to stdout.
 """
 
 from __future__ import annotations
@@ -104,15 +104,22 @@ def _load_model(spec_arg: str) -> ModelSpec:
     return ModelSpec.from_dict(json.loads(path.read_text()))
 
 
-def _load_data(path, long_format: bool, args):
+def _load_data(path, long_format: bool, scaling, time_unit=None):
     """Read a data CSV, reject it listing every problem, re-apply --scaling
     (the scaling.json of a `fit --scale` run)."""
     read = read_long_csv if long_format else read_short_csv
-    data = read(path, time_unit=args.time_unit)
+    data = read(path, time_unit=time_unit)
     require_valid(data, f"data in {path}")
-    if not args.scaling:
+    if not scaling:
         return data
-    return apply_scaling(data, ScalingRecord(json.loads(Path(args.scaling).read_text())))
+    return apply_scaling(data, ScalingRecord(json.loads(Path(scaling).read_text())))
+
+
+def _options(args, *recorded) -> dict:
+    """The options of the sub-parser that ran, less --out and the ``recorded``
+    ones the manifest holds elsewhere."""
+    skip = {"func", "command", "kind", "mode", "out", *recorded}
+    return {k: v for k, v in vars(args).items() if k not in skip}
 
 
 def _sampler_config(args) -> SamplerConfig:
@@ -128,11 +135,13 @@ def _add_sampler_args(p, warmup=1000, keep=1000, seed=0):
     p.add_argument("--seed", type=int, default=seed)
 
 
-def _add_data_args(p):
+def _add_inputs(p):
     p.add_argument("--data", required=True, help="input CSV, long format for bernoulli_logit")
-    p.add_argument("--time-unit", default=None)
+    p.add_argument("--model", required=True,
+                   help=f"preset {sorted(PRESETS)} or a model spec JSON file")
     p.add_argument("--scaling", default=None,
                    help="scaling.json from a `fit --scale` run, re-applied here")
+    p.add_argument("--out", required=True)
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +166,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_fit(args) -> int:
     spec = _load_model(args.model)
-    data = _load_data(args.data, spec.family == "bernoulli_logit", args)
+    data = _load_data(args.data, spec.family == "bernoulli_logit", args.scaling)
     scaling = None
     if args.scale:
         if not isinstance(data, SurvivalDataset):
@@ -181,7 +190,7 @@ def cmd_fit(args) -> int:
 
 def _predictive_setup(args):
     spec = _load_model(args.model)
-    data = _load_data(args.data, spec.family == "bernoulli_logit", args)
+    data = _load_data(args.data, spec.family == "bernoulli_logit", args.scaling)
     draws = read_draws_csv(args.draws)
     design = ModelDesign(spec, data.covariates)
     return spec, data, draws, design
@@ -193,12 +202,7 @@ def cmd_check(args) -> int:
     run = RunDir(args.out, {
         "command": f"check {args.kind}", "model": spec.to_dict(),
         "data": str(args.data), "draws": str(args.draws), "seed": args.seed,
-        "options": {
-            "cutoff_factor": args.cutoff_factor, "level": args.level,
-            "n_pred_draws": args.n_pred_draws, "impute": args.impute,
-            "horizon": args.horizon, "interval": args.interval,
-            "scaling": args.scaling,
-        },
+        "options": _options(args, "data", "model", "draws", "seed"),
     })
     common = {"config": run.manifest["config"]}
 
@@ -271,15 +275,16 @@ def cmd_impute(args) -> int:
 
 def cmd_compare(args) -> int:
     reports = []
-    grid = TimeGrid(args.grid_length, args.grid_intervals) if args.mode == "interval" else None
     mode = "raw" if args.mode == "loo" else args.mode
-    long = _load_data(args.long_data, True, args) if args.long_data else None
-    short = _load_data(args.data, False, args) if args.data else None
+    scoring = ({"grid": TimeGrid(args.grid_length, args.grid_intervals)} if mode == "interval"
+               else {"horizon": args.horizon} if mode == "dichotomized" else {})
+    long = (_load_data(args.long_data, True, args.scaling, args.time_unit)
+            if args.long_data else None)
+    short = _load_data(args.data, False, args.scaling, args.time_unit) if args.data else None
     run = RunDir(args.out, {
         "command": f"compare {args.mode}",
         "models": [{"name": n, "spec": s, "draws": d} for n, s, d in args.model],
-        "horizon": args.horizon, "grid_length": args.grid_length,
-        "scaling": args.scaling,
+        **_options(args, "model"),
     })
     for name, spec_arg, draws_path in args.model:
         spec = _load_model(spec_arg)
@@ -291,7 +296,7 @@ def cmd_compare(args) -> int:
         if data is None:
             raise CliError(missing)
         ll = loglik_matrix(spec, ModelDesign(spec, data.covariates), draws, data,
-                           mode=mode, grid=grid, horizon=args.horizon)
+                           mode=mode, **scoring)
         if args.save_loglik:
             write_loglik_csv(ll, run.register(f"loglik_{name}.csv"))
         reports.append(elpd_loo(ll, name=name))
@@ -304,20 +309,20 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def cmd_experiment(args) -> int:
-    if args.which == "timescale":
-        run = RunDir(args.out, {"command": "experiment timescale",
-                                "factor": args.factor, "seed": args.seed})
-        result = experiments.timescale_experiment(factor=args.factor, seed=args.seed)
-        result["config"] = run.manifest["config"]
-        run.write_json("timescale.json", result)
-        run.finish()
-        if not result["assertions"]["passed"]:
-            raise CliError("time-scale assertions failed: "
-                           + json.dumps(result["assertions"]))
-        print(json.dumps(result["assertions"], indent=1, sort_keys=True))
-        return 0
-    # hazard-curves
+def cmd_timescale(args) -> int:
+    run = RunDir(args.out, {"command": "experiment timescale",
+                            "factor": args.factor, "seed": args.seed})
+    result = experiments.timescale_experiment(factor=args.factor, seed=args.seed)
+    result["config"] = run.manifest["config"]
+    run.write_json("timescale.json", result)
+    run.finish()
+    if not result["assertions"]["passed"]:
+        raise CliError("time-scale assertions failed: " + json.dumps(result["assertions"]))
+    print(json.dumps(result["assertions"], indent=1, sort_keys=True))
+    return 0
+
+
+def cmd_hazard_curves(args) -> int:
     scenario = (ScenarioConfig.from_dict(json.loads(Path(args.scenario).read_text()))
                 if args.scenario else ScenarioConfig())
     sampler = _sampler_config(args)
@@ -356,45 +361,67 @@ def cmd_run(args) -> int:
 # parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as a CliError, which `main` prints as the error JSON."""
+
+    def error(self, message):
+        raise CliError(f"{self.prog}: {message}")
+
+
+def _add_parser(sub, name, func, summary, parents=()):
+    p = sub.add_parser(name, help=summary, parents=list(parents),
+                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    p.set_defaults(func=func)
+    return p
+
+
+def _choices(sub, name, dest, summary):
+    """A subcommand whose first argument picks the sub-parser: a check kind,
+    comparison mode or experiment, each with only the options it reads."""
+    return sub.add_parser(name, help=summary).add_subparsers(dest=dest, required=True)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="survcheck",
         description="Predictive checking and comparison of Bayesian survival models",
         formatter_class=argparse.ArgumentDefaultsHelpFormatter,
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", help="generate a synthetic cohort",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    p = _add_parser(sub, "simulate", cmd_simulate, "generate a synthetic cohort")
     p.add_argument("--out", required=True)
     p.add_argument("--config", help="scenario JSON file")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--n-subjects", type=int, default=None)
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("fit", help="sample a model posterior",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-    _add_data_args(p)
-    p.add_argument("--model", required=True,
-                   help=f"preset {sorted(PRESETS)} or a model spec JSON file")
-    p.add_argument("--out", required=True)
+    p = _add_parser(sub, "fit", cmd_fit, "sample a model posterior")
+    _add_inputs(p)
     p.add_argument("--scale", help="comma-separated covariates to scale")
     _add_sampler_args(p)
-    p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("check", help="predictive model checks",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-    p.add_argument("kind", choices=("km", "intervals", "pit-ecdf", "calibration"))
-    _add_data_args(p)
-    p.add_argument("--model", required=True)
-    p.add_argument("--draws", required=True, help="draws CSV from `fit`")
-    p.add_argument("--out", required=True)
-    p.add_argument("--svg", action="store_true", help="also render SVG")
+    fitted = argparse.ArgumentParser(add_help=False)  # the inputs of impute and check
+    _add_inputs(fitted)
+    fitted.add_argument("--draws", required=True, help="draws CSV from `fit`")
+    fitted.add_argument("--seed", type=int, default=0)
+    p = _add_parser(sub, "impute", cmd_impute, "impute censored event times", [fitted])
+    p.add_argument("--n-imputations", type=int, default=10)
+
+    checked = argparse.ArgumentParser(add_help=False, parents=[fitted])
+    checked.add_argument("--svg", action="store_true", help="also render SVG")
+    kinds = _choices(sub, "check", "kind", "predictive model checks")
+    p = _add_parser(kinds, "km", cmd_check, "Kaplan-Meier overlay", [checked])
     p.add_argument("--cutoff-factor", type=float, default=1.2)
-    p.add_argument("--level", type=float, default=0.95)
     p.add_argument("--n-pred-draws", type=int, default=50)
-    p.add_argument("--impute", type=int, default=0,
-                   help="number of imputed replicates (km) / impute once (others)")
+    p.add_argument("--impute", type=int, default=0, help="number of imputed replicates")
+    intervals = _add_parser(kinds, "intervals", cmd_check, "predictive intervals", [checked])
+    pit = _add_parser(kinds, "pit-ecdf", cmd_check, "PIT-ECDF band", [checked])
+    for p in (intervals, pit):
+        p.add_argument("--impute", type=int, choices=(0, 1), default=0,
+                       help="1: censored times replaced by one imputed replicate")
+    pit.add_argument("--level", type=float, default=0.95)
+    p = _add_parser(kinds, "calibration", cmd_check, "PAV-adjusted calibration", [checked])
+    p.add_argument("--level", type=float, default=0.95)
     p.add_argument("--horizon", type=float, default=None,
                    help="dichotomisation horizon for continuous calibration")
     p.add_argument("--interval", type=int, default=None,
@@ -402,58 +429,46 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-length", type=float, default=1.0)
     p.add_argument("--grid-intervals", type=int, default=50)
     p.add_argument("--zoom-mass", type=float, default=0.9)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("impute", help="impute censored event times",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-    _add_data_args(p)
-    p.add_argument("--model", required=True)
-    p.add_argument("--draws", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--n-imputations", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_impute)
-
-    p = sub.add_parser("compare", help="PSIS-LOO model comparison",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-    p.add_argument("mode", choices=("loo", "interval", "dichotomized"))
-    p.add_argument("--data", help="short-format CSV")
-    p.add_argument("--long-data", help="long-format CSV (for bernoulli models)")
-    p.add_argument("--time-unit", default=None)
-    p.add_argument("--scaling", default=None,
-                   help="scaling.json from a `fit --scale` run, re-applied here")
-    p.add_argument("--model", nargs=3, action="append", required=True,
-                   metavar=("NAME", "SPEC", "DRAWS"),
-                   help="repeatable: model name, preset/spec file, draws CSV")
-    p.add_argument("--out", required=True)
-    p.add_argument("--horizon", type=float, default=5.0)
+    scored = argparse.ArgumentParser(add_help=False)  # the inputs of every comparison
+    scored.add_argument("--data", help="short-format CSV")
+    scored.add_argument("--long-data", help="long-format CSV (for bernoulli models)")
+    scored.add_argument("--time-unit", default=None)
+    scored.add_argument("--scaling", default=None,
+                        help="scaling.json from a `fit --scale` run, re-applied here")
+    scored.add_argument("--model", nargs=3, action="append", required=True,
+                        metavar=("NAME", "SPEC", "DRAWS"),
+                        help="repeatable: model name, preset/spec file, draws CSV")
+    scored.add_argument("--out", required=True)
+    scored.add_argument("--save-loglik", action="store_true")
+    modes = _choices(sub, "compare", "mode", "PSIS-LOO model comparison")
+    _add_parser(modes, "loo", cmd_compare, "raw scores", [scored])
+    p = _add_parser(modes, "interval", cmd_compare, "probabilities of grid intervals", [scored])
     p.add_argument("--grid-length", type=float, default=1.0)
     p.add_argument("--grid-intervals", type=int, default=50)
-    p.add_argument("--save-loglik", action="store_true")
-    p.set_defaults(func=cmd_compare)
+    p = _add_parser(modes, "dichotomized", cmd_compare, "event by the horizon", [scored])
+    p.add_argument("--horizon", type=float, default=5.0)
 
-    p = sub.add_parser("experiment", help="paper-style experiments",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-    p.add_argument("which", choices=("timescale", "hazard-curves"))
+    which = _choices(sub, "experiment", "which", "paper-style experiments")
+    p = _add_parser(which, "timescale", cmd_timescale, "elpd invariance to the time unit")
     p.add_argument("--out", required=True)
     p.add_argument("--factor", type=float, default=30.0)
-    p.add_argument("--scenario", help="scenario JSON for hazard-curves")
+    p.add_argument("--seed", type=int, default=7)
+    p = _add_parser(which, "hazard-curves", cmd_hazard_curves, "predicted hazard curves")
+    p.add_argument("--out", required=True)
+    p.add_argument("--scenario", help="scenario JSON file")
     p.add_argument("--svg", action="store_true")
     _add_sampler_args(p, warmup=2500, keep=750, seed=7)
-    p.set_defaults(func=cmd_experiment)
 
-    p = sub.add_parser("run", help="drive a whole pipeline from one config",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    p = _add_parser(sub, "run", cmd_run, "drive a whole pipeline from one config")
     p.add_argument("--pipeline", required=True, help="pipeline config JSON")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_run)
     return ap
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         for name, value in vars(args).items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise CliError(f"--{name.replace('_', '-')} must be finite, got {value}")

@@ -590,9 +590,8 @@ def scale_covariates(data: SurvivalDataset, names) -> tuple[SurvivalDataset, Sca
 # Long-format columns that are constant within every subject are read as
 # static covariates, the others as time-dependent.
 # A header row is required everywhere and columns are found by name, never
-# by position.  Every reader (the log-lik CSV of ``loo`` too) takes its rows
-# from ``_read_rows``, and a row of the wrong width or a cell that is not a
-# number is a DataError.
+# by position.  Every reader takes its rows from ``_read_rows``, and a row
+# of the wrong width or a cell that is not a number is a DataError.
 
 def _csv_reader(read):
     """Report a cell that does not parse as a number as a DataError."""

@@ -33,7 +33,6 @@ from .data import (
     SurvivalDataset,
     TimeGrid,
     TreatmentRule,
-    _read_rows,
     to_short_form,
 )
 from .models import (
@@ -55,10 +54,6 @@ MODES = ("raw", "interval", "dichotomized")
 
 class LooError(ValueError):
     """Invalid scoring inputs or refused comparison."""
-
-
-class DegenerateTailError(LooError):
-    """Tail sample unusable for generalized Pareto fitting."""
 
 
 @dataclass(frozen=True)
@@ -376,21 +371,6 @@ def _fit_tails(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return khat, sigma
 
 
-def gpd_fit(tail_sample) -> tuple[float, float]:
-    """Fit the generalized Pareto shape and scale to positive exceedances.
-
-    Profile-likelihood estimate with a weak prior pulling the shape toward
-    0.5; needs at least 5 distinct values, otherwise the tail is degenerate.
-    """
-    x = np.sort(np.asarray(tail_sample, dtype=float))
-    if x.size < 5 or x[0] < 0:
-        raise DegenerateTailError("need at least 5 non-negative exceedances")
-    khat, sigma = _fit_tails(x[None])
-    if np.isnan(khat[0]):
-        raise DegenerateTailError("need 5 distinct positive exceedances and a converging fit")
-    return float(khat[0]), float(sigma[0])
-
-
 def gpd_quantile(u, khat, sigma) -> np.ndarray:
     """Quantiles at u; khat and sigma broadcast against u ((rows, 1) for a fit per row)."""
     u, khat, sigma = (np.asarray(a, dtype=float) for a in (u, khat, sigma))
@@ -683,29 +663,7 @@ def write_loglik_csv(loglik: LogLikMatrix, path) -> None:
             w.writerow([s] + [repr(float(v)) for v in loglik.values[s]])
 
 
-def read_loglik_csv(path) -> LogLikMatrix:
-    """Read a log-lik CSV; malformed rows and cells are a DataError."""
-    rows = _read_rows(path)
-    if len(rows) < 4 or rows[0][0] != "unit" or rows[1][0] != "tag":
-        raise LooError("not a log-lik CSV (unit/tag header rows required)")
-    tags = tuple(rows[1][1:])
-    body_start = 3 if rows[2][0] == "time_unit" else 2
-    time_unit = rows[2][1] or None if body_start == 3 else None
-    try:
-        unit_ids = tuple(_uid_parse(u) for u in rows[0][1:])
-        vals = np.array([[float(v) for v in r[1:]] for r in rows[body_start:]])
-    except ValueError as err:
-        raise DataError(f"malformed CSV value: {err}") from None
-    return LogLikMatrix(vals, tags, unit_ids, time_unit)
-
-
 def _uid_str(u) -> str:
     if isinstance(u, tuple):
         return ":".join(str(x) for x in u)
     return str(u)
-
-
-def _uid_parse(s: str):
-    if ":" in s:
-        return tuple(int(x) for x in s.split(":"))
-    return int(s)

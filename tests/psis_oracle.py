@@ -16,7 +16,11 @@ import warnings
 import numpy as np
 from scipy.special import logsumexp
 
-from survcheck.loo import DegenerateTailError, LogLikMatrix, PsisResult, psis_tail_size
+from survcheck.loo import LogLikMatrix, PsisResult, psis_tail_size
+
+
+class DegenerateTailError(ValueError):
+    """Tail sample unusable for generalized Pareto fitting."""
 
 
 def gpd_fit(tail_sample) -> tuple[float, float]:

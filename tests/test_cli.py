@@ -90,6 +90,8 @@ def test_check_km_on_unscaled_fit(tmp_path):
                  "--out", str(out), "--cutoff-factor", "1.2",
                  "--impute", "3", "--svg"]) == 0
     doc = json.loads((out / "km.json").read_text())
+    assert doc["config"]["options"] == {"cutoff_factor": 1.2, "n_pred_draws": 50, "impute": 3,
+                                        "scaling": None, "svg": True}
     short_times = [float(r.split(",")[2]) for r in
                    (sim / "short.csv").read_text().splitlines()[1:]]
     cutoff = 1.2 * max(short_times)
@@ -137,6 +139,10 @@ def test_check_km_on_unscaled_fit(tmp_path):
                  "--out", str(cal2), "--interval", "2",
                  "--grid-intervals", "10"]) == 0
     assert (cal2 / "calibration.json").exists()
+    # the manifest records every option calibration reads, zoom and grid too
+    options = json.loads((cal2 / "manifest.json").read_text())["config"]["options"]
+    assert options == {"level": 0.95, "horizon": None, "interval": 2, "grid_length": 1.0,
+                       "grid_intervals": 10, "zoom_mass": 0.9, "scaling": None, "svg": False}
 
     # imputation artifact: every imputed time > censor time
     imp_out = tmp_path / "imp"
@@ -175,6 +181,17 @@ def test_check_km_on_unscaled_fit(tmp_path):
             "indistinguishable"} <= set(rows[0])
     assert rep["n_units"] <= 60
 
+    # raw-score comparison: its manifest holds no horizon or grid, which it never reads
+    cmp_loo = tmp_path / "cmp_loo"
+    assert main(["compare", "loo", "--data", str(sim / "short.csv"),
+                 "--model", "expo", "exponential-gist", str(fitdir / "draws.csv"),
+                 "--model", "weib", "weibull-gist", str(wei / "draws.csv"),
+                 "--out", str(cmp_loo)]) == 0
+    config = json.loads((cmp_loo / "manifest.json").read_text())["config"]
+    assert config["command"] == "compare loo"
+    assert not {"horizon", "grid_length", "grid_intervals"} & set(config)
+    assert len(json.loads((cmp_loo / "comparison.json").read_text())["comparison"]) == 2
+
     # interval-mode comparison including the bernoulli model
     bern = tmp_path / "fit_bern"
     assert main(["fit", "--data", str(sim / "long.csv"),
@@ -191,6 +208,9 @@ def test_check_km_on_unscaled_fit(tmp_path):
     rep3 = json.loads((cmp3 / "comparison.json").read_text())
     assert len(rep3["comparison"]) == 2
     assert (cmp3 / "loglik_bern.csv").exists()
+    config = json.loads((cmp3 / "manifest.json").read_text())["config"]
+    assert (config["grid_length"], config["grid_intervals"]) == (1.0, 10)
+    assert "horizon" not in config and config["time_unit"] is None
 
 
 def test_experiment_timescale(tmp_path, capsys):
@@ -309,9 +329,9 @@ def test_error_json_on_bad_input(workspace, tmp_path, capsys):
          "--cutoff-factor must be finite, got nan"),
         (["check", "km", *check, "--cutoff-factor", "inf"], "CliError",
          "--cutoff-factor must be finite, got inf"),
-        (["check", "intervals", *check, "--cutoff-factor", "inf"], "CliError",
-         "--cutoff-factor"),
-        (["check", "km", *check, "--level", "nan"], "CliError", "--level must be finite"),
+        (["check", "calibration", *check, "--grid-length", "inf"], "CliError",
+         "--grid-length must be finite, got inf"),
+        (["check", "pit-ecdf", *check, "--level", "nan"], "CliError", "--level must be finite"),
         (["check", "calibration", *check, "--horizon=-inf"], "CliError", "--horizon"),
         (["check", "calibration", *check, "--horizon", "5", "--zoom-mass", "nan"],
          "CliError", "--zoom-mass"),
@@ -430,3 +450,58 @@ def test_check_calibration_bernoulli_long(tmp_path):
             spec, design, draws, long, interval=int(extra[1]) if extra else None)
         assert len(curve["data"]["x"]) == len(outcomes) == n_rows
         assert curve["data"]["x"] == np.sort(predictions).tolist()
+
+
+# the options each subcommand used to accept and ignore
+IGNORED = {
+    "check km": ["--time-unit", "--level", "--horizon", "--interval", "--grid-length",
+                 "--grid-intervals", "--zoom-mass"],
+    "check intervals": ["--time-unit", "--level", "--horizon", "--interval", "--grid-length",
+                        "--grid-intervals", "--zoom-mass", "--cutoff-factor", "--n-pred-draws"],
+    "check pit-ecdf": ["--time-unit", "--horizon", "--interval", "--grid-length",
+                       "--grid-intervals", "--zoom-mass", "--cutoff-factor", "--n-pred-draws"],
+    "check calibration": ["--time-unit", "--cutoff-factor", "--n-pred-draws", "--impute"],
+    "fit": ["--time-unit"],
+    "impute": ["--time-unit"],
+    "compare loo": ["--horizon", "--grid-length", "--grid-intervals"],
+    "compare interval": ["--horizon"],
+    "compare dichotomized": ["--grid-length", "--grid-intervals"],
+    "experiment timescale": ["--scenario", "--svg", "--chains", "--warmup", "--keep"],
+    "experiment hazard-curves": ["--factor"],
+}
+FITTED = ["--data", "d.csv", "--model", "weibull-gist", "--draws", "draws.csv"]
+INPUTS = {"check": FITTED, "impute": FITTED, "fit": FITTED[:4], "experiment": [],
+          "compare": ["--data", "d.csv", "--model", "a", "weibull-gist", "draws.csv"]}
+
+
+def _usage_cases():
+    for command, options in IGNORED.items():
+        for option in options:
+            value = [] if option == "--svg" else ["2"]
+            yield pytest.param([*command.split(), *INPUTS[command.split()[0]], option, *value],
+                               option, id=f"{command} {option}")
+    for kind in ("intervals", "pit-ecdf"):
+        yield pytest.param(["check", kind, *FITTED, "--impute", "2"], "--impute",
+                           id=f"check {kind} --impute 2")
+    yield pytest.param(["fit", *FITTED[:4], "--chains", "two"], "--chains", id="fit --chains two")
+    yield pytest.param(["fit", *FITTED[:4]], "--out", id="fit without --out")
+
+
+@pytest.mark.parametrize("argv, option", _usage_cases())
+def test_usage_error_is_error_json(tmp_path, capsys, argv, option):
+    # an option the subcommand does not read is refused, not ignored
+    if option != "--out":
+        argv = [*argv, "--out", str(tmp_path / "x")]
+    assert main(argv) == 1
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"]["type"] == "CliError"
+    assert option in err["error"]["message"]
+    assert not (tmp_path / "x").exists()
+
+
+def test_help_lists_only_the_kinds_options(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["check", "km", "--help"])
+    assert exit_.value.code == 0
+    text = capsys.readouterr().out
+    assert "--cutoff-factor" in text and "--level" not in text

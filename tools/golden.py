@@ -22,11 +22,8 @@ The workloads cover:
   record;
 * ``loglik_matrix`` for every family and scoring mode, with PSIS (log
   weights, k-hat, ESS, degenerate flags) and elpd of each matrix.  A
-  Bernoulli model is scored on its subjects: a checkout whose
-  ``loglik_matrix`` scores Bernoulli rows in raw mode only is read through
-  ``group_long_by_subject`` of the raw matrix (raw and interval) and
-  ``bernoulli_dichotomized_loglik`` (dichotomized).  The long rows are
-  scored as given and in a shuffled order;
+  Bernoulli model is scored on its subjects (``group_long_by_subject``),
+  with the long rows as given and in a shuffled order;
 * ``exact_refit_loo`` for the Weibull and Bernoulli presets in raw mode, the
   Weibull preset on data holding all four statuses in raw and interval
   modes (one held-out unit of each status), and the Bernoulli preset in
@@ -49,10 +46,10 @@ The workloads cover:
   sampler settings;
 * ``run_pipeline``, and the artifacts of ``survcheck simulate``, ``fit``,
   ``check km|intervals|pit-ecdf|calibration`` on a Weibull fit,
-  ``check calibration`` on a Bernoulli fit, ``impute``, ``compare
-  interval|dichotomized`` with a Bernoulli model, and ``run``.  A checkout
-  whose CLI has ``--format`` is passed ``--format long`` with the long CSV;
-  otherwise the model picks the reader;
+  ``check calibration`` on a Bernoulli fit, ``impute``, ``compare loo`` of
+  the two continuous models, ``compare interval|dichotomized`` with a
+  Bernoulli model, ``experiment timescale``, ``experiment hazard-curves``
+  on a small scenario file, and ``run``;
 * settings files read from disk: ``simulate --config`` with a scenario
   that sets every field, ``fit --model`` with a hierarchical-smooths
   Weibull spec whose priors use all four kinds, and ``run`` with a
@@ -68,9 +65,8 @@ The workloads cover:
   odd and short lengths, 1 to 8 chains, up to 50 parameters, heavy ties,
   equal and disjoint constant chains, infinite and NaN draws), called on
   each parameter's (n_chains, n_iter) chains and on all parameters'
-  (n_chains, n_iter, k) chains at once (a checkout that takes only the
-  former is called per parameter), and ``diagnose`` of every fit above and
-  of ``survcheck fit --keep 1``.
+  (n_chains, n_iter, k) chains at once, and ``diagnose`` of every fit above
+  and of ``survcheck fit --keep 1``.
 
 ``DECLARED`` names the outputs a change alters on purpose and the JSON keys
 in them that may differ; ``compare`` reports those keys and requires every
@@ -93,8 +89,7 @@ from pathlib import Path
 import numpy as np
 
 import survcheck as sc
-from survcheck.cli import build_parser, main as cli_main
-from survcheck.loo import LooError, bernoulli_dichotomized_loglik
+from survcheck.cli import main as cli_main
 
 HORIZON = 5.0
 PRESETS = ("exponential-gist", "weibull-gist", "bernoulli-gist")
@@ -146,8 +141,18 @@ SPEC = {
     },
 }
 # outputs the change under test alters on purpose -> the JSON keys that may
-# differ.  Empty it once the capture postdates that change.
-DECLARED: dict[str, tuple[str, ...]] = {}
+# differ.  Empty it once the capture postdates that change.  Here: the check
+# and compare manifests and bundles, whose config records the options of the
+# kind or mode that ran
+DECLARED: dict[str, tuple[str, ...]] = {
+    f"cli.file.{run}/{name}": ("config",)
+    for run, bundle in (("km", "km"), ("intervals", "intervals"), ("pit", "pit_ecdf"),
+                        ("cal_horizon", "calibration"), ("cal_interval", "calibration"),
+                        ("cal_bern", "calibration"), ("cal_bern_interval", "calibration"),
+                        ("cmp_loo", "comparison"), ("cmp_interval", "comparison"),
+                        ("cmp_dichotomized", "comparison"))
+    for name in ("manifest.json", f"{bundle}.json")
+}
 FULL_PIPELINE = {
     "scenario": {**SCENARIO, "n_subjects": 60},
     "sampler": {"n_chains": 2, "n_warmup": 120, "n_keep": 80, "seed": 6},
@@ -180,15 +185,9 @@ def _psis(prefix, psis):
 
 
 def _bernoulli_subjects(spec, design, draws, long, mode):
-    """One column per subject, through whichever API the checkout offers."""
-    try:
-        ll = sc.loglik_matrix(spec, design, draws, long, mode=mode, horizon=HORIZON)
-    except LooError:
-        if mode == "dichotomized":
-            ll = bernoulli_dichotomized_loglik(spec, design, draws, long, HORIZON)
-        else:
-            ll = sc.loglik_matrix(spec, design, draws, long, mode="raw")
-    return sc.group_long_by_subject(ll)
+    """One column per subject."""
+    return sc.group_long_by_subject(
+        sc.loglik_matrix(spec, design, draws, long, mode=mode, horizon=HORIZON))
 
 
 def _primitives():
@@ -467,21 +466,13 @@ def _chain_sets():
     }
 
 
-def _takes_all_parameters(stat) -> bool:
-    """Whether ``stat`` takes (n_chains, n_iter, k) chains."""
-    try:
-        return np.shape(stat(np.zeros((2, 8, 3)))) == (3,)
-    except ValueError:
-        return False
-
-
 def _diagnostics():
     for name, chains in _chain_sets().items():
         for stat in (sc.sampler.split_rhat, sc.sampler.bulk_ess):
             prefix = f"diagnostics.{name}.{stat.__name__}"
             with np.errstate(all="ignore"):
                 alone = [stat(chains[:, :, j]) for j in range(chains.shape[2])]
-                together = stat(chains) if _takes_all_parameters(stat) else np.array(alone)
+                together = stat(chains)
             yield f"{prefix}.per-parameter", _json([repr(v) for v in alone])
             yield f"{prefix}.all-parameters", together
     yield from _cli_files("diagnose", {}, [
@@ -525,18 +516,14 @@ def _cli_files(prefix, inputs, calls):
     return out
 
 
-def _long_format() -> list[str]:
-    """``--format long`` where the checkout's CLI has that option."""
-    args, _ = build_parser().parse_known_args(
-        ["impute", "--data", "d", "--model", "m", "--draws", "d", "--out", "o"])
-    return ["--format", "long"] if hasattr(args, "format") else []
-
-
 def _cli():
-    long = ["--data", "sim/long.csv", *_long_format()]
+    long = ["--data", "sim/long.csv"]
     wei = ["--data", "sim/short.csv", "--model", "weibull-gist", "--draws", "wei/draws.csv"]
     bern = [*long, "--model", "bernoulli-gist", "--draws", "bern/draws.csv"]
-    return _cli_files("cli", {"pipeline.json": PIPELINE}, [
+    continuous = ["--data", "sim/short.csv", "--model", "wei", "weibull-gist", "wei/draws.csv",
+                  "--model", "exp", "exponential-gist", "exp/draws.csv"]
+    return _cli_files("cli", {"pipeline.json": PIPELINE,
+                              "cohort.json": {"n_subjects": 60, "seed": 17}}, [
         ["simulate", "--out", "sim", "--seed", "3", "--n-subjects", "60"],
         ["fit", "--data", "sim/short.csv", "--model", "weibull-gist",
          "--out", "wei", *CLI_SAMPLER, "--seed", "1"],
@@ -554,12 +541,15 @@ def _cli():
         ["check", "calibration", *bern, "--out", "cal_bern", "--seed", "7"],
         ["check", "calibration", *bern, "--out", "cal_bern_interval", "--interval", "2"],
         ["impute", *wei, "--out", "imp", "--n-imputations", "3", "--seed", "8"],
-        *[["compare", mode, "--data", "sim/short.csv", "--long-data", "sim/long.csv",
-           "--model", "wei", "weibull-gist", "wei/draws.csv",
-           "--model", "exp", "exponential-gist", "exp/draws.csv",
+        ["compare", "loo", *continuous, "--out", "cmp_loo", "--save-loglik"],
+        *[["compare", mode, *continuous, "--long-data", "sim/long.csv",
            "--model", "bern", "bernoulli-gist", "bern/draws.csv",
-           "--out", f"cmp_{mode}", "--grid-intervals", "10", "--save-loglik"]
-          for mode in ("interval", "dichotomized")],
+           "--out", f"cmp_{mode}", *extra, "--save-loglik"]
+          for mode, extra in (("interval", ["--grid-intervals", "10"]),
+                              ("dichotomized", ["--horizon", "4"]))],
+        ["experiment", "timescale", "--out", "ts", "--factor", "20", "--seed", "3"],
+        ["experiment", "hazard-curves", "--out", "curves", "--scenario", "cohort.json",
+         *CLI_SAMPLER, "--seed", "4", "--svg"],
         ["run", "--pipeline", "pipeline.json", "--out", "run"],
     ])
 
