@@ -13,6 +13,8 @@ so that the requested fraction of replicates lies entirely inside the
 envelope.  This is assumption-free and validated by coverage tests.  PAV
 fits are SciPy's ``isotonic_regression`` (SciPy >= 1.12) over predictions
 sorted and pooled once; envelope quantiles are read off sorted replicates.
+``scipy.optimize``, which holds ``isotonic_regression``, is imported at the
+first PAV fit, so a command that does not calibrate never loads it.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import isotonic_regression
 
 from .data import EVENT, RIGHT_CENSORED, SurvivalDataset
 from .series import PlotSeries
@@ -364,15 +365,23 @@ def pit_ecdf_check(
 
 def pav_isotonic(values: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
     """Weighted isotonic least-squares fit of a sequence (pool-adjacent-violators)."""
+    from scipy.optimize import isotonic_regression
+
     return isotonic_regression(np.asarray(values, dtype=float), weights=weights).x
+
+
+def _probabilities(predictions) -> np.ndarray:
+    """Predictions as an array, refused unless nonempty and in [0, 1] (no NaN)."""
+    p = np.asarray(predictions, dtype=float)
+    if p.size == 0 or not np.all((p >= 0) & (p <= 1)):
+        raise CheckError("predictions must be nonempty and lie in [0, 1]")
+    return p
 
 
 def _pooled(predictions):
     """Stable sort order, sorted predictions, and their distinct values
     with each sorted prediction's index among them and their counts."""
-    p = np.asarray(predictions, dtype=float)
-    if p.size == 0 or np.any((p < 0) | (p > 1)):
-        raise CheckError("predictions must be nonempty and lie in [0, 1]")
+    p = _probabilities(predictions)
     order = np.argsort(p, kind="stable")
     p_sorted = p[order]
     uniq, inverse, counts = np.unique(p_sorted, return_inverse=True, return_counts=True)
@@ -396,6 +405,8 @@ def pav_cep(predictions, outcomes) -> CalibrationCurve:
     z = np.asarray(outcomes, dtype=float)
     if np.size(predictions) != z.size:
         raise CheckError("predictions and outcomes must align")
+    if not np.all((z == 0) | (z == 1)):
+        raise CheckError("outcomes must be 0 or 1")
     order, p_sorted, uniq, inverse, counts = _pooled(predictions)
     ceps = _pooled_pav(inverse, counts, z[order])
     masses = {float(u): int(c) for u, c in zip(uniq, counts)}
@@ -455,9 +466,7 @@ def zoom_region(predictions, mass: float = 0.9) -> tuple[float, float]:
     Anchored at 0 when predictions concentrate low (median <= 0.5), at 1
     otherwise, matching the zoomed calibration plot for unbalanced data.
     """
-    p = np.asarray(predictions, dtype=float)
-    if p.size == 0:
-        raise CheckError("no predictions")
+    p = _probabilities(predictions)
     mass = min(max(mass, 0.0), 1.0)
     if np.median(p) <= 0.5:
         return 0.0, float(np.quantile(p, mass))

@@ -129,10 +129,19 @@ def _sampler_config(args) -> SamplerConfig:
 
 
 def _add_sampler_args(p, warmup=1000, keep=1000, seed=0):
-    p.add_argument("--chains", type=int, default=4)
-    p.add_argument("--warmup", type=int, default=warmup)
-    p.add_argument("--keep", type=int, default=keep)
-    p.add_argument("--seed", type=int, default=seed)
+    p.add_argument("--chains", type=int, default=4, help="number of chains")
+    p.add_argument("--warmup", type=int, default=warmup, help="warmup iterations per chain")
+    p.add_argument("--keep", type=int, default=keep, help="kept draws per chain")
+    p.add_argument("--seed", type=int, default=seed, help="sampler seed")
+
+
+OUT_HELP = "output directory"
+LEVEL_HELP = "simultaneous band level"
+
+
+def _add_grid_args(p):
+    p.add_argument("--grid-length", type=float, default=1.0, help="length of a grid interval")
+    p.add_argument("--grid-intervals", type=int, default=50, help="number of grid intervals")
 
 
 def _add_inputs(p):
@@ -141,7 +150,7 @@ def _add_inputs(p):
                    help=f"preset {sorted(PRESETS)} or a model spec JSON file")
     p.add_argument("--scaling", default=None,
                    help="scaling.json from a `fit --scale` run, re-applied here")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, help=OUT_HELP)
 
 
 # ---------------------------------------------------------------------------
@@ -368,9 +377,15 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(f"{self.prog}: {message}")
 
 
+class _Help(argparse.ArgumentDefaultsHelpFormatter):
+    """Appends an option's default to its help, unless the default is None."""
+
+    def _get_help_string(self, action):
+        return action.help if action.default is None else super()._get_help_string(action)
+
+
 def _add_parser(sub, name, func, summary, parents=()):
-    p = sub.add_parser(name, help=summary, parents=list(parents),
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    p = sub.add_parser(name, help=summary, parents=list(parents), formatter_class=_Help)
     p.set_defaults(func=func)
     return p
 
@@ -385,15 +400,17 @@ def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(
         prog="survcheck",
         description="Predictive checking and comparison of Bayesian survival models",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
+        formatter_class=_Help,
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = _add_parser(sub, "simulate", cmd_simulate, "generate a synthetic cohort")
-    p.add_argument("--out", required=True)
-    p.add_argument("--config", help="scenario JSON file")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--n-subjects", type=int, default=None)
+    p.add_argument("--out", required=True, help=OUT_HELP)
+    p.add_argument("--config", help="scenario JSON file; the default scenario when omitted")
+    p.add_argument("--seed", type=int, default=None,
+                   help="simulation seed, in place of the scenario's")
+    p.add_argument("--n-subjects", type=int, default=None,
+                   help="cohort size, in place of the scenario's")
 
     p = _add_parser(sub, "fit", cmd_fit, "sample a model posterior")
     _add_inputs(p)
@@ -403,66 +420,70 @@ def build_parser() -> argparse.ArgumentParser:
     fitted = argparse.ArgumentParser(add_help=False)  # the inputs of impute and check
     _add_inputs(fitted)
     fitted.add_argument("--draws", required=True, help="draws CSV from `fit`")
-    fitted.add_argument("--seed", type=int, default=0)
+    fitted.add_argument("--seed", type=int, default=0, help="seed of the predictive draws")
     p = _add_parser(sub, "impute", cmd_impute, "impute censored event times", [fitted])
-    p.add_argument("--n-imputations", type=int, default=10)
+    p.add_argument("--n-imputations", type=int, default=10, help="number of imputed data sets")
 
     checked = argparse.ArgumentParser(add_help=False, parents=[fitted])
     checked.add_argument("--svg", action="store_true", help="also render SVG")
     kinds = _choices(sub, "check", "kind", "predictive model checks")
     p = _add_parser(kinds, "km", cmd_check, "Kaplan-Meier overlay", [checked])
-    p.add_argument("--cutoff-factor", type=float, default=1.2)
-    p.add_argument("--n-pred-draws", type=int, default=50)
+    p.add_argument("--cutoff-factor", type=float, default=1.2,
+                   help="predictive curves end at this multiple of the largest observed time")
+    p.add_argument("--n-pred-draws", type=int, default=50,
+                   help="number of predictive replicates overlaid")
     p.add_argument("--impute", type=int, default=0, help="number of imputed replicates")
     intervals = _add_parser(kinds, "intervals", cmd_check, "predictive intervals", [checked])
     pit = _add_parser(kinds, "pit-ecdf", cmd_check, "PIT-ECDF band", [checked])
     for p in (intervals, pit):
         p.add_argument("--impute", type=int, choices=(0, 1), default=0,
                        help="1: censored times replaced by one imputed replicate")
-    pit.add_argument("--level", type=float, default=0.95)
+    pit.add_argument("--level", type=float, default=0.95, help=LEVEL_HELP)
     p = _add_parser(kinds, "calibration", cmd_check, "PAV-adjusted calibration", [checked])
-    p.add_argument("--level", type=float, default=0.95)
+    p.add_argument("--level", type=float, default=0.95, help=LEVEL_HELP)
     p.add_argument("--horizon", type=float, default=None,
                    help="dichotomisation horizon for continuous calibration")
     p.add_argument("--interval", type=int, default=None,
                    help="per-interval binary calibration check (interval index)")
-    p.add_argument("--grid-length", type=float, default=1.0)
-    p.add_argument("--grid-intervals", type=int, default=50)
-    p.add_argument("--zoom-mass", type=float, default=0.9)
+    _add_grid_args(p)
+    p.add_argument("--zoom-mass", type=float, default=0.9,
+                   help="share of the predictions the zoomed region holds")
 
     scored = argparse.ArgumentParser(add_help=False)  # the inputs of every comparison
     scored.add_argument("--data", help="short-format CSV")
     scored.add_argument("--long-data", help="long-format CSV (for bernoulli models)")
-    scored.add_argument("--time-unit", default=None)
+    scored.add_argument("--time-unit", default=None,
+                        help="time unit label carried into the scores' metadata")
     scored.add_argument("--scaling", default=None,
                         help="scaling.json from a `fit --scale` run, re-applied here")
     scored.add_argument("--model", nargs=3, action="append", required=True,
                         metavar=("NAME", "SPEC", "DRAWS"),
                         help="repeatable: model name, preset/spec file, draws CSV")
-    scored.add_argument("--out", required=True)
-    scored.add_argument("--save-loglik", action="store_true")
+    scored.add_argument("--out", required=True, help=OUT_HELP)
+    scored.add_argument("--save-loglik", action="store_true",
+                        help="also write each model's log-likelihood matrix CSV")
     modes = _choices(sub, "compare", "mode", "PSIS-LOO model comparison")
     _add_parser(modes, "loo", cmd_compare, "raw scores", [scored])
     p = _add_parser(modes, "interval", cmd_compare, "probabilities of grid intervals", [scored])
-    p.add_argument("--grid-length", type=float, default=1.0)
-    p.add_argument("--grid-intervals", type=int, default=50)
+    _add_grid_args(p)
     p = _add_parser(modes, "dichotomized", cmd_compare, "event by the horizon", [scored])
-    p.add_argument("--horizon", type=float, default=5.0)
+    p.add_argument("--horizon", type=float, default=5.0, help="dichotomisation horizon")
 
     which = _choices(sub, "experiment", "which", "paper-style experiments")
     p = _add_parser(which, "timescale", cmd_timescale, "elpd invariance to the time unit")
-    p.add_argument("--out", required=True)
-    p.add_argument("--factor", type=float, default=30.0)
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--out", required=True, help=OUT_HELP)
+    p.add_argument("--factor", type=float, default=30.0,
+                   help="times are divided by this factor (days to months at 30)")
+    p.add_argument("--seed", type=int, default=7, help="seed of the cohort and the fit")
     p = _add_parser(which, "hazard-curves", cmd_hazard_curves, "predicted hazard curves")
-    p.add_argument("--out", required=True)
-    p.add_argument("--scenario", help="scenario JSON file")
-    p.add_argument("--svg", action="store_true")
+    p.add_argument("--out", required=True, help=OUT_HELP)
+    p.add_argument("--scenario", help="scenario JSON file; the default scenario when omitted")
+    p.add_argument("--svg", action="store_true", help="also render SVG")
     _add_sampler_args(p, warmup=2500, keep=750, seed=7)
 
     p = _add_parser(sub, "run", cmd_run, "drive a whole pipeline from one config")
     p.add_argument("--pipeline", required=True, help="pipeline config JSON")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, help=OUT_HELP)
     return ap
 
 

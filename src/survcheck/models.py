@@ -39,7 +39,6 @@ import math
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
-from scipy.interpolate import BSpline
 from scipy.special import gammaln
 
 from .data import (
@@ -484,15 +483,38 @@ def spline_basis(x, knots: np.ndarray, degree: int) -> np.ndarray:
 
     ``knots`` is a full clamped knot vector as built by spline_knots.  Inputs
     outside the knot range are clamped to it, so the basis rows always sum
-    to 1 (partition of unity).
+    to 1 (partition of unity); a NaN input is refused.
+
+    Each point's degree + 1 non-zero values come from the Cox-de Boor
+    recursion (de Boor 1972), run for all points at once with the operations
+    of FITPACK's ``fpbspl`` in its order, so the matrix is bit for bit
+    SciPy's ``BSpline.design_matrix(x, knots, degree).toarray()``.  SciPy's
+    sparse-to-dense step adds the values into zeros; the ``+ 0.0`` here does
+    the same, turning a ``-0.0`` (from ``x = -0.0`` on a knot at 0) into
+    ``+0.0``.  Every denominator is at least the width of the point's knot
+    interval, which is positive since spline_knots keeps two distinct values.
     """
-    x = np.clip(np.asarray(x, dtype=float), knots[0], knots[-1])
+    knots = np.asarray(knots, dtype=float)
+    x = np.clip(np.atleast_1d(np.asarray(x, dtype=float)), knots[0], knots[-1])
     n_basis = len(knots) - degree - 1
     if n_basis < degree + 1:
         raise ModelError("knot vector too short for the requested degree")
-    if x.size == 0:
-        return np.zeros((0, n_basis))
-    return BSpline.design_matrix(x, knots, degree).toarray()
+    if np.isnan(x).any():
+        raise ModelError("cannot evaluate the spline basis at NaN")
+    interval = np.clip(np.searchsorted(knots, x, side="right") - 1, degree, n_basis - 1)
+    h = [np.ones(x.size)]
+    for j in range(1, degree + 1):
+        prev, nxt = 0.0, []
+        for i in range(j):
+            right, left = knots[interval + i + 1], knots[interval + i + 1 - j]
+            f = h[i] / (right - left)
+            nxt.append(prev + f * (right - x))
+            prev = f * (x - left)
+        h = nxt + [prev]
+    out = np.zeros((x.size, n_basis))
+    cols = interval[:, None] + np.arange(-degree, 1)
+    out[np.arange(x.size)[:, None], cols] = np.column_stack(h) + 0.0
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -336,6 +336,15 @@ class TestPav:
         with pytest.raises(CheckError):
             pav_cep([1.2], [1])
 
+    def test_rejects_nan_prediction(self):
+        z = [0, 0, 1, 0, 1, 1]
+        with pytest.raises(CheckError, match=r"\[0, 1\]"):
+            calibration_check([0.1, 0.2, np.nan, 0.4, 0.5, 0.6], z, n_sim=20)
+
+    def test_rejects_outcome_not_binary(self):
+        with pytest.raises(CheckError, match="0 or 1"):
+            calibration_check([0.1, 0.2, 0.3, 0.4, 0.5, 0.6], [0, 0, 2, 0, 1, 1], n_sim=20)
+
     def test_pav_isotonic_weighted(self):
         fit = pav_isotonic(np.array([3.0, 1.0]), np.array([1.0, 3.0]))
         assert np.allclose(fit, [1.5, 1.5])
@@ -403,6 +412,10 @@ class TestZoom:
         p = np.array([0.2, 0.6, 0.7])
         lo, hi = zoom_region(p, 1.0)
         assert lo <= 0.2 and hi >= 0.7
+
+    def test_rejects_nan(self):
+        with pytest.raises(CheckError, match=r"\[0, 1\]"):
+            zoom_region([np.nan, 0.2, 0.3])
 
     def test_high_concentration_anchors_at_one(self):
         p = np.random.default_rng(15).uniform(0.75, 1.0, size=50)

@@ -1,8 +1,10 @@
+import argparse
 import json
+
 import numpy as np
 import pytest
 
-from survcheck.cli import main
+from survcheck.cli import build_parser, main
 from survcheck.data import read_draws_csv, read_long_csv
 from survcheck.experiments import calibration_inputs
 from survcheck.models import ModelDesign, get_preset
@@ -505,3 +507,28 @@ def test_help_lists_only_the_kinds_options(capsys):
     assert exit_.value.code == 0
     text = capsys.readouterr().out
     assert "--cutoff-factor" in text and "--level" not in text
+
+
+def _parsers(parser):
+    """The parser and every sub-parser below it."""
+    yield parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for child in action.choices.values():
+                yield from _parsers(child)
+
+
+def test_help_shows_every_default():
+    options = 0
+    for parser in _parsers(build_parser()):
+        text = " ".join(parser.format_help().split())
+        assert "(default: None)" not in text, parser.prog
+        for action in parser._actions:
+            if not action.option_strings or action.default is argparse.SUPPRESS:
+                continue
+            options += 1
+            assert action.help, f"{parser.prog} {action.option_strings[0]}"
+            if action.default is not None:
+                assert f"{action.help} (default: {action.default})" in text, \
+                    f"{parser.prog} {action.option_strings[0]}"
+    assert options > 50

@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.interpolate import BSpline
 from scipy.special import gammaln
 from scipy.stats import kstest
 
@@ -102,6 +105,34 @@ class TestSplineBasis:
         knots = spline_knots(np.arange(10.0), n_knots=3, degree=3)
         basis = spline_basis(np.array([-5.0, 50.0]), knots, degree=3)
         assert np.allclose(basis.sum(axis=1), 1.0)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(degree=st.integers(1, 5), n_knots=st.integers(0, 8),
+           shape=st.sampled_from(["normal", "ties", "rounded"]),
+           scale=st.sampled_from([1e-3, 1.0, 1e3]), from_zero=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_bitwise_scipy_design_matrix(self, degree, n_knots, shape, scale, from_zero, seed):
+        # SciPy is the oracle: the same recursion in the same order, so equal bits
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(10, 200))
+        x = {"normal": rng.normal(size=n), "ties": rng.integers(0, 12, n).astype(float),
+             "rounded": np.round(rng.normal(size=n), 1)}[shape] * scale
+        if from_zero:  # a knot at 0, which the point -0.0 sits on
+            x = x - x.min()
+        try:
+            knots = spline_knots(x, n_knots, degree)
+        except ModelError:
+            assume(False)
+        pts = np.concatenate([x, knots, knots - 1e-9, knots + 1e-9,
+                              [knots[0] - scale, knots[-1] + scale, -0.0, 0.0]])
+        want = BSpline.design_matrix(np.clip(pts, knots[0], knots[-1]), knots, degree)
+        got = spline_basis(pts, knots, degree)
+        assert np.array_equal(got.view(np.int64), want.toarray().view(np.int64))
+
+    def test_nan_refused(self):
+        knots = spline_knots(np.arange(10.0), n_knots=3, degree=3)
+        with pytest.raises(ValueError):
+            spline_basis(np.array([0.5, np.nan]), knots, degree=3)
 
     def test_too_few_distinct_values(self):
         with pytest.raises(ModelError, match="distinct"):

@@ -14,7 +14,10 @@ is the one difference forgiven.  It exits 0 when every output matches.
 The workloads cover:
 
 * the simulated cohort, the design matrices and fits of the three presets,
-  and ``spline_basis`` and ``logistic`` on edge-case inputs;
+  ``logistic`` on edge-case inputs, and ``spline_basis`` at degrees 1, 2,
+  3 and 5 on normal, uniform, tied, 1e-3-scaled and rounded 1e3-scaled
+  covariates, at every knot, 1e-9 either side of it, outside the knots
+  and at ``-0.0``;
 * fits the presets never reach: a Weibull fit with hierarchical smooths on
   data holding all four statuses, a one-chain fit, and fits whose warmup
   and kept lengths (150 / 70 and 1 / 30) end mid adaptation window.  Every
@@ -195,12 +198,14 @@ def _primitives():
     special = np.array([800.0, -800.0, 0.0, -0.0, np.inf, -np.inf, np.nan, 36.0, -36.0])
     yield "logistic", sc.models.logistic(np.concatenate([special, 50 * rng.normal(size=200)]))
     for name, x in (("normal", rng.normal(size=300)), ("uniform", rng.uniform(0, 5, 200)),
-                    ("ties", np.repeat(np.arange(12.0), 7))):
-        for degree in (1, 2, 3):
+                    ("ties", np.repeat(np.arange(12.0), 7)),
+                    ("milli", 1e-3 * rng.normal(size=200)),
+                    ("kilo", 1e3 * np.round(rng.uniform(0, 5, 200), 1))):
+        for degree in (1, 2, 3, 5):
             for n_knots in (0, 3, 5, 8):
                 knots = sc.spline_knots(x, n_knots, degree)
                 pts = np.concatenate([x, knots, knots - 1e-9, knots + 1e-9,
-                                      [knots[0] - 3.0, knots[-1] + 3.0]])
+                                      [knots[0] - 3.0, knots[-1] + 3.0, -0.0]])
                 yield f"spline.{name}.d{degree}.k{n_knots}", sc.spline_basis(pts, knots, degree)
 
 
