@@ -71,6 +71,15 @@ def _json(payload) -> str:
     return json.dumps(payload, indent=1, sort_keys=True, allow_nan=False)
 
 
+def _read_json(path):
+    """A settings file's JSON.  The NaN, Infinity and -Infinity tokens that
+    Python's reader accepts are not JSON (RFC 8259) and are refused."""
+    def refuse(token):
+        raise CliError(f"{path}: {token} is not a JSON number; settings must be finite")
+
+    return json.loads(Path(path).read_text(), parse_constant=refuse)
+
+
 class RunDir:
     """Output directory with a manifest of artifacts and resolved config."""
 
@@ -101,7 +110,7 @@ def _load_model(spec_arg: str) -> ModelSpec:
     if not path.exists():
         raise CliError(f"model {spec_arg!r} is neither a preset {sorted(PRESETS)} "
                        "nor a spec file")
-    return ModelSpec.from_dict(json.loads(path.read_text()))
+    return ModelSpec.from_dict(_read_json(path))
 
 
 def _load_data(path, long_format: bool, scaling, time_unit=None):
@@ -112,7 +121,7 @@ def _load_data(path, long_format: bool, scaling, time_unit=None):
     require_valid(data, f"data in {path}")
     if not scaling:
         return data
-    return apply_scaling(data, ScalingRecord(json.loads(Path(scaling).read_text())))
+    return apply_scaling(data, ScalingRecord(_read_json(scaling)))
 
 
 def _options(args, *recorded) -> dict:
@@ -158,7 +167,7 @@ def _add_inputs(p):
 
 
 def cmd_simulate(args) -> int:
-    scenario = (ScenarioConfig.from_dict(json.loads(Path(args.config).read_text()))
+    scenario = (ScenarioConfig.from_dict(_read_json(args.config))
                 if args.config else ScenarioConfig())
     overrides = {"seed": args.seed, "n_subjects": args.n_subjects}
     scenario = replace(scenario, **{k: v for k, v in overrides.items() if v is not None})
@@ -332,7 +341,7 @@ def cmd_timescale(args) -> int:
 
 
 def cmd_hazard_curves(args) -> int:
-    scenario = (ScenarioConfig.from_dict(json.loads(Path(args.scenario).read_text()))
+    scenario = (ScenarioConfig.from_dict(_read_json(args.scenario))
                 if args.scenario else ScenarioConfig())
     sampler = _sampler_config(args)
     run = RunDir(args.out, {"command": "experiment hazard-curves",
@@ -352,7 +361,7 @@ def cmd_hazard_curves(args) -> int:
 
 
 def cmd_run(args) -> int:
-    config = json.loads(Path(args.pipeline).read_text())
+    config = _read_json(args.pipeline)
     run = RunDir(args.out, {"command": "run", "pipeline": config})
     result = experiments.run_pipeline(config)
     for key in list(result.get("checks", {})):

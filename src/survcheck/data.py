@@ -367,7 +367,8 @@ def _long_groups(long: LongDataset):
 
 
 def validate_long(long: LongDataset) -> list[str]:
-    """Check long-format invariants: contiguous 1..K intervals, outcome placement."""
+    """Check long-format invariants: 0/1 outcomes, contiguous 1..K intervals,
+    outcome placement."""
     if long.n_rows == 0:
         return []
     report = []
@@ -381,6 +382,8 @@ def validate_long(long: LongDataset) -> list[str]:
     is_last = np.zeros(long.n_rows, dtype=bool)
     is_last[starts + lengths - 1] = True
     bad_outcome = (out == 1) & ~is_last
+    for i in np.flatnonzero((out != 0) & (out != 1)):
+        report.append(f"subject {sid[i]}: outcome must be 0 or 1, got {out[i]}")
     for s in np.unique(sid[bad_contig]):
         report.append(f"subject {s}: interval_index not contiguous 1..K")
     for s in np.unique(sid[bad_outcome & ~np.isin(sid, sid[bad_contig])]):
@@ -585,7 +588,9 @@ def scale_covariates(data: SurvivalDataset, names) -> tuple[SurvivalDataset, Sca
 # Short format: subject_id, entry_time, time, status, <covariates...>
 #   with status in {event, rcens, lcens, icens}; interval-censored rows use
 #   the optional interval_lower / interval_upper columns.
-# Long format: subject_id, interval_index, event, <covariates...>.
+# Long format: subject_id, interval_index, event, <covariates...>; an event
+#   cell that is not a whole number is a DataError, and ``validate_long``
+#   refuses an outcome other than 0 or 1.
 # Draws: header of parameter names, one row per draw, optional chain column.
 # Long-format columns that are constant within every subject are read as
 # static covariates, the others as time-dependent.
@@ -686,10 +691,16 @@ def read_long_csv(path_or_buf, time_unit: str | None = None) -> LongDataset:
     cov_names = [h for h in header if h not in _LONG_ROLES]
     covariates = {n: np.array([float(r[idx[n]]) for r in body]) for n in cov_names}
     subject_id = np.array([int(float(r[idx["subject_id"]])) for r in body])
+    event = np.array([float(r[idx["event"]]) for r in body])
+    partial = ~(event % 1 == 0)
+    if partial.any():
+        raise DataError("event cells must be whole numbers: " + "; ".join(
+            f"subject {s}: {e!r}" for s, e in zip(subject_id[partial].tolist(),
+                                                  event[partial].tolist())))
     return LongDataset(
         subject_id=subject_id,
         interval_index=[int(float(r[idx["interval_index"]])) for r in body],
-        outcome=[int(float(r[idx["event"]])) for r in body],
+        outcome=[int(e) for e in event.tolist()],
         covariates=covariates,
         static_names=_infer_static(subject_id, covariates),
         time_unit=time_unit,

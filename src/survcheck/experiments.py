@@ -32,7 +32,7 @@ from .data import (
     scale_covariates,
     settings,
 )
-from .loo import compare, elpd_loo, loglik_matrix, psis_smooth
+from .loo import _bernoulli_loglik, compare, elpd_loo, loglik_matrix, psis_smooth
 from .models import (
     ModelDesign,
     ModelError,
@@ -286,6 +286,10 @@ def calibration_inputs(spec: ModelSpec, design: ModelDesign, draws, data,
     the subjects at risk at its start, P(event in (a, b] | alive at a);
     otherwise the event by ``horizon``, F(horizon).  Subjects whose outcome
     is unknowable are left out (see ``checks.interval_outcomes``).
+
+    Its callers are ``survcheck check calibration``, the tests and the
+    golden-output tool; ``run_pipeline`` takes the Bernoulli model's
+    posterior means from the worker that fitted it.
     """
     if spec.family == "bernoulli_logit":
         rows = slice(None) if interval is None else data.interval_index == interval
@@ -339,7 +343,11 @@ def run_pipeline(config: dict) -> dict:
     The three models are fitted and scored by PSIS-LOO at once, each in a
     forked worker process that holds its fit's draws and log-lik matrices
     (``sampler._run_jobs``; one after another in this process where there
-    is no ``fork`` or inside a worker).  The checks that draw from the
+    is no ``fork`` or inside a worker).  Each worker returns its fit, its
+    PSIS-LOO reports and, for the Bernoulli model, the posterior-mean event
+    probability of every long-format row, taken from the draws x rows
+    probabilities its log-lik is scored from (``_pipeline_job``), so no
+    draws x rows matrix is built here.  The checks that draw from the
     pipeline's RNG (predictive times, imputations, the calibration band's
     seed) then run here in a fixed order, so the results are bit for bit
     those of one process.
@@ -360,11 +368,11 @@ def run_pipeline(config: dict) -> dict:
     jobs = [*((spec, short_scaled, sampler, grid, horizon) for spec in specs),
             (bern, long_scaled, sampler, None, None)]
     done = _run_jobs(_pipeline_job, jobs)
-    for (spec, *_), (res, _) in zip(jobs, done):
+    for (spec, *_), (res, *_) in zip(jobs, done):
         out["diagnostics"][spec.name] = diagnose(res)
-    *models, (res_b, reports_b) = done
+    *models, (_, reports_b, p_mean) = done
 
-    for spec, (res, _) in zip(specs, models):
+    for spec, (res, *_) in zip(specs, models):
         sims = posterior_predictive_times(spec, res.design, res.draws, short_scaled, rng,
                                           n_draws=50)
         imputed = impute_censored(spec, res.design, res.draws, short_scaled, rng,
@@ -372,25 +380,33 @@ def run_pipeline(config: dict) -> dict:
         bundle = km_overlay(short_scaled, sims, cutoff_factor=1.2, imputed=imputed)
         out["checks"][f"km_overlay_{spec.name}"] = [s.to_dict() for s in bundle]
 
-    p_mean, outcomes = calibration_inputs(bern, res_b.design, res_b.draws, long_scaled)
-    series, inside = calibration_check(p_mean, outcomes,
+    series, inside = calibration_check(p_mean, long_scaled.outcome,
                                        seed=int(rng.integers(2**31)), zoom_mass=0.9)
     out["checks"]["calibration_bernoulli-gist"] = [s.to_dict() for s in series]
     out["checks"]["calibration_inside_band"] = bool(inside)
 
-    out["compare_interval"] = compare([reports[0] for _, reports in models]
+    out["compare_interval"] = compare([reports[0] for _, reports, _ in models]
                                       + reports_b).to_dict()
-    out["compare_dichotomized"] = compare([reports[1] for _, reports in models]).to_dict()
+    out["compare_dichotomized"] = compare([reports[1] for _, reports, _ in models]).to_dict()
     return out
 
 
 def _pipeline_job(job) -> tuple:
-    """Fit one of ``run_pipeline``'s models: (fit, PSIS-LOO reports), the
-    reports in interval mode and, with a ``horizon``, dichotomized."""
+    """Fit one of ``run_pipeline``'s models: (fit, PSIS-LOO reports,
+    posterior-mean row probabilities).  A continuous model's reports are in
+    interval mode and, with a ``horizon``, dichotomized, and it has no row
+    probabilities (None).  A Bernoulli model's one interval-mode report and
+    its (n_rows,) posterior means come from one draws x rows matrix of row
+    probabilities."""
     spec, data, sampler, grid, horizon = job
     res = fit(spec, data, sampler)
+    if spec.family == "bernoulli_logit":
+        p = subject_params(spec, res.design, res.draws, data.covariates, n_rows=data.n_rows)["p"]
+        loglik, p_mean = _bernoulli_loglik(data, p), p.mean(axis=1)
+        del p  # freed before PSIS
+        return res, [elpd_loo(loglik, name=spec.name)], p_mean
     scoring = [{"mode": "interval", "grid": grid}]
     if horizon is not None:
         scoring.append({"mode": "dichotomized", "horizon": horizon})
     return res, [elpd_loo(loglik_matrix(spec, res.design, res.draws, data, **kw),
-                          name=spec.name) for kw in scoring]
+                          name=spec.name) for kw in scoring], None

@@ -191,10 +191,8 @@ def loglik_matrix(
             raise DataError("bernoulli_logit models score long-format data")
         if mode == "dichotomized":
             return bernoulli_dichotomized_loglik(spec, design, draws, data, horizon)
-        p = subject_params(spec, design, draws, data.covariates, n_rows=data.n_rows)["p"]
-        rows = bernoulli_log_score(np.asarray(data.outcome, dtype=float)[:, None], p)
-        ids, vals = _sum_by_subject(data.subject_id, rows)
-        return LogLikMatrix(vals, (PROBABILITY,) * len(ids), ids, data.time_unit)
+        return _bernoulli_loglik(data, subject_params(spec, design, draws, data.covariates,
+                                                      n_rows=data.n_rows)["p"])
     if not isinstance(data, SurvivalDataset):
         raise DataError("continuous families score short-format data")
     params = subject_params(spec, design, draws, data.covariates, n_rows=data.n)
@@ -225,6 +223,15 @@ def _dichotomized_scores(z, p_event) -> np.ndarray:
     """(n, S) log scores of "event by the horizon" outcomes z (n,) under the
     event probabilities p_event (n, S), clipped so both logs stay finite."""
     return bernoulli_log_score(z[:, None], np.clip(p_event, 1e-300, 1 - 1e-16))
+
+
+def _bernoulli_loglik(long: LongDataset, p) -> LogLikMatrix:
+    """A Bernoulli model's subject columns from its row event probabilities
+    p (n_rows, S): each subject sums its rows' log scores of the 0/1
+    outcomes, subjects in first-appearance order."""
+    rows = bernoulli_log_score(np.asarray(long.outcome, dtype=float)[:, None], p)
+    ids, vals = _sum_by_subject(long.subject_id, rows)
+    return LogLikMatrix(vals, (PROBABILITY,) * len(ids), ids, long.time_unit)
 
 
 def _sum_by_subject(subject_id, rows) -> tuple[tuple, np.ndarray]:

@@ -346,6 +346,42 @@ def test_error_json_on_bad_input(workspace, tmp_path, capsys):
           "--out", str(tmp_path / "x"), "--scaling", settings_file("scaling.json", {"x": 5})],
          "DataError", "{'x': 5}"),
     ]
+    # settings files holding the NaN, Infinity and -Infinity tokens, which are
+    # not JSON: each of the five readers refuses them naming the file
+    small = ["--warmup", "10", "--keep", "10"]
+    for name, token, text, argv in (
+            ("scenario_nan.json", "NaN", '{"tsa_scale": NaN, "n_subjects": 40}',
+             ["simulate", "--out", str(tmp_path / "x"), "--config"]),
+            ("pipeline_inf.json", "Infinity",
+             '{"scenario": {"n_subjects": 30}, "horizon": Infinity,'
+             ' "sampler": {"n_chains": 2, "n_warmup": 10, "n_keep": 10}}',
+             ["run", "--out", str(tmp_path / "x"), "--pipeline"]),
+            ("spec_inf.json", "-Infinity", '{"family": "exponential", "fixed": ["x"], "priors":'
+             ' {"fixed": {"kind": "normal", "params": [-Infinity, 1]}}}',
+             ["fit", "--data", str(good), "--out", str(tmp_path / "x"), *small, "--model"]),
+            ("scaling_nan.json", "NaN", '{"x": [NaN, 1.0]}',
+             ["fit", "--data", str(good), "--model", "exponential-gist",
+              "--out", str(tmp_path / "x"), *small, "--scaling"]),
+            ("curves_inf.json", "Infinity", '{"n_subjects": 30, "tsa_decay": Infinity}',
+             ["experiment", "hazard-curves", "--out", str(tmp_path / "x"), *small,
+              "--scenario"])):
+        path = tmp_path / name
+        path.write_text(text)
+        cases.append(([*argv, str(path)], "CliError", f"{path}: {token} is not a JSON number"))
+    # long-format events that are not whole numbers, or not 0 or 1: an event
+    # of 0.5 was read as no event, an outcome of 2 was fitted
+    rows = (sim / "long.csv").read_text().splitlines()
+    event = rows[0].split(",").index("event")
+    first = next(i for i, r in enumerate(rows) if r.split(",")[event] == "1")
+    subject = rows[first].split(",")[0]
+    for value, message in (("0.5", f"subject {subject}: 0.5"),
+                           ("2", f"subject {subject}: outcome must be 0 or 1, got 2")):
+        cells = rows[first].split(",")
+        cells[event] = value
+        bad = tmp_path / f"long_{value}.csv"
+        bad.write_text("\n".join([*rows[:first], ",".join(cells), *rows[first + 1:]]) + "\n")
+        cases.append((["fit", "--data", str(bad), "--model", "bernoulli-gist",
+                       "--out", str(tmp_path / "x"), *small], "DataError", message))
     for config, error, message in (
             ({"sampler": {"n_chains": 0}}, "SamplerConfigError", "n_chains"),
             ({"sampler": {"n_chain": 2}}, "SamplerConfigError", "'n_chain'"),

@@ -21,6 +21,7 @@ from survcheck.data import (
     read_draws_csv,
     read_long_csv,
     read_short_csv,
+    require_valid,
     rescale_time,
     scale_covariates,
     to_short_form,
@@ -89,6 +90,12 @@ class TestValidation:
         assert any("a < b" in msg for msg in validate_dataset(bad))
         missing = make_dataset([2.0], ["interval_censored"])
         assert any("without bounds" in msg for msg in validate_dataset(missing))
+
+    def test_long_outcome_must_be_zero_or_one(self):
+        long = LongDataset([1, 2, 2], [1, 1, 2], [1, 0, 2])
+        assert validate_long(long) == ["subject 2: outcome must be 0 or 1, got 2"]
+        with pytest.raises(DataError, match="subject 2: outcome must be 0 or 1, got 2"):
+            require_valid(long)
 
 
 class TestExpandLong:
@@ -371,6 +378,15 @@ class TestCsv:
         assert np.array_equal(back.outcome, long.outcome)
         assert np.allclose(back.covariates["AdjOn"], long.covariates["AdjOn"])
         assert "Size" in back.static_names
+
+    def test_long_event_must_be_a_whole_number(self):
+        # read as int(float(cell)), an event of 0.5 was a silent 0
+        for cell in ("0.5", "nan"):
+            buf = io.StringIO(f"subject_id,interval_index,event\n1,1,1\n2,1,0\n2,2,{cell}\n")
+            with pytest.raises(DataError, match=f"whole numbers: subject 2: {cell}"):
+                read_long_csv(buf)
+        back = read_long_csv(io.StringIO("subject_id,interval_index,event\n1,1,1.0\n2,1,0\n"))
+        assert back.outcome.tolist() == [1, 0]
 
     def test_draws_round_trip(self, tmp_path):
         dm = DrawsMatrix(np.random.default_rng(0).normal(size=(5, 3)),

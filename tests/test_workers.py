@@ -9,7 +9,7 @@ import threading
 import numpy as np
 import pytest
 
-from survcheck import experiments, loo, sampler
+from survcheck import experiments, loo, models, sampler
 from survcheck.cli import main
 from survcheck.data import (
     SurvivalDataset,
@@ -129,6 +129,24 @@ class TestNothingLeftRunning:
         assert main(["run", "--pipeline", str(path), "--out", str(tmp_path / "run")]) == 1
         assert json.loads(capsys.readouterr().out) == {
             "error": {"type": "SamplingError", "message": "no proposals accepted"}}
+
+
+class TestWhereWorkRuns:
+    def test_bernoulli_probabilities_stay_in_their_worker(self, leaves_nothing_running,
+                                                          monkeypatch):
+        # the Bernoulli worker sends back its rows' posterior means, so this
+        # process builds no draws x rows probability matrix of its own
+        bern, calls, real = get_preset("bernoulli-gist"), [], models.subject_params
+
+        def recording(spec, *args, **kwargs):
+            if multiprocessing.parent_process() is None:
+                calls.append(spec)
+            return real(spec, *args, **kwargs)
+
+        for module in (models, experiments, loo):
+            monkeypatch.setattr(module, "subject_params", recording)
+        run_pipeline(PIPELINE)
+        assert calls and bern not in calls
 
 
 class TestSameOutputs:
