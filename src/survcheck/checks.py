@@ -264,13 +264,30 @@ def simultaneous_envelope(sims: np.ndarray, level: float):
     Bisects the pointwise tail level gamma, to 1e-4 (1 - level), until the
     fraction of simulated replicate curves lying entirely inside
     [q_{gamma/2}, q_{1-gamma/2}] is at least ``level``.  Returns (lower,
-    upper, gamma).
+    upper, gamma).  Each step counts the replicates outside from each
+    column's K smallest and K largest values, bitwise as from every value.
     """
     sims = np.asarray(sims, dtype=float)
     if not 0 < level < 1:
         raise CheckError("level must be in (0, 1)")
     order_stats = np.sort(sims, axis=0)
-    top = order_stats.shape[0] - 1
+    n_sim, top = order_stats.shape[0], order_stats.shape[0] - 1
+    # Only a column's K smallest and K largest replicates can fall outside
+    # at a gamma <= 1 - level, as every step's is.  The lower bound is read
+    # at v = top * (gamma / 2) <= top * ((1 - level) / 2), in the same float
+    # operations, so i = int(v) <= K - 2; a + d g (g < 0.5) or b - d (1 - g)
+    # between a = order_stats[i] and b = order_stats[i + 1], d = b - a >= 0,
+    # rounds to at most b, so lo <= order_stats[K - 1]: every value at or
+    # above it is inside.  Mirrored, the upper v > top - K + 1, so every
+    # value at or below order_stats[n_sim - K] is inside.  Rounding of that
+    # v, or a NaN or an infinity, can break this: a step failing either
+    # check below compares every replicate instead.  The other steps compare
+    # only the values below order_stats[K - 1] and those not at or below
+    # order_stats[n_sim - K] (NaN among them): fewer than K a column, unless
+    # K or more are NaN.
+    k = min(n_sim, int(top * ((1.0 - level) / 2)) + 2)
+    low = np.nonzero(sims < order_stats[k - 1])
+    high = np.nonzero(~(sims <= order_stats[n_sim - k]))
 
     def quantile(q):
         # np.quantile's default (linear) method read off the sorted
@@ -286,7 +303,14 @@ def simultaneous_envelope(sims: np.ndarray, level: float):
     def coverage(gamma):
         lo = quantile(gamma / 2)
         hi = quantile(1 - gamma / 2)
-        inside = np.all((sims >= lo - _SLACK) & (sims <= hi + _SLACK), axis=1)
+        lo_s, hi_s = lo - _SLACK, hi + _SLACK
+        if np.all(order_stats[k - 1] >= lo_s) and np.all(order_stats[n_sim - k] <= hi_s):
+            outside = np.zeros(n_sim, dtype=bool)
+            outside[low[0][~(sims[low] >= lo_s[low[1]])]] = True
+            outside[high[0][~(sims[high] <= hi_s[high[1]])]] = True
+            inside = ~outside
+        else:
+            inside = np.all((sims >= lo_s) & (sims <= hi_s), axis=1)
         return inside.mean(), lo, hi
 
     lo_g, hi_g = 0.0, 1.0 - level

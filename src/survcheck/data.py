@@ -93,6 +93,17 @@ def _freeze(a):
     return a
 
 
+def _whole_numbers(values, name: str) -> np.ndarray:
+    """``values`` as an int array; a float that is not a whole number in 64
+    bits, which the cast would truncate or wrap, is a DataError naming it."""
+    a = np.asarray(values)
+    if a.dtype.kind == "f":
+        whole = np.isfinite(a) & (np.trunc(a) == a) & (np.abs(a) < 2.0**63)
+        if not whole.all():
+            raise DataError(f"{name} must hold whole numbers, got {a[~whole][0].item()!r}")
+    return np.asarray(a, dtype=int)
+
+
 @dataclass(frozen=True)
 class SurvivalDataset:
     """Short-format survival data: one record per subject.
@@ -119,7 +130,7 @@ class SurvivalDataset:
     time_unit: str | None = None
 
     def __post_init__(self):
-        sid = _freeze(np.asarray(self.subject_id, dtype=int))
+        sid = _freeze(_whole_numbers(self.subject_id, "subject_id"))
         n = sid.shape[0]
         object.__setattr__(self, "subject_id", sid)
         for name in ("entry_time", "time"):
@@ -183,11 +194,11 @@ class LongDataset:
     time_unit: str | None = None
 
     def __post_init__(self):
-        sid = _freeze(np.asarray(self.subject_id, dtype=int))
+        sid = _freeze(_whole_numbers(self.subject_id, "subject_id"))
         n = sid.shape[0]
         object.__setattr__(self, "subject_id", sid)
-        ii = _freeze(np.asarray(self.interval_index, dtype=int))
-        out = _freeze(np.asarray(self.outcome, dtype=int))
+        ii = _freeze(_whole_numbers(self.interval_index, "interval_index"))
+        out = _freeze(_whole_numbers(self.outcome, "outcome"))
         if ii.shape != (n,) or out.shape != (n,):
             raise DataError("interval_index and outcome must match subject_id length")
         object.__setattr__(self, "interval_index", ii)
@@ -242,7 +253,7 @@ class DrawsMatrix:
         object.__setattr__(self, "draws", d)
         object.__setattr__(self, "parameter_names", names)
         if self.chain_ids is not None:
-            c = _freeze(np.asarray(self.chain_ids, dtype=int))
+            c = _freeze(_whole_numbers(self.chain_ids, "chain_ids"))
             if c.shape != (d.shape[0],):
                 raise DataError("chain_ids must have one entry per draw")
             object.__setattr__(self, "chain_ids", c)
@@ -596,7 +607,8 @@ def scale_covariates(data: SurvivalDataset, names) -> tuple[SurvivalDataset, Sca
 # static covariates, the others as time-dependent.
 # A header row is required everywhere and columns are found by name, never
 # by position.  Every reader takes its rows from ``_read_rows``, and a row
-# of the wrong width or a cell that is not a number is a DataError.
+# of the wrong width, a cell that is not a number, or a subject_id,
+# interval_index or chain cell that is not a whole number is a DataError.
 
 def _csv_reader(read):
     """Report a cell that does not parse as a number as a DataError."""
@@ -646,7 +658,7 @@ def read_short_csv(path_or_buf, time_unit: str | None = None) -> SurvivalDataset
         hi = [float(v) if v not in ("", None) else np.nan for v in col("interval_upper", "")]
         bounds = np.column_stack([lo, hi])
     return SurvivalDataset(
-        subject_id=[int(float(v)) for v in col("subject_id")],
+        subject_id=_whole_numbers([float(v) for v in col("subject_id")], "subject_id"),
         entry_time=[float(v) if v not in ("", None) else 0.0 for v in col("entry_time", "")],
         time=[float(v) for v in col("time")],
         status=status,
@@ -690,7 +702,7 @@ def read_long_csv(path_or_buf, time_unit: str | None = None) -> LongDataset:
     body = rows[1:]
     cov_names = [h for h in header if h not in _LONG_ROLES]
     covariates = {n: np.array([float(r[idx[n]]) for r in body]) for n in cov_names}
-    subject_id = np.array([int(float(r[idx["subject_id"]])) for r in body])
+    subject_id = _whole_numbers([float(r[idx["subject_id"]]) for r in body], "subject_id")
     event = np.array([float(r[idx["event"]]) for r in body])
     partial = ~(event % 1 == 0)
     if partial.any():
@@ -699,7 +711,8 @@ def read_long_csv(path_or_buf, time_unit: str | None = None) -> LongDataset:
                                                   event[partial].tolist())))
     return LongDataset(
         subject_id=subject_id,
-        interval_index=[int(float(r[idx["interval_index"]])) for r in body],
+        interval_index=_whole_numbers([float(r[idx["interval_index"]]) for r in body],
+                                      "interval_index"),
         outcome=[int(e) for e in event.tolist()],
         covariates=covariates,
         static_names=_infer_static(subject_id, covariates),
@@ -736,7 +749,7 @@ def read_draws_csv(path_or_buf) -> DrawsMatrix:
     draws = np.array([[float(r[j]) for j in cols] for r in rows[1:]])
     chains = None
     if chain_idx is not None:
-        chains = np.array([int(float(r[chain_idx])) for r in rows[1:]])
+        chains = _whole_numbers([float(r[chain_idx]) for r in rows[1:]], "chain")
     return DrawsMatrix(draws, names, chains)
 
 

@@ -36,11 +36,13 @@ from .data import (
     to_short_form,
 )
 from .models import (
+    _CHUNK,
     DENSITY,
     PROBABILITY,
     ModelDesign,
     ModelSpec,
     Rate,
+    _row_blocks,
     bernoulli_log_score,
     cdf,
     group_log_scores,
@@ -180,7 +182,9 @@ def loglik_matrix(
     interval modes a subject's column sums its rows' scores, which are
     already probabilities of the long format's intervals (``grid`` is not
     used); dichotomized mode is ``bernoulli_dichotomized_loglik``.  Any other
-    mode is refused.
+    mode is refused.  Its draws x rows probabilities are scored and summed
+    one block of rows (of subjects, dichotomized) at a time: temporaries
+    are bounded to one block and every value is bitwise.
     """
     if mode not in MODES:
         raise LooError(f"unknown scoring mode {mode!r}; expected one of {MODES}")
@@ -229,26 +233,31 @@ def _bernoulli_loglik(long: LongDataset, p) -> LogLikMatrix:
     """A Bernoulli model's subject columns from its row event probabilities
     p (n_rows, S): each subject sums its rows' log scores of the 0/1
     outcomes, subjects in first-appearance order."""
-    rows = bernoulli_log_score(np.asarray(long.outcome, dtype=float)[:, None], p)
-    ids, vals = _sum_by_subject(long.subject_id, rows)
+    z = np.asarray(long.outcome, dtype=float)
+    ids, vals = _sum_by_subject(long.subject_id, p.shape[1],
+                                lambda rows: bernoulli_log_score(z[rows, None], p[rows]))
     return LogLikMatrix(vals, (PROBABILITY,) * len(ids), ids, long.time_unit)
 
 
-def _sum_by_subject(subject_id, rows) -> tuple[tuple, np.ndarray]:
-    """(S, n_subjects) sums of row scores (n_rows, S), subjects in first-appearance
-    order.  A subject's rows are added in row order from 0.0, one pass per
-    position within a subject: each sum is the plain running sum."""
-    subjects, first, col = np.unique(subject_id, return_index=True, return_inverse=True)
-    counts = np.bincount(col, minlength=subjects.size)
-    by_subject = np.argsort(col, kind="stable")  # each subject's rows, in row order
-    starts = np.cumsum(counts) - counts
-    sums = np.zeros((subjects.size, rows.shape[1]))
-    for k in range(counts.max(initial=0)):
-        has = counts > k
-        sums[has] += rows[by_subject[starts[has] + k]]
-    appearance = np.argsort(first)
-    return (tuple(int(s) for s in subjects[appearance]),
-            np.ascontiguousarray(sums[appearance].T))
+def _sum_by_subject(subject_id, width: int, scores) -> tuple[tuple, np.ndarray]:
+    """(width, n_subjects) sums of row scores, subjects in first-appearance
+    order; ``scores(rows)`` gives the (len(rows), width) scores of ``rows``,
+    called on blocks of the rows grouped by subject.  A subject's rows are
+    added in row order from 0.0, one pass per position within a subject:
+    each sum is the plain running sum, however the blocks fall."""
+    _, first, col = np.unique(subject_id, return_index=True, return_inverse=True)
+    rank = np.argsort(np.argsort(first))[col]  # subjects numbered by first appearance
+    by_subject = np.argsort(rank, kind="stable")  # each subject's rows, in row order
+    owner, counts = rank[by_subject], np.bincount(rank, minlength=first.size)
+    position = np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    sums = np.zeros((first.size, width))
+    for rows in _row_blocks((owner.size, width)):
+        at, who, block = position[rows], owner[rows], scores(by_subject[rows])
+        for k in range(at.min(initial=0), at.max(initial=-1) + 1):
+            this = at == k
+            sums[who[this]] += block[this]
+        del block  # before the next block's scores are made
+    return tuple(int(s) for s in subject_id[np.sort(first)]), np.ascontiguousarray(sums.T)
 
 
 def bernoulli_dichotomized_loglik(
@@ -282,9 +291,14 @@ def bernoulli_dichotomized_loglik(
                      k_max, short.subject_id[keep])
     _check_rebuilt_rows(spec, long, short.subject_id[keep], k_max, rows)
     blocks = {name: col.reshape(n_keep, k_max) for name, col in rows.items()}
-    p = subject_params(spec, design, draws, blocks, n_rows=n_keep * k_max)["p"]
-    log_no_event = np.sum(np.log1p(-p), axis=1)  # (n_keep, S)
-    vals = _dichotomized_scores(z, -np.expm1(log_no_event))
+    beta = design.coefficients(draws)
+    vals = np.empty((n_keep, len(beta)))
+    # one block of subjects at a time; a subject's rows are multiplied and
+    # summed on their own, so every value is bitwise that of one pass
+    for b in _row_blocks((n_keep, k_max, len(beta))):
+        p = subject_params(spec, design, beta, {name: block[b] for name, block in blocks.items()},
+                           n_rows=z[b].size * k_max)["p"]
+        vals[b] = _dichotomized_scores(z[b], -np.expm1(np.sum(np.log1p(-p), axis=1)))
     ids = tuple(int(s) for s in short.subject_id[keep])
     return LogLikMatrix(vals.T, (PROBABILITY,) * len(keep), ids, long.time_unit)
 
@@ -316,7 +330,8 @@ def group_long_by_subject(loglik: LogLikMatrix) -> LogLikMatrix:
     if not any(isinstance(u, tuple) for u in loglik.unit_ids):
         return loglik
     subject_id = np.array([u[0] if isinstance(u, tuple) else u for u in loglik.unit_ids])
-    ids, vals = _sum_by_subject(subject_id, loglik.values.T)
+    ids, vals = _sum_by_subject(subject_id, loglik.n_draws,
+                                lambda rows: loglik.values[:, rows].T)
     return LogLikMatrix(vals, (PROBABILITY,) * len(ids), ids, loglik.time_unit)
 
 
@@ -326,7 +341,6 @@ def group_long_by_subject(loglik: LogLikMatrix) -> LogLikMatrix:
 # length, so each column comes out bitwise as if smoothed alone.
 
 _PRIOR_BS, _PRIOR_K = 3.0, 10.0
-_CHUNK = 1 << 18  # float64 elements per temporary block: 2 MiB
 
 
 def _grid_mean(b: np.ndarray, logl: np.ndarray) -> np.ndarray:

@@ -63,6 +63,9 @@ PROBABILITY = "probability"
 # predictors still yield finite scores
 _PCLAMP = 1e-15
 
+# float64 elements per temporary block of the draws x rows kernels: 2 MiB
+_CHUNK = 1 << 18
+
 
 class ModelError(ValueError):
     """Invalid family parameters or specification."""
@@ -330,26 +333,52 @@ def group_log_scores(family: str, groups, rate: Rate) -> list[np.ndarray]:
     return [_LOG_SCORE[g.kind][0](family, rate.take(g.rows), *g.terms) for g in groups]
 
 
+def _row_blocks(shape) -> list:
+    """Indices of blocks of leading-axis rows of an array of ``shape``, each of
+    at most ``_CHUNK`` elements or one row; ``[...]`` if it fits in one."""
+    size = math.prod(shape)
+    if size <= _CHUNK:
+        return [...]
+    step = max(1, _CHUNK * shape[0] // size)
+    return [slice(lo, lo + step) for lo in range(0, shape[0], step)]
+
+
 def bernoulli_log_score(z, p) -> np.ndarray:
-    """Row log score z log p + (1 - z) log(1 - p) of binary outcomes z,
-    computed in place in an array of p's shape (z broadcasts to it)."""
-    out = np.log1p(-p)
-    out *= 1.0 - z
-    log_p = np.log(p)
-    log_p *= z
-    out += log_p
+    """Row log score z log p + (1 - z) log(1 - p) of binary outcomes z, in an
+    array of p's shape (z broadcasts to it), computed in place one block of
+    rows at a time: temporaries are bounded to one block, values bitwise."""
+    z = np.asarray(z)
+    rowwise = z.ndim == p.ndim > 0 and z.shape[0] > 1
+    out = np.empty_like(p)
+    for rows in _row_blocks(p.shape):
+        zb, o = z[rows] if rowwise else z, out[rows]
+        np.log1p(-p[rows], out=o)
+        o *= 1.0 - zb
+        log_p = np.log(p[rows])
+        log_p *= zb
+        o += log_p
     return out
 
 
 def logistic(eta) -> np.ndarray:
     """Numerically stable logistic, clamped away from {0, 1}: one exp per
-    element, computed in place; a scalar eta gives a scalar."""
+    element, computed in place one block of rows at a time (temporaries are
+    bounded to one block, values bitwise); a scalar eta gives a scalar."""
     eta = np.asarray(eta, dtype=float)
-    p = np.exp(-np.abs(eta), out=np.empty_like(eta))
-    numerator = np.where(eta < 0, p, 1.0)
-    p += 1.0
-    np.divide(numerator, p, out=p)
-    return np.clip(p, _PCLAMP, 1.0 - _PCLAMP, out=p)[()]
+    return _logistic_into(eta, np.empty_like(eta))[()]
+
+
+def _logistic_into(eta: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``logistic(eta)`` written to ``out``, which may be ``eta`` itself."""
+    for rows in _row_blocks(eta.shape):
+        e, p = eta[rows], out[rows]
+        negative = e < 0
+        np.exp(-np.abs(e), out=p)
+        numerator = np.where(negative, p, 1.0)
+        p += 1.0
+        np.divide(numerator, p, out=p)
+        np.clip(p, _PCLAMP, 1.0 - _PCLAMP, out=p)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -677,12 +706,12 @@ def subject_params(spec: ModelSpec, design: ModelDesign, draws, covariates,
     logistic(X beta) of each long-format row.  The continuous families get
     'mean' (n, S) and, for Weibull, 'shape' (1, S) arrays broadcastable
     against each other.  (n, k) covariate blocks give (n, k, S) arrays (see
-    ``eta``).
+    ``eta``).  Either is computed in place in the linear predictor's array.
     """
     lin = eta(design, design.coefficients(draws), covariates, n_rows)
     if spec.family == "bernoulli_logit":
-        return {"p": logistic(lin)}
-    params = {"mean": np.exp(lin)}
+        return {"p": _logistic_into(lin, lin)}
+    params = {"mean": np.exp(lin, out=lin)}
     if spec.has_shape:
         if "alpha" not in getattr(draws, "parameter_names", ()):
             raise ModelError("weibull_aft draws need an 'alpha' column")
@@ -694,7 +723,9 @@ def posterior_predictive_times(
     spec: ModelSpec, design: ModelDesign, draws, data: SurvivalDataset,
     rng: np.random.Generator, n_draws: int | None = None,
 ) -> np.ndarray:
-    """Simulate event times, one (S, n) matrix of times: row s uses draw s."""
+    """Simulate event times, one (S, n) matrix of times: row s uses draw s.
+    Uniforms are drawn and inverted one block of records at a time, in C
+    order: temporaries are bounded to one block, times and stream bitwise."""
     if spec.family == "bernoulli_logit":
         raise ModelError("posterior predictive event times are for continuous families")
     if n_draws is not None and n_draws < 1:
@@ -704,8 +735,12 @@ def posterior_predictive_times(
     if n_draws is not None and n_draws < total:
         idx = np.linspace(0, total - 1, n_draws).astype(int)
         params = {k: v[:, idx] for k, v in params.items()}
-    u = rng.random(params["mean"].shape)
-    return quantile(spec.family, params, u).T  # (S, n)
+    mean = params["mean"]
+    times = np.empty(mean.shape)
+    for rows in _row_blocks(mean.shape):
+        u = rng.random(times[rows].shape)
+        times[rows] = quantile(spec.family, {**params, "mean": mean[rows]}, u)
+    return times.T  # (S, n)
 
 
 def impute_censored(

@@ -45,6 +45,7 @@ from scipy.special import ndtri
 from .data import DrawsMatrix, LongDataset, SurvivalDataset, require_valid
 from .data import require_counts
 from .models import (
+    _CHUNK,
     ModelDesign,
     ModelError,
     ModelSpec,
@@ -459,10 +460,6 @@ def _run_jobs(fn, jobs) -> list:
 
 # ---------------------------------------------------------------------------
 # convergence diagnostics
-
-
-# float64 elements per parameter block of the diagnostics' FFT temporaries: 2 MiB
-_CHUNK = 1 << 18
 
 
 def split_rhat(chains: np.ndarray):

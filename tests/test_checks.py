@@ -515,16 +515,32 @@ class TestEnvelopeHelpers:
             (rng.random((10, 25)), (0.999,)),       # bisects down to the gamma = 0 hull
             (np.tile(rng.random(15), (50, 1)), (0.95,)),  # the first 1 - level step holds
         ]
+        # coverage is counted from each column's K = int(top (1 - level) / 2) + 2
+        # smallest and largest replicates: ties across the K-th value (K = 6 at
+        # level 0.9 on 100 replicates), levels of 0.5 and below, and K = n_sim
+        tied = np.sort(rng.standard_normal((100, 15)), axis=0)
+        tied[3:9], tied[-9:-3] = tied[5], tied[-6]
+        cases += [
+            (rng.permuted(tied, axis=0), (0.9,)),
+            (rng.standard_normal((120, 20)), (0.3, 0.5)),
+            (rng.random((2, 9)), (0.6,)),
+            (rng.random((5, 12)), (0.1, 0.95)),  # the K smallest and K largest overlap
+        ]
+        infinite = rng.standard_normal((60, 8))
+        infinite[5, 2], infinite[9, 1], infinite[:, 4] = -np.inf, np.inf, np.inf
+        cases.append((infinite, (0.5, 0.9)))  # steps that compare every replicate
         gammas = []
         for sims, levels in cases:
             for level in levels:
-                got = simultaneous_envelope(sims, level)
-                want = self._envelope_by_np_quantile(sims, level)
+                # an infinite gap times 0 interpolates to NaN in the infinite case
+                with np.errstate(invalid="ignore" if np.isinf(sims).any() else "warn"):
+                    got = simultaneous_envelope(sims, level)
+                    want = self._envelope_by_np_quantile(sims, level)
                 assert got[0].tobytes() == want[0].tobytes()
                 assert got[1].tobytes() == want[1].tobytes()
                 assert got[2] == want[2]
                 gammas.append(got[2])
-        assert gammas[-2] == 0.0 and gammas[-1] == pytest.approx(0.05)
+        assert gammas[7] == 0.0 and gammas[8] == pytest.approx(0.05)
 
     def test_step_function_eval(self):
         f = StepFunction([1.0, 3.0], [0.5, 0.2], initial_value=1.0)

@@ -382,6 +382,25 @@ def test_error_json_on_bad_input(workspace, tmp_path, capsys):
         bad.write_text("\n".join([*rows[:first], ",".join(cells), *rows[first + 1:]]) + "\n")
         cases.append((["fit", "--data", str(bad), "--model", "bernoulli-gist",
                        "--out", str(tmp_path / "x"), *small], "DataError", message))
+    # integer cells that are not whole numbers: read as int(float(cell)), a
+    # subject id of 2.5 was subject 2 and a chain of 0.5 was chain 0
+    draws = workspace["fits"]["weibull-gist"] / "draws.csv"
+    for path, column, value, argv in (
+            (sim / "long.csv", "subject_id", "2.5", ["fit", "--model", "bernoulli-gist", *small]),
+            (sim / "long.csv", "interval_index", "1.5",
+             ["fit", "--model", "bernoulli-gist", *small]),
+            (sim / "short.csv", "subject_id", "7.25",
+             ["fit", "--model", "exponential-gist", *small]),
+            (draws, "chain", "0.5",
+             ["check", "km", "--data", str(sim / "short.csv"), "--model", "weibull-gist"])):
+        lines = path.read_text().splitlines()
+        cells = lines[1].split(",")
+        cells[lines[0].split(",").index(column)] = value
+        bad = tmp_path / f"bad_{column}_{path.name}"
+        bad.write_text("\n".join([lines[0], ",".join(cells), *lines[2:]]) + "\n")
+        cases.append(([*argv, "--draws" if path == draws else "--data", str(bad),
+                       "--out", str(tmp_path / "x")],
+                      "DataError", f"{column} must hold whole numbers, got {value}"))
     for config, error, message in (
             ({"sampler": {"n_chains": 0}}, "SamplerConfigError", "n_chains"),
             ({"sampler": {"n_chain": 2}}, "SamplerConfigError", "'n_chain'"),

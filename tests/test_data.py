@@ -1,4 +1,5 @@
 import io
+import re
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -387,6 +388,39 @@ class TestCsv:
                 read_long_csv(buf)
         back = read_long_csv(io.StringIO("subject_id,interval_index,event\n1,1,1.0\n2,1,0\n"))
         assert back.outcome.tolist() == [1, 0]
+
+    def test_integer_cells_must_be_whole_numbers(self):
+        # read as int(float(cell)), a subject id of 2.5 was subject 2
+        for reader, header, row, column, cell in (
+                (read_long_csv, "subject_id,interval_index,event", "{},1,0", "subject_id", "2.5"),
+                (read_long_csv, "subject_id,interval_index,event", "2,{},0", "interval_index",
+                 "1.5"),
+                (read_short_csv, "subject_id,entry_time,time,status", "{},0,2,event",
+                 "subject_id", "1e-3"),
+                (read_draws_csv, "chain,b_x", "{},0.5", "chain", "0.5"),
+                (read_draws_csv, "chain,b_x", "{},0.5", "chain", "1e300")):
+            buf = io.StringIO(f"{header}\n{row.format(1)}\n{row.format(cell)}\n")
+            with pytest.raises(DataError, match=re.escape(
+                    f"{column} must hold whole numbers, got {float(cell)!r}")):
+                reader(buf)
+        back = read_long_csv(io.StringIO("subject_id,interval_index,event\n3.0,2.0,0\n"))
+        assert back.subject_id.tolist() == [3] and back.interval_index.tolist() == [2]
+
+    @pytest.mark.parametrize("field", ["subject_id", "interval_index", "outcome"])
+    def test_long_dataset_refuses_fractions(self, field):
+        # converted with dtype=int, an outcome of 0.5 was held as 0
+        cols = {"subject_id": [1, 1], "interval_index": [1, 2], "outcome": [0, 1]}
+        for value in (0.5, np.nan, np.inf):
+            bad = {**cols, field: [cols[field][0], value]}
+            with pytest.raises(DataError, match=f"{field} must hold whole numbers, got {value}"):
+                LongDataset(**bad)
+        assert LongDataset(**{**cols, field: np.array(cols[field], dtype=float)}) is not None
+
+    def test_short_dataset_and_draws_refuse_fractional_ids(self):
+        with pytest.raises(DataError, match="subject_id must hold whole numbers, got 1.5"):
+            make_dataset([1.0, 2.0], ["event", "event"], ids=[1.5, 2.0])
+        with pytest.raises(DataError, match="chain_ids must hold whole numbers, got 0.5"):
+            DrawsMatrix(np.zeros((2, 1)), ["b_x"], chain_ids=[0.0, 0.5])
 
     def test_draws_round_trip(self, tmp_path):
         dm = DrawsMatrix(np.random.default_rng(0).normal(size=(5, 3)),

@@ -16,6 +16,7 @@ from survcheck.data import (
     STATUSES,
     DataError,
     DrawsMatrix,
+    LongDataset,
     SurvivalDataset,
     TimeGrid,
     TreatmentRule,
@@ -25,7 +26,7 @@ from survcheck.data import (
     scale_covariates,
     to_short_form,
 )
-from survcheck import loo
+from survcheck import loo, models
 from survcheck.loo import (
     LogLikMatrix,
     LooError,
@@ -460,6 +461,69 @@ class TestLogLikMatrixBuilder:
         spec = ModelSpec(family=family)
         with pytest.raises(LooError, match="unknown scoring mode"):
             loglik_matrix(spec, self.design, self.draws, self.data, mode="intervals")
+
+
+class TestBernoulliBlocks:
+    """A Bernoulli model's matrices scored in blocks of 64 elements are bitwise
+    those scored in one block."""
+
+    def setup_method(self):
+        self.long, _ = simulate_scenario(ScenarioConfig(n_subjects=40, seed=3,
+                                                        treatment_duration=2))
+        self.spec = ModelSpec(family="bernoulli_logit", fixed=("AdjOn", "TimeSinceAdjStopped"))
+        self.design = ModelDesign(self.spec, self.long.covariates)
+        self.draws = DrawsMatrix(np.random.default_rng(4).normal(scale=0.5, size=(6, 3)),
+                                 self.design.parameter_names)
+
+    @staticmethod
+    def assert_bitwise_over_blocks(monkeypatch, score):
+        one = score()
+        with monkeypatch.context() as m:
+            m.setattr(models, "_CHUNK", 64)
+            blocked = score()
+        assert blocked.unit_ids == one.unit_ids
+        assert blocked.values.tobytes() == one.values.tobytes()
+
+    def test_raw_rows_as_given_and_shuffled(self, monkeypatch):
+        # 10 rows of 6 draws a block: subjects of 1 to 10 rows straddle its edges
+        shuffled = self.long.subset(np.random.default_rng(5).permutation(self.long.n_rows))
+        for long in (self.long, shuffled):
+            self.assert_bitwise_over_blocks(monkeypatch, lambda: loglik_matrix(
+                self.spec, self.design, self.draws, long, mode="raw"))
+        rows = LogLikMatrix(np.random.default_rng(6).normal(size=(6, shuffled.n_rows)),
+                            ("probability",) * shuffled.n_rows,
+                            tuple(zip(shuffled.subject_id.tolist(),
+                                      shuffled.interval_index.tolist())))
+        self.assert_bitwise_over_blocks(monkeypatch, lambda: group_long_by_subject(rows))
+
+    def test_dichotomized(self, monkeypatch):
+        self.assert_bitwise_over_blocks(monkeypatch, lambda: bernoulli_dichotomized_loglik(
+            self.spec, self.design, self.draws, self.long, 5.0, rule=TreatmentRule(duration=2.0)))
+
+    def test_raw_scores_hold_one_draws_by_rows_matrix(self):
+        # the draws x rows probabilities are the one array of their size; scored
+        # all at once, their row scores and a log p temporary made three
+        import tracemalloc
+
+        rng = np.random.default_rng(6)
+        counts = rng.integers(1, 14, size=300)
+        n_rows, n_draws = int(counts.sum()), 600
+        interval = np.concatenate([np.arange(1, c + 1) for c in counts])
+        event = (interval == np.repeat(counts, counts)) & np.repeat(rng.random(300) < 0.4, counts)
+        long = LongDataset(np.repeat(np.arange(1, 301), counts), interval, event.astype(int),
+                           {"x": rng.normal(size=n_rows)})
+        spec = ModelSpec(family="bernoulli_logit", fixed=("x",))
+        design = ModelDesign(spec, long.covariates)
+        draws = DrawsMatrix(rng.normal(scale=0.5, size=(n_draws, 2)), design.parameter_names)
+        matrix, output, block = 8 * n_rows * n_draws, 8 * 300 * n_draws, 8 * models._CHUNK
+        assert matrix >= 8 << 20
+        tracemalloc.start()
+        try:
+            loglik_matrix(spec, design, draws, long, mode="raw")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= matrix + output + 4 * block
 
 
 class TestBernoulliDichotomized:

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from scipy.interpolate import BSpline
 from scipy.special import gammaln
 from scipy.stats import kstest
 
+from survcheck import models
 from survcheck.data import DrawsMatrix, SurvivalDataset
 from survcheck.models import (
     ModelDesign,
@@ -323,6 +325,31 @@ class TestBernoulliProb:
             expected = zz * np.log(pp) + (1.0 - zz) * np.log1p(-pp)
             assert bernoulli_log_score(zz, pp).tobytes() == expected.tobytes()
 
+    @staticmethod
+    def one_and_blocked(monkeypatch, score):
+        """score() in one block and in blocks of 64 elements."""
+        one = score()
+        with monkeypatch.context() as m:
+            m.setattr(models, "_CHUNK", 64)
+            return one, score()
+
+    def test_logistic_bitwise_over_blocks(self, monkeypatch):
+        eta = 30 * np.random.default_rng(11).standard_normal((50, 40))
+        eta[3, :9] = [800.0, -800.0, 0.0, -0.0, np.inf, -np.inf, np.nan, 36.0, -36.0]
+        # C-ordered, non-contiguous, F-ordered, reversed, 0-d
+        for x in (eta, eta[:, ::3], eta.T, eta[::-2, 5:], np.array(-2.5)):
+            one, blocked = self.one_and_blocked(monkeypatch, lambda: logistic(x))
+            assert blocked.tobytes() == one.tobytes()
+        assert np.isscalar(blocked)  # of the 0-d input
+
+    def test_log_score_bitwise_over_blocks(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        p = logistic(rng.normal(scale=6, size=(50, 40)))
+        # outcomes (n, 1) against (n, S) probabilities, and (n,) against (C, n)
+        for z in ((rng.random((50, 1)) < 0.4).astype(float), (rng.random(40) < 0.4).astype(float)):
+            one, blocked = self.one_and_blocked(monkeypatch, lambda: bernoulli_log_score(z, p))
+            assert blocked.tobytes() == one.tobytes()
+
     def test_matches_high_precision(self):
         import mpmath
 
@@ -457,6 +484,23 @@ class TestPredictiveHelpers:
         sims = posterior_predictive_times(spec, design, beta, data, rng)
         assert sims.shape == (40, 30)
         assert np.all(sims > 0)
+
+    def test_predictive_times_bitwise_over_blocks(self, monkeypatch):
+        # drawn and inverted 64 elements at a time: the same times, and the
+        # generator left where one draw of all the uniforms leaves it
+        spec, design, beta, data = self.make_fit_inputs()
+        alpha = np.random.default_rng(3).uniform(0.5, 2.0, size=(40, 1))
+        weibull = DrawsMatrix(np.hstack([beta, alpha]), (*design.parameter_names, "alpha"))
+        for spec_, draws, n_draws in ((spec, beta, None), (spec, beta, 25),
+                                      (replace(spec, family="weibull_aft"), weibull, None)):
+            runs = []
+            for chunk in (models._CHUNK, 64):
+                monkeypatch.setattr(models, "_CHUNK", chunk)
+                rng = np.random.default_rng(7)
+                sims = posterior_predictive_times(spec_, design, draws, data, rng, n_draws)
+                runs.append((sims.tobytes(), rng.bit_generator.state))
+            monkeypatch.undo()
+            assert runs[0] == runs[1]
 
     def test_imputed_times_exceed_censor_times(self):
         spec, design, beta, data = self.make_fit_inputs()

@@ -40,6 +40,12 @@ The workloads cover:
   ``simultaneous_envelope`` on a seeded matrix with ties.  Every numeric
   column of a series is saved as its own array (a CEP curve, a band
   bound), so ``compare`` reports its largest difference;
+* at the benchmark's post-fit scale (600 subjects, 4 x 250 kept draws),
+  where each draws x rows array spans many 2 MiB blocks: the Bernoulli
+  preset's raw ``loglik_matrix`` on its long rows as given and shuffled,
+  its dichotomized one, ``calibration_check`` on its 4000-odd rows, and
+  the Weibull preset's ``posterior_predictive_times`` with all draws,
+  with the uniforms its generator gives next;
 * PSIS on seeded edge-case matrices: tie-heavy matrices of 100, 1000 and
   4000 draws whose rows repeat as Metropolis draws do, and one with a
   constant column, a ``-inf`` entry, few distinct values, few distinct
@@ -365,6 +371,34 @@ def _checks():
         yield f"checks.envelope.{level}.gamma", _json(gamma)
 
 
+def _many_blocks():
+    """Outputs of the benchmark's post-fit scale, 600 subjects and 4 x 250 kept
+    draws, whose draws x rows arrays each span many 2 MiB blocks."""
+    long, short = sc.simulate_scenario(sc.ScenarioConfig(n_subjects=600, seed=13))
+    short, record = sc.scale_covariates(short, ("Size", "AgeAtSurg", "MitHPF"))
+    long = sc.apply_scaling(long, record)
+    config = sc.SamplerConfig(n_chains=4, n_warmup=250, n_keep=250, seed=11)
+    bern = sc.get_preset("bernoulli-gist")
+    design = sc.ModelDesign(bern, long.covariates)
+    draws = sc.fit(bern, long, config).draws
+    shuffled = long.subset(np.random.default_rng(2).permutation(long.n_rows))
+    for name, data, mode in (("raw", long, "raw"), ("shuffled.raw", shuffled, "raw"),
+                             ("dichotomized", long, "dichotomized")):
+        ll = sc.loglik_matrix(bern, design, draws, data, mode=mode, horizon=HORIZON)
+        yield f"blocks.loglik.bernoulli-gist.{name}", ll.values
+        yield f"blocks.loglik.bernoulli-gist.{name}.unit_ids", _json(list(ll.unit_ids))
+    p, z = sc.calibration_inputs(bern, design, draws, long)
+    series, inside = sc.calibration_check(p, z, seed=5, zoom_mass=0.9)
+    yield from _series("blocks.calibration.bernoulli", series)
+    yield "blocks.calibration.bernoulli.inside", _json(inside)
+    spec = sc.get_preset("weibull-gist")
+    draws = sc.fit(spec, short, config).draws
+    rng = np.random.default_rng(23)
+    yield "blocks.posterior_predictive_times", sc.posterior_predictive_times(
+        spec, sc.ModelDesign(spec, short.covariates), draws, short, rng)
+    yield "blocks.posterior_predictive_times.next_uniforms", rng.random(8)
+
+
 def _psis_edge_cases():
     """PSIS on seeded matrices the fitted log-lik matrices rarely reach."""
     rng = np.random.default_rng(17)
@@ -573,8 +607,8 @@ def _settings():
 
 def outputs():
     for workload in (_primitives, _cohort, _uncommon_fits, _masked_refits, _checks,
-                     _psis_edge_cases, _log_posterior, _diagnostics, _pipeline, _experiments,
-                     _cli, _settings):
+                     _many_blocks, _psis_edge_cases, _log_posterior, _diagnostics, _pipeline,
+                     _experiments, _cli, _settings):
         yield from workload()
 
 
