@@ -39,7 +39,6 @@ from .models import (
     hazard,
     impute_censored,
     posterior_predictive_times,
-    sample_event_time,
     sample_truncated,
     spline_basis,
     spline_knots,

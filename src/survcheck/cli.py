@@ -57,7 +57,7 @@ from .models import (
     posterior_predictive_times,
 )
 from .sampler import SamplerConfig, SamplerConfigError, SamplingError, diagnose, fit
-from .series import PlotSeries, bundle_to_json, bundle_to_svg
+from .series import bundle_to_json, bundle_to_svg
 from .simulate import ScenarioConfig, SimulationError, scenario_report, simulate_scenario
 
 
@@ -364,11 +364,9 @@ def cmd_run(args) -> int:
     config = _read_json(args.pipeline)
     run = RunDir(args.out, {"command": "run", "pipeline": config})
     result = experiments.run_pipeline(config)
-    for key in list(result.get("checks", {})):
-        series = result["checks"][key]
+    for key, series in result.get("checks", {}).items():
         if isinstance(series, list):
-            run.write_text(f"{key}.json", bundle_to_json(
-                [PlotSeries(**d) for d in series], {"config": result["config"]}))
+            run.write_json(f"{key}.json", {"series": series, "config": result["config"]})
             result["checks"][key] = f"{key}.json"
     run.write_json("pipeline_results.json", result)
     run.finish()

@@ -173,10 +173,6 @@ class SurvivalDataset:
             interval_bounds=ib,
         )
 
-    def replace_times(self, time, status) -> "SurvivalDataset":
-        """Copy with new times/statuses (used by imputation)."""
-        return replace(self, time=time, status=status)
-
 
 @dataclass(frozen=True)
 class LongDataset:
@@ -323,39 +319,28 @@ def validate_dataset(data: SurvivalDataset) -> list[str]:
     the first problem.
     """
     report = []
-    bad = np.nonzero(~(data.entry_time < data.time))[0]
-    for i in bad:
-        report.append(
-            f"subject {data.subject_id[i]}: entry_time < time violated "
-            f"({data.entry_time[i]} >= {data.time[i]})"
-        )
+
+    def each(mask, problem):
+        """One message per row of ``mask``: ``problem``, or ``problem(i)`` of row i."""
+        for i in np.flatnonzero(mask):
+            report.append(f"subject {data.subject_id[i]}: "
+                          f"{problem(i) if callable(problem) else problem}")
+
+    each(~(data.entry_time < data.time),
+         lambda i: f"entry_time < time violated ({data.entry_time[i]} >= {data.time[i]})")
     ids, counts = np.unique(data.subject_id, return_counts=True)
-    for sid in ids[counts > 1]:
-        report.append(f"duplicate subject_id {sid}")
-    if np.any(data.time <= 0):
-        for i in np.nonzero(data.time <= 0)[0]:
-            report.append(f"subject {data.subject_id[i]}: time must be positive")
-    if np.any(data.entry_time < 0):
-        for i in np.nonzero(data.entry_time < 0)[0]:
-            report.append(f"subject {data.subject_id[i]}: entry_time must be non-negative")
+    report += [f"duplicate subject_id {sid}" for sid in ids[counts > 1]]
+    each(data.time <= 0, "time must be positive")
+    each(data.entry_time < 0, "entry_time must be non-negative")
     for name, col in data.covariates.items():
-        if not np.all(np.isfinite(col)):
-            for i in np.nonzero(~np.isfinite(col))[0]:
-                report.append(f"subject {data.subject_id[i]}: covariate {name!r} not finite")
+        each(~np.isfinite(col), f"covariate {name!r} not finite")
     is_icens = data.status == INTERVAL_CENSORED
-    if data.interval_bounds is None:
-        for i in np.nonzero(is_icens)[0]:
-            report.append(f"subject {data.subject_id[i]}: interval-censored without bounds")
-    else:
-        has_bounds = np.all(np.isfinite(data.interval_bounds), axis=1)
-        for i in np.nonzero(is_icens & ~has_bounds)[0]:
-            report.append(f"subject {data.subject_id[i]}: interval-censored without bounds")
-        for i in np.nonzero(~is_icens & has_bounds)[0]:
-            report.append(f"subject {data.subject_id[i]}: bounds present but status is not icens")
-        ok = is_icens & has_bounds
-        bad_order = ok & ~(data.interval_bounds[:, 0] < data.interval_bounds[:, 1])
-        for i in np.nonzero(bad_order)[0]:
-            report.append(f"subject {data.subject_id[i]}: interval bounds need a < b")
+    bounds = (np.full((data.n, 2), np.nan) if data.interval_bounds is None
+              else data.interval_bounds)
+    has_bounds = np.all(np.isfinite(bounds), axis=1)
+    each(is_icens & ~has_bounds, "interval-censored without bounds")
+    each(~is_icens & has_bounds, "bounds present but status is not icens")
+    each(is_icens & has_bounds & ~(bounds[:, 0] < bounds[:, 1]), "interval bounds need a < b")
     return report
 
 
@@ -669,26 +654,15 @@ def read_short_csv(path_or_buf, time_unit: str | None = None) -> SurvivalDataset
 
 
 def write_short_csv(data: SurvivalDataset, path) -> None:
-    header = list(_SHORT_ROLES)
-    has_bounds = data.interval_bounds is not None
-    if has_bounds:
-        header += ["interval_lower", "interval_upper"]
-    header += list(data.covariates)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for i in range(data.n):
-            row = [
-                int(data.subject_id[i]),
-                _fmt(data.entry_time[i]),
-                _fmt(data.time[i]),
-                _STATUS_TO_CSV[data.status[i]],
-            ]
-            if has_bounds:
-                a, b = data.interval_bounds[i]
-                row += ["" if np.isnan(a) else _fmt(a), "" if np.isnan(b) else _fmt(b)]
-            row += [_fmt(data.covariates[name][i]) for name in data.covariates]
-            w.writerow(row)
+    bounds = data.interval_bounds
+    header = [*_SHORT_ROLES, *([] if bounds is None else ["interval_lower", "interval_upper"]),
+              *data.covariates]
+    _write_csv(path, header, (
+        [int(data.subject_id[i]), _fmt(data.entry_time[i]), _fmt(data.time[i]),
+         _STATUS_TO_CSV[data.status[i]]]
+        + ([] if bounds is None else ["" if np.isnan(v) else _fmt(v) for v in bounds[i]])
+        + [_fmt(col[i]) for col in data.covariates.values()]
+        for i in range(data.n)))
 
 
 @_csv_reader
@@ -728,15 +702,10 @@ def _infer_static(subject_id, covariates) -> tuple[str, ...]:
 
 
 def write_long_csv(long: LongDataset, path) -> None:
-    header = list(_LONG_ROLES) + list(long.covariates)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for i in range(long.n_rows):
-            w.writerow(
-                [int(long.subject_id[i]), int(long.interval_index[i]), int(long.outcome[i])]
-                + [_fmt(long.covariates[n][i]) for n in long.covariates]
-            )
+    _write_csv(path, [*_LONG_ROLES, *long.covariates], (
+        [int(long.subject_id[i]), int(long.interval_index[i]), int(long.outcome[i])]
+        + [_fmt(col[i]) for col in long.covariates.values()]
+        for i in range(long.n_rows)))
 
 
 @_csv_reader
@@ -754,17 +723,18 @@ def read_draws_csv(path_or_buf) -> DrawsMatrix:
 
 
 def write_draws_csv(draws: DrawsMatrix, path) -> None:
-    header = list(draws.parameter_names)
-    if draws.chain_ids is not None:
-        header = ["chain"] + header
+    ids = draws.chain_ids
+    _write_csv(path, ([] if ids is None else ["chain"]) + list(draws.parameter_names), (
+        ([] if ids is None else [int(ids[i])]) + [repr(float(v)) for v in row]
+        for i, row in enumerate(draws.draws)))
+
+
+def _write_csv(path, header, rows) -> None:
+    """Write the ``header`` row, then each row ``rows`` yields, one at a time."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        for i in range(draws.n_draws):
-            row = [repr(float(v)) for v in draws.draws[i]]
-            if draws.chain_ids is not None:
-                row = [int(draws.chain_ids[i])] + row
-            w.writerow(row)
+        w.writerows(rows)
 
 
 def _read_rows(path_or_buf) -> list[list[str]]:

@@ -17,7 +17,7 @@ without them.
 
 from __future__ import annotations
 
-import csv
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -33,10 +33,10 @@ from .data import (
     SurvivalDataset,
     TimeGrid,
     TreatmentRule,
+    _write_csv,
     to_short_form,
 )
 from .models import (
-    _CHUNK,
     DENSITY,
     PROBABILITY,
     ModelDesign,
@@ -357,12 +357,12 @@ def _gpd_profile(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     m = 30 + int(math.sqrt(n))
     b = 1.0 - np.sqrt(m / (np.arange(1, m + 1) - 0.5))
     b = b / (_PRIOR_BS * x[:, [int(n / 4 + 0.5) - 1]]) + 1.0 / x[:, -1:]
-    logl, step = np.empty((rows, m)), max(1, _CHUNK // (m * n))
+    logl = np.empty((rows, m))
     with np.errstate(divide="ignore", invalid="ignore"):
-        for lo in range(0, rows, step):
-            bc = b[lo:lo + step]
-            k = np.mean(np.log1p(-bc[:, :, None] * x[lo:lo + step, None, :]), axis=2)
-            logl[lo:lo + step] = n * (np.log(-bc / k) - k - 1.0)
+        for r in _row_blocks((rows, m, n)):
+            bc = b[r]
+            k = np.mean(np.log1p(-bc[:, :, None] * x[r][:, None, :]), axis=2)
+            logl[r] = n * (np.log(-bc / k) - k - 1.0)
         # the weights run over a row's finite grid points only
         valid = np.isfinite(logl)
         full = valid.all(axis=1)
@@ -444,9 +444,9 @@ def psis_smooth(loglik: LogLikMatrix) -> PsisResult:
     lw = np.negative(ll[:, finite].T, order="C")  # raw log ratios -ll ...
     lw -= lw.max(axis=1, keepdims=True)  # ... shifted to a maximum of 0
     M = psis_tail_size(S)
-    order, step = np.empty((len(lw), M + 1), dtype=np.intp), max(1, _CHUNK // S)
-    for lo in range(0, len(lw), step):
-        order[lo:lo + step] = _top_ascending(lw[lo:lo + step], M + 1)
+    order = np.empty((len(lw), M + 1), dtype=np.intp)
+    for rows in _row_blocks(lw.shape):
+        order[rows] = _top_ascending(lw[rows], M + 1)
     top = np.take_along_axis(lw, order, axis=1)  # cutoff, then the tail
     k, sigma = _fit_tails(np.sort(np.exp(top[:, 1:]) - np.exp(top[:, :1]), axis=1))
     khat[finite] = k
@@ -479,20 +479,24 @@ def elpd_loo(loglik: LogLikMatrix, psis: PsisResult | None = None,
     with np.errstate(invalid="ignore"):
         pointwise = logsumexp(psis.log_weights + loglik.values, axis=0)
     pointwise = np.where(np.isnan(pointwise), -np.inf, pointwise)
-    n = pointwise.size
-    finite = np.isfinite(pointwise)
-    total = float(pointwise.sum()) if finite.all() else float("-inf")
-    se = float(np.sqrt(n * np.var(pointwise, ddof=1))) if (n > 1 and finite.all()) else 0.0
+    finite = np.isfinite(pointwise).all()
     return ElpdReport(
-        total=total,
+        total=float(pointwise.sum()) if finite else float("-inf"),
         pointwise=pointwise,
-        se=se,
+        se=_se(pointwise) if finite else 0.0,
         khat=psis.khat,
         unit_ids=loglik.unit_ids,
         tags=loglik.tags,
         time_unit=loglik.time_unit,
         name=name,
     )
+
+
+def _se(values: np.ndarray) -> float:
+    """Standard error sqrt(n V) of a sum of n values, V their sample
+    variance; 0 when n <= 1, by the sample-variance convention."""
+    n = values.size
+    return float(np.sqrt(n * np.var(values, ddof=1))) if n > 1 else 0.0
 
 
 def compare(reports: list[ElpdReport]) -> ComparisonReport:
@@ -536,8 +540,7 @@ def compare(reports: list[ElpdReport]) -> ComparisonReport:
             delta, se_d = 0.0, 0.0
         else:
             diffs = rep.pointwise - best.pointwise
-            delta = float(diffs.sum())
-            se_d = float(np.sqrt(n * np.var(diffs, ddof=1))) if n > 1 else 0.0
+            delta, se_d = float(diffs.sum()), _se(diffs)
         rows.append({
             "model": rep.name or f"model_{i + 1}",
             "elpd": rep.total,
@@ -650,13 +653,11 @@ def apply_refits(report: ElpdReport, refits: dict) -> ElpdReport:
         j = list(report.unit_ids).index(uid)
         pointwise[j] = value
         n_replaced += 1
-    n = pointwise.size
-    se = float(np.sqrt(n * np.var(pointwise, ddof=1))) if n > 1 else 0.0
     return replace(
         report,
         total=float(pointwise.sum()),
         pointwise=pointwise,
-        se=se,
+        se=_se(pointwise),
         n_refit=report.n_refit + n_replaced,
     )
 
@@ -675,13 +676,9 @@ def flag_for_refit(report: ElpdReport, threshold: float = DEFAULT_KHAT_THRESHOLD
 
 
 def write_loglik_csv(loglik: LogLikMatrix, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["unit"] + [_uid_str(u) for u in loglik.unit_ids])
-        w.writerow(["tag"] + list(loglik.tags))
-        w.writerow(["time_unit"] + [loglik.time_unit or ""] * loglik.n_units)
-        for s in range(loglik.n_draws):
-            w.writerow([s] + [repr(float(v)) for v in loglik.values[s]])
+    _write_csv(path, ["unit"] + [_uid_str(u) for u in loglik.unit_ids], itertools.chain(
+        [["tag", *loglik.tags], ["time_unit"] + [loglik.time_unit or ""] * loglik.n_units],
+        ([s] + [repr(float(v)) for v in values] for s, values in enumerate(loglik.values))))
 
 
 def _uid_str(u) -> str:

@@ -63,7 +63,7 @@ PROBABILITY = "probability"
 # predictors still yield finite scores
 _PCLAMP = 1e-15
 
-# float64 elements per temporary block of the draws x rows kernels: 2 MiB
+# float64 elements per temporary block of every blocked loop (_row_blocks): 2 MiB
 _CHUNK = 1 << 18
 
 
@@ -224,9 +224,8 @@ def hazard(family: str, params, t) -> np.ndarray:
     return r.theta * r.shape * np.exp((r.shape - 1.0) * (r.log_theta + np.log(t)))
 
 
-def _inverse_cumulative_hazard(family: str, params, h) -> np.ndarray:
-    """The time t whose cumulative hazard H(t) is h >= 0."""
-    r = Rate.of(family, params)
+def _inverse_cumulative_hazard(family: str, r: Rate, h) -> np.ndarray:
+    """The time t whose cumulative hazard H(t) under the rate ``r`` is h >= 0."""
     if family == "exponential":
         return h / r.theta
     with np.errstate(divide="ignore"):
@@ -239,13 +238,7 @@ def quantile(family: str, params, u) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     if np.any((u < 0) | (u >= 1)):
         raise ModelError("quantile needs u in [0, 1)")
-    return _inverse_cumulative_hazard(family, params, -np.log1p(-u))
-
-
-def sample_event_time(family: str, params, rng: np.random.Generator, size=None):
-    """Inverse-CDF draw(s); cdf(sample) is uniform by construction."""
-    u = rng.random(size)
-    return quantile(family, params, u)
+    return _inverse_cumulative_hazard(family, Rate.of(family, params), -np.log1p(-u))
 
 
 def sample_truncated(family: str, params, lower, rng: np.random.Generator, size=None):
@@ -254,16 +247,17 @@ def sample_truncated(family: str, params, lower, rng: np.random.Generator, size=
     Uses u ~ Uniform(F(lower), 1) through the inverse CDF, computed in log
     space: log S(t) = log S(lower) + log(1 - u).  Raises SaturationError if
     F(lower) is numerically 1, i.e. the censor time is beyond the support
-    precision of the fitted distribution.
+    precision of the fitted distribution (the rate is computed once).
     """
-    lower = np.asarray(lower, dtype=float)
-    if np.any(cdf(family, params, lower) >= 1.0):
+    terms = _survival_terms(lower)
+    rate = Rate.of(family, params)
+    log_s = _survival_score(family, rate, *terms)
+    if np.any(-np.expm1(log_s) >= 1.0):
         raise SaturationError("survival at the truncation point underflows to zero")
-    u = rng.random(size)
-    h = -(log_survival(family, params, lower) + np.log1p(-u))  # cumulative hazard of the draw
+    h = -(log_s + np.log1p(-rng.random(size)))  # cumulative hazard of the draw
     # the contract is strictly greater than the truncation point; guard the
     # measure-zero u=0 draw and float round-down
-    return np.maximum(_inverse_cumulative_hazard(family, params, h), np.nextafter(lower, np.inf))
+    return np.maximum(_inverse_cumulative_hazard(family, rate, h), np.nextafter(terms[0], np.inf))
 
 
 # the score and fixed time terms each status takes; rows are grouped by
@@ -719,6 +713,21 @@ def subject_params(spec: ModelSpec, design: ModelDesign, draws, covariates,
     return params
 
 
+def _draw_pick(spec: ModelSpec, design: ModelDesign, draws, data: SurvivalDataset,
+               n: int | None, what: str, count: str) -> tuple[dict, np.ndarray]:
+    """The family parameters of every (record, draw) and the indices of n of
+    the S draws, evenly spaced (all of them for n None or n >= S).  The
+    Bernoulli family (``what`` event times) and a ``count`` n below 1 are
+    refused with a ModelError first."""
+    if spec.family == "bernoulli_logit":
+        raise ModelError(f"{what} event times are for continuous families")
+    if n is not None and n < 1:
+        raise ModelError(f"{count} must be at least 1, got {n}")
+    params = subject_params(spec, design, draws, data.covariates, n_rows=data.n)
+    total = params["mean"].shape[1]
+    return params, np.linspace(0, total - 1, total if n is None else min(n, total)).astype(int)
+
+
 def posterior_predictive_times(
     spec: ModelSpec, design: ModelDesign, draws, data: SurvivalDataset,
     rng: np.random.Generator, n_draws: int | None = None,
@@ -726,15 +735,10 @@ def posterior_predictive_times(
     """Simulate event times, one (S, n) matrix of times: row s uses draw s.
     Uniforms are drawn and inverted one block of records at a time, in C
     order: temporaries are bounded to one block, times and stream bitwise."""
-    if spec.family == "bernoulli_logit":
-        raise ModelError("posterior predictive event times are for continuous families")
-    if n_draws is not None and n_draws < 1:
-        raise ModelError(f"n_draws must be at least 1, got {n_draws}")
-    params = subject_params(spec, design, draws, data.covariates, n_rows=data.n)
-    total = params["mean"].shape[1]
-    if n_draws is not None and n_draws < total:
-        idx = np.linspace(0, total - 1, n_draws).astype(int)
-        params = {k: v[:, idx] for k, v in params.items()}
+    params, pick = _draw_pick(spec, design, draws, data, n_draws, "posterior predictive",
+                              "n_draws")
+    if pick.size < params["mean"].shape[1]:
+        params = {k: v[:, pick] for k, v in params.items()}
     mean = params["mean"]
     times = np.empty(mean.shape)
     for rows in _row_blocks(mean.shape):
@@ -753,28 +757,21 @@ def impute_censored(
     parameter uncertainty propagates across replicates.  Every imputed time
     strictly exceeds the censor time it replaces.
     """
-    if spec.family == "bernoulli_logit":
-        raise ModelError("imputed event times are for continuous families")
-    if n_imputations < 1:
-        raise ModelError(f"n_imputations must be at least 1, got {n_imputations}")
-    params = subject_params(spec, design, draws, data.covariates, n_rows=data.n)
-    total = params["mean"].shape[1]
-    if n_imputations > total:
+    params, pick = _draw_pick(spec, design, draws, data, n_imputations, "imputed",
+                              "n_imputations")
+    if n_imputations > pick.size:
         raise ModelError("more imputations requested than available draws")
     cens = np.asarray(data.status == RIGHT_CENSORED)
-    pick = np.linspace(0, total - 1, n_imputations).astype(int)
+    status = np.where(cens, EVENT, data.status)
     out = []
-    for r, s in enumerate(pick):
+    for s in pick:
         time = data.time.copy()
-        status = data.status.copy()
         fam_params = {"mean": params["mean"][cens, s]}
         if "shape" in params:
             fam_params["shape"] = params["shape"][0, s]
-        time[cens] = sample_truncated(
-            spec.family, fam_params, data.time[cens], rng, size=int(cens.sum())
-        )
-        status[cens] = EVENT
-        out.append(data.replace_times(time, status))
+        time[cens] = sample_truncated(spec.family, fam_params, data.time[cens], rng,
+                                      size=int(cens.sum()))
+        out.append(replace(data, time=time, status=status))
     return out
 
 

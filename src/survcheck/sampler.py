@@ -45,11 +45,11 @@ from scipy.special import ndtri
 from .data import DrawsMatrix, LongDataset, SurvivalDataset, require_valid
 from .data import require_counts
 from .models import (
-    _CHUNK,
     ModelDesign,
     ModelError,
     ModelSpec,
     Rate,
+    _row_blocks,
     bernoulli_log_score,
     group_log_scores,
     in_support,
@@ -486,15 +486,15 @@ def _per_parameter(stat, chains):
         chains = np.atleast_2d(chains)[..., None]
     n_chains, n_iter, k = chains.shape
     half = n_iter // 2
-    step = max(1, _CHUNK // (2 * n_chains * _fft_size(half)))
     out = np.empty(k)
     with np.errstate(all="ignore"):
-        for j in range(0, k, step):
-            block = chains[:, : 2 * half, j : j + step]
+        # blocks of parameters, each 2 C FFT-sized sequences long
+        for j in _row_blocks((k, 2 * n_chains * _fft_size(half))):
+            block = chains[:, : 2 * half, j]
             b = block.shape[2]
             # (b, 2, C, half): every chain's first half, then every second half
             seqs = np.ascontiguousarray(block.reshape(n_chains, 2, half, b).transpose(3, 1, 0, 2))
-            out[j : j + b] = stat(seqs.reshape(b, 2 * n_chains, half))
+            out[j] = stat(seqs.reshape(b, 2 * n_chains, half))
     return float(out[0]) if one else out
 
 

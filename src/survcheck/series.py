@@ -61,7 +61,11 @@ class PlotSeries:
 def _aslist(v):
     """A column as a list of floats, a non-finite one as None (JSON null)."""
     if isinstance(v, np.ndarray):
-        return [_finite(x) for x in v.ravel()]
+        a = v.astype(float).ravel()
+        out = a.tolist()
+        for i in np.flatnonzero(~np.isfinite(a)).tolist():
+            out[i] = None
+        return out
     if isinstance(v, (list, tuple)):
         return [(_aslist(x) if isinstance(x, (list, tuple, np.ndarray)) else
                  (_finite(x) if isinstance(x, (int, float, np.floating, np.integer)) else x))

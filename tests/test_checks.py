@@ -197,6 +197,15 @@ class TestBundleJson:
         assert data["y"] == [None, 0.5, None, 2.0]
         assert data["size"] == [[1.0, None], [None, 3.0]]
 
+    def test_array_columns_convert_as_each_element_would(self):
+        a = np.random.default_rng(3).normal(size=(6, 5))
+        a[0, 0], a[1, 2], a[4, 0], a[5, 4] = -0.0, np.nan, np.inf, -np.inf
+        for v in (a, np.asfortranarray(a), a[::-1, ::2], a.astype(np.float32), a > 0,
+                  np.arange(7), np.array(3.5), np.array([np.nan]), np.empty(0)):
+            want = [float(x) if np.isfinite(float(x)) else None for x in v.ravel()]
+            got = PlotSeries("s", "points", {"x": v}).data["x"]
+            assert repr(got) == repr(want)
+
     def test_non_finite_metadata_refused(self):
         with pytest.raises(ValueError):
             bundle_to_json([PlotSeries("s", "points", {"x": [1.0]}, {"gamma": float("nan")})])

@@ -8,6 +8,7 @@ from survcheck.cli import build_parser, main
 from survcheck.data import read_draws_csv, read_long_csv
 from survcheck.experiments import calibration_inputs
 from survcheck.models import ModelDesign, get_preset
+from survcheck.series import PlotSeries, bundle_to_json
 
 
 @pytest.fixture(scope="module")
@@ -473,10 +474,40 @@ def test_pipeline_run(tmp_path):
     assert "compare_interval" in results
     assert len(results["compare_interval"]["comparison"]) == 3
     assert "compare_dichotomized" in results
-    assert (out / "km_overlay_exponential-gist.json").exists()
     assert (out / "calibration_bernoulli-gist.json").exists()
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["pipeline"] == cfg
+    # each check's series are written with the bytes bundle_to_json gives them
+    text = (out / "km_overlay_exponential-gist.json").read_text()
+    doc = json.loads(text)
+    assert text == bundle_to_json([PlotSeries(**d) for d in doc["series"]],
+                                  {"config": results["config"]})
+
+
+def test_compare_dichotomized_refuses_data_of_another_treatment_rule(tmp_path, capsys):
+    # a Bernoulli model's dichotomized scores rebuild each subject's rows
+    # under the default 3-interval treatment rule, and the CLI cannot name
+    # another: a cohort treated for 2 intervals is refused, not mis-scored
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"n_subjects": 80, "seed": 3, "treatment_duration": 2}))
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--config", str(scenario), "--out", str(sim)]) == 0
+    models = []
+    for name, preset, data in (("expo", "exponential-gist", "short.csv"),
+                               ("bern", "bernoulli-gist", "long.csv")):
+        assert main(["fit", "--data", str(sim / data), "--model", preset, "--out",
+                     str(tmp_path / name), "--chains", "2", "--warmup", "60", "--keep", "60",
+                     "--seed", "1"]) == 0
+        models += ["--model", name, preset, str(tmp_path / name / "draws.csv")]
+    capsys.readouterr()
+    assert main(["compare", "dichotomized", "--data", str(sim / "short.csv"), "--long-data",
+                 str(sim / "long.csv"), *models, "--out", str(tmp_path / "cmp"),
+                 "--horizon", "5"]) == 1
+    captured = capsys.readouterr()
+    err = json.loads(captured.out)
+    assert err["error"]["type"] == "LooError"
+    assert "made under another rule" in err["error"]["message"]
+    assert captured.err == ""
 
 
 def test_check_calibration_bernoulli_long(tmp_path):

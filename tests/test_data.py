@@ -92,6 +92,30 @@ class TestValidation:
         missing = make_dataset([2.0], ["interval_censored"])
         assert any("without bounds" in msg for msg in validate_dataset(missing))
 
+    def test_every_problem_in_order(self):
+        # one message per problem and row, each kind in turn; no bounds at all
+        # reads as bounds that are all NaN
+        kw = dict(subject_id=[1, 2, 3, 3], entry_time=[0.0, -1.0, 5.0, 0.0],
+                  time=[2.0, -3.0, 4.0, 3.0],
+                  status=["interval_censored", "event", "interval_censored", "event"],
+                  covariates={"x": [np.nan, 1.0, np.inf, 0.0], "y": [0.0, np.nan, 0.0, 0.0]})
+        common = ["subject 2: entry_time < time violated (-1.0 >= -3.0)",
+                  "subject 3: entry_time < time violated (5.0 >= 4.0)",
+                  "duplicate subject_id 3",
+                  "subject 2: time must be positive",
+                  "subject 2: entry_time must be non-negative",
+                  "subject 1: covariate 'x' not finite",
+                  "subject 3: covariate 'x' not finite",
+                  "subject 2: covariate 'y' not finite",
+                  "subject 1: interval-censored without bounds"]
+        assert validate_dataset(SurvivalDataset(**kw)) == common + [
+            "subject 3: interval-censored without bounds"]
+        bounds = [[np.nan, 2.0], [0.0, 1.0], [3.0, 3.0], [1.0, 2.0]]
+        assert validate_dataset(SurvivalDataset(**kw, interval_bounds=bounds)) == common + [
+            "subject 2: bounds present but status is not icens",
+            "subject 3: bounds present but status is not icens",
+            "subject 3: interval bounds need a < b"]
+
     def test_long_outcome_must_be_zero_or_one(self):
         long = LongDataset([1, 2, 2], [1, 1, 2], [1, 0, 2])
         assert validate_long(long) == ["subject 2: outcome must be 0 or 1, got 2"]
@@ -421,6 +445,29 @@ class TestCsv:
             make_dataset([1.0, 2.0], ["event", "event"], ids=[1.5, 2.0])
         with pytest.raises(DataError, match="chain_ids must hold whole numbers, got 0.5"):
             DrawsMatrix(np.zeros((2, 1)), ["b_x"], chain_ids=[0.0, 0.5])
+
+    def test_writer_bytes(self, tmp_path):
+        # csv's dialect: CRLF line ends, a cell holding a comma quoted
+        short = SurvivalDataset([1, 2], [0.0, 0.5], [2.0, 3.25], ["event", "interval_censored"],
+                                {"x": [1.0, -0.1]}, [[np.nan, np.nan], [1.0, 3.25]])
+        long = LongDataset([7, 7], [1, 2], [0, 1], {"AdjOn": [1.0, 0.0], "a,b": [0.25, 1e20]})
+        draws = DrawsMatrix([[0.1, -2.0], [1e-20, 3.0]], ("a", "b"))
+        cases = [
+            (write_short_csv, short, b"subject_id,entry_time,time,status,interval_lower,"
+             b"interval_upper,x\r\n1,0,2,event,,,1\r\n2,0.5,3.25,icens,1,3.25,-0.1\r\n"),
+            (write_short_csv, replace(short, status=np.array(["event", "right_censored"]),
+                                      interval_bounds=None),
+             b"subject_id,entry_time,time,status,x\r\n1,0,2,event,1\r\n2,0.5,3.25,rcens,-0.1\r\n"),
+            (write_long_csv, long,
+             b'subject_id,interval_index,event,AdjOn,"a,b"\r\n7,1,0,1,0.25\r\n7,2,1,0,1e+20\r\n'),
+            (write_draws_csv, draws, b"a,b\r\n0.1,-2.0\r\n1e-20,3.0\r\n"),
+            (write_draws_csv, replace(draws, chain_ids=[0, 1]),
+             b"chain,a,b\r\n0,0.1,-2.0\r\n1,1e-20,3.0\r\n"),
+        ]
+        for write, data, want in cases:
+            path = tmp_path / "out.csv"
+            write(data, path)
+            assert path.read_bytes() == want
 
     def test_draws_round_trip(self, tmp_path):
         dm = DrawsMatrix(np.random.default_rng(0).normal(size=(5, 3)),

@@ -279,6 +279,35 @@ class TestPsisMatchesPerColumnOracle:
         assert_psis_matches_oracle(values)
 
 
+class TestPsisBlocks:
+    """PSIS partial-sorts and fits the tails over ``models._row_blocks``: in
+    blocks of 64 elements its results are bitwise those of one block."""
+
+    FIELDS = ("log_weights", "khat", "ess", "degenerate")
+
+    def test_blocked_matches_one_block_and_oracle(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        values = _metropolis_repeats(rng, rng.standard_t(6, size=(400, 30)) - 2.0)
+        values = _odd_columns(rng, values, 5)
+        one = psis_smooth(mat(values))
+        monkeypatch.setattr(models, "_CHUNK", 64)
+        assert len(models._row_blocks((30, 400))) == 30
+        blocked = psis_smooth(mat(values))
+        for field in self.FIELDS:
+            assert getattr(blocked, field).tobytes() == getattr(one, field).tobytes(), field
+        assert_psis_matches_oracle(values)
+
+    def test_no_finite_column(self):
+        # no column is smoothed: the (0, S) log ratios are one block
+        values = np.random.default_rng(15).normal(-2.0, 1.0, size=(200, 3))
+        values[[5, 9, 0], [0, 1, 2]] = -np.inf
+        assert models._row_blocks((0, 200)) == [...]
+        res = psis_smooth(mat(values))
+        assert res.degenerate.all() and np.isnan(res.khat).all()
+        assert np.all(res.log_weights == -math.log(200))
+        assert_psis_matches_oracle(values)
+
+
 class TestElpd:
     def test_single_unit_se_zero(self):
         rng = np.random.default_rng(6)
@@ -968,6 +997,14 @@ class TestCsvRoundTrip:
         assert rows[:3] == [["unit", "1", "2", "3"], ["tag", *ll.tags], ["time_unit"] + ["days"] * 3]
         assert [row[0] for row in rows[3:]] == [str(s) for s in range(20)]
         assert np.array_equal([[float(v) for v in row[1:]] for row in rows[3:]], ll.values)
+
+    def test_bytes(self, tmp_path):
+        ll = LogLikMatrix([[-1.5, -np.inf], [-0.1, 0.0]], ("density", "probability"),
+                          ((4, 2), 7), "days")
+        path = tmp_path / "loglik.csv"
+        write_loglik_csv(ll, path)
+        assert path.read_bytes() == (b"unit,4:2,7\r\ntag,density,probability\r\n"
+                                     b"time_unit,days,days\r\n0,-1.5,-inf\r\n1,-0.1,0.0\r\n")
 
     def test_round_trip_tuple_units(self, tmp_path):
         ll = LogLikMatrix(np.zeros((4, 2)), ("probability",) * 2, ((1, 1), (1, 2)))

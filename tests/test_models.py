@@ -35,7 +35,7 @@ from survcheck.models import (
     logistic,
     normal,
     posterior_predictive_times,
-    sample_event_time,
+    quantile,
     sample_truncated,
     spline_basis,
     spline_knots,
@@ -362,27 +362,25 @@ class TestBernoulliProb:
 class TestSampling:
     def test_exponential_inverse_cdf_algebra(self):
         # u = 1 - exp(-2) must map to t = 2 under rate 1
-        from survcheck.models import quantile
-
         u = 1 - math.exp(-2)
         assert quantile("exponential", {"mean": 1.0}, u) == pytest.approx(2.0, abs=1e-12)
 
     def test_draws_match_analytic_cdf(self):
         rng = np.random.default_rng(10)
-        draws = sample_event_time("exponential", {"mean": 1.25}, rng, size=100_000)
+        draws = quantile("exponential", {"mean": 1.25}, rng.random(100_000))
         stat = kstest(draws, lambda t: cdf("exponential", {"mean": 1.25}, t)).statistic
         assert stat < 0.01
 
     def test_weibull_shape_one_matches_exponential(self):
         rng = np.random.default_rng(11)
-        a = sample_event_time("weibull_aft", {"shape": 1.0, "mean": 2.0}, rng, size=20_000)
+        a = quantile("weibull_aft", {"shape": 1.0, "mean": 2.0}, rng.random(20_000))
         p = kstest(a, lambda t: cdf("exponential", {"mean": 2.0}, t)).pvalue
         assert p > 0.01
 
     def test_pit_of_samples_uniform(self):
         rng = np.random.default_rng(12)
         params = {"shape": 1.7, "mean": 3.0}
-        draws = sample_event_time("weibull_aft", params, rng, size=50_000)
+        draws = quantile("weibull_aft", params, rng.random(50_000))
         u = cdf("weibull_aft", params, draws)
         assert kstest(u, "uniform").statistic < 0.01
 
@@ -415,6 +413,31 @@ class TestTruncatedSampling:
     def test_saturation_error(self):
         with pytest.raises(SaturationError):
             sample_truncated("exponential", {"mean": 1.0}, 1e6, np.random.default_rng(0))
+
+    def test_bitwise_the_explicit_formula(self):
+        # u ~ U(0, 1), H = -(log S(lower) + log(1 - u)) and t = H^(-1): the
+        # same times, and the generator left where one draw of the uniforms leaves it
+        lower = np.array([0.0, 0.4, 1.7, 3.0])
+        mean = np.array([1.3, 0.6, 2.2, 4.0])
+        for family, shape in (("exponential", None), ("weibull_aft", 1.7), ("weibull_aft", 0.6)):
+            params = {"mean": mean} if shape is None else {"mean": mean, "shape": shape}
+            rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+            got = sample_truncated(family, params, lower, rng, size=4)
+            u = ref.random(4)
+            if shape is None:
+                theta = 1.0 / mean
+                h = -(-theta * lower + np.log1p(-u))
+                t = h / theta
+            else:
+                theta = np.exp(gammaln(1.0 + 1.0 / shape)) / mean
+                with np.errstate(divide="ignore"):
+                    log_t = np.where(lower > 0, np.log(np.maximum(lower, 1e-300)), -np.inf)
+                log_s = -np.where(lower > 0, np.exp(shape * (np.log(theta) + log_t)), 0.0)
+                h = -(log_s + np.log1p(-u))
+                t = np.exp(np.log(h) / shape) / theta
+            want = np.maximum(t, np.nextafter(lower, np.inf))
+            assert got.tobytes() == want.tobytes()
+            assert rng.bit_generator.state == ref.bit_generator.state
 
 
 class TestChangeOfVariables:
@@ -521,6 +544,30 @@ class TestPredictiveHelpers:
         bern = get_preset("bernoulli-gist")
         with pytest.raises(ModelError, match="continuous families"):
             impute_censored(bern, design, beta, data, rng, 1)
+        # more imputations than the 40 draws: refused after the family check
+        with pytest.raises(ModelError, match="continuous families"):
+            impute_censored(bern, design, beta, data, rng, 41)
+        with pytest.raises(ModelError, match="more imputations requested than available"):
+            impute_censored(spec, design, beta, data, rng, 41)
+
+    def test_picks_at_and_beyond_every_draw(self):
+        # n == S and n > S predictive draws are all S draws in order; n == S
+        # imputations use each draw once, in order
+        spec, design, beta, data = self.make_fit_inputs()
+        runs = []
+        for n_draws in (None, 40, 41, 1000):
+            rng = np.random.default_rng(8)
+            sims = posterior_predictive_times(spec, design, beta, data, rng, n_draws)
+            runs.append((sims.tobytes(), rng.bit_generator.state))
+        assert all(run == runs[0] for run in runs[1:])
+        imputed = impute_censored(spec, design, beta, data, np.random.default_rng(9), 40)
+        cens = data.status == "right_censored"
+        rng = np.random.default_rng(9)
+        mean = subject_params(spec, design, beta, data.covariates)["mean"][cens]
+        for s, ds in enumerate(imputed):
+            want = sample_truncated("exponential", {"mean": mean[:, s]}, data.time[cens], rng,
+                                    size=int(cens.sum()))
+            assert ds.time[cens].tobytes() == want.tobytes()
 
 
 class TestPresets:

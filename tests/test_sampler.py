@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from survcheck import models
 from survcheck.data import INTERVAL_CENSORED, LEFT_CENSORED, STATUSES, DataError, SurvivalDataset
 from survcheck.models import (
     ModelError,
@@ -553,6 +554,21 @@ class TestDiagnosticsAgainstOracle:
             assert [type(v) for v in alone] == [float, float]
             assert np.array(alone).tobytes() == np.array(want).tobytes()
             assert np.array([rhat[j], ess[j]]).tobytes() == np.array(want).tobytes()
+
+    def test_blocks_of_parameters_bitwise_one_block(self, monkeypatch):
+        # in blocks of 64 elements each parameter is a block of its own
+        rng = np.random.default_rng(13)
+        x = np.cumsum(rng.standard_normal((4, 301, 9)), axis=1)
+        x[:, :, 2] = 1.5
+        x[1, 7, 4] = np.inf
+        x[:, :, 5] = np.round(x[:, :, 5])
+        x[2, 40, 6] = np.nan
+        one = split_rhat(x), bulk_ess(x)
+        monkeypatch.setattr(models, "_CHUNK", 64)
+        assert len(models._row_blocks((9, 2 * 4 * 512))) == 9
+        blocked = split_rhat(x), bulk_ess(x)
+        for a, b in zip(one, blocked):
+            assert a.tobytes() == b.tobytes()
 
     def test_average_ranks_match_rankdata(self):
         from scipy.stats import rankdata

@@ -46,6 +46,9 @@ The workloads cover:
   its dichotomized one, ``calibration_check`` on its 4000-odd rows, and
   the Weibull preset's ``posterior_predictive_times`` with all draws,
   with the uniforms its generator gives next;
+* the draw picks at their edges: ``posterior_predictive_times`` asking for
+  more draws than the fit kept, and ``impute_censored`` with one
+  imputation per kept draw;
 * PSIS on seeded edge-case matrices: tie-heavy matrices of 100, 1000 and
   4000 draws whose rows repeat as Metropolis draws do, and one with a
   constant column, a ``-inf`` entry, few distinct values, few distinct
@@ -73,7 +76,8 @@ The workloads cover:
   non-finite entries, an overflowing or vanishing mean, a huge or tiny
   Weibull shape and an overflowing smoothing scale;
 * ``split_rhat`` and ``bulk_ess`` on seeded chain sets (autocorrelated,
-  odd and short lengths, 1 to 8 chains, up to 50 parameters, heavy ties,
+  odd and short lengths, 1 to 8 chains, up to 50 parameters, 40 parameters
+  of 4 x 1000 draws spanning several 2 MiB blocks, heavy ties,
   equal and disjoint constant chains, infinite and NaN draws), called on
   each parameter's (n_chains, n_iter) chains and on all parameters'
   (n_chains, n_iter, k) chains at once, and ``diagnose`` of every fit above
@@ -370,6 +374,16 @@ def _checks():
         yield f"checks.envelope.{level}.upper", hi
         yield f"checks.envelope.{level}.gamma", _json(gamma)
 
+    # draw picks at their edges: more predictive draws than the S = 240 kept
+    # (every draw), and one imputation per kept draw
+    rng = np.random.default_rng(22)
+    yield "checks.predictive.more-than-draws", sc.posterior_predictive_times(
+        spec, design, draws, short, rng, n_draws=300)
+    imputed = sc.impute_censored(spec, design, draws, short, rng, draws.n_draws)
+    yield "checks.impute.every-draw.time", np.array([d.time for d in imputed])
+    yield "checks.impute.every-draw.status", _json([list(d.status) for d in imputed])
+    yield "checks.impute.every-draw.next_uniforms", rng.random(8)
+
 
 def _many_blocks():
     """Outputs of the benchmark's post-fit scale, 600 subjects and 4 x 250 kept
@@ -499,6 +513,8 @@ def _chain_sets():
         "metropolis": np.cumsum(moves, axis=1),
         "special": special,
         **{f"length-{n}": rng.standard_normal((2, n, 3)) for n in (1, 2, 3, 4, 5, 7)},
+        # 2 halves x 4 chains x a 1024-point FFT x 40 parameters: several 2 MiB blocks
+        "many-blocks": ar1(4, 1000, 40, 0.6),
     }
 
 
