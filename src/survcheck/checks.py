@@ -29,6 +29,8 @@ from .series import PlotSeries
 
 # a value this far outside a band still counts as inside it
 _SLACK = 1e-12
+# central probabilities of the inner and outer intervals of ``intervals_data``
+_PROB_INNER, _PROB_OUTER = 0.5, 0.9
 
 
 class CheckError(ValueError):
@@ -194,11 +196,9 @@ def km_overlay(
 def intervals_data(
     observed,
     predictive_draws,
-    prob_inner: float = 0.5,
-    prob_outer: float = 0.9,
     imputed_flags=None,
 ) -> PlotSeries:
-    """Observations vs central predictive intervals.
+    """Observations vs central 50% and 90% predictive intervals.
 
     Quantiles use linear interpolation of order statistics (type 7), the
     numpy default, so outputs are pinned and bit-reproducible.
@@ -209,14 +209,10 @@ def intervals_data(
         raise CheckError("predictive draws must be (S, n)")
     if draws.shape[0] < 20:
         raise CheckError("need at least 20 draws per observation")
-    if not (0 < prob_inner < 1 and 0 < prob_outer < 1):
-        raise CheckError("interval probabilities must be in (0, 1)")
-    if prob_inner > prob_outer:
-        raise CheckError("inner interval cannot exceed the outer one")
     qs = np.quantile(
         draws,
-        [0.5 - prob_outer / 2, 0.5 - prob_inner / 2, 0.5,
-         0.5 + prob_inner / 2, 0.5 + prob_outer / 2],
+        [0.5 - _PROB_OUTER / 2, 0.5 - _PROB_INNER / 2, 0.5,
+         0.5 + _PROB_INNER / 2, 0.5 + _PROB_OUTER / 2],
         axis=0,
         method="linear",
     )
@@ -236,7 +232,7 @@ def intervals_data(
             "imputed": flags,
             "at_median": (y == qs[2]).astype(int),
         },
-        {"role": "predictive", "prob_inner": prob_inner, "prob_outer": prob_outer},
+        {"role": "predictive", "prob_inner": _PROB_INNER, "prob_outer": _PROB_OUTER},
     )
 
 

@@ -104,6 +104,15 @@ def _whole_numbers(values, name: str) -> np.ndarray:
     return np.asarray(a, dtype=int)
 
 
+def _columns(covariates, n: int) -> dict[str, np.ndarray]:
+    """The covariate columns frozen as float arrays, each of shape (n,)."""
+    cov = {k: _freeze(np.asarray(v, dtype=float)) for k, v in covariates.items()}
+    for k, v in cov.items():
+        if v.shape != (n,):
+            raise DataError(f"covariate {k!r} must have shape ({n},), got {v.shape}")
+    return cov
+
+
 @dataclass(frozen=True)
 class SurvivalDataset:
     """Short-format survival data: one record per subject.
@@ -145,11 +154,7 @@ class SurvivalDataset:
         if bad:
             raise DataError(f"unknown status values: {sorted(set(bad))}")
         object.__setattr__(self, "status", _freeze(st))
-        cov = {k: _freeze(np.asarray(v, dtype=float)) for k, v in self.covariates.items()}
-        for k, v in cov.items():
-            if v.shape != (n,):
-                raise DataError(f"covariate {k!r} must have shape ({n},), got {v.shape}")
-        object.__setattr__(self, "covariates", cov)
+        object.__setattr__(self, "covariates", _columns(self.covariates, n))
         if self.interval_bounds is not None:
             ib = _freeze(np.asarray(self.interval_bounds, dtype=float))
             if ib.shape != (n, 2):
@@ -199,22 +204,12 @@ class LongDataset:
             raise DataError("interval_index and outcome must match subject_id length")
         object.__setattr__(self, "interval_index", ii)
         object.__setattr__(self, "outcome", out)
-        cov = {k: _freeze(np.asarray(v, dtype=float)) for k, v in self.covariates.items()}
-        for k, v in cov.items():
-            if v.shape != (n,):
-                raise DataError(f"covariate {k!r} must have shape ({n},)")
-        object.__setattr__(self, "covariates", cov)
+        object.__setattr__(self, "covariates", _columns(self.covariates, n))
         object.__setattr__(self, "static_names", tuple(self.static_names))
 
     @property
     def n_rows(self) -> int:
         return self.subject_id.shape[0]
-
-    @property
-    def subject_ids(self) -> np.ndarray:
-        """Distinct subjects in first-appearance order."""
-        _, idx = np.unique(self.subject_id, return_index=True)
-        return self.subject_id[np.sort(idx)]
 
     def subset(self, mask) -> "LongDataset":
         mask = np.asarray(mask)
@@ -300,6 +295,8 @@ class TimeGrid:
     def bounds(self, k):
         """(a, b) bounds of interval k (1-based)."""
         k = np.asarray(k)
+        if np.any(k < 1) or np.any(k > self.n_intervals):
+            raise DataError(f"interval {k} outside the grid's 1..{self.n_intervals}")
         a = self.interval_length * (k - 1)
         return a, a + self.interval_length
 
@@ -354,12 +351,16 @@ def require_valid(data, name: str | None = None) -> None:
         raise DataError(f"invalid {label}: " + "; ".join(problems))
 
 
-def _long_groups(long: LongDataset):
-    """Row order grouped by subject (interval ascending) and group starts."""
-    order = np.lexsort((long.interval_index, long.subject_id))
-    sid = long.subject_id[order]
-    starts = np.concatenate([[0], np.nonzero(np.diff(sid))[0] + 1])
-    return order, starts
+def _by_subject(subject_id, within=None):
+    """(rank, order, starts) of long-format rows: each row's subject number,
+    subjects numbered by first appearance; the rows grouped by subject, in
+    ``within`` order inside a subject (row order when None; the sort is
+    stable); and each subject's first position in ``order``."""
+    _, first, inverse = np.unique(subject_id, return_index=True, return_inverse=True)
+    rank = np.argsort(np.argsort(first))[inverse]
+    order = np.lexsort((rank,) if within is None else (within, rank))
+    counts = np.bincount(rank, minlength=first.size)
+    return rank, order, np.cumsum(counts) - counts
 
 
 def validate_long(long: LongDataset) -> list[str]:
@@ -368,17 +369,18 @@ def validate_long(long: LongDataset) -> list[str]:
     if long.n_rows == 0:
         return []
     report = []
-    order, starts = _long_groups(long)
+    _, order, starts = _by_subject(long.subject_id, long.interval_index)
     sid = long.subject_id[order]
     idx = long.interval_index[order]
     out = long.outcome[order]
-    lengths = np.diff(np.concatenate([starts, [long.n_rows]]))
+    lengths = np.diff(np.append(starts, long.n_rows))
     expected = np.arange(long.n_rows) - np.repeat(starts, lengths) + 1
     bad_contig = idx != expected
     is_last = np.zeros(long.n_rows, dtype=bool)
     is_last[starts + lengths - 1] = True
     bad_outcome = (out == 1) & ~is_last
-    for i in np.flatnonzero((out != 0) & (out != 1)):
+    bad = np.flatnonzero((out != 0) & (out != 1))
+    for i in bad[np.argsort(sid[bad], kind="stable")]:  # by subject id, then interval
         report.append(f"subject {sid[i]}: outcome must be 0 or 1, got {out[i]}")
     for s in np.unique(sid[bad_contig]):
         report.append(f"subject {s}: interval_index not contiguous 1..K")
@@ -487,26 +489,18 @@ def to_short_form(long: LongDataset) -> SurvivalDataset:
     require_valid(long)
     if long.n_rows == 0:
         raise DataError("long data have no rows")
-    order, starts = _long_groups(long)
-    lengths = np.diff(np.concatenate([starts, [long.n_rows]]))
-    lasts = order[starts + lengths - 1]
-    firsts = order[starts]
-    group_sids = long.subject_id[firsts]
-    time = long.interval_index[lasts].astype(float)
-    status = np.where(long.outcome[lasts] == 1, EVENT, RIGHT_CENSORED).astype(object)
-    covs = {name: long.covariates[name][firsts].copy() for name in long.static_names}
+    _, order, starts = _by_subject(long.subject_id, long.interval_index)
+    firsts, lasts = order[starts], order[np.append(starts[1:], long.n_rows) - 1]
+    covs = {name: long.covariates[name][firsts] for name in long.static_names}
     if ON_NAME in long.covariates and TREATMENT_NAME not in covs:
         active = long.covariates[ON_NAME][order] != 0
         covs[TREATMENT_NAME] = np.logical_or.reduceat(active, starts).astype(float)
-    appearance = long.subject_ids
-    pos = {s: j for j, s in enumerate(group_sids)}
-    take = np.array([pos[s] for s in appearance])
     return SurvivalDataset(
-        subject_id=appearance,
-        entry_time=np.zeros(len(appearance)),
-        time=time[take],
-        status=status[take],
-        covariates={k: v[take] for k, v in covs.items()},
+        subject_id=long.subject_id[firsts],
+        entry_time=np.zeros(starts.size),
+        time=long.interval_index[lasts].astype(float),
+        status=np.where(long.outcome[lasts] == 1, EVENT, RIGHT_CENSORED).astype(object),
+        covariates=covs,
         time_unit=long.time_unit,
     )
 
@@ -591,9 +585,10 @@ def scale_covariates(data: SurvivalDataset, names) -> tuple[SurvivalDataset, Sca
 # Long-format columns that are constant within every subject are read as
 # static covariates, the others as time-dependent.
 # A header row is required everywhere and columns are found by name, never
-# by position.  Every reader takes its rows from ``_read_rows``, and a row
-# of the wrong width, a cell that is not a number, or a subject_id,
-# interval_index or chain cell that is not a whole number is a DataError.
+# by position.  Every reader takes its rows from ``_read_rows``, and a header
+# that repeats a name, a row of the wrong width, a cell that is not a number,
+# or a subject_id, interval_index or chain cell that is not a whole number is
+# a DataError.
 
 def _csv_reader(read):
     """Report a cell that does not parse as a number as a DataError."""
@@ -617,37 +612,25 @@ _LONG_ROLES = ("subject_id", "interval_index", "event")
 @_csv_reader
 def read_short_csv(path_or_buf, time_unit: str | None = None) -> SurvivalDataset:
     """Read a short-format CSV."""
-    rows = _read_rows(path_or_buf)
-    header = rows[0]
-    for role in ("subject_id", "time", "status"):
-        if role not in header:
-            raise DataError(f"missing required column {role!r}")
-    idx = {name: header.index(name) for name in header}
-    body = rows[1:]
-
-    def col(name, default=None):
-        if name not in idx:
-            return [default] * len(body)
-        return [r[idx[name]] for r in body]
-
+    cols = _read_columns(path_or_buf, ("subject_id", "time", "status"))
+    blank = [""] * len(cols["subject_id"])  # an absent optional column reads as empty cells
     status = []
-    for s in col("status"):
+    for s in cols["status"]:
         key = s.strip()
         if key not in _CSV_TO_STATUS:
             raise DataError(f"unknown status code {key!r}")
         status.append(_CSV_TO_STATUS[key])
-    cov_names = [h for h in header if h not in _RESERVED_SHORT]
     bounds = None
-    if "interval_lower" in idx or "interval_upper" in idx:
-        lo = [float(v) if v not in ("", None) else np.nan for v in col("interval_lower", "")]
-        hi = [float(v) if v not in ("", None) else np.nan for v in col("interval_upper", "")]
-        bounds = np.column_stack([lo, hi])
+    if "interval_lower" in cols or "interval_upper" in cols:
+        bounds = np.column_stack([[float(v) if v != "" else np.nan for v in cols.get(name, blank)]
+                                  for name in ("interval_lower", "interval_upper")])
     return SurvivalDataset(
-        subject_id=_whole_numbers([float(v) for v in col("subject_id")], "subject_id"),
-        entry_time=[float(v) if v not in ("", None) else 0.0 for v in col("entry_time", "")],
-        time=[float(v) for v in col("time")],
+        subject_id=_whole_numbers([float(v) for v in cols["subject_id"]], "subject_id"),
+        entry_time=[float(v) if v != "" else 0.0 for v in cols.get("entry_time", blank)],
+        time=[float(v) for v in cols["time"]],
         status=status,
-        covariates={name: [float(v) for v in col(name)] for name in cov_names},
+        covariates={name: [float(v) for v in col] for name, col in cols.items()
+                    if name not in _RESERVED_SHORT},
         interval_bounds=bounds,
         time_unit=time_unit,
     )
@@ -667,17 +650,11 @@ def write_short_csv(data: SurvivalDataset, path) -> None:
 
 @_csv_reader
 def read_long_csv(path_or_buf, time_unit: str | None = None) -> LongDataset:
-    rows = _read_rows(path_or_buf)
-    header = rows[0]
-    for name in _LONG_ROLES:
-        if name not in header:
-            raise DataError(f"missing required column {name!r}")
-    idx = {name: header.index(name) for name in header}
-    body = rows[1:]
-    cov_names = [h for h in header if h not in _LONG_ROLES]
-    covariates = {n: np.array([float(r[idx[n]]) for r in body]) for n in cov_names}
-    subject_id = _whole_numbers([float(r[idx["subject_id"]]) for r in body], "subject_id")
-    event = np.array([float(r[idx["event"]]) for r in body])
+    cols = _read_columns(path_or_buf, _LONG_ROLES)
+    covariates = {name: np.array([float(v) for v in col]) for name, col in cols.items()
+                  if name not in _LONG_ROLES}
+    subject_id = _whole_numbers([float(v) for v in cols["subject_id"]], "subject_id")
+    event = np.array([float(v) for v in cols["event"]])
     partial = ~(event % 1 == 0)
     if partial.any():
         raise DataError("event cells must be whole numbers: " + "; ".join(
@@ -685,7 +662,7 @@ def read_long_csv(path_or_buf, time_unit: str | None = None) -> LongDataset:
                                                   event[partial].tolist())))
     return LongDataset(
         subject_id=subject_id,
-        interval_index=_whole_numbers([float(r[idx["interval_index"]]) for r in body],
+        interval_index=_whole_numbers([float(v) for v in cols["interval_index"]],
                                       "interval_index"),
         outcome=[int(e) for e in event.tolist()],
         covariates=covariates,
@@ -696,9 +673,9 @@ def read_long_csv(path_or_buf, time_unit: str | None = None) -> LongDataset:
 
 def _infer_static(subject_id, covariates) -> tuple[str, ...]:
     """Names of the covariates constant on every subject's rows."""
-    order = np.argsort(subject_id, kind="stable")
-    first = order[np.searchsorted(subject_id[order], subject_id[order])]  # subject's first row
-    return tuple(name for name, col in covariates.items() if np.all(col[order] == col[first]))
+    rank, order, starts = _by_subject(subject_id)
+    first = order[starts][rank]  # each row's subject's first row
+    return tuple(name for name, col in covariates.items() if np.all(col == col[first]))
 
 
 def write_long_csv(long: LongDataset, path) -> None:
@@ -751,7 +728,20 @@ def _read_rows(path_or_buf) -> list[list[str]]:
         rows.append(row)
     if not rows:
         raise DataError("empty CSV (header row required)")
+    if len(set(rows[0])) < len(rows[0]):
+        raise DataError(f"CSV header repeats column names "
+                        f"{sorted({h for h in rows[0] if rows[0].count(h) > 1})}")
     return rows
+
+
+def _read_columns(path_or_buf, required) -> dict[str, list[str]]:
+    """A CSV's columns of cells by header name, in header order; a
+    ``required`` name the header lacks is a DataError."""
+    header, *body = _read_rows(path_or_buf)
+    for name in required:
+        if name not in header:
+            raise DataError(f"missing required column {name!r}")
+    return {name: [row[j] for row in body] for j, name in enumerate(header)}
 
 
 def _fmt(x: float) -> str:

@@ -33,6 +33,7 @@ from .data import (
     SurvivalDataset,
     TimeGrid,
     TreatmentRule,
+    _by_subject,
     _write_csv,
     to_short_form,
 )
@@ -245,19 +246,17 @@ def _sum_by_subject(subject_id, width: int, scores) -> tuple[tuple, np.ndarray]:
     called on blocks of the rows grouped by subject.  A subject's rows are
     added in row order from 0.0, one pass per position within a subject:
     each sum is the plain running sum, however the blocks fall."""
-    _, first, col = np.unique(subject_id, return_index=True, return_inverse=True)
-    rank = np.argsort(np.argsort(first))[col]  # subjects numbered by first appearance
-    by_subject = np.argsort(rank, kind="stable")  # each subject's rows, in row order
-    owner, counts = rank[by_subject], np.bincount(rank, minlength=first.size)
-    position = np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    sums = np.zeros((first.size, width))
+    rank, by_subject, starts = _by_subject(subject_id)  # each subject's rows, in row order
+    owner = rank[by_subject]
+    position = np.arange(owner.size) - starts[owner]
+    sums = np.zeros((starts.size, width))
     for rows in _row_blocks((owner.size, width)):
         at, who, block = position[rows], owner[rows], scores(by_subject[rows])
         for k in range(at.min(initial=0), at.max(initial=-1) + 1):
             this = at == k
             sums[who[this]] += block[this]
         del block  # before the next block's scores are made
-    return tuple(int(s) for s in subject_id[np.sort(first)]), np.ascontiguousarray(sums.T)
+    return tuple(int(s) for s in subject_id[by_subject[starts]]), np.ascontiguousarray(sums.T)
 
 
 def bernoulli_dichotomized_loglik(
@@ -289,7 +288,7 @@ def bernoulli_dichotomized_loglik(
     n_keep = len(keep)
     rows = rule.rows({name: col[keep] for name, col in short.covariates.items()},
                      k_max, short.subject_id[keep])
-    _check_rebuilt_rows(spec, long, short.subject_id[keep], k_max, rows)
+    _check_rebuilt_rows(spec, long, keep, k_max, rows)
     blocks = {name: col.reshape(n_keep, k_max) for name, col in rows.items()}
     beta = design.coefficients(draws)
     vals = np.empty((n_keep, len(beta)))
@@ -303,15 +302,17 @@ def bernoulli_dichotomized_loglik(
     return LogLikMatrix(vals.T, (PROBABILITY,) * len(keep), ids, long.time_unit)
 
 
-def _check_rebuilt_rows(spec: ModelSpec, long: LongDataset, subjects, k_max: int,
+def _check_rebuilt_rows(spec: ModelSpec, long: LongDataset, keep, k_max: int,
                         rebuilt) -> None:
     """Raise a LooError naming the first model covariate in which an observed
-    row of ``subjects``, up to interval ``k_max``, differs from its row in
-    ``rebuilt`` (rows 1..k_max of each subject, in ``subjects`` order)."""
-    offset = {s: j * k_max - 1 for j, s in enumerate(subjects.tolist())}
-    observed = np.isin(long.subject_id, subjects) & (long.interval_index <= k_max)
-    at = (np.array([offset[s] for s in long.subject_id[observed].tolist()], dtype=int)
-          + long.interval_index[observed])
+    row of the subjects numbered ``keep`` (by first appearance), up to interval
+    ``k_max``, differs from its row in ``rebuilt`` (rows 1..k_max of each
+    subject, in ``keep`` order)."""
+    rank, _, starts = _by_subject(long.subject_id)
+    slot = np.full(starts.size, -1)
+    slot[keep] = np.arange(len(keep))  # each kept subject's block in ``rebuilt``
+    observed = (slot[rank] >= 0) & (long.interval_index <= k_max)
+    at = slot[rank[observed]] * k_max + long.interval_index[observed] - 1
     used = set(spec.fixed) | {sm.name for sm in spec.smooths}
     for name, col in rebuilt.items():
         if (name in used and name in long.covariates

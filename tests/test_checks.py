@@ -222,7 +222,7 @@ class TestIntervalsData:
             )
 
         draws = np.arange(1.0, 101.0)[:, None]
-        series = intervals_data(np.array([50.0]), draws, prob_outer=0.9)
+        series = intervals_data(np.array([50.0]), draws)
         assert series.data["lower"][0] == pytest.approx(type7(np.arange(1.0, 101.0), 0.05))
         assert series.data["lower"][0] == pytest.approx(5.95)
         assert series.data["upper"][0] == pytest.approx(95.05)
@@ -239,8 +239,6 @@ class TestIntervalsData:
     def test_validation(self):
         with pytest.raises(CheckError, match="20"):
             intervals_data(np.array([1.0]), np.ones((5, 1)))
-        with pytest.raises(CheckError, match="inner"):
-            intervals_data(np.array([1.0]), np.ones((30, 1)), prob_inner=0.95, prob_outer=0.5)
 
 
 class TestPit:

@@ -243,12 +243,15 @@ def test_error_json_on_bad_input(workspace, tmp_path, capsys):
     assert "preset" in err["error"]["message"]
 
     # rejected when loaded: a non-numeric cell, a negative time that would
-    # otherwise reach the sampler, and a row narrower than the header
-    for row, message in (("2,0,abc,rcens,0.1", "abc"),
-                         ("2,0,-1.5,rcens,0.1", "time must be positive"),
-                         ("2,0,1.5", "CSV line 3 has 3 cells, the header has 5")):
+    # otherwise reach the sampler, a row narrower than the header, and a
+    # header naming a column twice, whose second column was dropped unread
+    for header, row, message in (
+            ("x", "2,0,abc,rcens,0.1", "abc"),
+            ("x", "2,0,-1.5,rcens,0.1", "time must be positive"),
+            ("x", "2,0,1.5", "CSV line 3 has 3 cells, the header has 5"),
+            ("time", "2,0,1.5,rcens,0.1", "CSV header repeats column names ['time']")):
         bad = tmp_path / "bad.csv"
-        bad.write_text("subject_id,entry_time,time,status,x\n"
+        bad.write_text(f"subject_id,entry_time,time,status,{header}\n"
                        f"1,0,2.0,event,0.5\n{row}\n3,0,1.0,event,-0.2\n")
         code = main(["fit", "--data", str(bad), "--model", "exponential-gist",
                      "--out", str(tmp_path / "x"), "--warmup", "10", "--keep", "10"])
@@ -325,6 +328,11 @@ def test_error_json_on_bad_input(workspace, tmp_path, capsys):
           "--model", "exponential-gist", "--draws", str(fitdir / "draws.csv"),
           "--horizon", "5", "--out", str(tmp_path / "x")],
          "DataError", "missing required column 'time'"),
+        # an interval the grid lacks: interval 3 of 2 was scored as (2, 3]
+        (["check", "calibration", *check, "--interval", "3", "--grid-intervals", "2"],
+         "DataError", "interval 3 outside the grid's 1..2"),
+        (["check", "calibration", *check, "--interval", "0"],
+         "DataError", "interval 0 outside the grid's 1..50"),
         (["impute", *check, "--n-imputations", "-1"], "ModelError", "at least 1, got -1"),
         (["impute", *check, "--n-imputations", "0"], "ModelError", "at least 1, got 0"),
         # non-finite float options, refused before they reach a bundle or a grid
@@ -425,6 +433,13 @@ def test_error_json_on_bad_input(workspace, tmp_path, capsys):
         path.write_text(json.dumps(config))
         cases.append((["run", "--pipeline", str(path), "--out", str(tmp_path / "x")],
                       error, message))
+    # a draws file naming its chain column twice
+    lines = draws.read_text().splitlines()
+    bad = tmp_path / "draws_two_chains.csv"
+    bad.write_text("\n".join(f"{line},{line.split(',')[0]}" for line in lines) + "\n")
+    cases.append((["check", "km", "--data", str(sim / "short.csv"), "--model", "weibull-gist",
+                   "--draws", str(bad), "--out", str(tmp_path / "x")],
+                  "DataError", "CSV header repeats column names ['chain']"))
     for argv, error, message in cases:
         assert main(argv) == 1
         err = json.loads(capsys.readouterr().out)

@@ -208,6 +208,15 @@ class TestExpandLong:
             with pytest.raises(DataError, match=message):
                 TimeGrid(length, n)
 
+    def test_grid_bounds_refuse_intervals_it_does_not_have(self):
+        # bounds(3) of a 2-interval grid was (2, 3], an interval the grid lacks
+        grid = TimeGrid(1.5, 2)
+        assert grid.bounds(2) == (1.5, 3.0)
+        assert [b.tolist() for b in grid.bounds(np.array([1, 2]))] == [[0.0, 1.5], [1.5, 3.0]]
+        for k in (0, 3, -1, np.array([1, 3])):
+            with pytest.raises(DataError, match=re.escape("outside the grid's 1..2")):
+                grid.bounds(k)
+
     def test_boundary_time_belongs_to_earlier_interval(self):
         grid = TimeGrid(1.0, 10)
         assert grid.interval_of(3.0) == 3
@@ -364,6 +373,14 @@ class TestDrawsMatrix:
         assert np.array_equal(dm.column("b"), np.ones(3))
 
 
+def test_covariate_shape_named_by_both_datasets():
+    for make, n in ((lambda cov: make_dataset([1.0, 2.0], ["event", "event"], covariates=cov), 2),
+                    (lambda cov: LongDataset([1, 1], [1, 2], [0, 1], cov), 2)):
+        with pytest.raises(DataError, match=re.escape(f"covariate 'x' must have shape ({n},), "
+                                                      "got (3,)")):
+            make({"x": [0.0, 1.0, 2.0]})
+
+
 class TestCsv:
     def test_short_round_trip(self, tmp_path):
         ds = SurvivalDataset(
@@ -391,6 +408,36 @@ class TestCsv:
     def test_header_required(self):
         with pytest.raises(DataError):
             read_short_csv(io.StringIO(""))
+
+    def test_repeated_column_names_refused(self):
+        # each reader kept the first of two same-named columns and dropped the other
+        for read, text, names in (
+                (read_short_csv, "subject_id,entry_time,time,status,Size,Size\n"
+                 "1,0,2,event,5,9\n", ["Size"]),
+                (read_short_csv, "subject_id,time,entry_time,time,status\n1,2,0,3,event\n",
+                 ["time"]),
+                (read_long_csv, "subject_id,interval_index,event,x,x,y,y\n1,1,0,1,2,3,4\n",
+                 ["x", "y"]),
+                (read_draws_csv, "chain,b_x,chain\n0,0.5,1\n", ["chain"])):
+            with pytest.raises(DataError, match=re.escape(
+                    f"CSV header repeats column names {names}")):
+                read(io.StringIO(text))
+
+    def test_first_bad_column_reported_whatever_the_header_order(self):
+        # each reader converts its columns in a fixed order, not in header
+        # order: short reads status codes, bounds, then subject_id; long reads
+        # covariates, subject_id, event, then interval_index
+        for read, text, bad in (
+                (read_short_csv, "subject_id,time,status,interval_upper,x\n"
+                 "a,b,nope,c,d\n", "unknown status code 'nope'"),
+                (read_short_csv, "subject_id,time,status,interval_upper,x\n"
+                 "a,b,event,c,d\n", "'c'"),
+                (read_short_csv, "x,time,status,subject_id\nd,b,event,a\n", "'a'"),
+                (read_long_csv, "event,interval_index,subject_id,x\nd,c,b,a\n", "'a'"),
+                (read_long_csv, "event,interval_index,subject_id\nd,c,b\n", "'b'"),
+                (read_long_csv, "event,interval_index,subject_id\nd,c,1\n", "'d'")):
+            with pytest.raises(DataError, match=re.escape(bad)):
+                read(io.StringIO(text))
 
     def test_long_round_trip(self, tmp_path):
         ds = make_dataset([2.0, 3.0], ["event", "right_censored"],

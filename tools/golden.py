@@ -27,6 +27,12 @@ The workloads cover:
   weights, k-hat, ESS, degenerate flags) and elpd of each matrix.  A
   Bernoulli model is scored on its subjects (``group_long_by_subject``),
   with the long rows as given and in a shuffled order;
+* a long cohort whose subject ids are out of order and whose rows are
+  shuffled inside each subject: ``to_short_form``, the static names
+  ``read_long_csv`` infers, ``validate_long`` of it and of a broken copy,
+  the Bernoulli preset's raw and dichotomized ``loglik_matrix``, and the
+  ``LooError`` of a late subject's row whose ``AdjOn`` contradicts the
+  treatment rule;
 * ``exact_refit_loo`` for the Weibull and Bernoulli presets in raw mode, the
   Weibull preset on data holding all four statuses in raw and interval
   modes (one held-out unit of each status), and the Bernoulli preset in
@@ -288,6 +294,57 @@ def _masked_refits():
                        ids[10:15])
     yield from _refits("refit.weibull-gist.7-units", sc.get_preset("weibull-gist"), short,
                        ids[20:48:4])
+
+
+def _subject_index():
+    """A long cohort whose subject ids are out of order and whose rows are
+    shuffled inside each subject, through every reader of its subject order:
+    ``to_short_form``, the long reader's static names, ``validate_long`` on
+    it and on a broken copy, the Bernoulli preset's raw and dichotomized
+    matrices, and the rebuilt-row refusal of a late subject's altered row."""
+    long, short = sc.simulate_scenario(sc.ScenarioConfig(n_subjects=40, seed=29))
+    short, record = sc.scale_covariates(short, ("Size", "AgeAtSurg", "MitHPF"))
+    long = sc.apply_scaling(long, record)
+    rng = np.random.default_rng(37)
+    _, subject = np.unique(long.subject_id, return_inverse=True)
+    rows = np.concatenate([rng.permutation(np.flatnonzero(subject == s))
+                           for s in rng.permutation(subject.max() + 1)])
+    mixed = replace(long, subject_id=rng.permutation(1000)[subject]).subset(rows)
+    back = sc.to_short_form(mixed)
+    yield "index.short.subject_id", back.subject_id
+    yield "index.short.time", back.time
+    yield "index.short.status", _json(list(back.status))
+    for name, col in back.covariates.items():
+        yield f"index.short.{name}", col
+    with tempfile.TemporaryDirectory() as tmp:
+        sc.write_long_csv(mixed, Path(tmp) / "long.csv")
+        yield "index.read_long_csv.static_names", _json(
+            list(sc.read_long_csv(Path(tmp) / "long.csv").static_names))
+    outcome = mixed.outcome.copy()
+    outcome[rng.choice(mixed.n_rows, 4, replace=False)] = 2
+    outcome[np.flatnonzero(mixed.interval_index == 1)[-3:]] = 1
+    broken = replace(mixed, outcome=outcome).subset(
+        np.arange(mixed.n_rows) != np.flatnonzero(mixed.interval_index == 2)[-1])
+    yield "index.validate_long", _json([sc.validate_long(mixed), sc.validate_long(broken)])
+    bern = sc.get_preset("bernoulli-gist")
+    design = sc.ModelDesign(bern, mixed.covariates)
+    draws = sc.fit(bern, mixed, SAMPLER).draws
+    for mode in ("raw", "dichotomized"):
+        ll = sc.loglik_matrix(bern, design, draws, mixed, mode=mode, horizon=HORIZON)
+        yield f"index.loglik.{mode}", ll.values
+        yield f"index.loglik.{mode}.unit_ids", _json(list(ll.unit_ids))
+    _, keep, _ = sc.dichotomize_outcomes(back, HORIZON)
+    row = np.flatnonzero((mixed.subject_id == back.subject_id[keep[-1]])
+                         & (mixed.interval_index <= HORIZON))[-1]
+    on = mixed.covariates["AdjOn"].copy()
+    on[row] = 1.0 - on[row]
+    altered = replace(mixed, covariates={**mixed.covariates, "AdjOn": on})
+    try:
+        sc.loglik_matrix(bern, design, draws, altered, mode="dichotomized", horizon=HORIZON)
+        refusal = None
+    except sc.loo.LooError as err:
+        refusal = str(err)
+    yield "index.rebuilt_rows", _json(refusal)
 
 
 def _fit(prefix, res):
@@ -622,9 +679,9 @@ def _settings():
 
 
 def outputs():
-    for workload in (_primitives, _cohort, _uncommon_fits, _masked_refits, _checks,
-                     _many_blocks, _psis_edge_cases, _log_posterior, _diagnostics, _pipeline,
-                     _experiments, _cli, _settings):
+    for workload in (_primitives, _cohort, _subject_index, _uncommon_fits, _masked_refits,
+                     _checks, _many_blocks, _psis_edge_cases, _log_posterior, _diagnostics,
+                     _pipeline, _experiments, _cli, _settings):
         yield from workload()
 
 
