@@ -39,11 +39,10 @@ class CheckError(ValueError):
 
 @dataclass(frozen=True)
 class StepFunction:
-    """Right-continuous step function: value after each jump time."""
+    """Right-continuous step function from 1.0: value after each jump time."""
 
     times: np.ndarray
     values: np.ndarray
-    initial_value: float = 1.0
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -57,20 +56,20 @@ class StepFunction:
 
     def __call__(self, t):
         idx = np.searchsorted(self.times, np.asarray(t, dtype=float), side="right")
-        vals = np.concatenate([[self.initial_value], self.values])
+        vals = np.concatenate([[1.0], self.values])
         out = vals[idx]
         return float(out) if np.ndim(t) == 0 else out
 
     def truncated(self, tmax: float) -> "StepFunction":
         keep = self.times <= tmax
-        return StepFunction(self.times[keep], self.values[keep], self.initial_value)
+        return StepFunction(self.times[keep], self.values[keep])
 
     def to_series(self, name: str, role: str, xmax: float | None = None, **meta) -> PlotSeries:
         md = {"role": role, **meta}
         if xmax is not None:
             md["xmax"] = float(xmax)
         return PlotSeries(name, "step",
-                          {"x": self.times, "y": self.values, "y0": self.initial_value}, md)
+                          {"x": self.times, "y": self.values, "y0": 1.0}, md)
 
 
 @dataclass(frozen=True)
@@ -144,7 +143,7 @@ def km_estimate(data: SurvivalDataset, honor_entry: bool = True) -> StepFunction
         if n_i > 0:
             surv *= 1.0 - d_i / n_i
         values[j] = surv
-    return StepFunction(event_times, values, initial_value=1.0)
+    return StepFunction(event_times, values)
 
 
 def empirical_ccdf(times) -> StepFunction:
@@ -152,7 +151,7 @@ def empirical_ccdf(times) -> StepFunction:
     times = np.sort(np.asarray(times, dtype=float))
     uniq, counts = np.unique(times, return_counts=True)
     surv = 1.0 - np.cumsum(counts) / times.size
-    return StepFunction(uniq, surv, initial_value=1.0)
+    return StepFunction(uniq, surv)
 
 
 def km_overlay(
@@ -160,7 +159,6 @@ def km_overlay(
     predictive_draws,
     cutoff_factor: float = 1.2,
     imputed: list[SurvivalDataset] | None = None,
-    honor_entry: bool = True,
 ) -> list[PlotSeries]:
     """Kaplan-Meier overlay bundle.
 
@@ -181,10 +179,10 @@ def km_overlay(
         out.append(ccdf.to_series(f"predictive_{s}", "predictive", xmax=cutoff))
     if imputed is not None:
         for r, ds in enumerate(imputed):
-            km_imp = km_estimate(ds, honor_entry=honor_entry).truncated(cutoff)
+            km_imp = km_estimate(ds).truncated(cutoff)
             out.append(km_imp.to_series(
                 f"imputed_{r}", "imputed", xmax=cutoff, hint_color="#e34a33"))
-    km_obs = km_estimate(data, honor_entry=honor_entry)
+    km_obs = km_estimate(data)
     out.append(km_obs.to_series("observed", "observed", xmax=float(np.max(data.time))))
     return out
 
@@ -463,11 +461,10 @@ def calibration_check(
 ) -> tuple[list[PlotSeries], bool]:
     """PAV calibration bundle: curve, identity line, band, dots, zoom hint."""
     curve = pav_cep(predictions, outcomes)
+    zoom = {} if zoom_mass is None else {"zoom_region": list(zoom_region(predictions, zoom_mass))}
     band, dots = calibration_band(predictions, level, n_sim, seed)
     inside = band.contains(curve.ceps)
-    meta = {"inside_band": bool(inside)}
-    if zoom_mass is not None:
-        meta["zoom_region"] = list(zoom_region(predictions, zoom_mass))
+    meta = {"inside_band": bool(inside), **zoom}
     series = [
         band.to_series("calibration_band"),
         PlotSeries("identity", "points",
@@ -481,13 +478,14 @@ def calibration_check(
 
 
 def zoom_region(predictions, mass: float = 0.9) -> tuple[float, float]:
-    """Smallest interval anchored at the dense end holding >= ``mass``.
+    """Smallest interval anchored at the dense end holding >= ``mass`` in (0, 1].
 
     Anchored at 0 when predictions concentrate low (median <= 0.5), at 1
     otherwise, matching the zoomed calibration plot for unbalanced data.
     """
     p = _probabilities(predictions)
-    mass = min(max(mass, 0.0), 1.0)
+    if not 0 < mass <= 1:  # NaN too
+        raise CheckError(f"zoom mass must be in (0, 1], got {mass!r}")
     if np.median(p) <= 0.5:
         return 0.0, float(np.quantile(p, mass))
     return float(np.quantile(p, 1 - mass)), 1.0

@@ -222,20 +222,15 @@ def cmd_check(args) -> int:
         "data": str(args.data), "draws": str(args.draws), "seed": args.seed,
         "options": _options(args, "data", "model", "draws", "seed"),
     })
-    common = {"config": run.manifest["config"]}
-
+    inside, labels = None, {"title": args.kind}
     if args.kind == "km":
         sims = posterior_predictive_times(spec, design, draws, data, rng,
                                           n_draws=args.n_pred_draws)
         imputed = None
         if args.impute:
             imputed = impute_censored(spec, design, draws, data, rng, args.impute)
-        bundle = km_overlay(data, sims, cutoff_factor=args.cutoff_factor,
-                            imputed=imputed)
-        run.write_text("km.json", bundle_to_json(bundle, common))
-        if args.svg:
-            run.write_text("km.svg", bundle_to_svg(
-                bundle, title="Kaplan-Meier overlay", xlabel="time", ylabel="S(t)"))
+        series = km_overlay(data, sims, cutoff_factor=args.cutoff_factor, imputed=imputed)
+        labels = {"title": "Kaplan-Meier overlay", "xlabel": "time", "ylabel": "S(t)"}
     elif args.kind in ("intervals", "pit-ecdf"):
         sims = posterior_predictive_times(spec, design, draws, data, rng)
         y = data.time.copy()
@@ -246,27 +241,23 @@ def cmd_check(args) -> int:
             y = imputed.time
         if args.kind == "intervals":
             series = [intervals_data(y, sims, imputed_flags=flags)]
-            inside = None
         else:
             series, inside = pit_ecdf_check(y, sims, level=args.level,
                                             seed=args.seed, imputed_flags=flags)
-        name = args.kind.replace("-", "_")
-        run.write_text(f"{name}.json", bundle_to_json(
-            series, {**common, "inside_band": inside}))
-        if args.svg:
-            run.write_text(f"{name}.svg", bundle_to_svg(series, title=args.kind))
-    elif args.kind == "calibration":
+    else:  # calibration
         predictions, outcomes = experiments.calibration_inputs(
             spec, design, draws, data, horizon=args.horizon, interval=args.interval,
             grid=TimeGrid(args.grid_length, args.grid_intervals))
         series, inside = calibration_check(predictions, outcomes, level=args.level,
                                            seed=args.seed, zoom_mass=args.zoom_mass)
-        run.write_text("calibration.json", bundle_to_json(
-            series, {**common, "inside_band": inside}))
-        if args.svg:
-            run.write_text("calibration.svg", bundle_to_svg(
-                series, title="PAV-adjusted calibration",
-                xlabel="predicted probability", ylabel="CEP"))
+        labels = {"title": "PAV-adjusted calibration",
+                  "xlabel": "predicted probability", "ylabel": "CEP"}
+    name = args.kind.replace("-", "_")
+    band = {} if args.kind == "km" else {"inside_band": inside}  # km.json has no band
+    run.write_text(f"{name}.json", bundle_to_json(
+        series, {"config": run.manifest["config"], **band}))
+    if args.svg:
+        run.write_text(f"{name}.svg", bundle_to_svg(series, **labels))
     run.finish()
     return 0
 
@@ -454,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-interval binary calibration check (interval index)")
     _add_grid_args(p)
     p.add_argument("--zoom-mass", type=float, default=0.9,
-                   help="share of the predictions the zoomed region holds")
+                   help="share of the predictions the zoomed region holds, in (0, 1]")
 
     scored = argparse.ArgumentParser(add_help=False)  # the inputs of every comparison
     scored.add_argument("--data", help="short-format CSV")

@@ -345,9 +345,12 @@ def require_valid(data, name: str | None = None) -> None:
     """Raise one DataError listing every problem ``validate_dataset`` (short
     format) or ``validate_long`` finds; ``name`` labels the data."""
     long = isinstance(data, LongDataset)
-    problems = validate_long(data) if long else validate_dataset(data)
+    _refuse(validate_long(data) if long else validate_dataset(data),
+            name or ("long dataset" if long else "dataset"))
+
+
+def _refuse(problems: list[str], label: str) -> None:
     if problems:
-        label = name or ("long dataset" if long else "dataset")
         raise DataError(f"invalid {label}: " + "; ".join(problems))
 
 
@@ -366,10 +369,12 @@ def _by_subject(subject_id, within=None):
 def validate_long(long: LongDataset) -> list[str]:
     """Check long-format invariants: 0/1 outcomes, contiguous 1..K intervals,
     outcome placement."""
-    if long.n_rows == 0:
-        return []
+    return _long_report(long, *_by_subject(long.subject_id, long.interval_index)[1:])
+
+
+def _long_report(long: LongDataset, order, starts) -> list[str]:
+    """``validate_long``'s messages, from the rows grouped by subject."""
     report = []
-    _, order, starts = _by_subject(long.subject_id, long.interval_index)
     sid = long.subject_id[order]
     idx = long.interval_index[order]
     out = long.outcome[order]
@@ -401,26 +406,23 @@ class TreatmentRule:
     ``ON_NAME`` = 1 while the interval index is <= duration, and
     ``SINCE_NAME`` = max(0, interval_index - duration).  The interval index
     itself is emitted under ``TIME_NAME``.  ``duration`` may be a scalar
-    gated on a binary covariate (``treated_covariate``), or an explicit
+    gated on the binary ``TREATMENT_NAME`` covariate, or an explicit
     mapping subject_id -> duration.
     """
 
     duration: float | Mapping[int, float] = 3.0
-    treated_covariate: str | None = TREATMENT_NAME
 
     def duration_for(self, sid, statics: Mapping[str, np.ndarray]) -> np.ndarray:
         """Treatment duration of each subject, broadcastable to the (n,) ids.
 
         A mapping is looked up by subject id (absent ids, and a missing
-        ``sid``, get 0); a scalar applies to every subject, or only to
-        those whose ``treated_covariate`` is nonzero.
+        ``sid``, get 0); a scalar applies to the subjects whose
+        ``TREATMENT_NAME`` is nonzero.
         """
         if isinstance(self.duration, Mapping):
             return np.array([self.duration.get(s, 0.0) for s in np.atleast_1d(sid).tolist()],
                             dtype=float)
-        if self.treated_covariate is None:
-            return np.asarray(float(self.duration))
-        treated = np.asarray(statics.get(self.treated_covariate, 0.0))
+        treated = np.asarray(statics.get(TREATMENT_NAME, 0.0))
         return np.where(treated != 0, float(self.duration), 0.0)
 
     def rows(self, statics: Mapping[str, np.ndarray], n_intervals,
@@ -486,10 +488,10 @@ def to_short_form(long: LongDataset) -> SurvivalDataset:
     a static ``TREATMENT_NAME`` column included.  Long data without one get
     it derived as a binary covariate: any interval with ``ON_NAME`` active.
     """
-    require_valid(long)
     if long.n_rows == 0:
         raise DataError("long data have no rows")
     _, order, starts = _by_subject(long.subject_id, long.interval_index)
+    _refuse(_long_report(long, order, starts), "long dataset")
     firsts, lasts = order[starts], order[np.append(starts[1:], long.n_rows) - 1]
     covs = {name: long.covariates[name][firsts] for name in long.static_names}
     if ON_NAME in long.covariates and TREATMENT_NAME not in covs:

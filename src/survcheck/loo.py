@@ -276,7 +276,8 @@ def bernoulli_dichotomized_loglik(
     scored through one stacked design matrix, one block of rows per
     subject.  Subjects censored before the horizon are excluded, mirroring
     the continuous-family rule.  A rebuilt row that contradicts its observed
-    row in a covariate of the model (data made under another rule) is a LooError.
+    row in a covariate of the model (data made under another rule) is a LooError,
+    as is a time-dependent model covariate the rule does not make.
     """
     k_max = int(round(horizon))
     if abs(horizon - k_max) > 1e-9 or k_max < 1:
@@ -304,16 +305,19 @@ def bernoulli_dichotomized_loglik(
 
 def _check_rebuilt_rows(spec: ModelSpec, long: LongDataset, keep, k_max: int,
                         rebuilt) -> None:
-    """Raise a LooError naming the first model covariate in which an observed
-    row of the subjects numbered ``keep`` (by first appearance), up to interval
-    ``k_max``, differs from its row in ``rebuilt`` (rows 1..k_max of each
-    subject, in ``keep`` order)."""
+    """Raise a LooError naming every model covariate ``rebuilt`` (rows 1..k_max
+    of each subject, in ``keep`` order) lacks, or else the first in which an
+    observed row of the subjects numbered ``keep`` (by first appearance), up
+    to interval ``k_max``, differs from its row in ``rebuilt``."""
+    used = set(spec.fixed) | {sm.name for sm in spec.smooths}
+    if used - set(rebuilt):
+        raise LooError(f"covariates {sorted(used - set(rebuilt))} of the model are neither static"
+                       " nor made by the treatment rule: their rows cannot be rebuilt")
     rank, _, starts = _by_subject(long.subject_id)
     slot = np.full(starts.size, -1)
     slot[keep] = np.arange(len(keep))  # each kept subject's block in ``rebuilt``
     observed = (slot[rank] >= 0) & (long.interval_index <= k_max)
     at = slot[rank[observed]] * k_max + long.interval_index[observed] - 1
-    used = set(spec.fixed) | {sm.name for sm in spec.smooths}
     for name, col in rebuilt.items():
         if (name in used and name in long.covariates
                 and np.any(long.covariates[name][observed] != col[at])):

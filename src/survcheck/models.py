@@ -20,10 +20,11 @@ the t > 0 mask of censor times) are fixed per score group when the data is
 bound, and checked there once; each evaluation computes the rate theta
 once, over all rows (a ``Rate``), and each status's score reads it.  The
 score of each status is written once, for both the kernel and the family
-functions (``log_density``, ``log_survival``, ...), so each kernel score
-is bitwise the family function's.  Family parameters are a dict holding
-the 'mean' (and for Weibull the 'shape'); the scalar oracle the kernel is
-tested against is ``tests/pointwise_oracle.py``.
+functions (``log_density``, ``log_survival``, ``cdf``, ``hazard``,
+``quantile``, ``sample_truncated``), so each kernel score is bitwise the
+family functions'.  Family parameters are a dict holding the 'mean' (and
+for Weibull the 'shape'); the scalar oracle the kernel is tested against
+is ``tests/pointwise_oracle.py``.
 
 ``subject_params`` is the one path from posterior draws to predictions: the
 family parameters of every (row, draw), or for the Bernoulli family the
@@ -204,14 +205,6 @@ def log_survival(family: str, params, t) -> np.ndarray:
 def cdf(family: str, params, t) -> np.ndarray:
     """F(t) = 1 - S(t), computed as -expm1(log S) for accuracy near 0."""
     return -np.expm1(log_survival(family, params, t))
-
-
-def log_interval_prob(family: str, params, a, b) -> np.ndarray:
-    """log(F(b) - F(a)) = log(S(a) - S(b)), stable for short intervals."""
-    terms = _interval_terms(a, b)
-    rate = Rate.of(family, params)
-    with np.errstate(divide="ignore"):
-        return _interval_score(family, rate, *terms)
 
 
 def hazard(family: str, params, t) -> np.ndarray:

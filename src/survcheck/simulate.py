@@ -16,9 +16,9 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .data import ON_NAME, SINCE_NAME, TIME_NAME, require_counts, settings
-from .data import DataError, LongDataset, ScalingRecord, SurvivalDataset, TreatmentRule
-from .data import to_short_form
+from .data import EVENT, ON_NAME, RIGHT_CENSORED, SINCE_NAME, require_counts, settings
+from .data import DataError, LongDataset, ScalingRecord, SurvivalDataset, TimeGrid
+from .data import TreatmentRule, expand_long, to_short_form
 from .models import logistic
 
 
@@ -161,7 +161,7 @@ def gen_events(covariates: dict, config: ScenarioConfig, rng: np.random.Generato
     """
     n, k_max = config.n_subjects, config.max_follow_up
     rule = TreatmentRule(duration=float(config.treatment_duration))
-    # every subject's rows 1..k_max; those after the event are dropped below
+    # the treatment columns of every subject's years 1..k_max, for the hazard
     full = rule.rows(covariates, np.full(n, k_max))
     adj_on = full[ON_NAME].reshape(n, k_max)
     tsa = full[SINCE_NAME].reshape(n, k_max)
@@ -172,16 +172,10 @@ def gen_events(covariates: dict, config: ScenarioConfig, rng: np.random.Generato
         hit = (u[:, k - 1] < p) & (event_year == 0)
         event_year[hit] = k
     last = np.where(event_year > 0, event_year, k_max)
-    observed = (np.arange(1, k_max + 1) <= last[:, None]).ravel()
-    row_k = full[TIME_NAME][observed].astype(int)
-    return LongDataset(
-        subject_id=np.repeat(np.arange(1, n + 1), last),
-        interval_index=row_k,
-        outcome=(row_k == np.repeat(event_year, last)).astype(int),
-        covariates={name: col[observed] for name, col in full.items()},
-        static_names=tuple(covariates),
-        time_unit=config.time_unit,
-    )
+    short = SurvivalDataset(np.arange(1, n + 1), np.zeros(n), last,
+                            np.where(event_year > 0, EVENT, RIGHT_CENSORED),
+                            covariates, time_unit=config.time_unit)
+    return expand_long(short, TimeGrid(1.0, k_max), rule)
 
 
 def simulate_scenario(config: ScenarioConfig) -> tuple[LongDataset, SurvivalDataset]:

@@ -3,7 +3,8 @@
 ``log_lik_point`` scores one short-format record through the family
 functions directly, one record at a time, independently of the vectorized
 kernel (``models.score_groups`` and ``models.group_log_scores``) that the
-sampler's likelihood and the LOO matrices use.
+sampler's likelihood and the LOO matrices use.  ``log_interval_prob`` is
+the interval-censored score built from two public ``log_survival`` calls.
 """
 
 from __future__ import annotations
@@ -25,9 +26,20 @@ from survcheck.models import (
     ModelError,
     cdf,
     log_density,
-    log_interval_prob,
     log_survival,
 )
+
+
+def log_interval_prob(family: str, params, a, b) -> np.ndarray:
+    """log(F(b) - F(a)) = log(S(a) - S(b)), stable for short intervals."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if np.any(a >= b):
+        raise ModelError("interval bounds need a < b")
+    ls_a = log_survival(family, params, a)
+    ls_b = log_survival(family, params, b)
+    with np.errstate(divide="ignore"):
+        return ls_a + np.log(-np.expm1(np.minimum(ls_b - ls_a, 0.0)))
 
 
 @dataclass(frozen=True)

@@ -111,7 +111,7 @@ class TestKaplanMeier:
                 entries=rng.uniform(0, 0.9, size=n),
             )
             km = km_estimate(ds)
-            assert km.initial_value == 1.0
+            assert km(0.0) == 1.0
             assert np.all(np.diff(np.concatenate([[1.0], km.values])) <= 1e-15)
 
     def test_brute_force_oracle(self):
@@ -424,6 +424,14 @@ class TestZoom:
         with pytest.raises(CheckError, match=r"\[0, 1\]"):
             zoom_region([np.nan, 0.2, 0.3])
 
+    @pytest.mark.parametrize("mass", [-1.0, 0.0, 1.5, np.nan])
+    def test_mass_outside_unit_interval_refused(self, mass):
+        # a mass outside (0, 1] was clamped into [0, 1]
+        with pytest.raises(CheckError, match=r"zoom mass must be in \(0, 1\]"):
+            zoom_region([0.1, 0.2, 0.3], mass)
+        with pytest.raises(CheckError, match="zoom mass"):
+            calibration_check([0.1, 0.2, 0.3], [0, 1, 0], n_sim=10, zoom_mass=mass)
+
     def test_high_concentration_anchors_at_one(self):
         p = np.random.default_rng(15).uniform(0.75, 1.0, size=50)
         lo, hi = zoom_region(p, 0.9)
@@ -550,7 +558,7 @@ class TestEnvelopeHelpers:
         assert gammas[7] == 0.0 and gammas[8] == pytest.approx(0.05)
 
     def test_step_function_eval(self):
-        f = StepFunction([1.0, 3.0], [0.5, 0.2], initial_value=1.0)
+        f = StepFunction([1.0, 3.0], [0.5, 0.2])
         assert f(0.5) == 1.0
         assert f(1.0) == 0.5
         assert f(2.9) == 0.5

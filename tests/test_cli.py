@@ -1,13 +1,15 @@
 import argparse
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from survcheck.cli import build_parser, main
-from survcheck.data import read_draws_csv, read_long_csv
+from survcheck.data import DrawsMatrix, read_draws_csv, read_long_csv, write_draws_csv
+from survcheck.data import write_long_csv
 from survcheck.experiments import calibration_inputs
-from survcheck.models import ModelDesign, get_preset
+from survcheck.models import ModelDesign, ModelSpec, get_preset
 from survcheck.series import PlotSeries, bundle_to_json
 
 
@@ -433,6 +435,24 @@ def test_error_json_on_bad_input(workspace, tmp_path, capsys):
         path.write_text(json.dumps(config))
         cases.append((["run", "--pipeline", str(path), "--out", str(tmp_path / "x")],
                       error, message))
+    # a zoom mass outside (0, 1], which was clamped into [0, 1]
+    for mass in ("-1", "0", "1.5"):
+        cases.append((["check", "calibration", *check, "--horizon", "3", "--zoom-mass", mass],
+                      "CheckError", f"zoom mass must be in (0, 1], got {float(mass)!r}"))
+    # a model covariate that changes within a subject and is not one the
+    # treatment rule makes: dichotomized scoring cannot rebuild its rows
+    # (it ended in a KeyError traceback)
+    long = read_long_csv(sim / "long.csv")
+    long = replace(long, covariates={**long.covariates, "X": 0.5 * long.covariates["Time"]})
+    write_long_csv(long, tmp_path / "long_x.csv")
+    spec_x = {"family": "bernoulli_logit", "fixed": ["X", "AdjOn"]}
+    names = ModelDesign(ModelSpec.from_dict(spec_x), long.covariates).parameter_names
+    write_draws_csv(DrawsMatrix(np.zeros((4, len(names))), names), tmp_path / "draws_x.csv")
+    cases.append((["compare", "dichotomized", "--long-data", str(tmp_path / "long_x.csv"),
+                   "--model", "bx", settings_file("spec_x.json", spec_x),
+                   str(tmp_path / "draws_x.csv"), "--horizon", "3", "--out", str(tmp_path / "x")],
+                  "LooError", "covariates ['X'] of the model are neither static nor made by "
+                  "the treatment rule"))
     # a draws file naming its chain column twice
     lines = draws.read_text().splitlines()
     bad = tmp_path / "draws_two_chains.csv"

@@ -156,7 +156,6 @@ class TestExpandLong:
     @pytest.mark.parametrize("rule", [
         TreatmentRule(duration=2.0),
         TreatmentRule(duration={11: 1.0, 13: 4.0}),
-        TreatmentRule(duration=3.0, treated_covariate=None),
     ])
     def test_rows_of_many_subjects_stack_one_subject_rows(self, rule):
         statics = {"AdjTreatm": np.array([1.0, 0.0, 1.0, 1.0]),

@@ -618,6 +618,21 @@ class TestBernoulliDichotomized:
                                            rule=TreatmentRule(duration=2.0))
         assert ll.n_units > 0
 
+    def test_time_dependent_covariate_outside_the_rule_refused(self):
+        # rows 1..horizon of a covariate that changes within a subject and is
+        # not made by the rule cannot be rebuilt: every such one is named (a
+        # KeyError ended the scoring)
+        time = self.long.covariates["Time"]
+        long = replace(self.long, covariates={**self.long.covariates, "w": 0.2 * time,
+                                              "v": np.sqrt(time)})
+        spec = ModelSpec(family="bernoulli_logit", fixed=("w", "z", "v", "AdjOn"))
+        design = ModelDesign(spec, long.covariates)
+        draws = DrawsMatrix(np.zeros((3, 5)), design.parameter_names)
+        with pytest.raises(LooError, match=r"covariates \['v', 'w'\] of the model are neither "
+                                           "static nor made by the treatment rule"):
+            loglik_matrix(spec, design, draws, long, mode="dichotomized",
+                          horizon=float(self.HORIZON))
+
     @pytest.mark.parametrize("horizon", [2.5, 0.0])
     def test_horizon_must_be_whole_intervals(self, horizon):
         with pytest.raises(LooError, match="whole"):

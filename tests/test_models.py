@@ -30,7 +30,6 @@ from survcheck.models import (
     hazard,
     impute_censored,
     log_density,
-    log_interval_prob,
     log_survival,
     logistic,
     normal,
@@ -43,7 +42,7 @@ from survcheck.models import (
     subject_params,
 )
 
-from pointwise_oracle import Record, log_lik_point
+from pointwise_oracle import Record, log_interval_prob, log_lik_point
 
 
 def record(time, status, bounds=None):

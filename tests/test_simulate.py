@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from survcheck.data import TimeGrid, expand_long, to_short_form, validate_dataset, validate_long
 from survcheck.models import logistic
@@ -128,6 +130,50 @@ class TestEvents:
             long.covariates["TimeSinceAdjStopped"][untreated],
             long.covariates["Time"][untreated],
         )
+
+
+def reference_events(covariates: dict, config: ScenarioConfig, u) -> list[tuple]:
+    """``gen_events`` written out row by row from the uniforms ``u``: each
+    subject's rows 1..last, the statics then Time, AdjOn and
+    TimeSinceAdjStopped under the config's rule, and the outcome 1 on the
+    last row if and only if the subject had the event."""
+    rows = []
+    for i in range(config.n_subjects):
+        statics = {name: float(col[i]) for name, col in covariates.items()}
+        duration = config.treatment_duration if statics.get("AdjTreatm", 0.0) != 0 else 0.0
+        for k in range(1, config.max_follow_up + 1):
+            on, since = float(k <= duration), max(0.0, k - duration)
+            p = logistic(hazard_logit(config, {name: col[i:i + 1] for name, col in
+                                               covariates.items()}, on, since))
+            event = bool(u[i, k - 1] < p[0])
+            rows.append((i + 1, k, int(event), [*statics.values(), float(k), on, since]))
+            if event:
+                break
+    return rows
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(n=st.integers(1, 8), duration=st.integers(1, 4), extra=st.integers(0, 6),
+       treated=st.booleans(), intercept=st.floats(-3.0, 0.5), seed=st.integers(0, 10**6))
+def test_events_match_row_by_row_reference(n, duration, extra, treated, intercept, seed):
+    covariates = ScenarioConfig().covariates
+    if not treated:
+        covariates = {k: v for k, v in covariates.items() if k != "AdjTreatm"}
+    config = ScenarioConfig(n_subjects=n, covariates=covariates, treatment_duration=duration,
+                            max_follow_up=min(duration + extra, 10), seed=seed,
+                            coefficients={**ScenarioConfig().coefficients,
+                                          "intercept": intercept})
+    rng = np.random.default_rng(seed)
+    covs = gen_covariates(config, rng)
+    long = gen_events(covs, config, rng)
+    replay = np.random.default_rng(seed)  # the uniforms gen_events drew
+    gen_covariates(config, replay)
+    expected = reference_events(covs, config, replay.random((n, config.max_follow_up)))
+    assert list(long.covariates) == [*covs, "Time", "AdjOn", "TimeSinceAdjStopped"]
+    assert long.static_names == tuple(covs) and long.time_unit == config.time_unit
+    assert [(int(long.subject_id[r]), int(long.interval_index[r]), int(long.outcome[r]),
+             [float(col[r]) for col in long.covariates.values()])
+            for r in range(long.n_rows)] == expected
 
 
 class TestHazardLogit:

@@ -16,8 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from survcheck import data as survcheck_data
 from survcheck.checks import dichotomize_outcomes
 from survcheck.data import (
+    DataError,
     EVENT,
     RIGHT_CENSORED,
     DrawsMatrix,
@@ -149,3 +151,29 @@ class TestSubjectOrder:
         altered = replace(long, covariates={**long.covariates, "AdjOn": on})
         with pytest.raises(LooError, match="covariate 'AdjOn' of the observed rows differs"):
             loglik_matrix(SPEC, DESIGN, DRAWS, altered, mode="dichotomized", horizon=HORIZON)
+
+
+def test_to_short_form_builds_one_subject_index(monkeypatch):
+    # the validation reads the index the collapse uses; each built its own
+    expected = to_short_form(COHORT)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _by_subject(*args)
+
+    monkeypatch.setattr(survcheck_data, "_by_subject", counted)
+    short = to_short_form(COHORT)
+    assert len(calls) == 1
+    for name in ("subject_id", "time", "status"):
+        assert np.array_equal(getattr(short, name), getattr(expected, name))
+    assert list(short.covariates) == list(expected.covariates)
+    for name, col in expected.covariates.items():
+        assert np.array_equal(short.covariates[name], col)
+    outcome = COHORT.outcome.copy()
+    outcome[[0, 5]] = 2
+    with pytest.raises(DataError) as refusal:
+        to_short_form(replace(COHORT, outcome=outcome))
+    assert len(calls) == 2
+    assert str(refusal.value) == "invalid long dataset: " + "; ".join(
+        validate_long(replace(COHORT, outcome=outcome)))

@@ -27,6 +27,9 @@ The workloads cover:
   weights, k-hat, ESS, degenerate flags) and elpd of each matrix.  A
   Bernoulli model is scored on its subjects (``group_long_by_subject``),
   with the long rows as given and in a shuffled order;
+* ``simulate_scenario`` with a two-interval treatment and six years of
+  follow-up, and with covariates lacking ``AdjTreatm``: every long and
+  short column;
 * a long cohort whose subject ids are out of order and whose rows are
   shuffled inside each subject: ``to_short_form``, the static names
   ``read_long_csv`` infers, ``validate_long`` of it and of a broken copy,
@@ -268,6 +271,29 @@ def _cohort():
     for name, data in (("weibull-gist", short_scaled), ("bernoulli-gist", long_scaled)):
         units = [int(s) for s in short_scaled.subject_id[:2]]
         yield from _refits(f"refit.{name}", sc.get_preset(name), data, units)
+
+
+def _layouts():
+    """``simulate_scenario`` beyond the default scenario: a two-interval
+    treatment within six years of follow-up, and covariates without
+    ``AdjTreatm``, whose short form derives it from ``AdjOn``."""
+    untreated = {k: v for k, v in sc.ScenarioConfig().covariates.items()
+                 if k != "AdjTreatm"}
+    for label, config in (
+            ("duration-2", sc.ScenarioConfig(n_subjects=70, seed=41, treatment_duration=2,
+                                             max_follow_up=6)),
+            ("untreated", sc.ScenarioConfig(n_subjects=70, seed=43, covariates=untreated))):
+        long, short = sc.simulate_scenario(config)
+        for name in ("subject_id", "interval_index", "outcome"):
+            yield f"layout.{label}.long.{name}", getattr(long, name)
+        for name, col in long.covariates.items():
+            yield f"layout.{label}.long.{name}", col
+        yield f"layout.{label}.long.meta", _json([list(long.static_names), long.time_unit])
+        for name in ("subject_id", "entry_time", "time"):
+            yield f"layout.{label}.short.{name}", getattr(short, name)
+        yield f"layout.{label}.short.status", _json(list(short.status))
+        for name, col in short.covariates.items():
+            yield f"layout.{label}.short.{name}", col
 
 
 def _masked_refits():
@@ -679,7 +705,7 @@ def _settings():
 
 
 def outputs():
-    for workload in (_primitives, _cohort, _subject_index, _uncommon_fits, _masked_refits,
+    for workload in (_primitives, _cohort, _layouts, _subject_index, _uncommon_fits, _masked_refits,
                      _checks, _many_blocks, _psis_edge_cases, _log_posterior, _diagnostics,
                      _pipeline, _experiments, _cli, _settings):
         yield from workload()
