@@ -112,7 +112,6 @@ class CalibrationCurve:
 
     predictions: np.ndarray   # sorted ascending, ties in original order
     ceps: np.ndarray          # nondecreasing, in [0, 1]
-    point_masses: dict        # distinct prediction -> count
 
 
 # ---------------------------------------------------------------------------
@@ -425,10 +424,8 @@ def pav_cep(predictions, outcomes) -> CalibrationCurve:
         raise CheckError("predictions and outcomes must align")
     if not np.all((z == 0) | (z == 1)):
         raise CheckError("outcomes must be 0 or 1")
-    order, p_sorted, uniq, inverse, counts = _pooled(predictions)
-    ceps = _pooled_pav(inverse, counts, z[order])
-    masses = {float(u): int(c) for u, c in zip(uniq, counts)}
-    return CalibrationCurve(p_sorted, ceps, masses)
+    order, p_sorted, _, inverse, counts = _pooled(predictions)
+    return CalibrationCurve(p_sorted, _pooled_pav(inverse, counts, z[order]))
 
 
 def calibration_band(

@@ -402,51 +402,56 @@ def _long_report(long: LongDataset, order, starts) -> list[str]:
 class TreatmentRule:
     """Declarative time-dependent covariate rule for treatment episodes.
 
-    A subject on treatment for ``duration`` leading intervals gets
+    A subject whose ``TREATMENT_NAME`` covariate is nonzero is on treatment
+    for ``duration`` leading intervals (an untreated one for none): it gets
     ``ON_NAME`` = 1 while the interval index is <= duration, and
     ``SINCE_NAME`` = max(0, interval_index - duration).  The interval index
-    itself is emitted under ``TIME_NAME``.  ``duration`` may be a scalar
-    gated on the binary ``TREATMENT_NAME`` covariate, or an explicit
-    mapping subject_id -> duration.
+    itself is emitted under ``TIME_NAME``.
     """
 
-    duration: float | Mapping[int, float] = 3.0
+    duration: float = 3.0
 
-    def duration_for(self, sid, statics: Mapping[str, np.ndarray]) -> np.ndarray:
-        """Treatment duration of each subject, broadcastable to the (n,) ids.
+    @classmethod
+    def of(cls, long: LongDataset) -> "TreatmentRule":
+        """The rule ``long``'s rows show (``_treatment_shown``): the one duration
+        shown, the default if several are, and with none the longest
+        treatment if the default's duration is shorter, else the default."""
+        shown, longest = _treatment_shown(long)
+        if shown.size == 1:
+            return cls(float(shown[0]))
+        return cls() if shown.size or longest <= cls().duration else cls(float(longest))
 
-        A mapping is looked up by subject id (absent ids, and a missing
-        ``sid``, get 0); a scalar applies to the subjects whose
-        ``TREATMENT_NAME`` is nonzero.
-        """
-        if isinstance(self.duration, Mapping):
-            return np.array([self.duration.get(s, 0.0) for s in np.atleast_1d(sid).tolist()],
-                            dtype=float)
-        treated = np.asarray(statics.get(TREATMENT_NAME, 0.0))
-        return np.where(treated != 0, float(self.duration), 0.0)
-
-    def rows(self, statics: Mapping[str, np.ndarray], n_intervals,
-             sid=None) -> dict[str, np.ndarray]:
+    def rows(self, statics: Mapping[str, np.ndarray], n_intervals) -> dict[str, np.ndarray]:
         """Covariate columns of n subjects' long-format rows 1..n_intervals.
 
-        ``statics`` maps names to (n,) arrays (scalars make one subject),
-        ``n_intervals`` is a scalar or one count per subject and ``sid`` the
-        optional (n,) subject ids.  Rows are ordered by subject, then by
-        interval: the static covariates are repeated on each of a subject's
-        rows, followed by the time, on-treatment and time-since-stopped
-        columns.
+        ``statics`` maps names to (n,) arrays (scalars make one subject) and
+        ``n_intervals`` is a scalar or one count per subject.  Rows are
+        ordered by subject, then by interval: the static covariates are
+        repeated on each of a subject's rows, followed by the time,
+        on-treatment and time-since-stopped columns.
         """
         statics = {name: np.atleast_1d(np.asarray(v, dtype=float)) for name, v in statics.items()}
-        (n,) = np.broadcast_shapes((1,), np.shape(n_intervals), np.shape(sid),
+        (n,) = np.broadcast_shapes((1,), np.shape(n_intervals),
                                    *(v.shape for v in statics.values()))
         counts = np.broadcast_to(np.asarray(n_intervals, dtype=int), (n,))
         starts = np.cumsum(counts) - counts
         k = (np.arange(counts.sum()) - np.repeat(starts, counts) + 1).astype(float)
-        dur = np.repeat(np.broadcast_to(self.duration_for(sid, statics), (n,)), counts)
+        treated = np.broadcast_to(statics.get(TREATMENT_NAME, 0.0), (n,)) != 0
+        dur = np.repeat(np.where(treated, float(self.duration), 0.0), counts)
         return {**{name: np.repeat(np.broadcast_to(v, (n,)), counts)
                    for name, v in statics.items()},
                 TIME_NAME: k, ON_NAME: (k <= dur).astype(float),
                 SINCE_NAME: np.maximum(0.0, k - dur)}
+
+
+def _treatment_shown(long: LongDataset) -> tuple[np.ndarray, float]:
+    """The durations ``long``'s rows show, interval_index - ``SINCE_NAME`` where
+    0 < ``SINCE_NAME`` < interval_index, and their longest treatment: the last
+    interval with ``ON_NAME`` nonzero, or 0 (a missing column reads as zeros)."""
+    k, zeros = long.interval_index.astype(float), np.zeros(long.n_rows)
+    since = long.covariates.get(SINCE_NAME, zeros)
+    return (np.unique((k - since)[(since > 0) & (since < k)]),
+            float(k[long.covariates.get(ON_NAME, zeros) != 0].max(initial=0.0)))
 
 
 def expand_long(
@@ -459,7 +464,8 @@ def expand_long(
     Each subject contributes rows for intervals 1..K where K is the interval
     containing its event or censoring time; the final row has outcome 1 iff
     the subject had the event.  Intervals after the event or censoring are
-    excluded.  Only event and right-censored records are supported.
+    excluded.  Only event and right-censored records are supported, and the
+    treatment columns are those of ``td_rules`` (``TreatmentRule()`` if None).
     """
     require_valid(data)
     if not set(data.status) <= {EVENT, RIGHT_CENSORED}:
@@ -467,7 +473,7 @@ def expand_long(
     if not grid.covers(data.time):
         raise DataError("grid does not cover the largest observed time")
     k_last = grid.interval_of(data.time)
-    covariates = (td_rules or TreatmentRule()).rows(data.covariates, k_last, data.subject_id)
+    covariates = (td_rules or TreatmentRule()).rows(data.covariates, k_last)
     interval_index = covariates[TIME_NAME].astype(int)
     is_event = np.repeat(data.status == EVENT, k_last)
     return LongDataset(
@@ -519,7 +525,7 @@ def rescale_time(data: SurvivalDataset, c: float, time_unit: str | None = None) 
 
 @dataclass(frozen=True)
 class ScalingRecord:
-    """Per-covariate (mean, sd) used by scale_covariates, for inverse/apply."""
+    """Per-covariate (mean, sd) used by scale_covariates, to apply to new data."""
 
     stats: Mapping[str, tuple[float, float]]
 
@@ -541,10 +547,6 @@ class ScalingRecord:
             else:
                 out[name] = np.asarray(value, dtype=float)
         return out
-
-    def invert(self, name: str, scaled) -> np.ndarray:
-        mean, sd = self.stats[name]
-        return np.asarray(scaled) / SCALED_SD * sd + mean
 
 
 def apply_scaling(data, record: ScalingRecord):

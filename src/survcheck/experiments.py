@@ -287,12 +287,15 @@ def calibration_inputs(spec: ModelSpec, design: ModelDesign, draws, data,
     predicts, with ``interval``, the event inside that ``grid`` interval for
     the subjects at risk at its start, P(event in (a, b] | alive at a);
     otherwise the event by ``horizon``, F(horizon).  Subjects whose outcome
-    is unknowable are left out (see ``checks.interval_outcomes``).
+    is unknowable are left out (see ``checks.interval_outcomes``).  A
+    ``horizon`` it would not use (Bernoulli, or with ``interval``) is refused.
 
     Its callers are ``survcheck check calibration``, the tests and the
     golden-output tool; ``run_pipeline`` takes the Bernoulli model's
     posterior means from the worker that fitted it.
     """
+    if horizon is not None and (spec.family == "bernoulli_logit" or interval is not None):
+        raise ModelError("a horizon is only for a continuous model without an interval")
     if spec.family == "bernoulli_logit":
         rows = slice(None) if interval is None else data.interval_index == interval
         outcomes = data.outcome[rows]

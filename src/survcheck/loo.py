@@ -27,6 +27,8 @@ from scipy.special import logsumexp
 
 from .checks import dichotomize_outcomes
 from .data import (
+    ON_NAME,
+    SINCE_NAME,
     DataError,
     DrawsMatrix,
     LongDataset,
@@ -34,6 +36,7 @@ from .data import (
     TimeGrid,
     TreatmentRule,
     _by_subject,
+    _treatment_shown,
     _write_csv,
     to_short_form,
 )
@@ -265,30 +268,30 @@ def bernoulli_dichotomized_loglik(
     draws,
     long: LongDataset,
     horizon: float,
-    rule=None,
 ) -> LogLikMatrix:
     """Score "event by the horizon" under a discrete-time Bernoulli model.
 
     The model's event-by-k probability is 1 - prod_{j<=k}(1 - p_j), so the
     horizon must fall on an interval boundary (a positive integer here).
     The rows 1..horizon of every kept subject are rebuilt from its static
-    covariates and the treatment rule, whatever its observed follow-up, and
-    scored through one stacked design matrix, one block of rows per
-    subject.  Subjects censored before the horizon are excluded, mirroring
-    the continuous-family rule.  A rebuilt row that contradicts its observed
-    row in a covariate of the model (data made under another rule) is a LooError,
-    as is a time-dependent model covariate the rule does not make.
+    covariates under the treatment rule the rows show (``TreatmentRule.of``),
+    whatever its observed follow-up, and scored through one stacked design
+    matrix, one block of rows per subject.  Subjects censored before the
+    horizon are excluded, mirroring the continuous-family rule.  A rebuilt
+    row that contradicts its observed row in a covariate of the model (rows
+    of several durations) is a LooError, as is a time-dependent model
+    covariate the rule does not make, and a model of the treatment columns
+    past the longest treatment of rows that show no end of treatment.
     """
     k_max = int(round(horizon))
     if abs(horizon - k_max) > 1e-9 or k_max < 1:
         raise LooError("the discrete-time horizon must be a positive whole "
                        "number of intervals")
-    rule = rule if rule is not None else TreatmentRule()
     short = to_short_form(long)
     z, keep, _excluded = dichotomize_outcomes(short, float(k_max))
     n_keep = len(keep)
-    rows = rule.rows({name: col[keep] for name, col in short.covariates.items()},
-                     k_max, short.subject_id[keep])
+    rows = TreatmentRule.of(long).rows({name: col[keep] for name, col in short.covariates.items()},
+                                       k_max)
     _check_rebuilt_rows(spec, long, keep, k_max, rows)
     blocks = {name: col.reshape(n_keep, k_max) for name, col in rows.items()}
     beta = design.coefficients(draws)
@@ -308,7 +311,8 @@ def _check_rebuilt_rows(spec: ModelSpec, long: LongDataset, keep, k_max: int,
     """Raise a LooError naming every model covariate ``rebuilt`` (rows 1..k_max
     of each subject, in ``keep`` order) lacks, or else the first in which an
     observed row of the subjects numbered ``keep`` (by first appearance), up
-    to interval ``k_max``, differs from its row in ``rebuilt``."""
+    to interval ``k_max``, differs from its row in ``rebuilt``, or where those
+    show no end of treatment and a treated subject's rows pass their longest."""
     used = set(spec.fixed) | {sm.name for sm in spec.smooths}
     if used - set(rebuilt):
         raise LooError(f"covariates {sorted(used - set(rebuilt))} of the model are neither static"
@@ -323,6 +327,11 @@ def _check_rebuilt_rows(spec: ModelSpec, long: LongDataset, keep, k_max: int,
                 and np.any(long.covariates[name][observed] != col[at])):
             raise LooError(f"covariate {name!r} of the observed rows differs from the rows the "
                            "treatment rule rebuilds: the data were made under another rule")
+    shown, longest = _treatment_shown(long)
+    if (not shown.size and k_max > longest and used & {ON_NAME, SINCE_NAME}
+            and np.any(rebuilt[ON_NAME] != 0)):  # a kept subject is treated
+        raise LooError(f"no row shows the end of treatment and none is on treatment past "
+                       f"interval {longest:g}: the treatment rule up to {k_max} is unknown")
 
 
 def group_long_by_subject(loglik: LogLikMatrix) -> LogLikMatrix:
@@ -574,7 +583,8 @@ def exact_refit_loo(
 
     For each unit (a subject: all its rows in long format), the model is
     refitted on the remaining records and the held-out unit's predictive
-    score (``loglik_matrix`` in ``mode``) is the log average of its
+    score (``loglik_matrix`` in ``mode``; dichotomized, within the whole
+    cohort, whose rows show the treatment rule) is the log average of its
     likelihood over the refit draws.  A unit not in the data, or one given
     twice, is a LooError before any sampling, one not scored in ``mode`` a
     LooError after it.  Returns {unit_id: elpd} plus per-unit failures.
@@ -641,8 +651,9 @@ def _refit_units(job) -> dict:
     for b, (idx, uid, _) in enumerate(pending):
         draws = DrawsMatrix(post.constrain(chains[b * C:(b + 1) * C].reshape(-1, post.dim)),
                             post.parameter_names)
-        ll = loglik_matrix(spec, post.designs[b], draws, data.subset(data.subject_id == uid),
-                           **scoring)
+        # dichotomized rows are rebuilt under the rule the whole cohort's rows show
+        ll = loglik_matrix(spec, post.designs[b], draws, data if scoring["mode"] == "dichotomized"
+                           else data.subset(data.subject_id == uid), **scoring)
         if uid not in ll.unit_ids:
             raise LooError(f"unit {uid!r} is not a scoring unit in {scoring['mode']} mode")
         col = ll.values[:, ll.unit_ids.index(uid)]

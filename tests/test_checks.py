@@ -335,10 +335,6 @@ class TestPav:
         assert np.array_equal(a.ceps, b.ceps)
         assert np.array_equal(a.predictions, b.predictions)
 
-    def test_point_masses(self):
-        curve = pav_cep([0.2, 0.2, 0.9], [0, 1, 1])
-        assert curve.point_masses == {0.2: 2, 0.9: 1}
-
     def test_rejects_out_of_range(self):
         with pytest.raises(CheckError):
             pav_cep([1.2], [1])

@@ -9,6 +9,7 @@ from survcheck.cli import build_parser, main
 from survcheck.data import DrawsMatrix, read_draws_csv, read_long_csv, write_draws_csv
 from survcheck.data import write_long_csv
 from survcheck.experiments import calibration_inputs
+from survcheck.loo import bernoulli_dichotomized_loglik, elpd_loo
 from survcheck.models import ModelDesign, ModelSpec, get_preset
 from survcheck.series import PlotSeries, bundle_to_json
 
@@ -231,6 +232,15 @@ def test_experiment_timescale(tmp_path, capsys):
     assert "censored_max_abs_change" in printed
 
 
+def bernoulli_draws(long_csv, path) -> str:
+    """Write zero draws of the Bernoulli preset on ``long_csv``'s rows to
+    ``path``; return the path."""
+    design = ModelDesign(get_preset("bernoulli-gist"), read_long_csv(long_csv).covariates)
+    write_draws_csv(DrawsMatrix(np.zeros((4, len(design.parameter_names))),
+                                design.parameter_names), path)
+    return str(path)
+
+
 def test_error_json_on_bad_input(workspace, tmp_path, capsys):
     code = main(["fit", "--data", str(tmp_path / "missing.csv"),
                  "--model", "exponential-gist", "--out", str(tmp_path / "x")])
@@ -330,6 +340,14 @@ def test_error_json_on_bad_input(workspace, tmp_path, capsys):
           "--model", "exponential-gist", "--draws", str(fitdir / "draws.csv"),
           "--horizon", "5", "--out", str(tmp_path / "x")],
          "DataError", "missing required column 'time'"),
+        # a horizon calibration would not use: with an interval, or for a
+        # Bernoulli model, it was dropped and only recorded in the manifest
+        (["check", "calibration", *check, "--interval", "2", "--horizon", "5"],
+         "ModelError", "a horizon is only for a continuous model without an interval"),
+        (["check", "calibration", "--data", str(sim / "long.csv"), "--model", "bernoulli-gist",
+          "--draws", bernoulli_draws(sim / "long.csv", tmp_path / "bern_draws.csv"),
+          "--horizon", "5", "--out", str(tmp_path / "x")],
+         "ModelError", "a horizon is only for a continuous model"),
         # an interval the grid lacks: interval 3 of 2 was scored as (2, 3]
         (["check", "calibration", *check, "--interval", "3", "--grid-intervals", "2"],
          "DataError", "interval 3 outside the grid's 1..2"),
@@ -519,10 +537,10 @@ def test_pipeline_run(tmp_path):
                                   {"config": results["config"]})
 
 
-def test_compare_dichotomized_refuses_data_of_another_treatment_rule(tmp_path, capsys):
+def test_compare_dichotomized_scores_data_of_another_treatment_rule(tmp_path, capsys):
     # a Bernoulli model's dichotomized scores rebuild each subject's rows
-    # under the default 3-interval treatment rule, and the CLI cannot name
-    # another: a cohort treated for 2 intervals is refused, not mis-scored
+    # under the rule the rows show: a cohort treated for 2 intervals was
+    # refused under the default 3-interval rule, and is now scored
     scenario = tmp_path / "scenario.json"
     scenario.write_text(json.dumps({"n_subjects": 80, "seed": 3, "treatment_duration": 2}))
     sim = tmp_path / "sim"
@@ -535,14 +553,17 @@ def test_compare_dichotomized_refuses_data_of_another_treatment_rule(tmp_path, c
                      "--seed", "1"]) == 0
         models += ["--model", name, preset, str(tmp_path / name / "draws.csv")]
     capsys.readouterr()
+    out = tmp_path / "cmp"
     assert main(["compare", "dichotomized", "--data", str(sim / "short.csv"), "--long-data",
-                 str(sim / "long.csv"), *models, "--out", str(tmp_path / "cmp"),
-                 "--horizon", "5"]) == 1
-    captured = capsys.readouterr()
-    err = json.loads(captured.out)
-    assert err["error"]["type"] == "LooError"
-    assert "made under another rule" in err["error"]["message"]
-    assert captured.err == ""
+                 str(sim / "long.csv"), *models, "--out", str(out), "--horizon", "5"]) == 0
+    assert capsys.readouterr().err == ""
+    long = read_long_csv(sim / "long.csv")
+    spec = get_preset("bernoulli-gist")
+    report = elpd_loo(bernoulli_dichotomized_loglik(
+        spec, ModelDesign(spec, long.covariates), read_draws_csv(tmp_path / "bern" / "draws.csv"),
+        long, 5.0))
+    doc = json.loads((out / "comparison.json").read_text())
+    assert doc["elpd"]["bern"]["elpd"] == report.total
 
 
 def test_check_calibration_bernoulli_long(tmp_path):

@@ -142,36 +142,35 @@ class TestExpandLong:
             assert np.all(long.covariates[name] == value)
         assert validate_long(long) == []
 
-    def test_duration_mapping_by_subject_and_subset(self):
-        ds = make_dataset([3.0, 2.0], ["event", "right_censored"], ids=[7, 8])
-        long = expand_long(ds, TimeGrid(1.0, 5), TreatmentRule(duration={7: 2.0}))
+    def test_duration_by_treatment_and_subset(self):
+        # the duration applies to the treated subject only; a subset keeps
+        # its rows, intervals and static names
+        ds = make_dataset([3.0, 2.0], ["event", "right_censored"], ids=[7, 8],
+                          covariates={"AdjTreatm": [1.0, 0.0]})
+        long = expand_long(ds, TimeGrid(1.0, 5), TreatmentRule(duration=2.0))
         assert list(long.subject_id) == [7, 7, 7, 8, 8]
         assert list(long.covariates["AdjOn"]) == [1, 1, 0, 0, 0]
         assert list(long.covariates["TimeSinceAdjStopped"]) == [0, 0, 1, 1, 2]
         held = long.subset(long.subject_id == 8)
         assert list(held.interval_index) == [1, 2]
         assert list(held.covariates["Time"]) == [1, 2]
-        assert held.static_names == long.static_names
+        assert held.static_names == long.static_names == ("AdjTreatm",)
 
-    @pytest.mark.parametrize("rule", [
-        TreatmentRule(duration=2.0),
-        TreatmentRule(duration={11: 1.0, 13: 4.0}),
-    ])
+    @pytest.mark.parametrize("rule", [TreatmentRule(duration=2.0), TreatmentRule(duration=5.0)])
     def test_rows_of_many_subjects_stack_one_subject_rows(self, rule):
         statics = {"AdjTreatm": np.array([1.0, 0.0, 1.0, 1.0]),
                    "Size": np.array([5.0, 9.0, 7.5, 6.0])}
-        sid = np.array([11, 12, 13, 14])
         k = np.array([4, 1, 5, 2])
-        rows = rule.rows(statics, k, sid)
-        singles = [rule.rows({name: float(col[i]) for name, col in statics.items()},
-                             int(k[i]), int(sid[i])) for i in range(4)]
+        rows = rule.rows(statics, k)
+        singles = [rule.rows({name: float(col[i]) for name, col in statics.items()}, int(k[i]))
+                   for i in range(4)]
         assert list(rows) == list(singles[0])
         assert list(rows) == ["AdjTreatm", "Size", "Time", "AdjOn", "TimeSinceAdjStopped"]
         for name in rows:
             stacked = np.concatenate([s[name] for s in singles])
             assert rows[name].dtype == stacked.dtype
             assert np.array_equal(rows[name], stacked)
-        # one scalar count for every subject, and no ids
+        # one scalar count for every subject
         assert rule.rows(statics, 3)["Time"].tolist() == [1, 2, 3] * 4
 
     def test_censored_at_one_single_row(self):
@@ -250,14 +249,21 @@ class TestShortForm:
         assert short.covariates["Size"][0] == 75.0
 
     def test_static_treatment_kept_under_a_per_subject_rule(self):
+        # rows whose AdjOn is set subject by subject, against AdjTreatm:
         # subject 2 is treated but on for no interval, subject 4 untreated but
-        # on for four: the static column, not AdjOn, is what they recorded
+        # on for four.  The static column, not AdjOn, is what they recorded
         ds = make_dataset([2.0, 6.0, 2.0, 5.0, 4.0],
                           ["event", "right_censored", "right_censored", "event", "event"],
                           covariates={"z": [0.3, -1.2, 0.8, 0.0, 1.5],
                                       "AdjTreatm": [1.0, 1.0, 0.0, 0.0, 1.0]})
-        rule = TreatmentRule(duration={1: 1.0, 4: 4.0, 5: 2.0})
-        short = to_short_form(expand_long(ds, TimeGrid(1.0, 6), rule))
+        long = expand_long(ds, TimeGrid(1.0, 6), TreatmentRule(duration=2.0))
+        on = {1: 1.0, 4: 4.0, 5: 2.0}  # intervals on treatment; none for the others
+        adj_on = np.array([float(k <= on.get(s, 0.0))
+                           for s, k in zip(long.subject_id.tolist(),
+                                           long.interval_index.tolist())])
+        assert adj_on.tolist() != long.covariates["AdjOn"].tolist()
+        long = replace(long, covariates={**long.covariates, "AdjOn": adj_on})
+        short = to_short_form(long)
         assert short.covariates.keys() == ds.covariates.keys()
         for name, col in ds.covariates.items():
             assert short.covariates[name].tobytes() == col.tobytes()
@@ -297,6 +303,60 @@ class TestShortForm:
             assert np.array_equal(back.time, ds.time)
             assert np.array_equal(back.status, ds.status)
 
+
+
+@st.composite
+def treated_cohorts(draw):
+    """Long rows of up to 8 subjects followed 1..10 intervals, expanded under
+    a duration of 1..6 intervals, with or without a static ``AdjTreatm``."""
+    duration, follow_up = draw(st.integers(1, 6)), draw(st.integers(1, 10))
+    n = draw(st.integers(1, 8))
+    covariates = {"z": draw(_floats(n, st.floats(-5, 5)))}
+    if draw(st.booleans()):
+        covariates["AdjTreatm"] = draw(_floats(n, st.sampled_from([0.0, 1.0])))
+    ds = make_dataset(draw(_floats(n, st.integers(1, follow_up).map(float))),
+                      draw(st.lists(st.sampled_from(["event", "right_censored"]),
+                                    min_size=n, max_size=n)),
+                      covariates=covariates)
+    grid = TimeGrid(1.0, follow_up)
+    return expand_long(ds, grid, TreatmentRule(duration=float(duration))), grid
+
+
+class TestRuleFromRows:
+    # 300 examples of at most 80 rows each; no deadline
+    @settings(max_examples=300, deadline=None)
+    @given(cohort=treated_cohorts())
+    def test_rule_read_from_the_rows_rebuilds_them(self, cohort):
+        long, grid = cohort
+        back = expand_long(to_short_form(long), grid, TreatmentRule.of(long))
+        assert back.outcome.tobytes() == long.outcome.tobytes()
+        for name, col in long.covariates.items():
+            assert back.covariates[name].tobytes() == col.tobytes()
+
+    def test_rows_showing_one_several_or_no_durations(self):
+        ds = make_dataset([6.0, 6.0, 2.0], ["event", "right_censored", "event"],
+                          covariates={"AdjTreatm": [1.0, 0.0, 1.0]})
+        long = expand_long(ds, TimeGrid(1.0, 6), TreatmentRule(duration=4.0))
+        assert TreatmentRule.of(long) == TreatmentRule(duration=4.0)
+        # a second treated subject that stopped after 2 intervals: the default
+        other = expand_long(make_dataset([5.0], ["event"], ids=[9],
+                                         covariates={"AdjTreatm": [1.0]}),
+                            TimeGrid(1.0, 6), TreatmentRule(duration=2.0))
+        mixed = LongDataset(np.append(long.subject_id, other.subject_id),
+                            np.append(long.interval_index, other.interval_index),
+                            np.append(long.outcome, other.outcome),
+                            {k: np.append(v, other.covariates[k])
+                             for k, v in long.covariates.items()})
+        assert TreatmentRule.of(mixed) == TreatmentRule()
+        # treated through the whole follow-up: the longest treatment, or the
+        # default when that is no longer than its duration
+        for follow_up, duration in ((5, 5.0), (3, 3.0), (2, 3.0)):
+            long = expand_long(make_dataset([float(follow_up)], ["event"],
+                                            covariates={"AdjTreatm": [1.0]}),
+                               TimeGrid(1.0, follow_up), TreatmentRule(duration=10.0))
+            assert TreatmentRule.of(long) == TreatmentRule(duration=duration)
+        # no treatment columns at all read as zeros: the default
+        assert TreatmentRule.of(LongDataset([1, 1], [1, 2], [0, 1])) == TreatmentRule()
 
 class TestRescale:
     def test_days_to_months(self):
@@ -358,7 +418,6 @@ class TestScaleCovariates:
         new = record.apply({"x": 20.0, "other": 7.0})
         assert new["x"] == pytest.approx(0.0)
         assert new["other"] == 7.0
-        assert record.invert("x", new["x"]) == pytest.approx(20.0)
 
 
 class TestDrawsMatrix:

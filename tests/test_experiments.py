@@ -60,7 +60,7 @@ class TestContinuousCalibrationInputs:
 
     def test_event_in_grid_interval_given_at_risk(self):
         p, z = calibration_inputs(self.spec, self.design, self.draws, self.data,
-                                  horizon=3.0, interval=2, grid=TimeGrid(1.0, 10))
+                                  interval=2, grid=TimeGrid(1.0, 10))
         assert z.tolist() == [1, 0, 0]  # at risk at 1: subjects 2, 4 and 5
         # memoryless: P(event in (1, 2] | alive at 1) = 1 - exp(-rate)
         expected = np.mean([-math.expm1(-0.5), -math.expm1(-0.25)])
@@ -71,3 +71,16 @@ class TestContinuousCalibrationInputs:
             calibration_inputs(self.spec, self.design, self.draws, self.data)
         with pytest.raises(ModelError, match="grid"):
             calibration_inputs(self.spec, self.design, self.draws, self.data, interval=2)
+
+    def test_horizon_it_would_not_use_refused(self):
+        # with an interval the horizon was dropped, and a Bernoulli model never
+        # reads one: both ran as if it were not given
+        with pytest.raises(ModelError, match="only for a continuous model without an interval"):
+            calibration_inputs(self.spec, self.design, self.draws, self.data, horizon=3.0,
+                               interval=2, grid=TimeGrid(1.0, 10))
+        long, _ = simulate_scenario(ScenarioConfig(n_subjects=10, seed=2))
+        spec = ModelSpec(family="bernoulli_logit", fixed=("AdjOn",))
+        design = ModelDesign(spec, long.covariates)
+        draws = DrawsMatrix(np.zeros((2, 2)), design.parameter_names)
+        with pytest.raises(ModelError, match="only for a continuous model without an interval"):
+            calibration_inputs(spec, design, draws, long, horizon=5.0)

@@ -527,7 +527,7 @@ class TestBernoulliBlocks:
 
     def test_dichotomized(self, monkeypatch):
         self.assert_bitwise_over_blocks(monkeypatch, lambda: bernoulli_dichotomized_loglik(
-            self.spec, self.design, self.draws, self.long, 5.0, rule=TreatmentRule(duration=2.0)))
+            self.spec, self.design, self.draws, self.long, 5.0))
 
     def test_raw_scores_hold_one_draws_by_rows_matrix(self):
         # the draws x rows probabilities are the one array of their size; scored
@@ -573,50 +573,144 @@ class TestBernoulliDichotomized:
         self.draws = DrawsMatrix(rng.normal(scale=0.5, size=(7, 5)),
                                  self.design.parameter_names)
 
-    def expected(self, duration_of):
-        """Per-subject log scores of "event by the horizon", written out row by row."""
+    def expected(self, duration_of, short=None, draws=None, horizon=None, static="z"):
+        """Per-subject log scores of "event by the horizon", written out row by
+        row, under a model with fixed ``static``, Time, AdjOn and
+        TimeSinceAdjStopped: of the class's data unless ``short``, ``draws``
+        and ``horizon`` are given."""
+        short = self.short if short is None else short
+        draws = self.draws if draws is None else draws
+        horizon = self.HORIZON if horizon is None else horizon
         cols = []
-        for i in range(self.short.n):
-            sid = int(self.short.subject_id[i])
-            if sid == 3:  # censored at 2, before the horizon: excluded
+        for i in range(short.n):
+            event = short.status[i] == "event"
+            if not event and short.time[i] < horizon:  # censored before the horizon: excluded
                 continue
-            dur = duration_of(sid, self.short.covariates["AdjTreatm"][i])
-            log_no_event = np.zeros(self.draws.n_draws)
-            for k in range(1, self.HORIZON + 1):
-                x = np.array([1.0, self.short.covariates["z"][i], k,
+            dur = duration_of(int(short.subject_id[i]), short.covariates["AdjTreatm"][i])
+            log_no_event = np.zeros(draws.n_draws)
+            for k in range(1, horizon + 1):
+                x = np.array([1.0, short.covariates[static][i], k,
                               float(k <= dur), max(0.0, k - dur)])
-                p = 1.0 / (1.0 + np.exp(-(self.draws.draws @ x)))
+                p = 1.0 / (1.0 + np.exp(-(draws.draws @ x)))
                 log_no_event += np.log1p(-p)
             p_event = -np.expm1(log_no_event)
-            event_by_horizon = self.short.status[i] == "event" and self.short.time[i] <= self.HORIZON
+            event_by_horizon = event and short.time[i] <= horizon
             cols.append(np.log(p_event) if event_by_horizon else np.log1p(-p_event))
         return np.column_stack(cols)
 
+    # durations the rows show (1, 2, 4, 5) or, treated through the follow-up
+    # of 6, do not (6)
     @pytest.mark.parametrize("rule, duration_of", [
         (None, lambda sid, treated: 3.0 if treated else 0.0),
-        (TreatmentRule(duration={1: 1.0, 4: 4.0, 5: 2.0}),
-         lambda sid, treated: {1: 1.0, 4: 4.0, 5: 2.0}.get(sid, 0.0)),
+        *((TreatmentRule(duration=d), lambda sid, treated, d=d: d if treated else 0.0)
+          for d in (2.0, 1.0, 4.0, 5.0, 6.0)),
     ])
     def test_matches_per_subject_product(self, rule, duration_of):
         long = self.long if rule is None else expand_long(self.short, TimeGrid(1.0, 6), rule)
         ll = bernoulli_dichotomized_loglik(self.spec, self.design, self.draws, long,
-                                           float(self.HORIZON), rule=rule)
+                                           float(self.HORIZON))
         assert ll.unit_ids == (1, 2, 4, 5)
         assert ll.tags == ("probability",) * 4
         np.testing.assert_allclose(ll.values, self.expected(duration_of), rtol=1e-12)
 
-    def test_simulated_cohort_of_another_duration_refused(self):
-        long, _ = simulate_scenario(ScenarioConfig(n_subjects=80, seed=3, treatment_duration=2))
-        spec = ModelSpec(family="bernoulli_logit", fixed=("AdjOn", "TimeSinceAdjStopped"))
+    @pytest.mark.parametrize("duration, follow_up", [(1, 10), (2, 10), (3, 10), (4, 10), (5, 5)])
+    def test_simulated_cohort_of_another_duration_scored(self, duration, follow_up):
+        # scored under the default 3-interval rule, every duration but 3 was
+        # refused; the rule is now read from the rows, at every horizon
+        long, short = simulate_scenario(ScenarioConfig(n_subjects=40, seed=3 + duration,
+                                                       treatment_duration=duration,
+                                                       max_follow_up=follow_up))
+        spec = ModelSpec(family="bernoulli_logit",
+                         fixed=("GenderMale", "Time", "AdjOn", "TimeSinceAdjStopped"))
         design = ModelDesign(spec, long.covariates)
-        draws = DrawsMatrix(np.random.default_rng(4).normal(scale=0.5, size=(6, 3)),
+        draws = DrawsMatrix(np.random.default_rng(4).normal(scale=0.3, size=(6, 5)),
                             design.parameter_names)
-        with pytest.raises(LooError, match="'AdjOn'"):
-            loglik_matrix(spec, design, draws, long, mode="dichotomized", horizon=5.0)
-        # scored under the rule that made it, the cohort passes
-        ll = bernoulli_dichotomized_loglik(spec, design, draws, long, 5.0,
-                                           rule=TreatmentRule(duration=2.0))
-        assert ll.n_units > 0
+        for horizon in range(1, follow_up + 1):
+            ll = loglik_matrix(spec, design, draws, long, mode="dichotomized",
+                               horizon=float(horizon))
+            np.testing.assert_allclose(
+                ll.values, self.expected(lambda sid, treated: duration if treated else 0.0,
+                                         short, draws, horizon, "GenderMale"), rtol=1e-12)
+
+    def test_cohort_of_two_durations(self):
+        # rows showing durations 2 and 4 rebuild under the default rule: a model
+        # of AdjOn or TimeSinceAdjStopped is refused, one of statics and Time is
+        # scored as each part is on its own
+        parts = [simulate_scenario(ScenarioConfig(n_subjects=30, seed=seed,
+                                                  treatment_duration=duration))[0]
+                 for seed, duration in ((7, 2), (8, 4))]
+        parts[1] = replace(parts[1], subject_id=parts[1].subject_id + 100)
+        mixed = LongDataset(*(np.concatenate([getattr(p, name) for p in parts])
+                              for name in ("subject_id", "interval_index", "outcome")),
+                            {name: np.concatenate([p.covariates[name] for p in parts])
+                             for name in parts[0].covariates}, parts[0].static_names)
+        preset = models.get_preset("bernoulli-gist")
+        design = ModelDesign(preset, mixed.covariates)
+        draws = DrawsMatrix(np.zeros((2, len(design.parameter_names))), design.parameter_names)
+        with pytest.raises(LooError, match="made under another rule"):
+            loglik_matrix(preset, design, draws, mixed, mode="dichotomized", horizon=5.0)
+        spec = ModelSpec(family="bernoulli_logit", fixed=("GenderMale", "AdjTreatm", "Time"))
+        design = ModelDesign(spec, mixed.covariates)
+        draws = DrawsMatrix(np.random.default_rng(9).normal(scale=0.3, size=(6, 4)),
+                            design.parameter_names)
+        ll = loglik_matrix(spec, design, draws, mixed, mode="dichotomized", horizon=5.0)
+        alone = [loglik_matrix(spec, design, draws, p, mode="dichotomized", horizon=5.0)
+                 for p in parts]
+        assert ll.unit_ids == alone[0].unit_ids + alone[1].unit_ids
+        assert ll.values.tobytes() == np.hstack([a.values for a in alone]).tobytes()
+
+    def test_rule_past_the_longest_treatment_refused(self):
+        # rows of a 6-interval rule whose treated subjects all ended by
+        # interval 4 show no end of treatment: they fix the treated rows
+        # through interval 4 only, so a model of the treatment columns is
+        # scored through it and refused past it
+        short = replace(self.short, time=np.minimum(self.short.time, 4.0))
+        long = expand_long(short, TimeGrid(1.0, 6), TreatmentRule(duration=6))
+        ll = loglik_matrix(self.spec, self.design, self.draws, long, mode="dichotomized",
+                           horizon=4.0)
+        np.testing.assert_allclose(
+            ll.values, self.expected(lambda sid, treated: 6.0 if treated else 0.0, short),
+            rtol=1e-12)
+        with pytest.raises(LooError, match="no row shows the end of treatment and none is on "
+                                           "treatment past interval 4"):
+            loglik_matrix(self.spec, self.design, self.draws, long, mode="dichotomized",
+                          horizon=5.0)
+        # a model of statics and Time, or a cohort with no one treated, is scored
+        spec = ModelSpec(family="bernoulli_logit", fixed=("z", "AdjTreatm", "Time"))
+        design = ModelDesign(spec, long.covariates)
+        draws = DrawsMatrix(self.draws.draws[:, :4], design.parameter_names)
+        assert loglik_matrix(spec, design, draws, long, mode="dichotomized",
+                             horizon=5.0).unit_ids == (1, 4, 5)
+        untreated = replace(short, covariates={**short.covariates,
+                                               "AdjTreatm": np.zeros(short.n)})
+        ll = loglik_matrix(self.spec, self.design, self.draws,
+                           expand_long(untreated, TimeGrid(1.0, 6)), mode="dichotomized",
+                           horizon=5.0)
+        np.testing.assert_allclose(
+            ll.values, self.expected(lambda sid, treated: 0.0, untreated, horizon=5), rtol=1e-12)
+
+    def test_refit_scored_under_the_cohort_rule(self):
+        # subject 10 of a 2-interval cohort was treated and failed at interval
+        # 2: its rows alone show no end of treatment and read the default 3
+        # intervals, so its refit is scored within the whole cohort
+        long, short = simulate_scenario(ScenarioConfig(n_subjects=80, seed=3,
+                                                       treatment_duration=2))
+        spec = ModelSpec(family="bernoulli_logit",
+                         fixed=("GenderMale", "Time", "AdjOn", "TimeSinceAdjStopped"))
+        config = SamplerConfig(n_chains=2, n_warmup=100, n_keep=60, seed=5)
+        refit = exact_refit_loo(spec, long, config, [10], mode="dichotomized", horizon=5.0)
+        # the same draws: the unit's lone fit on the training subset
+        draws = fit(spec, long.subset(long.subject_id != 10),
+                    replace(config, seed=config.seed * 100003 + 1)).draws
+        alone = short.subset(short.subject_id == 10)
+
+        def elpd(duration):
+            col = self.expected(lambda sid, treated: duration if treated else 0.0, alone,
+                                draws, 5, "GenderMale")
+            return float(logsumexp(col) - math.log(col.size))
+
+        assert refit["elpd"][10] == pytest.approx(elpd(2.0), rel=1e-12)
+        assert abs(elpd(2.0) - elpd(3.0)) > 1e-3
 
     def test_time_dependent_covariate_outside_the_rule_refused(self):
         # rows 1..horizon of a covariate that changes within a subject and is
@@ -870,8 +964,9 @@ def lone_refit_elpd(spec, data, config, uid, idx, **scoring):
     """The exact-refit score of one unit from its own fit on the training subset."""
     train = data.subset(data.subject_id != uid)
     res = fit(spec, train, replace(config, seed=config.seed * 100003 + idx + 1))
-    ll = loglik_matrix(spec, ModelDesign(spec, train.covariates), res.draws,
-                       data.subset(data.subject_id == uid), **scoring)
+    # dichotomized, within the whole cohort, whose rows show the treatment rule
+    scored = data if scoring.get("mode") == "dichotomized" else data.subset(data.subject_id == uid)
+    ll = loglik_matrix(spec, ModelDesign(spec, train.covariates), res.draws, scored, **scoring)
     col = ll.values[:, ll.unit_ids.index(uid)]
     return float(logsumexp(col) - math.log(col.size))
 

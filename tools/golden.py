@@ -36,6 +36,11 @@ The workloads cover:
   the Bernoulli preset's raw and dichotomized ``loglik_matrix``, and the
   ``LooError`` of a late subject's row whose ``AdjOn`` contradicts the
   treatment rule;
+* dichotomized Bernoulli scores of cohorts whose rows do not show one
+  treatment duration: a model with fixed ``AdjOn`` and
+  ``TimeSinceAdjStopped`` at horizon 2 on a cohort treated through its
+  two-year follow-up, a cohort mixing durations 2 and 4 scored by a model
+  of statics and ``Time``, and the Bernoulli preset's refusal of that cohort;
 * ``exact_refit_loo`` for the Weibull and Bernoulli presets in raw mode, the
   Weibull preset on data holding all four statuses in raw and interval
   modes (one held-out unit of each status), and the Bernoulli preset in
@@ -365,12 +370,56 @@ def _subject_index():
     on = mixed.covariates["AdjOn"].copy()
     on[row] = 1.0 - on[row]
     altered = replace(mixed, covariates={**mixed.covariates, "AdjOn": on})
+    yield "index.rebuilt_rows", _refusal(lambda: sc.loglik_matrix(
+        bern, design, draws, altered, mode="dichotomized", horizon=HORIZON))
+
+
+def _refusal(call) -> bytes:
+    """The text of the ``LooError`` ``call()`` raises, or null if it returns."""
     try:
-        sc.loglik_matrix(bern, design, draws, altered, mode="dichotomized", horizon=HORIZON)
-        refusal = None
+        call()
     except sc.loo.LooError as err:
-        refusal = str(err)
-    yield "index.rebuilt_rows", _json(refusal)
+        return _json(str(err))
+    return _json(None)
+
+
+def _treatment_rules():
+    """Dichotomized Bernoulli scores of cohorts whose rows show no end of
+    treatment or several treatment durations: a spec with fixed ``AdjOn`` and
+    ``TimeSinceAdjStopped`` at horizon 2 on a cohort treated through its
+    whole two-year follow-up, and a cohort mixing durations 2 and 4 scored
+    by a spec of statics and ``Time``, with the preset's refusal of it."""
+    long, _ = sc.simulate_scenario(sc.ScenarioConfig(n_subjects=60, seed=31, treatment_duration=2,
+                                                     max_follow_up=2))
+    spec = sc.ModelSpec("bernoulli_logit", fixed=("AdjOn", "TimeSinceAdjStopped", "GenderMale"))
+    design = sc.ModelDesign(spec, long.covariates)
+    ll = sc.loglik_matrix(spec, design, sc.fit(spec, long, SAMPLER).draws, long,
+                          mode="dichotomized", horizon=2.0)
+    yield "rules.treated-throughout.loglik", ll.values
+    yield "rules.treated-throughout.unit_ids", _json(list(ll.unit_ids))
+
+    parts = [sc.simulate_scenario(sc.ScenarioConfig(n_subjects=40, seed=seed,
+                                                    treatment_duration=duration))[0]
+             for seed, duration in ((33, 2), (35, 4))]
+    mixed = sc.LongDataset(
+        np.concatenate([parts[0].subject_id, parts[1].subject_id + 1000]),
+        np.concatenate([p.interval_index for p in parts]),
+        np.concatenate([p.outcome for p in parts]),
+        {name: np.concatenate([p.covariates[name] for p in parts])
+         for name in parts[0].covariates},
+        parts[0].static_names, parts[0].time_unit)
+    spec = sc.ModelSpec("bernoulli_logit", fixed=("AdjTreatm", "GenderMale"),
+                        smooths=(sc.SmoothSpec("Time"), sc.SmoothSpec("Size")))
+    design = sc.ModelDesign(spec, mixed.covariates)
+    ll = sc.loglik_matrix(spec, design, sc.fit(spec, mixed, SAMPLER).draws, mixed,
+                          mode="dichotomized", horizon=HORIZON)
+    yield "rules.mixed.statics.loglik", ll.values
+    yield "rules.mixed.statics.unit_ids", _json(list(ll.unit_ids))
+    bern = sc.get_preset("bernoulli-gist")
+    design = sc.ModelDesign(bern, mixed.covariates)
+    draws = sc.fit(bern, mixed, SAMPLER).draws
+    yield "rules.mixed.preset.refusal", _refusal(lambda: sc.loglik_matrix(
+        bern, design, draws, mixed, mode="dichotomized", horizon=HORIZON))
 
 
 def _fit(prefix, res):
@@ -705,7 +754,8 @@ def _settings():
 
 
 def outputs():
-    for workload in (_primitives, _cohort, _layouts, _subject_index, _uncommon_fits, _masked_refits,
+    for workload in (_primitives, _cohort, _layouts, _subject_index, _treatment_rules,
+                     _uncommon_fits, _masked_refits,
                      _checks, _many_blocks, _psis_edge_cases, _log_posterior, _diagnostics,
                      _pipeline, _experiments, _cli, _settings):
         yield from workload()
