@@ -406,16 +406,24 @@ class TreatmentRule:
     for ``duration`` leading intervals (an untreated one for none): it gets
     ``ON_NAME`` = 1 while the interval index is <= duration, and
     ``SINCE_NAME`` = max(0, interval_index - duration).  The interval index
-    itself is emitted under ``TIME_NAME``.
+    itself is emitted under ``TIME_NAME``.  The duration is a whole number
+    of intervals, >= 0: rows made under any other could not be read back
+    as one duration (``of``), so it is a DataError.
     """
 
     duration: float = 3.0
+
+    def __post_init__(self):
+        if not (self.duration >= 0 and float(self.duration).is_integer()):
+            raise DataError("treatment duration must be a whole number of intervals >= 0, "
+                            f"got {self.duration!r}")
 
     @classmethod
     def of(cls, long: LongDataset) -> "TreatmentRule":
         """The rule ``long``'s rows show (``_treatment_shown``): the one duration
         shown, the default if several are, and with none the longest
-        treatment if the default's duration is shorter, else the default."""
+        treatment if the default's duration is shorter, else the default.
+        One duration shown that is not a whole number is a DataError."""
         shown, longest = _treatment_shown(long)
         if shown.size == 1:
             return cls(float(shown[0]))

@@ -633,7 +633,7 @@ def _refit_units(job) -> dict:
     """Refit one sub-batch of ``exact_refit_loo``'s (index, id, design)
     units in one lockstep loop, rerun without each unit whose chain fails,
     and score the units: {index: ("elpd" | "failures", value)}."""
-    from .sampler import PosteriorModel, SamplingError, sample_posterior
+    from .sampler import PosteriorModel, SamplingError, _look_ahead_pays, sample_posterior
 
     spec, data, config, pending, scoring = job
     C = config.n_chains
@@ -643,7 +643,7 @@ def _refit_units(job) -> dict:
         seeds = [(config.seed * 100003 + idx + 1, c) for idx, _, _ in pending for c in range(C)]
         try:
             chains = sample_posterior(post.log_posterior, post.dim, config, seeds,
-                                      post.init_point())[0]
+                                      post.init_point(), _look_ahead_pays(post, C))[0]
             break
         except SamplingError as err:
             failed = pending.pop(err.diagnostics["chain"] // C)[0]

@@ -90,10 +90,12 @@ def _shape(params, check: bool = True) -> np.ndarray:
 class Rate:
     """The rate theta of a family and, for Weibull, the shape alpha and its
     log; log theta is computed on first use.  The score of every status is
-    read off one Rate, so an evaluation computes theta once."""
+    read off one Rate, so an evaluation computes theta once, and log theta
+    at most once: a part of a Rate (``take``) takes its log theta too once
+    that is computed."""
 
-    def __init__(self, theta, shape=None, log_shape=None):
-        self.theta, self.shape, self._log_theta = theta, shape, None
+    def __init__(self, theta, shape=None, log_shape=None, log_theta=None):
+        self.theta, self.shape, self._log_theta = theta, shape, log_theta
         self.log_shape = log_shape if shape is None or log_shape is not None else np.log(shape)
 
     @property
@@ -123,25 +125,32 @@ class Rate:
 
     def take(self, rows) -> "Rate":
         """The rate of the rows ``rows`` of the last axis (shape shared)."""
-        theta = self.theta
-        # take copies an array that is not C-ordered to C order first
-        part = theta.take(rows, axis=-1) if theta.flags.c_contiguous else theta[..., rows]
-        return Rate(part, self.shape, self.log_shape)
+        log_theta = self._log_theta
+        return Rate(_take(self.theta, rows), self.shape, self.log_shape,
+                    None if log_theta is None else _take(log_theta, rows))
+
+
+def _take(a: np.ndarray, rows) -> np.ndarray:
+    """The entries ``rows`` of the last axis of ``a``."""
+    # take copies an array that is not C-ordered to C order first
+    return a.take(rows, axis=-1) if a.flags.c_contiguous else a[..., rows]
 
 
 def in_support(rate: Rate) -> np.ndarray:
     """Mask over the leading axes of the draws whose rate on every row (the
     last axis) and shape are positive and finite: the others' scores raise
-    ModelError or are NaN.  Out-of-range values warn outside np.errstate."""
-    ok = ((rate.theta > 0) & np.isfinite(rate.theta)).all(axis=-1)
+    ModelError or are NaN.  Tested as a finite log, which is also the log
+    theta the scores take their parts of.  Out-of-range values warn outside
+    np.errstate."""
+    ok = np.isfinite(rate.log_theta).all(axis=-1)
     if rate.shape is not None:
-        ok &= ((rate.shape > 0) & np.isfinite(rate.shape)).all(axis=-1)
+        ok &= np.isfinite(rate.log_shape).all(axis=-1)
     return ok
 
 
 # the score of each status, written once for the family functions below and
 # the kernel (``group_log_scores``): a Rate and fixed time terms, t and log t
-# (for survival, -inf at t = 0, and the mask t > 0)
+# (for survival, -inf at t = 0, and the mask t > 0, None where every t is)
 
 
 def _event_terms(t) -> tuple:
@@ -155,8 +164,10 @@ def _survival_terms(t) -> tuple:
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ModelError("times must be non-negative")
+    positive = t > 0
     with np.errstate(divide="ignore"):
-        return t, np.where(t > 0, np.log(np.maximum(t, 1e-300)), -np.inf), t > 0
+        log_t = np.where(positive, np.log(np.maximum(t, 1e-300)), -np.inf)
+    return t, log_t, None if positive.all() else positive
 
 
 def _interval_terms(a, b) -> tuple:
@@ -177,7 +188,8 @@ def _event_score(family: str, r: Rate, t, log_t) -> np.ndarray:
 def _survival_score(family: str, r: Rate, t, log_t, positive) -> np.ndarray:
     if family == "exponential":
         return -r.theta * t
-    return -np.where(positive, np.exp(r.shape * (r.log_theta + log_t)), 0.0)
+    h = np.exp(r.shape * (r.log_theta + log_t))  # the cumulative hazard, 0 at t = 0
+    return -(h if positive is None else np.where(positive, h, 0.0))
 
 
 def _left_score(family: str, r: Rate, *terms) -> np.ndarray:
@@ -269,8 +281,9 @@ class ScoreGroup:
     """Rows of a short-format dataset that take the score of status ``kind``.
 
     ``terms`` holds the fixed time terms of each argument of that score,
-    computed and checked once: (t, log t) of event times, (t, log t, t > 0)
-    of censor times, or those of the (a, b) bounds of an interval score.
+    computed and checked once: (t, log t) of event times, (t, log t, the
+    mask t > 0 or None where every t is) of censor times, or those of the
+    (a, b) bounds of an interval score.
     """
 
     kind: str
@@ -317,6 +330,8 @@ def group_log_scores(family: str, groups, rate: Rate) -> list[np.ndarray]:
     the family function's.  Call it under np.errstate: a left- or
     interval-censored score of probability 0 divides by zero.
     """
+    if family == "weibull_aft":
+        rate.log_theta  # every Weibull score reads it: one log over all rows, a take per group
     return [_LOG_SCORE[g.kind][0](family, rate.take(g.rows), *g.terms) for g in groups]
 
 
@@ -331,19 +346,20 @@ def _row_blocks(shape) -> list:
 
 
 def bernoulli_log_score(z, p) -> np.ndarray:
-    """Row log score z log p + (1 - z) log(1 - p) of binary outcomes z, in an
+    """Row log score z log p + (1 - z) log(1 - p) of 0/1 outcomes z, in an
     array of p's shape (z broadcasts to it), computed in place one block of
-    rows at a time: temporaries are bounded to one block, values bitwise."""
-    z = np.asarray(z)
-    rowwise = z.ndim == p.ndim > 0 and z.shape[0] > 1
+    rows at a time: temporaries are bounded to one block, values bitwise.
+
+    It is log(1 - p) where z is 0 and log p where z is 1, each log taken
+    only there: with p inside (0, 1) both logs are finite, so the term the
+    sum drops adds a signed zero and changes no bit."""
+    event = np.asarray(z) != 0
+    rowwise = event.ndim == p.ndim > 0 and event.shape[0] > 1
     out = np.empty_like(p)
     for rows in _row_blocks(p.shape):
-        zb, o = z[rows] if rowwise else z, out[rows]
-        np.log1p(-p[rows], out=o)
-        o *= 1.0 - zb
-        log_p = np.log(p[rows])
-        log_p *= zb
-        o += log_p
+        o, pb = out[rows], p[rows]
+        np.log1p(np.negative(pb, out=o), out=o)
+        np.log(pb, out=o, where=event[rows] if rowwise else event)
     return out
 
 
@@ -409,18 +425,22 @@ class Prior:
             return -0.5 * z * z - math.log(scale) - 0.5 * math.log(2 * math.pi)
         if self.kind == "student_t":
             df, loc, scale = self.params
-            return _t_log_pdf(x, df, loc, scale, self._t_log_norm)
+            return _t_log_pdf(x, df, loc, scale, self._log_norm)
         if self.kind == "half_student_t":
             df, scale = self.params
-            out = _t_log_pdf(x, df, 0.0, scale, self._t_log_norm) + math.log(2.0)
+            out = _t_log_pdf(x, df, 0.0, scale, self._log_norm) + math.log(2.0)
             return np.where(x >= 0, out, -np.inf)
         shape, rate = self.params
-        out = shape * math.log(rate) - gammaln(shape) + (shape - 1.0) * np.log(x) - rate * x
+        out = self._log_norm + (shape - 1.0) * np.log(x) - rate * x
         return np.where(x > 0, out, -np.inf)
 
     @functools.cached_property
-    def _t_log_norm(self) -> float:
-        """Log normalising constant of a Student-t prior, computed once."""
+    def _log_norm(self) -> float:
+        """Log normalising constant of a Student-t or gamma prior (its log
+        Gamma terms are a scipy call each), computed once."""
+        if self.kind == "gamma":
+            shape, rate = self.params
+            return float(shape * math.log(rate) - gammaln(shape))
         df, scale = self.params[0], self.params[-1]
         return float(gammaln((df + 1.0) / 2.0) - gammaln(df / 2.0)
                      - 0.5 * math.log(df * math.pi) - math.log(scale))

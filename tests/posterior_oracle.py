@@ -3,7 +3,8 @@
 These are the bodies ``sampler.PosteriorModel`` had before its evaluation
 was made one pass (one rate per evaluation, batched products, one prior
 density call per prior), kept verbatim with the family functions, score
-groups and prior densities they called.  The model's batched methods must
+groups, prior densities and Bernoulli log score they called (only
+``logistic`` is the module's).  The model's batched methods must
 match them bit for bit.  Each function takes the bound ``PosteriorModel``
 (for its spec, data, designs and held-out units) and an (..., dim) array.
 """
@@ -24,7 +25,7 @@ from survcheck.data import (
     STATUSES,
     LongDataset,
 )
-from survcheck.models import ModelError, bernoulli_log_score, logistic
+from survcheck.models import ModelError, logistic
 
 
 # -- family functions ---------------------------------------------------------
@@ -132,6 +133,12 @@ def group_log_scores(family: str, groups, params) -> list[np.ndarray]:
         times = [t[:, None] for t in times] if mean.ndim == 2 else times
         out.append(_LOG_SCORE[kind](family, {**params, "mean": mean[rows]}, *times))
     return out
+
+
+def bernoulli_log_score(z, p) -> np.ndarray:
+    """``models.bernoulli_log_score`` as it was: both logs at every entry."""
+    z = np.asarray(z)
+    return np.log1p(-p) * (1.0 - z) + np.log(p) * z
 
 
 # -- priors ----------------------------------------------------------------------

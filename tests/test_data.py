@@ -358,6 +358,23 @@ class TestRuleFromRows:
         # no treatment columns at all read as zeros: the default
         assert TreatmentRule.of(LongDataset([1, 1], [1, 2], [0, 1])) == TreatmentRule()
 
+    @pytest.mark.parametrize("duration", [1.7, 2.5, -1.0, np.nan, np.inf])
+    def test_duration_not_a_whole_number_refused(self, duration):
+        # rows made under 1.7 would read back as several durations, then the default
+        with pytest.raises(DataError, match="whole number"):
+            TreatmentRule(duration=duration)
+
+    def test_rows_showing_one_duration_not_a_whole_number_refused(self):
+        long = expand_long(make_dataset([6.0], ["event"], covariates={"AdjTreatm": [1.0]}),
+                           TimeGrid(1.0, 6), TreatmentRule(duration=2.0))
+        # rows from elsewhere: TimeSinceAdjStopped half an interval short
+        since = long.covariates["TimeSinceAdjStopped"]
+        shifted = replace(long, covariates={**long.covariates,
+                                            "TimeSinceAdjStopped": np.where(since > 0, since + 0.5,
+                                                                            0.0)})
+        with pytest.raises(DataError, match="got 1.5"):
+            TreatmentRule.of(shifted)
+
 class TestRescale:
     def test_days_to_months(self):
         ds = make_dataset([60.0], ["event"], entries=[0.0])

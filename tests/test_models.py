@@ -42,6 +42,7 @@ from survcheck.models import (
     subject_params,
 )
 
+import posterior_oracle
 from pointwise_oracle import Record, log_interval_prob, log_lik_point
 
 
@@ -239,6 +240,26 @@ class TestLogLikPoint:
         with pytest.raises(ModelError):
             log_density("exponential", {"mean": 1.0}, -1.0)
 
+    @pytest.mark.parametrize("family", ["exponential", "weibull_aft"])
+    def test_right_censored_group_at_zero(self, family):
+        # a t = 0 row keeps the mask of the survival score; a group without one has none
+        rng = np.random.default_rng(15)
+        for times in ([0.0, 0.7, 2.5, 0.0, 4.0], [0.3, 0.7, 2.5]):
+            n = len(times)
+            data = SurvivalDataset(np.arange(1, n + 1), np.zeros(n), times,
+                                   np.full(n, "right_censored", dtype=object), {})
+            (group,) = models.score_groups(data)
+            assert (group.terms[2] is None) == (min(times) > 0)
+            params = {"mean": np.exp(rng.normal(size=(3, n)))}
+            if family == "weibull_aft":
+                params["shape"] = np.exp(rng.normal(size=(3, 1)))
+            got = models.group_log_scores(family, (group,), models.Rate.of(family, params))[0]
+            want = posterior_oracle.log_survival(family, params, np.asarray(times))
+            assert got.tobytes() == want.tobytes()
+            for i, t in enumerate(times):
+                one = {k: v[0, i if k == "mean" else 0] for k, v in params.items()}
+                assert log_lik_point(family, one, record(t, "right_censored"))[0] == got[0, i]
+
     def test_rate_key_refused(self):
         for family, params in (("exponential", {"rate": 1.0}),
                                ("weibull_aft", {"shape": 1.5, "rate": 1.0})):
@@ -323,6 +344,21 @@ class TestBernoulliProb:
         for zz, pp in ((z[:, 0], p[:, 0]), (z, p)):
             expected = zz * np.log(pp) + (1.0 - zz) * np.log1p(-pp)
             assert bernoulli_log_score(zz, pp).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("bounds", [(1e-15, 1 - 1e-15), (1e-300, 1 - 1e-16)],
+                             ids=["logistic-clamp", "dichotomized-clip"])
+    def test_log_score_at_the_clamp_bounds(self, bounds):
+        # each log is taken only where its outcome is, even at a bound
+        rng = np.random.default_rng(16)
+        p = rng.choice([*bounds, 0.5, 0.01], size=(6, 40))
+        p[:2] = bounds[0]
+        p[2:4] = bounds[1]
+        z = (rng.random(40) < 0.5).astype(float)
+        z[:2] = [0.0, 1.0]
+        for zz, pp in ((z, p), (z[:6, None], p)):
+            got = bernoulli_log_score(zz, pp)
+            assert got.tobytes() == posterior_oracle.bernoulli_log_score(zz, pp).tobytes()
+            assert np.isfinite(got).all()
 
     @staticmethod
     def one_and_blocked(monkeypatch, score):

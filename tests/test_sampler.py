@@ -22,6 +22,7 @@ from survcheck.models import (
     student_t,
 )
 from survcheck.sampler import (
+    INIT_JITTER,
     FitResult,
     PosteriorModel,
     SamplerConfig,
@@ -254,6 +255,26 @@ class TestBitwiseAgainstOracle:
                 assert np.float64(one).tobytes() == np.float64(
                     getattr(posterior_oracle, method)(post, x[-1])).tobytes()
 
+    @pytest.mark.parametrize("held_out", [False, True])
+    @pytest.mark.parametrize("name", sorted(ORACLE_SPECS))
+    def test_rows_independent_of_batch_size(self, name, held_out):
+        # 1, C and 3C rows per member, as the sampler calls it with C = 4
+        post = oracle_posterior(name, held_out)
+        B, C = len(post.designs), 4
+        rng = np.random.default_rng(sorted(ORACLE_SPECS).index(name))
+        x = post.init_point() + rng.standard_normal((B, 3 * C, post.dim))
+        for i, value in enumerate(ORACLE_SPECIAL):
+            x[i % B, (5 * i) % (3 * C), (3 * i) % post.dim] = value
+        for method in ("log_prior", "log_likelihood", "log_posterior"):
+            whole = getattr(post, method)(x.reshape(-1, post.dim)).reshape(B, 3 * C)
+            want = getattr(posterior_oracle, method)(post, x.reshape(-1, post.dim))
+            assert whole.tobytes() == want.tobytes(), method
+            for rows in (slice(0, C), slice(C, 2 * C), slice(2 * C, 3 * C)):
+                part = getattr(post, method)(x[:, rows].reshape(-1, post.dim))
+                assert part.tobytes() == whole[:, rows].tobytes(), method
+            for j in range(3 * C):
+                assert getattr(post, method)(x[:, j]).tobytes() == whole[:, j].tobytes(), method
+
     @pytest.mark.parametrize("prior", [normal(1.0, 3.0), student_t(4, 0.5, 1.5),
                                        half_student_t(3, 2.0), gamma(2.0, 1.5),
                                        gamma(0.01, 0.01)], ids=lambda p: p.kind)
@@ -354,12 +375,15 @@ class TestInvalidData:
 
 
 def gaussian_target(dim, seed, scale):
-    """A correlated normal log density with ``scale`` times the proposal's spread."""
+    """A correlated normal log density with ``scale`` times the proposal's
+    spread.  Each row is multiplied by the root on its own (``x @ root``
+    would be one matrix product over the batch, summing in an order that
+    depends on the batch size), so a row's value is bitwise its value alone."""
     rng = np.random.default_rng(seed)
     root = (np.eye(dim) + 0.4 * np.tril(rng.standard_normal((dim, dim)), -1)) / scale
 
     def log_prob(x):
-        return -0.5 * np.sum((x @ root) ** 2, axis=1)
+        return -0.5 * np.sum(np.matmul(x[:, None, :], root)[:, 0] ** 2, axis=1)
     return log_prob
 
 
@@ -375,26 +399,44 @@ def half_space_target(dim, seed, scale, edge):
     return log_prob
 
 
-def sticky_target(dim, seed, scale, chains, after):
-    """Normal, but the named chains' proposals are -inf after ``after``
-    calls: a full window without acceptances, the other SamplingError."""
+def starts(dim, seeds):
+    """The chains' jittered initial points from ``sampler_outcome``'s init."""
+    return np.linspace(-0.2, 0.2, dim) + INIT_JITTER * np.stack(
+        [np.random.default_rng(seed).standard_normal(dim) for seed in seeds])
+
+
+def sticky_target(dim, seed, scale, start, chains, trap):
+    """``gaussian_target``, but the named chains are stuck by their position,
+    a function of each evaluated row alone.  A named chain's log density is
+    -inf everywhere but at its ``start`` and past x[0] = start[0] + ``trap``,
+    where it is +inf: the proposal that gets there is the last it accepts,
+    since every later difference is -inf or NaN.  With trap inf it never
+    leaves its start: the SamplingError of a full window without
+    acceptances at the first full warmup window.  With trap 0 its first move
+    (within the first window) traps it: the error at the second full warmup
+    window (n_warmup 250), none with shorter warmups.  The chain of row r is
+    r // (len(x) // len(start)), in a (C, dim) batch or a chain-major one of
+    several rows per chain."""
     base = gaussian_target(dim, seed, scale)
-    calls = []
 
     def log_prob(x):
-        calls.append(None)
         lp = base(x)
-        if len(calls) > after:
-            lp[chains] = -np.inf
+        chain = np.arange(len(x)) // (len(x) // len(start))
+        named, at = np.isin(chain, chains), start[chain]
+        lp[named & (x != at).any(axis=1)] = -np.inf
+        lp[named & (x[:, 0] > at[:, 0] + trap)] = np.inf
         return lp
     return log_prob
 
 
-def sampler_outcome(sampler, make_target, dim, config, seeds):
-    """Everything ``sampler`` returns, or its SamplingError, as comparable bytes."""
+def sampler_outcome(sampler, make_target, dim, config, seeds, **options):
+    """Everything ``sampler`` returns, or its SamplingError, as comparable bytes.
+    A trapped chain of ``sticky_target`` subtracts +inf from +inf: NaN, a
+    rejection, which numpy would warn about."""
     try:
-        keep, lp_keep, rates, logs = sampler(make_target(), dim, config, seeds,
-                                             init=np.linspace(-0.2, 0.2, dim))
+        with np.errstate(invalid="ignore"):
+            keep, lp_keep, rates, logs = sampler(make_target(), dim, config, seeds,
+                                                 init=np.linspace(-0.2, 0.2, dim), **options)
     except SamplingError as err:
         return ("SamplingError", str(err), repr(err.diagnostics))
     return (keep.shape, keep.tobytes(), lp_keep.tobytes(), rates.tobytes(),
@@ -427,16 +469,101 @@ class TestWindowedSamplerAgainstOracle:
                 return half_space_target(dim, seed, scale, edge)
         else:
             chains = data.draw(st.sets(st.integers(0, n_chains - 1), min_size=1), label="chains")
-            after = data.draw(st.sampled_from([1, 60, 130]), label="after")
+            trap = data.draw(st.sampled_from([0.0, np.inf]), label="trap")
 
             def make_target():
-                return sticky_target(dim, seed, scale, sorted(chains), after)
+                return sticky_target(dim, seed, scale, starts(dim, seeds), sorted(chains), trap)
         config = SamplerConfig(n_chains=n_chains, n_warmup=n_warmup, n_keep=n_keep, seed=seed)
         seeds = [(seed, c) for c in range(n_chains)]
         got = sampler_outcome(sample_posterior, make_target, dim, config, seeds)
         want = sampler_outcome(sampler_oracle.sample_posterior, make_target, dim, config, seeds)
         assert got[0] == want[0]
         assert got == want
+
+
+@lru_cache(maxsize=None)
+def held_out_posterior(name, n_members):
+    """A ``BATCH_SPECS`` model on 40 subjects, batched over ``n_members``
+    held-out subjects (each status, for the short form)."""
+    long, short = simulate_scenario(ScenarioConfig(n_subjects=40, seed=6))
+    spec = BATCH_SPECS[name]
+    data = long if spec.family == "bernoulli_logit" else all_statuses(short)
+    return PosteriorModel(spec, data, [int(u) for u in short.subject_id[:n_members]])
+
+
+class TestLookAhead:
+    """Looking two steps ahead (one call on a chain-major (3C, dim) batch per
+    two steps) changes no output bit."""
+
+    # 12 cases of 8 examples, each two sampler runs of at most 250 + 101
+    # iterations on at most 24 chains: a few seconds; no deadline
+    @pytest.mark.parametrize("n_chains", [1, 4, 8])
+    @pytest.mark.parametrize("kind", ["gaussian", "half-space", "sticky", "held-out"])
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_byte_equal_with_and_without(self, kind, n_chains, data):
+        # warmup and kept lengths that end mid window, on an odd step among them
+        n_warmup = data.draw(st.sampled_from([1, 2, 99, 100, 101, 250]), label="n_warmup")
+        n_keep = data.draw(st.sampled_from([1, 2, 99, 101]), label="n_keep")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        scale = data.draw(st.sampled_from([0.01, 1.0, 30.0]), label="scale")
+        dim = data.draw(st.integers(1, 20), label="dim")
+        members = 1
+        if kind == "held-out":  # B members, each n_chains chains, member-major
+            name = data.draw(st.sampled_from(sorted(BATCH_SPECS)), label="model")
+            members = data.draw(st.integers(1, 3), label="members")
+            post = held_out_posterior(name, members)
+            dim = post.dim
+
+            def make_target():
+                return post.log_posterior
+        elif kind == "gaussian":
+            def make_target():
+                return gaussian_target(dim, seed, scale)
+        elif kind == "half-space":  # -inf beyond the edge, NaN far beyond
+            edge = data.draw(st.sampled_from([-0.1, 0.05, 1.0, 10.0]), label="edge")
+
+            def make_target():
+                return half_space_target(dim, seed, scale, edge)
+        else:
+            chains = data.draw(st.sets(st.integers(0, n_chains - 1), min_size=1), label="chains")
+            trap = data.draw(st.sampled_from([0.0, np.inf]), label="trap")
+
+            def make_target():
+                return sticky_target(dim, seed, scale, starts(dim, seeds), sorted(chains), trap)
+        config = SamplerConfig(n_chains=n_chains, n_warmup=n_warmup, n_keep=n_keep, seed=seed)
+        seeds = [(seed, b, c) for b in range(members) for c in range(n_chains)]
+        ahead = sampler_outcome(sample_posterior, make_target, dim, config, seeds, look_ahead=True)
+        step = sampler_outcome(sample_posterior, make_target, dim, config, seeds, look_ahead=False)
+        assert ahead == step
+
+    def test_fit_looks_ahead_below_the_constant(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        data = exp_dataset(rng, n=40)
+        spec = ModelSpec(family="exponential")
+        cfg = SamplerConfig(n_chains=3, n_warmup=150, n_keep=51, seed=5)
+        log_posterior = PosteriorModel.log_posterior
+        batches = []
+
+        def counted(self, x):
+            batches.append(len(x))
+            return log_posterior(self, x)
+
+        monkeypatch.setattr(PosteriorModel, "log_posterior", counted)
+        work = cfg.n_chains * data.n * 1  # batch rows x design rows x coefficients
+        runs = []
+        for bound in (work + 1, work):  # the work below the constant, then at it
+            monkeypatch.setattr("survcheck.sampler.LOOK_AHEAD_MAX_WORK", bound)
+            batches.clear()
+            runs.append((fit(spec, data, cfg), list(batches)))
+        (ahead, ahead_calls), (alone, alone_calls) = runs
+        # windows of 100, 50 and 51 steps: the last step of the third alone
+        assert ahead_calls == [3] + [9] * 100 + [3]
+        assert alone_calls == [3] * 202
+        for a, b in ((ahead.draws.draws, alone.draws.draws), (ahead.log_post, alone.log_post),
+                     (ahead.accept_rate, alone.accept_rate)):
+            assert a.tobytes() == b.tobytes()
+        assert (ahead.rhat, ahead.ess) == (alone.rhat, alone.ess)
 
 
 class TestDetailedBalance:

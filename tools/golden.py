@@ -19,10 +19,11 @@ The workloads cover:
   covariates, at every knot, 1e-9 either side of it, outside the knots
   and at ``-0.0``;
 * fits the presets never reach: a Weibull fit with hierarchical smooths on
-  data holding all four statuses, a one-chain fit, and fits whose warmup
-  and kept lengths (150 / 70 and 1 / 30) end mid adaptation window.  Every
-  fit saves its draws, log posterior, acceptance rates and adaptation
-  record;
+  data holding all four statuses, a one-chain fit, fits whose warmup
+  and kept lengths (150 / 70 and 1 / 30) end mid adaptation window, and a
+  Weibull fit on 2000 subjects, whose log-posterior calls are too large for
+  the sampler to look ahead (``sampler.LOOK_AHEAD_MAX_WORK``).  Every fit
+  saves its draws, log posterior, acceptance rates and adaptation record;
 * ``loglik_matrix`` for every family and scoring mode, with PSIS (log
   weights, k-hat, ESS, degenerate flags) and elpd of each matrix.  A
   Bernoulli model is scored on its subjects (``group_long_by_subject``),
@@ -47,7 +48,9 @@ The workloads cover:
   dichotomized mode on five held-out subjects, the Weibull preset with
   8 chains per held-out unit, and the Weibull preset on 5 and on 7 held-out
   units, more units than a machine has CPUs, so that a split of the units
-  into sub-batches is uneven;
+  into sub-batches is uneven, and the exponential preset on 3 held-out
+  units with odd warmup and kept lengths (151 / 77), so that windows end on
+  a step the sampler takes alone;
 * the predictive checks on the Weibull and Bernoulli fits: ``km_overlay``
   with imputed replicates, ``intervals_data``, ``pit_ecdf_check``,
   ``calibration_check`` on horizon predictions and on Bernoulli rows, and
@@ -325,6 +328,8 @@ def _masked_refits():
                        ids[10:15])
     yield from _refits("refit.weibull-gist.7-units", sc.get_preset("weibull-gist"), short,
                        ids[20:48:4])
+    yield from _refits("refit.exponential-gist.151-77", sc.get_preset("exponential-gist"), short,
+                       ids[30:33], replace(REFIT_SAMPLER, n_warmup=151, n_keep=77))
 
 
 def _subject_index():
@@ -462,6 +467,12 @@ def _uncommon_fits():
         yield from _fit(f"fit.{name}.{n_warmup}-{n_keep}",
                         sc.fit(sc.get_preset(name), short,
                                replace(SAMPLER, n_warmup=n_warmup, n_keep=n_keep, seed=8)))
+    # 4 chains x 2000 rows x 31 coefficients per call: no look-ahead
+    _, large = sc.simulate_scenario(sc.ScenarioConfig(n_subjects=2000, seed=37))
+    large, _ = sc.scale_covariates(large, ("Size", "AgeAtSurg", "MitHPF"))
+    yield from _fit("fit.weibull-gist.2000-subjects",
+                    sc.fit(sc.get_preset("weibull-gist"), large,
+                           replace(SAMPLER, n_chains=4, n_warmup=150, n_keep=70, seed=12)))
 
 
 def _series(prefix, series):
