@@ -118,12 +118,13 @@ class CalibrationCurve:
 # Kaplan-Meier
 
 
-def km_estimate(data: SurvivalDataset, honor_entry: bool = True) -> StepFunction:
+def km_estimate(data: SurvivalDataset) -> StepFunction:
     """Product-limit survival estimator.
 
-    With ``honor_entry`` a subject joins the risk set only after its entry
-    time (entry < t <= time); without it every subject with time >= t is
-    counted, which overestimates early survival when entries are delayed.
+    A subject joins the risk set only after its entry time (entry < t <=
+    time).  Counting every subject with time >= t, which overestimates early
+    survival when entries are delayed, is the estimate of the same data with
+    every entry at 0.
     """
     if data.n == 0:
         raise CheckError("empty dataset")
@@ -134,9 +135,7 @@ def km_estimate(data: SurvivalDataset, honor_entry: bool = True) -> StepFunction
     surv = 1.0
     values = np.empty(event_times.size)
     for j, t in enumerate(event_times):
-        at_risk = data.time >= t
-        if honor_entry:
-            at_risk &= data.entry_time < t
+        at_risk = (data.time >= t) & (data.entry_time < t)
         n_i = int(np.count_nonzero(at_risk))
         d_i = int(np.count_nonzero(is_event & (data.time == t)))
         if n_i > 0:

@@ -502,9 +502,15 @@ def to_short_form(long: LongDataset) -> SurvivalDataset:
     a static ``TREATMENT_NAME`` column included.  Long data without one get
     it derived as a binary covariate: any interval with ``ON_NAME`` active.
     """
+    return _short_form(long)[0]
+
+
+def _short_form(long: LongDataset) -> tuple:
+    """(``to_short_form`` of ``long``, the ``_by_subject`` index of its rows
+    in interval order that the collapse read)."""
     if long.n_rows == 0:
         raise DataError("long data have no rows")
-    _, order, starts = _by_subject(long.subject_id, long.interval_index)
+    index = _, order, starts = _by_subject(long.subject_id, long.interval_index)
     _refuse(_long_report(long, order, starts), "long dataset")
     firsts, lasts = order[starts], order[np.append(starts[1:], long.n_rows) - 1]
     covs = {name: long.covariates[name][firsts] for name in long.static_names}
@@ -518,7 +524,7 @@ def to_short_form(long: LongDataset) -> SurvivalDataset:
         status=np.where(long.outcome[lasts] == 1, EVENT, RIGHT_CENSORED).astype(object),
         covariates=covs,
         time_unit=long.time_unit,
-    )
+    ), index
 
 
 def rescale_time(data: SurvivalDataset, c: float, time_unit: str | None = None) -> SurvivalDataset:

@@ -47,7 +47,7 @@ from .models import (
     preset_weibull_gist,
     subject_params,
 )
-from .sampler import FitResult, SamplerConfig, SamplerConfigError, _run_jobs, diagnose, fit
+from .sampler import SamplerConfig, SamplerConfigError, _run_jobs, diagnose, fit
 from .series import PlotSeries
 from .simulate import ScenarioConfig, simulate_scenario
 
@@ -103,7 +103,7 @@ def timescale_experiment(
     sampler = sampler or SamplerConfig(n_warmup=800, n_keep=500, seed=seed)
     spec_w = ModelSpec(family="weibull_aft", fixed=("x",), name="weibull")
     spec_e = ModelSpec(family="exponential", fixed=("x",), name="exponential")
-    fit_w, fit_e = _run_jobs(_fit_job, [(spec_w, data, sampler), (spec_e, data, sampler)])
+    fit_w, fit_e = _run_jobs(fit, [(spec_w, data, sampler), (spec_e, data, sampler)])
     design, design_e = fit_w.design, fit_e.design
 
     scaled = rescale_time(data, factor, time_unit="months")
@@ -199,8 +199,8 @@ def hazard_curves_experiment(
     results = {"scenario": scenario.to_dict(), "sampler": asdict(sampler),
                "patient": dict(EXAMPLE_PATIENT), "curves": {}, "diagnostics": {}}
 
-    *fits, res_b = _run_jobs(_fit_job, [*((spec, short_scaled, sampler) for spec in specs),
-                                        (bern, long_scaled, sampler)])
+    *fits, res_b = _run_jobs(fit, [*((spec, short_scaled, sampler) for spec in specs),
+                                   (bern, long_scaled, sampler)])
     t_grid = np.linspace(0.25, float(scenario.max_follow_up), 40)
     for spec, res in zip(specs, fits):
         results["diagnostics"][spec.name] = diagnose(res)
@@ -254,11 +254,6 @@ def _case_study(scenario: ScenarioConfig) -> tuple:
              preset_weibull_gist(extra_fixed=("AdjTreatm",)))
     return (short_scaled, apply_scaling(long, record), record, specs,
             get_preset("bernoulli-gist"))
-
-
-def _fit_job(job) -> FitResult:
-    """``fit(spec, data, sampler)`` of a (spec, data, sampler) job."""
-    return fit(*job)
 
 
 def curves_to_series(curves: dict) -> list[PlotSeries]:
@@ -332,6 +327,8 @@ class PipelineConfig:
     seed: int | None = None
 
     def __post_init__(self):
+        if not (math.isfinite(self.horizon) and self.horizon > 0):
+            raise DataError(f"horizon must be finite and > 0, got {self.horizon!r}")
         if self.seed is not None:
             require_counts(self, DataError, (), ("seed",))
 
@@ -339,10 +336,11 @@ class PipelineConfig:
 def run_pipeline(config: dict) -> dict:
     """One-command case-study reproduction; returns a results dict.
 
-    Config keys (all optional): scenario {...}, sampler {...}, horizon,
-    seed; anything else is a DataError.  The pipeline simulates the cohort,
-    fits the three models, runs the recommended checks for each, and
-    compares them on the probability scale (interval mode) plus the
+    Config keys (all optional): scenario {...}, sampler {...}, horizon
+    (finite and > 0), seed; anything else is a DataError.  Every setting is
+    checked before anything is simulated.  The pipeline simulates the
+    cohort, fits the three models, runs the recommended checks for each,
+    and compares them on the probability scale (interval mode) plus the
     dichotomized task for the continuous pair.
 
     The three models are fitted and scored by PSIS-LOO at once, each in a
@@ -396,22 +394,19 @@ def run_pipeline(config: dict) -> dict:
     return out
 
 
-def _pipeline_job(job) -> tuple:
+def _pipeline_job(spec: ModelSpec, data, sampler: SamplerConfig, grid, horizon) -> tuple:
     """Fit one of ``run_pipeline``'s models: (fit, PSIS-LOO reports,
     posterior-mean row probabilities).  A continuous model's reports are in
-    interval mode and, with a ``horizon``, dichotomized, and it has no row
+    interval mode and dichotomized at ``horizon``, and it has no row
     probabilities (None).  A Bernoulli model's one interval-mode report and
     its (n_rows,) posterior means come from one draws x rows matrix of row
     probabilities."""
-    spec, data, sampler, grid, horizon = job
     res = fit(spec, data, sampler)
     if spec.family == "bernoulli_logit":
         p = subject_params(spec, res.design, res.draws, data.covariates, n_rows=data.n_rows)["p"]
         loglik, p_mean = _bernoulli_loglik(data, p), p.mean(axis=1)
         del p  # freed before PSIS
         return res, [elpd_loo(loglik, name=spec.name)], p_mean
-    scoring = [{"mode": "interval", "grid": grid}]
-    if horizon is not None:
-        scoring.append({"mode": "dichotomized", "horizon": horizon})
+    scoring = ({"mode": "interval", "grid": grid}, {"mode": "dichotomized", "horizon": horizon})
     return res, [elpd_loo(loglik_matrix(spec, res.design, res.draws, data, **kw),
                           name=spec.name) for kw in scoring], None

@@ -36,9 +36,9 @@ from .data import (
     TimeGrid,
     TreatmentRule,
     _by_subject,
+    _short_form,
     _treatment_shown,
     _write_csv,
-    to_short_form,
 )
 from .models import (
     DENSITY,
@@ -287,12 +287,12 @@ def bernoulli_dichotomized_loglik(
     if abs(horizon - k_max) > 1e-9 or k_max < 1:
         raise LooError("the discrete-time horizon must be a positive whole "
                        "number of intervals")
-    short = to_short_form(long)
+    short, (rank, _, _) = _short_form(long)
     z, keep, _excluded = dichotomize_outcomes(short, float(k_max))
     n_keep = len(keep)
     rows = TreatmentRule.of(long).rows({name: col[keep] for name, col in short.covariates.items()},
                                        k_max)
-    _check_rebuilt_rows(spec, long, keep, k_max, rows)
+    _check_rebuilt_rows(spec, long, rank, keep, k_max, rows)
     blocks = {name: col.reshape(n_keep, k_max) for name, col in rows.items()}
     beta = design.coefficients(draws)
     vals = np.empty((n_keep, len(beta)))
@@ -306,19 +306,18 @@ def bernoulli_dichotomized_loglik(
     return LogLikMatrix(vals.T, (PROBABILITY,) * len(keep), ids, long.time_unit)
 
 
-def _check_rebuilt_rows(spec: ModelSpec, long: LongDataset, keep, k_max: int,
+def _check_rebuilt_rows(spec: ModelSpec, long: LongDataset, rank, keep, k_max: int,
                         rebuilt) -> None:
     """Raise a LooError naming every model covariate ``rebuilt`` (rows 1..k_max
     of each subject, in ``keep`` order) lacks, or else the first in which an
-    observed row of the subjects numbered ``keep`` (by first appearance), up
-    to interval ``k_max``, differs from its row in ``rebuilt``, or where those
-    show no end of treatment and a treated subject's rows pass their longest."""
+    observed row of the subjects numbered ``keep`` (``rank``), up to interval
+    ``k_max``, differs from its row in ``rebuilt``, or where those show no
+    end of treatment and a treated subject's rows pass their longest."""
     used = set(spec.fixed) | {sm.name for sm in spec.smooths}
     if used - set(rebuilt):
         raise LooError(f"covariates {sorted(used - set(rebuilt))} of the model are neither static"
                        " nor made by the treatment rule: their rows cannot be rebuilt")
-    rank, _, starts = _by_subject(long.subject_id)
-    slot = np.full(starts.size, -1)
+    slot = np.full(rank.max() + 1, -1)
     slot[keep] = np.arange(len(keep))  # each kept subject's block in ``rebuilt``
     observed = (slot[rank] >= 0) & (long.interval_index <= k_max)
     at = slot[rank[observed]] * k_max + long.interval_index[observed] - 1
@@ -590,14 +589,15 @@ def exact_refit_loo(
     LooError after it.  Returns {unit_id: elpd} plus per-unit failures.
 
     The refits run as lockstep batches (``PosteriorModel`` with
-    ``held_out``): units whose spline widths differ (tied covariates) form
-    separate batches, and each batch is split, in order, into min(units,
-    usable CPUs) sub-batches, each sampled and scored in a forked worker
-    process of its own (``sampler._run_jobs``; one after another in this
-    process where there is no ``fork`` or inside a worker).  Each unit's
-    chains are seeded from (config.seed, unit index) as its lone fit's
-    would be, so units are independent and the scores are bit for bit the
-    same however the units are split: a unit whose chain fails goes into
+    ``held_out`` mapping each unit to its design), sampled as a fit is
+    (``sampler._sample``): units whose spline widths differ (tied
+    covariates) form separate batches, and each batch is split, in order,
+    into min(units, usable CPUs) sub-batches, each sampled and scored in a
+    forked worker process of its own (``sampler._run_jobs``; one after
+    another in this process where there is no ``fork`` or inside a
+    worker).  Each unit's chains are seeded from (config.seed, unit index)
+    as its lone fit's would be, so the scores are bit for bit the same
+    however the units are split: a unit whose chain fails goes into
     ``failures`` and its sub-batch reruns without it.  A worker's sub-batch
     of N units holds N * n_chains * n_keep * dim kept draws and N design
     matrices over all rows at once.
@@ -629,21 +629,19 @@ def exact_refit_loo(
             for kind in ("elpd", "failures")}
 
 
-def _refit_units(job) -> dict:
+def _refit_units(spec: ModelSpec, data, config, pending: list, scoring: dict) -> dict:
     """Refit one sub-batch of ``exact_refit_loo``'s (index, id, design)
     units in one lockstep loop, rerun without each unit whose chain fails,
     and score the units: {index: ("elpd" | "failures", value)}."""
-    from .sampler import PosteriorModel, SamplingError, _look_ahead_pays, sample_posterior
+    from .sampler import PosteriorModel, SamplingError, _sample
 
-    spec, data, config, pending, scoring = job
     C = config.n_chains
     results = {}
     while pending:
         post = PosteriorModel(spec, data, {uid: design for _, uid, design in pending})
         seeds = [(config.seed * 100003 + idx + 1, c) for idx, _, _ in pending for c in range(C)]
         try:
-            chains = sample_posterior(post.log_posterior, post.dim, config, seeds,
-                                      post.init_point(), _look_ahead_pays(post, C))[0]
+            chains = _sample(post, config, seeds)[0]
             break
         except SamplingError as err:
             failed = pending.pop(err.diagnostics["chain"] // C)[0]

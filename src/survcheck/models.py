@@ -411,6 +411,8 @@ class Prior:
                 raise ModelError("gamma prior needs (shape > 0, rate > 0)")
         else:
             raise ModelError(f"unknown prior kind {k!r}")
+        if not all(map(math.isfinite, p)):
+            raise ModelError(f"{k} prior parameters must be finite, got {p}")
 
     def log_pdf(self, x) -> np.ndarray:
         """Log density at ``x``, -inf outside the support; nothing is warned."""
@@ -589,6 +591,8 @@ class ModelSpec:
         names = list(self.fixed) + [s.name for s in self.smooths]
         if len(set(names)) != len(names):
             raise ModelError("covariate names must be distinct across terms")
+        if not (self.intercept or names):
+            raise ModelError("a model needs an intercept, a fixed effect or a smooth term")
         object.__setattr__(self, "fixed", tuple(self.fixed))
         object.__setattr__(self, "smooths", tuple(self.smooths))
 
@@ -668,7 +672,7 @@ class ModelDesign:
                 x = np.broadcast_to(x, (n_rows,))
             basis = spline_basis(x, self.knots[sm.name], sm.degree)
             cols.append(basis - self.centers[sm.name])
-        return np.column_stack(cols) if cols else np.ones((n_rows, 1))
+        return np.column_stack(cols)
 
     def smooth_slices(self) -> dict[str, slice]:
         """Column slice of each smooth term within the design matrix."""

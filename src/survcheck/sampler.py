@@ -70,9 +70,9 @@ ADAPT_WINDOW = 100
 TARGET_ACCEPT = 0.35
 # diagnose flags a parameter whose split-R-hat exceeds this or is NaN
 RHAT_THRESHOLD = 1.01
-# the sampler looks two steps ahead (one log-posterior call on 3C rows in
-# place of two on C) where one call's work, batch rows x design rows x
-# coefficients, is below this: the crossover measured on a 2-core Xeon.
+# ``_sample`` looks two steps ahead (one log-posterior call on 3C rows per
+# member in place of two on C) where one call's work, as ``_sample`` counts
+# it, is below this: the crossover measured on a 2-core Xeon.
 # Whole 4 x (300 + 300) fits, looking ahead against not, with one BLAS
 # thread (two in brackets): Weibull preset (31 coefficients) -6% (-1% to
 # -9%) on 800 subjects, work 99k, and +3% to +9% (0% to -7%) on 1000,
@@ -112,7 +112,6 @@ class FitResult:
     accept_rate: np.ndarray
     log_post: np.ndarray
     adaptation: dict = field(default_factory=dict)
-    config: SamplerConfig | None = None
     design: ModelDesign | None = None  # the design the fit's coefficients belong to
 
 
@@ -152,15 +151,14 @@ class PosteriorModel:
     outside the support (a non-finite entry, an overflowing mean or Weibull
     shape, a NaN value) gets -inf; nothing is raised or warned.
 
-    With B ``held_out`` unit ids it is a batch: member b is the posterior
-    without unit ``held_out[b]``'s rows, with a ``ModelDesign`` built on its
-    training covariates (``held_out`` may map each id to that design, built
-    already), and a batch of rows is B equal blocks, block b evaluated under
-    member b (chains are member-major, so a chain-major look-ahead batch
-    keeps each member's rows in one block).  Setting the held-out rows'
-    scores to 0.0 adds a 0.0 to each row sum, so a member's value is that
-    of a model on its training data to within a few ulp.  It holds B design
-    matrices over all rows.
+    With ``held_out`` mapping B unit ids to their ``ModelDesign``s (each on
+    the unit's training covariates) it is a batch: member b is the posterior
+    without the b-th unit's rows, under its design, and a batch of rows is B
+    equal blocks, block b evaluated under member b (chains are member-major,
+    so a chain-major look-ahead batch keeps each member's rows in one
+    block).  Setting the held-out rows' scores to 0.0 adds a 0.0 to each row
+    sum, so a member's value is that of a model on its training data to
+    within a few ulp.  It holds B design matrices over all rows.
 
     One evaluation is one pass under one np.errstate.  The linear predictor
     is one matrix-vector product (gemv) per row, in one batched
@@ -177,15 +175,12 @@ class PosteriorModel:
     likelihood.
     """
 
-    def __init__(self, spec: ModelSpec, data, held_out=()):
+    def __init__(self, spec: ModelSpec, data, held_out: dict | None = None):
+        held_out = held_out or {}
         self.spec, self.data, self.held_out = spec, data, tuple(held_out)
         self._prepare_data()  # rejects wrong or invalid data before the design is built
         keeps = [data.subject_id != u for u in self.held_out]
-        if isinstance(held_out, dict):
-            self.designs = list(held_out.values())
-        else:
-            self.designs = [ModelDesign(spec, {k: v[keep] for k, v in data.covariates.items()})
-                            for keep in keeps] or [ModelDesign(spec, data.covariates)]
+        self.designs = list(held_out.values()) or [ModelDesign(spec, data.covariates)]
         self.design = self.designs[0]
         names = list(self.design.parameter_names)
         if any(d.parameter_names != names for d in self.designs):
@@ -368,11 +363,11 @@ def sample_posterior(log_prob, dim: int, config: SamplerConfig, seeds, init=None
     and the state update.  A chain's draws are thus bitwise those it makes
     alone, or in a loop that draws and steps one iteration at a time.
 
-    With ``look_ahead`` (chosen by the caller from the cost of a call,
-    ``_look_ahead_pays``), iterations i and i + 1 of a window make one
-    call: from state x, with the window's steps s_i, s_i+1 fixed already,
-    they can propose only a = x + s_i, then b = a + s_i+1 if a is accepted
-    or c = x + s_i+1 if not.  ``log_prob`` gets the (3C, dim) batch of
+    With ``look_ahead`` (``_sample`` chooses it from the cost of a call),
+    iterations i and i + 1 of a window make one call: from state x, with
+    the window's steps s_i, s_i+1 fixed already, they can propose only
+    a = x + s_i, then b = a + s_i+1 if a is accepted or c = x + s_i+1 if
+    not.  ``log_prob`` gets the (3C, dim) batch of
     every chain's a, b and c, chain-major, and the two accept tests run as
     before on the values of the points proposed.  Those are the sums the
     one-step loop forms, and each row's value is its value alone, so every
@@ -488,23 +483,25 @@ def fit(spec: ModelSpec, data, config: SamplerConfig | None = None) -> FitResult
     """
     config = config or SamplerConfig()
     post = PosteriorModel(spec, data)
-    chains, lps, rates, logs = sample_posterior(
-        post.log_posterior, post.dim, config, [(config.seed, c) for c in range(config.n_chains)],
-        post.init_point(), _look_ahead_pays(post, config.n_chains))
+    chains, lps, rates, logs = _sample(post, config,
+                                       [(config.seed, c) for c in range(config.n_chains)])
     draws = DrawsMatrix(post.constrain(chains.reshape(-1, post.dim)), post.parameter_names,
                         np.repeat(np.arange(config.n_chains), config.n_keep))
     rhat = split_rhat(chains) if config.n_chains >= 2 else np.full(post.dim, np.nan)
     names = post.parameter_names
     return FitResult(draws=draws, rhat=dict(zip(names, rhat.tolist())),
                      ess=dict(zip(names, bulk_ess(chains).tolist())), accept_rate=rates,
-                     log_post=lps.reshape(-1), config=config, design=post.design,
+                     log_post=lps.reshape(-1), design=post.design,
                      adaptation={"chains": logs, "n_warmup": config.n_warmup})
 
 
-def _look_ahead_pays(post: PosteriorModel, n_chains: int) -> bool:
-    """Whether sampling ``post``, ``n_chains`` chains per member, pays for
-    looking two steps ahead: one call's work below ``LOOK_AHEAD_MAX_WORK``."""
-    return n_chains * post.X.size < LOOK_AHEAD_MAX_WORK
+def _sample(post: PosteriorModel, config: SamplerConfig, seeds) -> tuple:
+    """``sample_posterior`` of ``post`` from its init point, one chain per
+    seed: the one route from a posterior to draws, for fits and refits.  It
+    looks two steps ahead where a call's work, chains per member x entries
+    of every member's design matrix, is below ``LOOK_AHEAD_MAX_WORK``."""
+    return sample_posterior(post.log_posterior, post.dim, config, seeds, post.init_point(),
+                            config.n_chains * post.X.size < LOOK_AHEAD_MAX_WORK)
 
 
 # ---------------------------------------------------------------------------
@@ -519,14 +516,14 @@ def _usable_cpus() -> int:
 
 
 def _run_jobs(fn, jobs) -> list:
-    """``[fn(job) for job in jobs]`` in a pool of as many forked worker
-    processes as jobs.
+    """``[fn(*job) for job in jobs]`` in a pool of as many forked worker
+    processes as jobs, each job a tuple of ``fn``'s arguments.
 
-    ``fn`` is a module-level function (it is pickled by name), and each job
-    and result is pickled; the results come back in job order.  A worker's
-    exception is raised here, that of the first failing job in order, with
-    its type, message and attributes (a SamplingError keeps its
-    diagnostics).  The workers are joined before this returns or raises.
+    ``fn`` is a module-level function (it is pickled by name), and each
+    job's arguments and result are pickled; the results come back in job
+    order.  A worker's exception is raised here, that of the first failing
+    job in order, with its type, message and attributes (a SamplingError
+    keeps its diagnostics).  The workers are joined before this returns or raises.
     One job, a platform without the ``fork`` start method, or a call made
     inside a worker runs the jobs here, one after another, so pools never
     nest.  Only ``fork`` is used: under ``forkserver`` or ``spawn`` every
@@ -535,9 +532,9 @@ def _run_jobs(fn, jobs) -> list:
     jobs = list(jobs)
     if (len(jobs) < 2 or multiprocessing.parent_process() is not None
             or "fork" not in multiprocessing.get_all_start_methods()):
-        return list(map(fn, jobs))
+        return [fn(*job) for job in jobs]
     with ProcessPoolExecutor(len(jobs), mp_context=multiprocessing.get_context("fork")) as pool:
-        return list(pool.map(fn, jobs))
+        return list(pool.map(fn, *zip(*jobs)))
 
 
 # ---------------------------------------------------------------------------

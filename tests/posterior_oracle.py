@@ -25,7 +25,7 @@ from survcheck.data import (
     STATUSES,
     LongDataset,
 )
-from survcheck.models import ModelError, logistic
+from survcheck.models import ModelDesign, ModelError, logistic
 
 
 # -- family functions ---------------------------------------------------------
@@ -178,6 +178,13 @@ def _t_log_pdf(x, df, loc, scale):
 
 
 # -- the model ---------------------------------------------------------------------
+
+
+def held_out_designs(spec, data, units) -> dict:
+    """Each held-out unit's ``ModelDesign`` on its training covariates, by
+    unit id: the ``held_out`` mapping a batched ``PosteriorModel`` takes."""
+    return {u: ModelDesign(spec, {k: v[data.subject_id != u] for k, v in data.covariates.items()})
+            for u in units}
 
 
 class _Bound:

@@ -7,6 +7,7 @@ lines.  Tolerances are pinned here and nowhere else.
 import json
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 from scipy.stats import expon, kstest
@@ -69,7 +70,7 @@ class TestCriterion1KmOracle:
             entries = np.where(rng.random(n) < 0.5,
                                rng.uniform(0, 0.95, size=n) * times, 0.0)
             ds = make_dataset(times, statuses, entries=entries)
-            km = km_estimate(ds, honor_entry=True)
+            km = km_estimate(ds)
             # brute-force risk-set product-limit oracle
             surv = 1.0
             for j, t in enumerate(km.times):
@@ -88,8 +89,8 @@ class TestCriterion1KmOracle:
 class TestCriterion2LeftTruncation:
     def test_ignoring_entries_overestimates_early_survival(self):
         ds = make_dataset([1.0, 2.0, 3.0], ["event"] * 3, entries=[0.0, 0.0, 1.5])
-        honored = km_estimate(ds, honor_entry=True)
-        naive = km_estimate(ds, honor_entry=False)
+        honored = km_estimate(ds)
+        naive = km_estimate(replace(ds, entry_time=np.zeros(3)))  # entries ignored
         assert honored(1.0) == 0.5                 # risk set {1, 2}: 1 - 1/2
         assert naive(1.0) == 1.0 - 1.0 / 3.0       # risk set {1, 2, 3}: 1 - 1/3
         assert naive(1.0) > honored(1.0)           # 2/3 > 1/2, exactly

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -70,11 +71,11 @@ class TestKaplanMeier:
 
     def test_delayed_entry_risk_sets(self):
         ds = make_dataset([1.0, 2.0, 3.0], ["event"] * 3, entries=[0.0, 0.0, 1.5])
-        honored = km_estimate(ds, honor_entry=True)
+        honored = km_estimate(ds)
         assert honored(1.0) == pytest.approx(1 / 2)
         assert honored(2.0) == pytest.approx(1 / 4)
         assert honored(3.0) == pytest.approx(0.0)
-        naive = km_estimate(ds, honor_entry=False)
+        naive = km_estimate(replace(ds, entry_time=np.zeros(3)))  # entries ignored
         assert naive(1.0) == pytest.approx(2 / 3)  # overestimated early survival
 
     def test_zero_entries_flag_equivalence(self):
@@ -85,10 +86,11 @@ class TestKaplanMeier:
                 rng.integers(1, 8, size=n).astype(float),
                 rng.choice(["event", "right_censored"], size=n),
             )
-            a = km_estimate(ds, honor_entry=True)
-            b = km_estimate(ds, honor_entry=False)
-            assert np.array_equal(a.times, b.times)
-            assert np.array_equal(a.values, b.values)
+            # with every entry at 0, honoring the entries changes no risk set
+            a = km_estimate(ds)
+            b = km_brute_force(ds.time, ds.status, ds.entry_time, False, a.times)
+            assert np.array_equal(a.times, np.unique(ds.time[ds.status == "event"]))
+            assert np.array_equal(a.values, b)
 
     def test_no_censoring_is_one_minus_ecdf(self):
         rng = np.random.default_rng(1)
@@ -122,8 +124,8 @@ class TestKaplanMeier:
             statuses = rng.choice(["event", "right_censored"], size=n)
             entries = np.where(rng.random(n) < 0.4, rng.uniform(0, 0.9, size=n) * times, 0.0)
             ds = make_dataset(times, statuses, entries=entries)
-            for honor in (True, False):
-                km = km_estimate(ds, honor_entry=honor)
+            for honor in (True, False):  # entries ignored: every entry at 0
+                km = km_estimate(ds if honor else replace(ds, entry_time=np.zeros(n)))
                 oracle = km_brute_force(times, statuses, entries, honor, km.times)
                 assert np.allclose(km.values, oracle, atol=1e-12)
 

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from survcheck import experiments
 from survcheck.cli import build_parser, main
 from survcheck.data import DrawsMatrix, read_draws_csv, read_long_csv, write_draws_csv
 from survcheck.data import write_long_csv
@@ -290,16 +291,27 @@ def test_error_json_on_bad_input(workspace, tmp_path, capsys):
         return str(path)
 
     # spec files: a misspelt key, an unknown prior slot, a smooth without a
-    # name and a prior without params
+    # name, a prior without params, and a model with no coefficient, which
+    # ended in a reshape ValueError or an IndexError traceback
     spec = {"family": "exponential", "fixed": ["x"]}
+    no_coefficient = "a model needs an intercept, a fixed effect or a smooth term"
     for n, (bad, message) in enumerate((
             ({"hierarchical_smooth": True}, "'hierarchical_smooth'"),
             ({"priors": {"slope": {"kind": "normal", "params": [0, 1]}}}, "'slope'"),
             ({"smooths": [{"degree": 3}]}, "'name'"),
-            ({"priors": {"fixed": {"kind": "normal"}}}, "'params'"))):
+            ({"priors": {"fixed": {"kind": "normal"}}}, "'params'"),
+            *(({"family": family, "fixed": [], "intercept": False}, no_coefficient)
+              for family in ("exponential", "bernoulli_logit", "weibull_aft")))):
         cases.append((["fit", "--data", str(good), "--out", str(tmp_path / "x"),
                        "--model", settings_file(f"spec_{n}.json", {**spec, **bad})],
                       "ModelError", message))
+    # a prior parameter that is read as inf: it ended in a SamplingError at the
+    # sampler's initial point
+    path = tmp_path / "spec_overflow.json"
+    path.write_text('{"family": "exponential", "fixed": ["x"],'
+                    ' "priors": {"fixed": {"kind": "normal", "params": [0, 1e400]}}}')
+    cases.append((["fit", "--data", str(good), "--out", str(tmp_path / "x"), "--model", str(path)],
+                  "ModelError", "normal prior parameters must be finite, got (0.0, inf)"))
     # scenario files: a covariate generator without params, with too few, of
     # an unknown kind or with a probability outside [0, 1], and standardize
     # entries that are not finite (center, spread > 0) pairs
@@ -483,6 +495,25 @@ def test_error_json_on_bad_input(workspace, tmp_path, capsys):
         err = json.loads(capsys.readouterr().out)
         assert err["error"]["type"] == error
         assert message in err["error"]["message"]
+
+
+@pytest.mark.parametrize("horizon", ["-1", "0", "1e400"])
+def test_pipeline_horizon_refused_before_simulating(tmp_path, capsys, monkeypatch, horizon):
+    # a horizon of -1 simulated the cohort and ran the three fits before a
+    # LooError; 1e400, read as inf, exited 0 with an all-zero dichotomized
+    # comparison and a null horizon
+    def not_run(*args, **kwargs):
+        raise AssertionError("simulated or fitted before the horizon was refused")
+
+    monkeypatch.setattr(experiments, "simulate_scenario", not_run)
+    monkeypatch.setattr(experiments, "fit", not_run)
+    path = tmp_path / "pipeline.json"
+    path.write_text('{"scenario": {"n_subjects": 30}, "horizon": %s,'
+                    ' "sampler": {"n_chains": 2, "n_warmup": 10, "n_keep": 10}}' % horizon)
+    assert main(["run", "--pipeline", str(path), "--out", str(tmp_path / "x")]) == 1
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "DataError"
+    assert f"horizon must be finite and > 0, got {float(horizon)!r}" in err["message"]
 
 
 def test_one_chain_diagnostics_are_strict_json(workspace, tmp_path):

@@ -55,6 +55,7 @@ from survcheck.sampler import PosteriorModel, SamplerConfig, fit
 from survcheck.simulate import ScenarioConfig, simulate_scenario
 
 import psis_oracle
+from posterior_oracle import held_out_designs
 from pointwise_oracle import log_lik_point, row
 
 
@@ -989,7 +990,7 @@ class TestRefitBatch:
     def test_member_equals_model_on_training_subset(self, case):
         spec, make_data, units = self.CASES[case]
         data = make_data()
-        batch = PosteriorModel(spec, data, held_out=units)
+        batch = PosteriorModel(spec, data, held_out_designs(spec, data, units))
         C = 3
         rng = np.random.default_rng(33)
         x = batch.init_point() + 0.4 * rng.standard_normal((len(units) * C, batch.dim))
@@ -1015,12 +1016,12 @@ class TestRefitBatch:
         x = np.array([0.0, 710.0 / data.covariates["x"][top]])
         lone = PosteriorModel(spec, data.subset(data.subject_id != uid)).log_posterior(x)
         assert np.isfinite(lone)
-        assert PosteriorModel(spec, data, held_out=[uid]).log_posterior(x) == pytest.approx(
-            lone, rel=1e-15)
+        batch = PosteriorModel(spec, data, held_out_designs(spec, data, [uid]))
+        assert batch.log_posterior(x) == pytest.approx(lone, rel=1e-15)
 
     def test_batch_rows_must_split_into_members(self):
-        post = PosteriorModel(ModelSpec(family="exponential"),
-                              four_status_data(np.random.default_rng(34)), held_out=[1, 2])
+        spec, data = ModelSpec(family="exponential"), four_status_data(np.random.default_rng(34))
+        post = PosteriorModel(spec, data, held_out_designs(spec, data, [1, 2]))
         with pytest.raises(ModelError, match="multiple of 2 rows"):
             post.log_posterior(np.zeros((3, post.dim)))
 

@@ -634,3 +634,20 @@ class TestPresets:
             back = ModelSpec.from_dict(json.loads(text))
             assert back == spec
             assert json.dumps(back.to_dict(), sort_keys=True) == text
+
+    @pytest.mark.parametrize("make, params", [
+        (normal, (0, math.inf)), (normal, (0, math.nan)), (normal, (math.inf, 1)),
+        (normal, (-math.inf, 1)), (normal, (math.nan, 1)), (student_t, (math.inf, 0, 1)),
+        (student_t, (3, -math.inf, 1)), (student_t, (3, 0, math.nan)),
+        (half_student_t, (3, math.inf)), (half_student_t, (math.nan, 1)),
+        (gamma, (math.inf, 1)), (gamma, (1, math.nan))])
+    def test_non_finite_prior_parameter_refused(self, make, params):
+        # each passed the sign checks: an inf scale ended the fit in a
+        # SamplingError at the first log posterior
+        with pytest.raises(ModelError, match="prior parameters must be finite"):
+            make(*params)
+
+    @pytest.mark.parametrize("family", ["exponential", "weibull_aft", "bernoulli_logit"])
+    def test_spec_without_a_coefficient_refused(self, family):
+        with pytest.raises(ModelError, match="needs an intercept, a fixed effect or a smooth"):
+            ModelSpec(family=family, intercept=False)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from survcheck import models
 from survcheck.data import INTERVAL_CENSORED, LEFT_CENSORED, STATUSES, DataError, SurvivalDataset
+from survcheck.loo import exact_refit_loo
 from survcheck.models import (
     ModelError,
     ModelSpec,
@@ -219,7 +220,7 @@ def oracle_posterior(name, held_out):
     spec = ORACLE_SPECS[name]
     data = long if spec.family == "bernoulli_logit" else all_statuses(short)
     units = [int(u) for u in short.subject_id[:4]] if held_out else []  # one of each status
-    return PosteriorModel(spec, data, units)
+    return PosteriorModel(spec, data, posterior_oracle.held_out_designs(spec, data, units))
 
 
 class TestBitwiseAgainstOracle:
@@ -488,7 +489,8 @@ def held_out_posterior(name, n_members):
     long, short = simulate_scenario(ScenarioConfig(n_subjects=40, seed=6))
     spec = BATCH_SPECS[name]
     data = long if spec.family == "bernoulli_logit" else all_statuses(short)
-    return PosteriorModel(spec, data, [int(u) for u in short.subject_id[:n_members]])
+    units = [int(u) for u in short.subject_id[:n_members]]
+    return PosteriorModel(spec, data, posterior_oracle.held_out_designs(spec, data, units))
 
 
 class TestLookAhead:
@@ -550,13 +552,19 @@ class TestLookAhead:
             return log_posterior(self, x)
 
         monkeypatch.setattr(PosteriorModel, "log_posterior", counted)
-        work = cfg.n_chains * data.n * 1  # batch rows x design rows x coefficients
-        runs = []
-        for bound in (work + 1, work):  # the work below the constant, then at it
-            monkeypatch.setattr("survcheck.sampler.LOOK_AHEAD_MAX_WORK", bound)
-            batches.clear()
-            runs.append((fit(spec, data, cfg), list(batches)))
-        (ahead, ahead_calls), (alone, alone_calls) = runs
+        monkeypatch.setattr("survcheck.sampler._usable_cpus", lambda: 1)  # one refit batch, here
+
+        def runs(sample, work):
+            out = []
+            for bound in (work + 1, work):  # the work below the constant, then at it
+                monkeypatch.setattr("survcheck.sampler.LOOK_AHEAD_MAX_WORK", bound)
+                batches.clear()
+                out.append((sample(), list(batches)))
+            return out
+
+        # work: chains per member x design rows x coefficients
+        (ahead, ahead_calls), (alone, alone_calls) = runs(lambda: fit(spec, data, cfg),
+                                                          cfg.n_chains * data.n * 1)
         # windows of 100, 50 and 51 steps: the last step of the third alone
         assert ahead_calls == [3] + [9] * 100 + [3]
         assert alone_calls == [3] * 202
@@ -564,6 +572,13 @@ class TestLookAhead:
                      (ahead.accept_rate, alone.accept_rate)):
             assert a.tobytes() == b.tobytes()
         assert (ahead.rhat, ahead.ess) == (alone.rhat, alone.ess)
+        # an exact-refit batch of two members counts both members' design rows,
+        # with the chains of one member
+        (ahead, ahead_calls), (alone, alone_calls) = runs(
+            lambda: exact_refit_loo(spec, data, cfg, [1, 2]), cfg.n_chains * 2 * data.n * 1)
+        assert ahead_calls == [6] + [18] * 100 + [6]
+        assert alone_calls == [6] * 202
+        assert ahead == alone and not ahead["failures"]
 
 
 class TestDetailedBalance:

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from survcheck import data as survcheck_data
+from survcheck import loo as survcheck_loo
 from survcheck.checks import dichotomize_outcomes
 from survcheck.data import (
     DataError,
@@ -177,3 +178,21 @@ def test_to_short_form_builds_one_subject_index(monkeypatch):
     assert len(calls) == 2
     assert str(refusal.value) == "invalid long dataset: " + "; ".join(
         validate_long(replace(COHORT, outcome=outcome)))
+
+
+def test_dichotomized_bernoulli_builds_one_subject_index(monkeypatch):
+    # the check of the rebuilt rows reads the index the short form was
+    # collapsed by; it built a second one
+    expected = loglik_matrix(SPEC, DESIGN, DRAWS, COHORT, mode="dichotomized", horizon=HORIZON)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _by_subject(*args)
+
+    monkeypatch.setattr(survcheck_data, "_by_subject", counted)
+    monkeypatch.setattr(survcheck_loo, "_by_subject", counted)
+    got = loglik_matrix(SPEC, DESIGN, DRAWS, COHORT, mode="dichotomized", horizon=HORIZON)
+    assert len(calls) == 1
+    assert got.unit_ids == expected.unit_ids
+    assert got.values.tobytes() == expected.values.tobytes()

@@ -55,7 +55,7 @@ def cohort(n_subjects=40, seed=3):
 
 
 def _pid_and_nested(job):
-    return os.getpid(), job, _run_jobs(_pid, [1, 2])
+    return os.getpid(), job, _run_jobs(_pid, [(1,), (2,)])
 
 
 def _pid(job):
@@ -70,18 +70,18 @@ def _raise_on_odd(job):
 
 class TestRunJobs:
     def test_results_in_job_order_from_other_processes(self, leaves_nothing_running):
-        results = _run_jobs(_pid_and_nested, ["a", "b", "c"])
+        results = _run_jobs(_pid_and_nested, [("a",), ("b",), ("c",)])
         assert [job for _, job, _ in results] == ["a", "b", "c"]
         assert os.getpid() not in {pid for pid, _, _ in results}
         # inside a worker the jobs run in that worker: pools never nest
         assert all(inner == [pid, pid] for pid, _, inner in results)
 
     def test_one_job_runs_here(self, leaves_nothing_running):
-        assert _run_jobs(_pid, [0]) == [os.getpid()]
+        assert _run_jobs(_pid, [(0,)]) == [os.getpid()]
 
     def test_first_failing_job_raised_with_its_attributes(self, leaves_nothing_running):
         with pytest.raises(SamplingError, match="job 1") as err:
-            _run_jobs(_raise_on_odd, [0, 1, 2, 3])
+            _run_jobs(_raise_on_odd, [(0,), (1,), (2,), (3,)])
         assert err.value.diagnostics == {"chain": 1}
 
 
@@ -159,7 +159,7 @@ class TestSameOutputs:
         assert not split["failures"]
         for idx, uid in enumerate(units):
             design = ModelDesign(spec, short.subset(short.subject_id != uid).covariates)
-            alone = loo._refit_units((spec, short, SMALL, [(idx, uid, design)], {"mode": "raw"}))
+            alone = loo._refit_units(spec, short, SMALL, [(idx, uid, design)], {"mode": "raw"})
             assert split["elpd"][uid] == alone[idx][1]
         monkeypatch.setattr(sampler, "_usable_cpus", lambda: 1)  # one batch, in this process
         assert exact_refit_loo(spec, short, SMALL, units) == split

@@ -89,7 +89,9 @@ The workloads cover:
   called directly on seeded batches of 4 and 120 chains and on one vector,
   for the three presets, a hierarchical-smooths Weibull model on data
   holding all four statuses, and held-out batches of that model and of the
-  Bernoulli preset.  The 120-chain batches hold rows a fit rarely visits:
+  Bernoulli preset, each member's design built here on its training
+  covariates as ``exact_refit_loo`` builds it.  The 120-chain batches hold
+  rows a fit rarely visits:
   non-finite entries, an overflowing or vanishing mean, a huge or tiny
   Weibull shape and an overflowing smoothing scale;
 * ``split_rhat`` and ``bulk_ess`` on seeded chain sets (autocorrelated,
@@ -604,14 +606,23 @@ def _log_posterior():
     weibull = sc.get_preset("weibull-gist")
     hierarchical = replace(weibull, hierarchical_smooths=True)
     units = [int(s) for s in statuses.subject_id[:3]]
-    models = [(name, sc.get_preset(name), long if name == "bernoulli-gist" else short, ())
+
+    def designs(spec, data):  # each held-out unit's design, on its training covariates
+        return {u: sc.ModelDesign(spec, {k: v[data.subject_id != u]
+                                         for k, v in data.covariates.items()})
+                for u in units}
+
+    models = [(name, sc.get_preset(name), long if name == "bernoulli-gist" else short, {})
               for name in PRESETS]
-    models += [("weibull-hierarchical-all-statuses", hierarchical, statuses, ()),
-               ("weibull-hierarchical-all-statuses.held-out", hierarchical, statuses, units),
-               ("bernoulli-gist.held-out", sc.get_preset("bernoulli-gist"), long, units)]
+    models += [("weibull-hierarchical-all-statuses", hierarchical, statuses, {}),
+               ("weibull-hierarchical-all-statuses.held-out", hierarchical, statuses,
+                designs(hierarchical, statuses)),
+               ("bernoulli-gist.held-out", sc.get_preset("bernoulli-gist"), long,
+                designs(sc.get_preset("bernoulli-gist"), long))]
     rng = np.random.default_rng(29)
     for name, spec, data, held_out in models:
-        post = sc.PosteriorModel(spec, data, held_out)
+        post = (sc.PosteriorModel(spec, data, held_out) if held_out
+                else sc.PosteriorModel(spec, data))
         members = max(len(held_out), 1)
         for n_chains in (4, 120):
             x = post.init_point() + 0.4 * rng.standard_normal((members * n_chains, post.dim))
