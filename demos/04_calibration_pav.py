@@ -15,7 +15,7 @@ from survcheck import (
     apply_scaling,
     bundle_to_svg,
     calibration_check,
-    calibration_inputs,
+    event_probabilities,
     fit,
     get_preset,
     scale_covariates,
@@ -32,8 +32,10 @@ long_scaled = apply_scaling(long, record)
 
 spec = get_preset("bernoulli-gist")
 result = fit(spec, long_scaled, SamplerConfig(n_warmup=1500, n_keep=500, seed=20))
-# posterior-mean recurrence probability of every subject-year row
-p_mean, outcomes = calibration_inputs(spec, result.design, result.draws, long_scaled)
+# recurrence probability of every subject-year row under each draw, and its
+# posterior mean
+rows_by_draws, outcomes, _ = event_probabilities(spec, result.design, result.draws, long_scaled)
+p_mean = rows_by_draws.mean(axis=1)
 
 series, inside = calibration_check(p_mean, outcomes, seed=21, zoom_mass=0.9)
 print("calibration curve inside 95% consistency band:", inside)

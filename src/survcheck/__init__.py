@@ -69,6 +69,7 @@ from .loo import (
     apply_refits,
     compare,
     elpd_loo,
+    event_probabilities,
     exact_refit_loo,
     flag_for_refit,
     group_long_by_subject,
@@ -77,6 +78,5 @@ from .loo import (
 )
 from .simulate import ScenarioConfig, gen_covariates, gen_events, scenario_report, simulate_scenario
 from .series import PlotSeries, bundle_to_json, bundle_to_svg
-from .experiments import calibration_inputs
 
 __version__ = "0.1.0"

@@ -44,6 +44,7 @@ from .loo import (
     LooError,
     compare,
     elpd_loo,
+    event_probabilities,
     loglik_matrix,
     write_loglik_csv,
 )
@@ -245,10 +246,10 @@ def cmd_check(args) -> int:
             series, inside = pit_ecdf_check(y, sims, level=args.level,
                                             seed=args.seed, imputed_flags=flags)
     else:  # calibration
-        predictions, outcomes = experiments.calibration_inputs(
+        p, outcomes, _ = event_probabilities(
             spec, design, draws, data, horizon=args.horizon, interval=args.interval,
             grid=TimeGrid(args.grid_length, args.grid_intervals))
-        series, inside = calibration_check(predictions, outcomes, level=args.level,
+        series, inside = calibration_check(p.mean(axis=1), outcomes, level=args.level,
                                            seed=args.seed, zoom_mass=args.zoom_mass)
         labels = {"title": "PAV-adjusted calibration",
                   "xlabel": "predicted probability", "ylabel": "CEP"}
@@ -283,6 +284,8 @@ def cmd_impute(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    if len({name for name, _, _ in args.model}) < len(args.model):
+        raise CliError(f"model names must be distinct, got {[m[0] for m in args.model]}")
     reports = []
     mode = "raw" if args.mode == "loo" else args.mode
     scoring = ({"grid": TimeGrid(args.grid_length, args.grid_intervals)} if mode == "interval"

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .checks import calibration_check, dichotomize_outcomes, interval_outcomes, km_overlay
+from .checks import calibration_check, km_overlay
 from .data import (
     DataError,
     DrawsMatrix,
@@ -32,16 +32,19 @@ from .data import (
     scale_covariates,
     settings,
 )
-from .loo import _bernoulli_loglik, compare, elpd_loo, loglik_matrix, psis_smooth
+from .loo import (
+    _bernoulli_loglik,
+    compare,
+    elpd_loo,
+    event_probabilities,
+    loglik_matrix,
+    psis_smooth,
+)
 from .models import (
-    ModelDesign,
-    ModelError,
     ModelSpec,
-    cdf,
     get_preset,
     hazard,
     impute_censored,
-    log_survival,
     posterior_predictive_times,
     preset_exponential_gist,
     preset_weibull_gist,
@@ -185,7 +188,8 @@ def hazard_curves_experiment(
 
     Fits the exponential, Weibull AFT (both with a treatment indicator) and
     discrete-time Bernoulli models to a synthetic cohort, then predicts the
-    treated and untreated curves for one patient.
+    treated and untreated curves for one patient.  A follow-up that ends
+    with the treatment is a DataError before anything is simulated.
 
     The three fits run at once, each in a forked worker process that holds
     its fit's draws (``sampler._run_jobs``; one after another in this
@@ -193,6 +197,10 @@ def hazard_curves_experiment(
     seed, so the results are bit for bit those of one process.
     """
     scenario = scenario or ScenarioConfig()
+    duration, follow_up = scenario.treatment_duration, scenario.max_follow_up
+    if follow_up <= duration:
+        raise DataError("the hazard curves read the year after treatment: max_follow_up "
+                        f"({follow_up}) must exceed treatment_duration ({duration})")
     sampler = sampler or SamplerConfig(n_warmup=2500, n_keep=750, seed=scenario.seed + 1)
     short_scaled, long_scaled, record, specs, bern = _case_study(scenario)
 
@@ -230,8 +238,7 @@ def hazard_curves_experiment(
         "exponential_hazard_constant": bool(
             np.max(exp_tr) - np.min(exp_tr) <= 1e-10 * max(np.max(exp_tr), 1e-300)),
         "weibull_hazard_monotone": bool(np.all(diffs >= -1e-12) or np.all(diffs <= 1e-12)),
-        "bernoulli_jump_after_treatment": bool(
-            bern_tr[int(scenario.treatment_duration)] > bern_tr[int(scenario.treatment_duration) - 1]),
+        "bernoulli_jump_after_treatment": bool(bern_tr[duration] > bern_tr[duration - 1]),
         "bernoulli_median_year3": float(bern_tr[2]),
         "bernoulli_median_year4": float(bern_tr[3]),
     }
@@ -269,51 +276,6 @@ def curves_to_series(curves: dict) -> list[PlotSeries]:
 
 
 # ---------------------------------------------------------------------------
-# calibration inputs
-
-
-def calibration_inputs(spec: ModelSpec, design: ModelDesign, draws, data,
-                       horizon: float | None = None, interval: int | None = None,
-                       grid: TimeGrid | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior-mean event probabilities and the binary outcomes they predict.
-
-    A Bernoulli model predicts the outcome of each long-format row, or with
-    ``interval`` of the rows with that interval index.  A continuous model
-    predicts, with ``interval``, the event inside that ``grid`` interval for
-    the subjects at risk at its start, P(event in (a, b] | alive at a);
-    otherwise the event by ``horizon``, F(horizon).  Subjects whose outcome
-    is unknowable are left out (see ``checks.interval_outcomes``).  A
-    ``horizon`` it would not use (Bernoulli, or with ``interval``) is refused.
-
-    Its callers are ``survcheck check calibration``, the tests and the
-    golden-output tool; ``run_pipeline`` takes the Bernoulli model's
-    posterior means from the worker that fitted it.
-    """
-    if horizon is not None and (spec.family == "bernoulli_logit" or interval is not None):
-        raise ModelError("a horizon is only for a continuous model without an interval")
-    if spec.family == "bernoulli_logit":
-        rows = slice(None) if interval is None else data.interval_index == interval
-        outcomes = data.outcome[rows]
-        covs = {name: col[rows] for name, col in data.covariates.items()}
-        p = subject_params(spec, design, draws, covs, n_rows=outcomes.size)["p"]
-        return p.mean(axis=1), outcomes
-    if interval is not None:
-        if grid is None:
-            raise ModelError("a per-interval calibration needs a grid")
-        a, b = (float(x) for x in grid.bounds(interval))
-        outcomes, keep, _ = interval_outcomes(data, a, b)
-        params = subject_params(spec, design, draws, data.covariates, n_rows=data.n)
-        p = -np.expm1(log_survival(spec.family, params, b) - log_survival(spec.family, params, a))
-    elif horizon is not None:
-        outcomes, keep, _ = dichotomize_outcomes(data, horizon)
-        params = subject_params(spec, design, draws, data.covariates, n_rows=data.n)
-        p = cdf(spec.family, params, horizon)
-    else:
-        raise ModelError("calibration for continuous families needs a horizon or an interval")
-    return p[keep].mean(axis=1), outcomes
-
-
-# ---------------------------------------------------------------------------
 # whole-pipeline driver (simulate -> fit -> check -> compare)
 
 
@@ -348,12 +310,10 @@ def run_pipeline(config: dict) -> dict:
     (``sampler._run_jobs``; one after another in this process where there
     is no ``fork`` or inside a worker).  Each worker returns its fit, its
     PSIS-LOO reports and, for the Bernoulli model, the posterior-mean event
-    probability of every long-format row, taken from the draws x rows
-    probabilities its log-lik is scored from (``_pipeline_job``), so no
-    draws x rows matrix is built here.  The checks that draw from the
-    pipeline's RNG (predictive times, imputations, the calibration band's
-    seed) then run here in a fixed order, so the results are bit for bit
-    those of one process.
+    probability of every long-format row (``_pipeline_job``).  The checks
+    that draw from the pipeline's RNG (predictive times, imputations, the
+    calibration band's seed) then run here in a fixed order, so the results
+    are bit for bit those of one process.
     """
     pipeline = settings(
         PipelineConfig, config, DataError, scenario=ScenarioConfig.from_dict, horizon=float,
@@ -395,15 +355,14 @@ def run_pipeline(config: dict) -> dict:
 
 
 def _pipeline_job(spec: ModelSpec, data, sampler: SamplerConfig, grid, horizon) -> tuple:
-    """Fit one of ``run_pipeline``'s models: (fit, PSIS-LOO reports,
-    posterior-mean row probabilities).  A continuous model's reports are in
-    interval mode and dichotomized at ``horizon``, and it has no row
-    probabilities (None).  A Bernoulli model's one interval-mode report and
-    its (n_rows,) posterior means come from one draws x rows matrix of row
-    probabilities."""
+    """Fit one of ``run_pipeline``'s models: (fit, PSIS-LOO reports, the
+    posterior-mean event probability of each row or None).  A continuous
+    model is scored in interval mode and dichotomized at ``horizon``.  A
+    Bernoulli model's one interval-mode report and its means come from one
+    matrix of row probabilities (``loo.event_probabilities``)."""
     res = fit(spec, data, sampler)
     if spec.family == "bernoulli_logit":
-        p = subject_params(spec, res.design, res.draws, data.covariates, n_rows=data.n_rows)["p"]
+        p = event_probabilities(spec, res.design, res.draws, data)[0]
         loglik, p_mean = _bernoulli_loglik(data, p), p.mean(axis=1)
         del p  # freed before PSIS
         return res, [elpd_loo(loglik, name=spec.name)], p_mean

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import logsumexp
 
-from .checks import dichotomize_outcomes
+from .checks import dichotomize_outcomes, interval_outcomes
 from .data import (
     ON_NAME,
     SINCE_NAME,
@@ -44,12 +44,13 @@ from .models import (
     DENSITY,
     PROBABILITY,
     ModelDesign,
+    ModelError,
     ModelSpec,
     Rate,
     _row_blocks,
     bernoulli_log_score,
-    cdf,
     group_log_scores,
+    log_survival,
     score_groups,
     subject_params,
 )
@@ -125,7 +126,7 @@ class ElpdReport:
             "se": self.se,
             "n_units": len(self.unit_ids),
             "n_refit": self.n_refit,
-            "khat_max": float(np.nanmax(self.khat)) if len(self.khat) else float("nan"),
+            "khat_max": float(np.fmax.reduce(self.khat, initial=np.nan)),  # nan if none is a number
             "time_unit": self.time_unit,
         }
 
@@ -199,20 +200,16 @@ def loglik_matrix(
             raise DataError("bernoulli_logit models score long-format data")
         if mode == "dichotomized":
             return bernoulli_dichotomized_loglik(spec, design, draws, data, horizon)
-        return _bernoulli_loglik(data, subject_params(spec, design, draws, data.covariates,
-                                                      n_rows=data.n_rows)["p"])
+        return _bernoulli_loglik(data, event_probabilities(spec, design, draws, data)[0])
     if not isinstance(data, SurvivalDataset):
         raise DataError("continuous families score short-format data")
-    params = subject_params(spec, design, draws, data.covariates, n_rows=data.n)
     if mode == "dichotomized":
-        z, keep, _excluded = dichotomize_outcomes(data, horizon)
-        vals = _dichotomized_scores(
-            z, cdf(spec.family, {**params, "mean": params["mean"][keep]}, horizon))
-        ids = tuple(int(s) for s in data.subject_id[keep])
-        return LogLikMatrix(vals.T, (PROBABILITY,) * len(keep), ids, data.time_unit)
-
+        p, z, keep = event_probabilities(spec, design, draws, data, horizon=horizon)
+        return LogLikMatrix(_dichotomized_scores(z, p).T, (PROBABILITY,) * len(keep),
+                            tuple(int(s) for s in data.subject_id[keep]), data.time_unit)
     if mode == "interval" and grid is None:
         raise LooError("interval mode needs a grid")
+    params = subject_params(spec, design, draws, data.covariates, n_rows=data.n)
     groups = score_groups(data, grid if mode == "interval" else None)
     # the kernel takes rows on the last axis: (S, n) views of the (n, S) params
     rate = Rate.of(spec.family, {k: v.T for k, v in params.items()})
@@ -225,6 +222,46 @@ def loglik_matrix(
         tags[g.rows] = g.tag
     ids = tuple(int(s) for s in data.subject_id)
     return LogLikMatrix(vals.T, tuple(tags), ids, data.time_unit)
+
+
+def event_probabilities(spec: ModelSpec, design: ModelDesign, draws, data,
+                        horizon: float | None = None, interval: int | None = None,
+                        grid: TimeGrid | None = None) -> tuple:
+    """(p, z, keep): the 0/1 outcomes z of the rows ``keep`` and their
+    (len(keep), S) event probabilities, one column per draw.
+
+    A Bernoulli model predicts each long-format row's outcome, or with
+    ``interval`` those of the rows of that interval index.  A continuous
+    model predicts, with ``interval``, the event in that ``grid`` interval
+    of the subjects at risk at its start, P(event in (a, b] | alive at a),
+    else the event by ``horizon``, F(horizon); subjects whose outcome is
+    unknowable are left out (``checks.interval_outcomes``).  A ``horizon``
+    it would not use (Bernoulli, or with ``interval``) is refused.  The
+    linear predictor covers every row and draw: no value depends on the
+    rows kept.
+    """
+    if horizon is not None and (spec.family == "bernoulli_logit" or interval is not None):
+        raise ModelError("a horizon is only for a continuous model without an interval")
+    if spec.family == "bernoulli_logit":
+        p = subject_params(spec, design, draws, data.covariates, n_rows=data.n_rows)["p"]
+        rows = slice(None) if interval is None else np.flatnonzero(data.interval_index == interval)
+        return p[rows], data.outcome[rows], np.arange(data.n_rows)[rows]
+    if interval is not None:
+        if grid is None:
+            raise ModelError("a per-interval calibration needs a grid")
+        a, b = (float(x) for x in grid.bounds(interval))
+        z, keep, _ = interval_outcomes(data, a, b)
+    elif horizon is not None:
+        b = horizon
+        z, keep, _ = dichotomize_outcomes(data, horizon)
+    else:
+        raise ModelError("calibration for continuous families needs a horizon or an interval")
+    params = subject_params(spec, design, draws, data.covariates, n_rows=data.n)
+    params["mean"] = params["mean"][keep]
+    log_s = log_survival(spec.family, params, b)  # log(1 - p): log S(b) [/ S(a)]
+    if interval is not None:
+        log_s -= log_survival(spec.family, params, a)
+    return -np.expm1(log_s), z, keep
 
 
 def _dichotomized_scores(z, p_event) -> np.ndarray:
@@ -336,9 +373,9 @@ def _check_rebuilt_rows(spec: ModelSpec, long: LongDataset, rank, keep, k_max: i
 def group_long_by_subject(loglik: LogLikMatrix) -> LogLikMatrix:
     """Sum the (subject, interval) row columns of a matrix into subject columns.
 
-    For row-level matrices, such as a log-lik CSV with row units;
-    ``loglik_matrix`` already scores a Bernoulli model on its subjects.  A
-    matrix keyed by plain subject ids is returned unchanged.
+    No reader in this package makes row-level matrices (``loglik_matrix``
+    scores a Bernoulli model on its subjects); this is for one a caller
+    builds.  A matrix keyed by plain subject ids is returned unchanged.
     """
     if not any(isinstance(u, tuple) for u in loglik.unit_ids):
         return loglik

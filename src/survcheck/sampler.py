@@ -343,13 +343,14 @@ class PosteriorModel:
 # the random-walk kernel
 
 
-def sample_posterior(log_prob, dim: int, config: SamplerConfig, seeds, init=None,
-                     look_ahead: bool = False):
+def sample_posterior(log_prob, dim: int, config: SamplerConfig, seeds, init,
+                     look_ahead: bool):
     """Adaptive RWM, all chains in lockstep, adapting until the end of warmup.
 
-    Chain c draws from ``default_rng(seeds[c])``; ``config`` sets the warmup
-    and kept lengths.  ``log_prob`` maps an (N, dim) batch to (N,) values,
-    each bitwise the value of its row alone.
+    Chain c starts near ``init``, a (dim,) array, and draws from
+    ``default_rng(seeds[c])``; ``config`` sets the warmup and kept lengths.
+    ``log_prob`` maps an (N, dim) batch to (N,) values, each bitwise the
+    value of its row alone.
 
     The loop runs window by window.  A window is ``ADAPT_WINDOW``
     iterations, or fewer at the end of warmup or of the kept draws; the
@@ -381,7 +382,6 @@ def sample_posterior(log_prob, dim: int, config: SamplerConfig, seeds, init=None
     """
     rngs = [np.random.default_rng(seed) for seed in seeds]
     C = len(rngs)
-    init = np.zeros(dim) if init is None else np.asarray(init, dtype=float)
     x = init + INIT_JITTER * np.stack([rng.standard_normal(dim) for rng in rngs])
     lp = np.array(log_prob(x), dtype=float)
     if not np.all(np.isfinite(lp)):

@@ -9,8 +9,7 @@ from survcheck import experiments
 from survcheck.cli import build_parser, main
 from survcheck.data import DrawsMatrix, read_draws_csv, read_long_csv, write_draws_csv
 from survcheck.data import write_long_csv
-from survcheck.experiments import calibration_inputs
-from survcheck.loo import bernoulli_dichotomized_loglik, elpd_loo
+from survcheck.loo import bernoulli_dichotomized_loglik, elpd_loo, event_probabilities
 from survcheck.models import ModelDesign, ModelSpec, get_preset
 from survcheck.series import PlotSeries, bundle_to_json
 
@@ -516,6 +515,65 @@ def test_pipeline_horizon_refused_before_simulating(tmp_path, capsys, monkeypatc
     assert f"horizon must be finite and > 0, got {float(horizon)!r}" in err["message"]
 
 
+@pytest.mark.parametrize("duration, follow_up", [(5, 5), (10, 10)])
+def test_hazard_curves_scenario_refused_before_simulating(tmp_path, capsys, monkeypatch,
+                                                         duration, follow_up):
+    # treatment to the end of follow-up fitted all three models, then raised an
+    # IndexError reading the year after treatment
+    def not_run(*args, **kwargs):
+        raise AssertionError("simulated or fitted before the scenario was refused")
+
+    monkeypatch.setattr(experiments, "simulate_scenario", not_run)
+    monkeypatch.setattr(experiments, "fit", not_run)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"n_subjects": 60, "treatment_duration": duration,
+                                "max_follow_up": follow_up}))
+    assert main(["experiment", "hazard-curves", "--scenario", str(path),
+                 "--out", str(tmp_path / "x")]) == 1
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "DataError"
+    assert f"max_follow_up ({follow_up})" in err["message"]
+    assert f"treatment_duration ({duration})" in err["message"]
+
+
+def test_compare_refuses_a_repeated_name(workspace, tmp_path, capsys, monkeypatch):
+    # two models named "a" ranked two rows "a", kept one in the elpd map and
+    # wrote loglik_a.csv twice
+    def not_read(*args, **kwargs):
+        raise AssertionError("draws read before the names were checked")
+
+    monkeypatch.setattr("survcheck.cli.read_draws_csv", not_read)
+    fits, out = workspace["fits"], tmp_path / "cmp"
+    assert main(["compare", "loo", "--data", str(workspace["sim"] / "short.csv"),
+                 "--model", "a", "exponential-gist", str(fits["exponential-gist"] / "draws.csv"),
+                 "--model", "b", "weibull-gist", str(fits["weibull-gist"] / "draws.csv"),
+                 "--model", "a", "weibull-gist", str(fits["weibull-gist"] / "draws.csv"),
+                 "--out", str(out), "--save-loglik"]) == 1
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "CliError"
+    assert "model names must be distinct" in err["message"]
+    assert not out.exists()
+
+
+def test_all_nan_khat_written_as_null(workspace, tmp_path):
+    # 10 draws leave no tail to fit: every k-hat is NaN, and numpy's nanmax
+    # warned "All-NaN slice encountered"
+    short = workspace["sim"] / "short.csv"
+    models = []
+    for name in ("exponential-gist", "weibull-gist"):
+        draws = read_draws_csv(workspace["fits"][name] / "draws.csv")
+        path = tmp_path / f"{name}.csv"
+        write_draws_csv(DrawsMatrix(draws.draws[:10], draws.parameter_names), path)
+        models += ["--model", name, name, str(path)]
+    out = tmp_path / "cmp"
+    with pytest.warns(UserWarning, match="only 10 draws"):
+        assert main(["compare", "interval", "--data", str(short), *models,
+                     "--scaling", str(workspace["fits"]["weibull-gist"] / "scaling.json"),
+                     "--out", str(out)]) == 0
+    elpd = json.loads((out / "comparison.json").read_text())["elpd"]
+    assert [r["khat_max"] for r in elpd.values()] == [None, None]
+
+
 def test_one_chain_diagnostics_are_strict_json(workspace, tmp_path):
     # split-R-hat needs two chains; its NaN is written as null, not a bare NaN
     out = tmp_path / "one"
@@ -621,10 +679,10 @@ def test_check_calibration_bernoulli_long(tmp_path):
         doc = json.loads((out / "calibration.json").read_text())
         assert isinstance(doc["inside_band"], bool)
         curve = next(s for s in doc["series"] if s["name"] == "calibration_curve")
-        predictions, outcomes = calibration_inputs(
+        p, outcomes, _ = event_probabilities(
             spec, design, draws, long, interval=int(extra[1]) if extra else None)
         assert len(curve["data"]["x"]) == len(outcomes) == n_rows
-        assert curve["data"]["x"] == np.sort(predictions).tolist()
+        assert curve["data"]["x"] == np.sort(p.mean(axis=1)).tolist()
 
 
 # the options each subcommand used to accept and ignore

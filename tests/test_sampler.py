@@ -345,7 +345,7 @@ class TestFit:
 
         cfg = SamplerConfig(n_chains=1, n_warmup=100, n_keep=10, seed=0)
         with pytest.raises(SamplingError) as err:
-            sample_posterior(log_prob, 1, cfg, [(0, 0)])
+            sample_posterior(log_prob, 1, cfg, [(0, 0)], np.zeros(1), look_ahead=False)
         assert "window" in str(err.value)
         assert err.value.diagnostics["iteration"] == 100
 
@@ -476,7 +476,8 @@ class TestWindowedSamplerAgainstOracle:
                 return sticky_target(dim, seed, scale, starts(dim, seeds), sorted(chains), trap)
         config = SamplerConfig(n_chains=n_chains, n_warmup=n_warmup, n_keep=n_keep, seed=seed)
         seeds = [(seed, c) for c in range(n_chains)]
-        got = sampler_outcome(sample_posterior, make_target, dim, config, seeds)
+        got = sampler_outcome(sample_posterior, make_target, dim, config, seeds,
+                              look_ahead=False)
         want = sampler_outcome(sampler_oracle.sample_posterior, make_target, dim, config, seeds)
         assert got[0] == want[0]
         assert got == want
@@ -586,7 +587,7 @@ class TestDetailedBalance:
         cfg = SamplerConfig(n_chains=4, n_warmup=1000, n_keep=10_000, seed=123)
         chains, _, rates, _ = sample_posterior(
             lambda x: -0.5 * np.sum(x * x, axis=1), 1, cfg, [(123, c) for c in range(4)],
-            init=np.zeros(1))
+            init=np.zeros(1), look_ahead=False)
         draws = chains.reshape(-1)
         assert draws.size == 40_000
         assert abs(draws.mean()) < 0.05

@@ -501,14 +501,14 @@ def _checks():
     yield from _series("checks.pit_ecdf", series)
     yield "checks.pit_ecdf.inside", _json(inside)
 
-    p, z = sc.calibration_inputs(spec, design, draws, short, horizon=HORIZON)
-    series, inside = sc.calibration_check(p, z, seed=3, n_sim=300, zoom_mass=0.9)
+    p, z, _ = sc.event_probabilities(spec, design, draws, short, horizon=HORIZON)
+    series, inside = sc.calibration_check(p.mean(axis=1), z, seed=3, n_sim=300, zoom_mass=0.9)
     yield from _series("checks.calibration.horizon", series)
     yield "checks.calibration.horizon.inside", _json(inside)
     bern = sc.get_preset("bernoulli-gist")
     bern_design = sc.ModelDesign(bern, long.covariates)
-    p, z = sc.calibration_inputs(bern, bern_design, sc.fit(bern, long, SAMPLER).draws, long)
-    series, inside = sc.calibration_check(p, z, seed=4, n_sim=300, zoom_mass=0.9)
+    p, z, _ = sc.event_probabilities(bern, bern_design, sc.fit(bern, long, SAMPLER).draws, long)
+    series, inside = sc.calibration_check(p.mean(axis=1), z, seed=4, n_sim=300, zoom_mass=0.9)
     yield from _series("checks.calibration.bernoulli", series)
     yield "checks.calibration.bernoulli.inside", _json(inside)
 
@@ -546,8 +546,8 @@ def _many_blocks():
         ll = sc.loglik_matrix(bern, design, draws, data, mode=mode, horizon=HORIZON)
         yield f"blocks.loglik.bernoulli-gist.{name}", ll.values
         yield f"blocks.loglik.bernoulli-gist.{name}.unit_ids", _json(list(ll.unit_ids))
-    p, z = sc.calibration_inputs(bern, design, draws, long)
-    series, inside = sc.calibration_check(p, z, seed=5, zoom_mass=0.9)
+    p, z, _ = sc.event_probabilities(bern, design, draws, long)
+    series, inside = sc.calibration_check(p.mean(axis=1), z, seed=5, zoom_mass=0.9)
     yield from _series("blocks.calibration.bernoulli", series)
     yield "blocks.calibration.bernoulli.inside", _json(inside)
     spec = sc.get_preset("weibull-gist")
