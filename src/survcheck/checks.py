@@ -12,7 +12,12 @@ under perfect calibration, and a pointwise quantile level gamma is searched
 so that the requested fraction of replicates lies entirely inside the
 envelope.  This is assumption-free and validated by coverage tests.  PAV
 fits are SciPy's ``isotonic_regression`` (SciPy >= 1.12) over predictions
-sorted and pooled once; envelope quantiles are read off sorted replicates.
+sorted and pooled once, with their weights made once.  PIT-ECDF replicates
+are counted from one cumulative histogram per block of replicates.  The
+envelope sorts the replicates one block of columns at a time and keeps only
+the order statistics its steps read; the intervals plot reads its quantiles
+off the draws sorted the same way, bit for bit ``np.quantile``'s.  The
+Kaplan-Meier estimate is a cumulative product over sorted searches.
 ``scipy.optimize``, which holds ``isotonic_regression``, is imported at the
 first PAV fit, so a command that does not calibrate never loads it.
 """
@@ -24,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import EVENT, RIGHT_CENSORED, SurvivalDataset
+from .models import _row_blocks
 from .series import PlotSeries
 
 
@@ -130,26 +136,35 @@ def km_estimate(data: SurvivalDataset) -> StepFunction:
         raise CheckError("empty dataset")
     if not set(data.status) <= {EVENT, RIGHT_CENSORED}:
         raise CheckError("Kaplan-Meier needs event/right-censored records only")
-    is_event = data.status == EVENT
-    event_times = np.unique(data.time[is_event])
-    surv = 1.0
-    values = np.empty(event_times.size)
-    for j, t in enumerate(event_times):
-        at_risk = (data.time >= t) & (data.entry_time < t)
-        n_i = int(np.count_nonzero(at_risk))
-        d_i = int(np.count_nonzero(is_event & (data.time == t)))
-        if n_i > 0:
-            surv *= 1.0 - d_i / n_i
-        values[j] = surv
-    return StepFunction(event_times, values)
+    event_times, deaths = np.unique(data.time[data.status == EVENT], return_counts=True)
+    # at risk at t: #{time >= t} - #{min(entry, time) >= t}, exact even for
+    # a record entering at or after its own time, which is never at risk
+    entered = np.sort(np.minimum(data.entry_time, data.time))
+    at_risk = (np.searchsorted(entered, event_times)
+               - np.searchsorted(np.sort(data.time), event_times))
+    hazard = np.divide(deaths, at_risk, out=np.zeros(event_times.size), where=at_risk > 0)
+    return StepFunction(event_times, np.cumprod(1.0 - hazard))
 
 
 def empirical_ccdf(times) -> StepFunction:
     """1 - empirical CDF of a sample of (uncensored) times."""
-    times = np.sort(np.asarray(times, dtype=float))
-    uniq, counts = np.unique(times, return_counts=True)
-    surv = 1.0 - np.cumsum(counts) / times.size
-    return StepFunction(uniq, surv)
+    return _ccdfs(np.reshape(np.asarray(times, dtype=float), (1, -1)))[0]
+
+
+def _ccdfs(samples: np.ndarray) -> list[StepFunction]:
+    """``empirical_ccdf`` of each row of ``samples``, all rows sorted at once.
+    A distinct value steps down to 1 - (its last position + 1) / n; the NaNs,
+    sorted last, are one value, as ``np.unique`` counts them."""
+    x = np.sort(samples, axis=1)
+    n = x.shape[1]
+    last = np.ones(x.shape, dtype=bool)
+    last[:, :-1] = (x[:, 1:] != x[:, :-1]) & ~(np.isnan(x[:, 1:]) & np.isnan(x[:, :-1]))
+    out = []
+    for row, ends in zip(x, last):
+        at = np.flatnonzero(ends)
+        first = np.concatenate(([0], at[:-1] + 1))
+        out.append(StepFunction(row[first], 1.0 - (at + 1) / n))
+    return out
 
 
 def km_overlay(
@@ -172,9 +187,8 @@ def km_overlay(
         raise CheckError("need at least one predictive draw sequence")
     cutoff = cutoff_factor * float(np.max(data.time))
     out = []
-    for s in range(draws.shape[0]):
-        ccdf = empirical_ccdf(draws[s]).truncated(cutoff)
-        out.append(ccdf.to_series(f"predictive_{s}", "predictive", xmax=cutoff))
+    for s, ccdf in enumerate(_ccdfs(draws)):
+        out.append(ccdf.truncated(cutoff).to_series(f"predictive_{s}", "predictive", xmax=cutoff))
     if imputed is not None:
         for r, ds in enumerate(imputed):
             km_imp = km_estimate(ds).truncated(cutoff)
@@ -196,8 +210,8 @@ def intervals_data(
 ) -> PlotSeries:
     """Observations vs central 50% and 90% predictive intervals.
 
-    Quantiles use linear interpolation of order statistics (type 7), the
-    numpy default, so outputs are pinned and bit-reproducible.
+    Quantiles use linear interpolation of order statistics (type 7), bit
+    for bit ``np.quantile``'s default, read off the draws sorted once.
     """
     y = np.asarray(observed, dtype=float)
     draws = np.asarray(predictive_draws, dtype=float)
@@ -205,13 +219,13 @@ def intervals_data(
         raise CheckError("predictive draws must be (S, n)")
     if draws.shape[0] < 20:
         raise CheckError("need at least 20 draws per observation")
-    qs = np.quantile(
-        draws,
-        [0.5 - _PROB_OUTER / 2, 0.5 - _PROB_INNER / 2, 0.5,
-         0.5 + _PROB_INNER / 2, 0.5 + _PROB_OUTER / 2],
-        axis=0,
-        method="linear",
-    )
+    every = np.arange(len(draws))
+    order_stats = _order_stats(draws, every)
+    qs = [_linear_quantile(order_stats, q, every) for q in
+          (0.5 - _PROB_OUTER / 2, 0.5 - _PROB_INNER / 2, 0.5,
+           0.5 + _PROB_INNER / 2, 0.5 + _PROB_OUTER / 2)]
+    for q in qs:  # np.quantile gives a column holding NaN its NaN
+        np.copyto(q, order_stats[-1], where=np.isnan(order_stats[-1]))
     flags = (np.zeros(y.size, dtype=int) if imputed_flags is None
              else np.asarray(imputed_flags, dtype=int))
     return PlotSeries(
@@ -258,12 +272,13 @@ def simultaneous_envelope(sims: np.ndarray, level: float):
     [q_{gamma/2}, q_{1-gamma/2}] is at least ``level``.  Returns (lower,
     upper, gamma).  Each step counts the replicates outside from each
     column's K smallest and K largest values, bitwise as from every value.
+    The replicates are sorted one block of columns at a time, and only the
+    rows of the order statistics that a step reads are kept.
     """
     sims = np.asarray(sims, dtype=float)
     if not 0 < level < 1:
         raise CheckError("level must be in (0, 1)")
-    order_stats = np.sort(sims, axis=0)
-    n_sim, top = order_stats.shape[0], order_stats.shape[0] - 1
+    n_sim, top = sims.shape[0], sims.shape[0] - 1
     # Only a column's K smallest and K largest replicates can fall outside
     # at a gamma <= 1 - level, as every step's is.  The lower bound is read
     # at v = top * (gamma / 2) <= top * ((1 - level) / 2), in the same float
@@ -278,28 +293,25 @@ def simultaneous_envelope(sims: np.ndarray, level: float):
     # order_stats[n_sim - K] (NaN among them): fewer than K a column, unless
     # K or more are NaN.
     k = min(n_sim, int(top * ((1.0 - level) / 2)) + 2)
-    low = np.nonzero(sims < order_stats[k - 1])
-    high = np.nonzero(~(sims <= order_stats[n_sim - k]))
-
-    def quantile(q):
-        # np.quantile's default (linear) method read off the sorted
-        # replicates, bit for bit: at or past the last row numpy
-        # interpolates the last row with itself
-        v = top * q
-        i = int(v) if v < top else -1
-        g = v - i
-        a, b = order_stats[i], order_stats[i + 1 if i >= 0 else -1]
-        d = b - a
-        return b - d * (1 - g) if g >= 0.5 else a + d * g
+    # The rows a step reads: 0..K - 1, and from the upper bound's row at
+    # gamma = 1 - level, the lowest any step's reads, to the last.
+    v = top * (1 - (1.0 - level) / 2)
+    kept = np.r_[0:k, max(k, min(int(v) if v < top else top, n_sim - k)):n_sim]
+    row = np.zeros(n_sim, dtype=np.intp)
+    row[kept] = np.arange(kept.size)
+    order_stats = _order_stats(sims, kept)
+    floor, ceiling = order_stats[k - 1], order_stats[row[n_sim - k]]
+    low = _entries(sims, sims < floor)
+    high = _entries(sims, ~(sims <= ceiling))
 
     def coverage(gamma):
-        lo = quantile(gamma / 2)
-        hi = quantile(1 - gamma / 2)
+        lo = _linear_quantile(order_stats, gamma / 2, row)
+        hi = _linear_quantile(order_stats, 1 - gamma / 2, row)
         lo_s, hi_s = lo - _SLACK, hi + _SLACK
-        if np.all(order_stats[k - 1] >= lo_s) and np.all(order_stats[n_sim - k] <= hi_s):
+        if np.all(floor >= lo_s) and np.all(ceiling <= hi_s):
             outside = np.zeros(n_sim, dtype=bool)
-            outside[low[0][~(sims[low] >= lo_s[low[1]])]] = True
-            outside[high[0][~(sims[high] <= hi_s[high[1]])]] = True
+            outside[low[0][~(low[2] >= lo_s[low[1]])]] = True
+            outside[high[0][~(high[2] <= hi_s[high[1]])]] = True
             inside = ~outside
         else:
             inside = np.all((sims >= lo_s) & (sims <= hi_s), axis=1)
@@ -322,17 +334,60 @@ def simultaneous_envelope(sims: np.ndarray, level: float):
     return best[1], best[2], lo_g
 
 
+def _order_stats(a: np.ndarray, kept) -> np.ndarray:
+    """The rows ``kept`` of ``a`` sorted along axis 0, sorting one block of
+    columns at a time, transposed so that each sort is contiguous."""
+    out = np.empty((len(kept), a.shape[1]))
+    for cols in _row_blocks(a.shape[::-1]):
+        block = a[:, cols].T.copy()
+        block.sort(axis=1)
+        out[:, cols] = block[:, kept].T
+    return out
+
+
+def _linear_quantile(order_stats: np.ndarray, q: float, row: np.ndarray) -> np.ndarray:
+    """``np.quantile``'s default (linear) method at q of each column, bit for
+    bit, read off the column's sorted values: the i-th smallest of its
+    len(row) values is ``order_stats[row[i]]``.  At or past the last value
+    numpy interpolates the last with itself."""
+    top = len(row) - 1
+    v = top * q
+    i = int(v) if v < top else -1
+    g = v - i
+    a, b = order_stats[row[i]], order_stats[row[i + 1 if i >= 0 else -1]]
+    d = b - a
+    return b - d * (1 - g) if g >= 0.5 else a + d * g
+
+
+def _entries(sims: np.ndarray, mask: np.ndarray) -> tuple:
+    """(rows, columns, values) of the entries of ``sims`` where ``mask`` holds."""
+    rows, cols = np.divmod(np.flatnonzero(mask), sims.shape[1])
+    return rows, cols, sims[rows, cols]
+
+
 def simulate_pit_ecdfs(n: int, n_draws: int, n_sim: int, rng) -> np.ndarray:
     """Replicate PIT-ECDF curves under a well-calibrated model.
 
     For continuous data, the count of draws <= the observation is uniform on
-    {0..S}, so calibrated PIT values live on the S-lattice k/S.
+    {0..S}, so calibrated PIT values live on the S-lattice k/S.  Each
+    replicate draws its n lattice indices in one call.  Lattice values grow
+    with k, so k/S is at most the grid point j/n exactly when k is below the
+    count of lattice values at most it: each k has a first grid point that
+    counts it, and a replicate's ECDF is the cumulative histogram of those,
+    bitwise the sorted search of its PIT values.
     """
     grid = np.arange(1, n + 1) / n
+    below = np.searchsorted(np.arange(n_draws + 1) / n_draws, grid, side="right")
+    first = np.searchsorted(below, np.arange(n_draws + 1), side="right")
     sims = np.empty((n_sim, n))
-    for r in range(n_sim):
-        pit = rng.integers(0, n_draws + 1, size=n) / n_draws
-        sims[r] = ecdf_on_grid(pit, grid)
+    for rows in _row_blocks((n_sim, n + 1)):
+        reps = np.arange(n_sim)[rows]
+        at = np.empty((reps.size, n), dtype=np.intp)
+        for r in range(reps.size):
+            at[r] = first[rng.integers(0, n_draws + 1, size=n)]
+        at += (np.arange(reps.size) * (n + 1))[:, None]
+        counts = np.bincount(at.ravel(), minlength=reps.size * (n + 1)).reshape(reps.size, n + 1)
+        sims[rows] = np.cumsum(counts[:, :n], axis=1) / n
     return sims
 
 
@@ -404,11 +459,10 @@ def _pooled(predictions):
     return order, p_sorted, uniq, inverse, counts
 
 
-def _pooled_pav(inverse: np.ndarray, counts: np.ndarray, z_sorted: np.ndarray) -> np.ndarray:
-    """Weighted PAV over distinct predictions, expanded back per point."""
-    sums = np.bincount(inverse, weights=z_sorted)
-    fit = pav_isotonic(sums / counts, counts.astype(float))
-    return fit[inverse]
+def _pooled_pav(inverse: np.ndarray, weights: np.ndarray, z_sorted: np.ndarray) -> np.ndarray:
+    """Weighted PAV over distinct predictions, their counts as float
+    ``weights``, expanded back per point."""
+    return pav_isotonic(np.bincount(inverse, weights=z_sorted) / weights, weights)[inverse]
 
 
 def pav_cep(predictions, outcomes) -> CalibrationCurve:
@@ -424,7 +478,7 @@ def pav_cep(predictions, outcomes) -> CalibrationCurve:
     if not np.all((z == 0) | (z == 1)):
         raise CheckError("outcomes must be 0 or 1")
     order, p_sorted, _, inverse, counts = _pooled(predictions)
-    return CalibrationCurve(p_sorted, _pooled_pav(inverse, counts, z[order]))
+    return CalibrationCurve(p_sorted, _pooled_pav(inverse, counts.astype(float), z[order]))
 
 
 def calibration_band(
@@ -439,10 +493,10 @@ def calibration_band(
     """
     _, p_sorted, uniq, inverse, counts = _pooled(predictions)
     rng = np.random.default_rng(seed)
+    weights = counts.astype(float)
     sims = np.empty((n_sim, p_sorted.size))
-    for r in range(n_sim):
-        z = (rng.random(p_sorted.size) < p_sorted).astype(float)
-        sims[r] = _pooled_pav(inverse, counts, z)
+    for sim in sims:
+        sim[:] = _pooled_pav(inverse, weights, rng.random(p_sorted.size) < p_sorted)
     lower, upper, gamma = simultaneous_envelope(sims, level)
     band = BandSeries(p_sorted, lower, upper, level, pointwise_gamma=gamma)
     dots = PlotSeries("prediction_density", "points",

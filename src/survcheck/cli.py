@@ -86,22 +86,28 @@ class RunDir:
 
     def __init__(self, path, config: dict):
         self.path = Path(path)
-        self.path.mkdir(parents=True, exist_ok=True)
         self.manifest = {"config": config, "artifacts": []}
 
     def write_json(self, name: str, payload: dict):
         return self.write_text(name, _json(payload))
 
     def write_text(self, name: str, text: str):
-        self.register(name).write_text(text)
-        return self.path / name
+        path = self.register(name)
+        path.write_text(text)
+        return path
 
     def register(self, name: str):
         self.manifest["artifacts"].append(name)
-        return self.path / name
+        return self._file(name)
 
     def finish(self):
-        (self.path / "manifest.json").write_text(_json(self.manifest))
+        self._file("manifest.json").write_text(_json(self.manifest))
+
+    def _file(self, name: str) -> Path:
+        """``name`` in the directory, which the first write makes: a command
+        refused before it writes leaves no directory behind."""
+        self.path.mkdir(parents=True, exist_ok=True)
+        return self.path / name
 
 
 def _load_model(spec_arg: str) -> ModelSpec:

@@ -21,6 +21,7 @@ import numpy as np
 
 from .checks import calibration_check, km_overlay
 from .data import (
+    TIME_NAME,
     DataError,
     DrawsMatrix,
     SurvivalDataset,
@@ -189,7 +190,9 @@ def hazard_curves_experiment(
     Fits the exponential, Weibull AFT (both with a treatment indicator) and
     discrete-time Bernoulli models to a synthetic cohort, then predicts the
     treated and untreated curves for one patient.  A follow-up that ends
-    with the treatment is a DataError before anything is simulated.
+    with the treatment, or that has fewer years than the Bernoulli model's
+    ``Time`` spline needs distinct values, is a DataError before anything
+    is simulated.
 
     The three fits run at once, each in a forked worker process that holds
     its fit's draws (``sampler._run_jobs``; one after another in this
@@ -201,6 +204,12 @@ def hazard_curves_experiment(
     if follow_up <= duration:
         raise DataError("the hazard curves read the year after treatment: max_follow_up "
                         f"({follow_up}) must exceed treatment_duration ({duration})")
+    # one distinct Time value a year, and spline_knots needs max(n_knots, 2)
+    years = next(max(sm.n_knots, 2) for sm in get_preset("bernoulli-gist").smooths
+                 if sm.name == TIME_NAME)
+    if follow_up < years:
+        raise DataError(f"the Bernoulli model's {TIME_NAME} spline needs {years} distinct "
+                        f"years: max_follow_up ({follow_up}) must be at least {years}")
     sampler = sampler or SamplerConfig(n_warmup=2500, n_keep=750, seed=scenario.seed + 1)
     short_scaled, long_scaled, record, specs, bern = _case_study(scenario)
 

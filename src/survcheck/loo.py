@@ -12,7 +12,9 @@ PSIS replaces the largest importance weights of each column with fitted
 generalized-Pareto order statistics, all columns in one pass and each
 bitwise as if smoothed alone; the tail shape k-hat diagnoses reliability,
 and units beyond the threshold can be recomputed exactly by refitting
-without them.
+without them.  The weights' normalization, the elpd and an exact refit's
+score each take one log-sum-exp over the draws (``_logsumexp``), bitwise
+SciPy's ``logsumexp(axis=0)`` in fewer full passes.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .checks import dichotomize_outcomes, interval_outcomes
 from .data import (
@@ -47,6 +48,7 @@ from .models import (
     ModelError,
     ModelSpec,
     Rate,
+    _logistic_into,
     _row_blocks,
     bernoulli_log_score,
     group_log_scores,
@@ -78,7 +80,7 @@ class LogLikMatrix:
             raise LooError("log-lik matrix must be 2-D (draws x units)")
         if v.shape[0] == 0:
             raise LooError("log-lik matrix has no draws")
-        if np.any(np.isnan(v)) or np.any(v == np.inf):
+        if not v.max(initial=-np.inf) < np.inf:  # NaN, which max propagates, or +inf
             raise LooError("log-lik entries must be finite or -inf")
         tags = tuple(self.tags)
         ids = tuple(self.unit_ids)
@@ -330,14 +332,14 @@ def bernoulli_dichotomized_loglik(
     rows = TreatmentRule.of(long).rows({name: col[keep] for name, col in short.covariates.items()},
                                        k_max)
     _check_rebuilt_rows(spec, long, rank, keep, k_max, rows)
-    blocks = {name: col.reshape(n_keep, k_max) for name, col in rows.items()}
+    x = design.matrix(rows, n_keep * k_max).reshape(n_keep, k_max, -1)
     beta = design.coefficients(draws)
     vals = np.empty((n_keep, len(beta)))
     # one block of subjects at a time; a subject's rows are multiplied and
-    # summed on their own, so every value is bitwise that of one pass
+    # summed on their own (as ``models.eta`` multiplies (n, k) blocks), so
+    # every value is bitwise that of one pass
     for b in _row_blocks((n_keep, k_max, len(beta))):
-        p = subject_params(spec, design, beta, {name: block[b] for name, block in blocks.items()},
-                           n_rows=z[b].size * k_max)["p"]
+        p = _logistic_into(lin := x[b] @ beta.T, lin)
         vals[b] = _dichotomized_scores(z[b], -np.expm1(np.sum(np.log1p(-p), axis=1)))
     ids = tuple(int(s) for s in short.subject_id[keep])
     return LogLikMatrix(vals.T, (PROBABILITY,) * len(keep), ids, long.time_unit)
@@ -411,7 +413,8 @@ def _gpd_profile(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(divide="ignore", invalid="ignore"):
         for r in _row_blocks((rows, m, n)):
             bc = b[r]
-            k = np.mean(np.log1p(-bc[:, :, None] * x[r][:, None, :]), axis=2)
+            t = -bc[:, :, None] * x[r][:, None, :]
+            k = np.mean(np.log1p(t, out=t), axis=2)
             logl[r] = n * (np.log(-bc / k) - k - 1.0)
         # the weights run over a row's finite grid points only
         valid = np.isfinite(logl)
@@ -461,11 +464,19 @@ def _top_ascending(lw: np.ndarray, k: int) -> np.ndarray:
     top = np.sort(np.argpartition(lw, S - k, axis=1)[:, S - k:], axis=1)
     vals = np.take_along_axis(lw, top, axis=1)
     top = np.take_along_axis(top, np.argsort(vals, axis=1, kind="stable"), axis=1)
-    # the partition may split a tie group at the cutoff and keep the wrong
-    # members of it: those rows take the full stable sort
+    # The partition may split the tie group at the cutoff and keep the wrong
+    # members of it.  A stable sort keeps the group's highest indices, in
+    # index order, ahead of the larger values: those rows take them so.
     cut = vals.min(axis=1, keepdims=True)
-    split = np.sum(lw == cut, axis=1) > np.sum(vals == cut, axis=1)
-    top[split] = np.argsort(lw[split], axis=1, kind="stable")[:, S - k:]
+    kept = np.count_nonzero(vals == cut, axis=1)
+    tie = lw == cut
+    tied = np.count_nonzero(tie, axis=1)
+    split = np.flatnonzero(tied > kept)
+    if split.size:
+        col = np.nonzero(tie)[1]  # every row's group, rows in order, by index
+        c = kept[split]
+        slot = np.arange(c.sum()) - np.repeat(np.cumsum(c) - c, c)
+        top[np.repeat(split, c), slot] = col[np.repeat(np.cumsum(tied)[split] - c, c) + slot]
     return top
 
 
@@ -488,11 +499,13 @@ def psis_smooth(loglik: LogLikMatrix) -> PsisResult:
     S, N = ll.shape
     if S < 100:
         warnings.warn(f"only {S} draws; PSIS is unreliable below ~100", stacklevel=2)
-    finite = np.all(np.isfinite(ll), axis=0)
-    log_w = np.zeros((S, N))  # uniform where a score is -inf
+    low = ll.min(axis=0)
+    finite = low > -np.inf  # entries are finite or -inf
+    every = finite.all()
     khat = np.full(N, np.nan)
-    lw = np.negative(ll[:, finite].T, order="C")  # raw log ratios -ll ...
-    lw -= lw.max(axis=1, keepdims=True)  # ... shifted to a maximum of 0
+    # raw log ratios -ll shifted to a maximum of 0: -ll - max(-ll) is min(ll) - ll
+    lw = (ll if every else ll[:, finite]).T.copy()
+    np.subtract(low[finite, None], lw, out=lw)
     M = psis_tail_size(S)
     order = np.empty((len(lw), M + 1), dtype=np.intp)
     for rows in _row_blocks(lw.shape):
@@ -504,11 +517,43 @@ def psis_smooth(loglik: LogLikMatrix) -> PsisResult:
     q = (np.arange(1, M + 1) - 0.5) / M
     smoothed = np.exp(top[ok, :1]) + gpd_quantile(q, k[ok, None], sigma[ok, None])
     lw[ok[:, None], order[ok, 1:]] = np.log(smoothed)
-    log_w[:, finite] = np.minimum(lw, 0.0, out=lw).T  # truncate at the raw maximum
-    log_w -= logsumexp(log_w, axis=0)  # every column at once
+    np.minimum(lw, 0.0, out=lw)  # truncate at the raw maximum
+    if every:
+        log_w = np.ascontiguousarray(lw.T)
+    else:
+        log_w = np.zeros((S, N))  # uniform where a score is -inf
+        log_w[:, finite] = lw.T
+    del lw
+    log_w -= _logsumexp(log_w)  # every column at once
     w = np.exp(log_w)
-    ess = 1.0 / np.sum(w * w, axis=0)
+    ess = 1.0 / np.sum(np.multiply(w, w, out=w), axis=0)
     return PsisResult(log_w, khat, ess, np.isnan(khat))
+
+
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """log sum exp over axis 0 of a C-ordered (S, N) array, bitwise
+    ``scipy.special.logsumexp(a, axis=0)`` in fewer passes: the entries at a
+    column's maximum are counted and left out of the shifted sum, which is
+    added in the same row order.  A column whose value this does not make
+    finite takes log(sum(exp(a))), as SciPy's does: it is -inf, +inf or NaN
+    in any order of summation."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = a.max(axis=0)
+        top = a == a_max
+        m = np.count_nonzero(top, axis=0)
+        e = np.subtract(a, a_max)
+        np.exp(e, out=e)
+        np.copyto(e, 0.0, where=top)
+        s = e.sum(axis=0)
+        del e, top
+        np.divide(s, m, out=s, where=s != 0)
+        out = np.log1p(s)
+        out += np.log(m)
+        out += a_max
+        bad = ~np.isfinite(out)
+        if bad.any():
+            out[bad] = np.log(np.sum(np.exp(a[:, bad]), axis=0))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -527,8 +572,8 @@ def elpd_loo(loglik: LogLikMatrix, psis: PsisResult | None = None,
     if psis.log_weights.shape != loglik.values.shape:
         raise LooError("PSIS result does not match the log-lik matrix")
     with np.errstate(invalid="ignore"):
-        pointwise = logsumexp(psis.log_weights + loglik.values, axis=0)
-    pointwise = np.where(np.isnan(pointwise), -np.inf, pointwise)
+        pointwise = _logsumexp(psis.log_weights + loglik.values)
+    pointwise[np.isnan(pointwise)] = -np.inf
     finite = np.isfinite(pointwise).all()
     return ElpdReport(
         total=float(pointwise.sum()) if finite else float("-inf"),
@@ -692,7 +737,7 @@ def _refit_units(spec: ModelSpec, data, config, pending: list, scoring: dict) ->
         if uid not in ll.unit_ids:
             raise LooError(f"unit {uid!r} is not a scoring unit in {scoring['mode']} mode")
         col = ll.values[:, ll.unit_ids.index(uid)]
-        results[idx] = ("elpd", float(logsumexp(col) - math.log(col.size)))
+        results[idx] = ("elpd", float(_logsumexp(col[:, None])[0] - math.log(col.size)))
     return results
 
 

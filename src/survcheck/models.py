@@ -64,8 +64,11 @@ PROBABILITY = "probability"
 # predictors still yield finite scores
 _PCLAMP = 1e-15
 
-# float64 elements per temporary block of every blocked loop (_row_blocks): 2 MiB
-_CHUNK = 1 << 18
+# float64 elements per temporary block of every blocked loop (_row_blocks):
+# 512 KiB, so that a block and the temporaries of its passes stay in a
+# core's L2 cache (with 2 MiB blocks PSIS, logistic and the Bernoulli
+# log-lik matrix ran 3-8% slower on a 2-core x86-64 machine)
+_CHUNK = 1 << 16
 
 
 class ModelError(ValueError):
@@ -372,15 +375,19 @@ def logistic(eta) -> np.ndarray:
 
 
 def _logistic_into(eta: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``logistic(eta)`` written to ``out``, which may be ``eta`` itself."""
+    """``logistic(eta)`` written to ``out``, which may be ``eta`` itself:
+    e/(1 + e) with e = exp(-|eta|) where eta < 0, else 1/(1 + e).  No pass
+    branches on the sign: as e <= 1, the numerator is max(e, [eta >= 0])."""
     for rows in _row_blocks(eta.shape):
         e, p = eta[rows], out[rows]
-        negative = e < 0
-        np.exp(-np.abs(e), out=p)
-        numerator = np.where(negative, p, 1.0)
+        numerator = np.greater_equal(e, 0.0, out=np.empty_like(p), casting="unsafe")
+        np.abs(e, out=p)
+        np.exp(np.negative(p, out=p), out=p)
+        np.maximum(p, numerator, out=numerator)
         p += 1.0
         np.divide(numerator, p, out=p)
-        np.clip(p, _PCLAMP, 1.0 - _PCLAMP, out=p)
+        np.minimum(p, 1.0 - _PCLAMP, out=p)
+        np.maximum(p, _PCLAMP, out=p)
     return out
 
 

@@ -26,6 +26,8 @@ from survcheck.checks import (
 from survcheck.data import SurvivalDataset
 from survcheck.series import PlotSeries, bundle_to_json
 
+import checks_oracle
+
 
 def make_dataset(times, statuses, entries=None):
     n = len(times)
@@ -230,6 +232,22 @@ class TestIntervalsData:
         assert series.data["upper"][0] == pytest.approx(95.05)
         assert series.data["median"][0] == pytest.approx(50.5)
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_bitwise_numpy_quantile(self, seed):
+        # read off one sort of the draws, each bound is np.quantile's, bit for
+        # bit, with ties, infinities and a column holding NaN
+        rng = np.random.default_rng(seed)
+        draws = np.round(rng.exponential(2.0, size=(int(rng.integers(20, 400)), 30)), seed % 3)
+        draws[rng.random(draws.shape) < 0.04] = np.inf
+        draws[rng.random(draws.shape) < 0.02] = -np.inf
+        draws[rng.integers(len(draws)), 3] = np.nan
+        with np.errstate(invalid="ignore"):
+            want = np.quantile(draws, [0.5 - 0.9 / 2, 0.5 - 0.5 / 2, 0.5, 0.5 + 0.5 / 2,
+                                       0.5 + 0.9 / 2], axis=0)
+            series = intervals_data(np.zeros(30), draws)
+        for q, key in zip(want, ("lower", "inner_lower", "median", "inner_upper", "upper")):
+            assert series.data[key] == PlotSeries("want", "points", {key: q}).data[key], key
+
     def test_constant_draws_collapse(self):
         draws = np.full((25, 2), 3.3)
         series = intervals_data(np.array([3.3, 1.0]), draws)
@@ -252,6 +270,33 @@ class TestPit:
 
     def test_observation_below_all_draws(self):
         assert pit_values([0.5], np.array([[1.0], [2.0]]))[0] == 0.0
+
+
+class TestAgainstLoopOracles:
+    """The array forms of ``km_estimate`` and ``simulate_pit_ecdfs`` are bitwise
+    their loop forms in ``tests/checks_oracle.py``."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_km_estimate(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 2 * int(rng.integers(20, 200)) + 1  # odd
+        times = np.round(rng.exponential(2.0, n), 1) + 0.1  # tied times
+        entries = np.where(rng.random(n) < 0.4, np.round(rng.uniform(0, 1.5, n), 1), 0.0)
+        entries[:3] = times[:3] + [0.0, 0.5, 2.0]  # entering at or after its own time
+        status = np.where(rng.random(n) < 0.6, "event", "right_censored")
+        status[:3] = "event"
+        ds = make_dataset(times, status, entries)
+        got, want = km_estimate(ds), checks_oracle.km_estimate(ds)
+        assert got.times.tobytes() == want.times.tobytes()
+        assert got.values.tobytes() == want.values.tobytes()
+
+    @pytest.mark.parametrize("n, n_draws, n_sim", [
+        (61, 100, 300), (600, 1000, 70), (7, 4000, 50), (150, 3, 40), (2, 1, 10), (5, 0, 3)])
+    def test_simulate_pit_ecdfs(self, n, n_draws, n_sim):
+        with np.errstate(divide="ignore", invalid="ignore"):  # S = 0: every PIT is 0/0
+            got = simulate_pit_ecdfs(n, n_draws, n_sim, np.random.default_rng(n))
+            want = checks_oracle.simulate_pit_ecdfs(n, n_draws, n_sim, np.random.default_rng(n))
+        assert got.tobytes() == want.tobytes()
 
 
 class TestPitEcdfBand:

@@ -536,6 +536,40 @@ def test_hazard_curves_scenario_refused_before_simulating(tmp_path, capsys, monk
     assert f"treatment_duration ({duration})" in err["message"]
 
 
+def test_hazard_curves_short_follow_up_refused_before_simulating(tmp_path, capsys,
+                                                                 monkeypatch):
+    # four years of follow-up simulated the cohort, then failed the fits with
+    # a ModelError, "need at least 5 distinct values, got 4", naming no setting
+    def not_run(*args, **kwargs):
+        raise AssertionError("simulated or fitted before the scenario was refused")
+
+    monkeypatch.setattr(experiments, "simulate_scenario", not_run)
+    monkeypatch.setattr(experiments, "fit", not_run)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"n_subjects": 60, "treatment_duration": 2, "max_follow_up": 4}))
+    assert main(["experiment", "hazard-curves", "--scenario", str(path),
+                 "--out", str(tmp_path / "x")]) == 1
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "DataError"
+    assert "max_follow_up (4)" in err["message"] and "5 distinct years" in err["message"]
+
+
+@pytest.mark.parametrize("command, name, settings", [
+    ("run", "pipeline.json", {"scenario": {"n_subjects": 30}, "horizon": -1}),
+    ("experiment hazard-curves", "scenario.json",
+     {"n_subjects": 60, "treatment_duration": 2, "max_follow_up": 4}),
+])
+def test_refused_command_leaves_no_directory(tmp_path, capsys, command, name, settings):
+    # the output directory was made before the command's own refusals ran,
+    # and a refused command left it behind, empty
+    path = tmp_path / name
+    path.write_text(json.dumps(settings))
+    flag = "--pipeline" if command == "run" else "--scenario"
+    assert main([*command.split(), flag, str(path), "--out", str(tmp_path / "out")]) == 1
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "DataError"
+    assert not (tmp_path / "out").exists()
+
+
 def test_compare_refuses_a_repeated_name(workspace, tmp_path, capsys, monkeypatch):
     # two models named "a" ranked two rows "a", kept one in the elpd map and
     # wrote loglik_a.csv twice

@@ -194,9 +194,9 @@ class TestPsis:
         assert M <= psis_tail_size(1000)
 
 
-def _metropolis_repeats(rng, values):
+def _metropolis_repeats(rng, values, accept=0.3):
     """Rows repeated as a random-walk Metropolis chain repeats a rejected draw."""
-    moves = np.where(rng.random(len(values)) < 0.3, np.arange(len(values)), 0)
+    moves = np.where(rng.random(len(values)) < accept, np.arange(len(values)), 0)
     return values[np.maximum.accumulate(moves)]
 
 
@@ -242,6 +242,21 @@ class TestPsisMatchesPerColumnOracle:
         values = _metropolis_repeats(rng, rng.normal(-2.0, 1.0, size=(1000, 40)))
         assert_psis_matches_oracle(values)
 
+    def test_metropolis_repeats_split_the_cutoff(self):
+        # 4000 draws of a chain accepting one move in five: the partition
+        # splits the cutoff's tie group in most columns, whose tails are
+        # then the group's highest indices ahead of the larger values
+        rng = np.random.default_rng(12)
+        values = _metropolis_repeats(rng, rng.standard_t(6, size=(4000, 40)) - 2.0, accept=0.2)
+        lr = -values.T
+        M = psis_tail_size(4000)
+        top = np.argpartition(lr, 4000 - M - 1, axis=1)[:, 4000 - M - 1:]
+        cut = np.take_along_axis(lr, top, axis=1).min(axis=1, keepdims=True)
+        split = np.count_nonzero(lr == cut, axis=1) > np.count_nonzero(
+            np.take_along_axis(lr, top, axis=1) == cut, axis=1)
+        assert np.count_nonzero(split) >= 30
+        assert_psis_matches_oracle(values)
+
     def test_ties_straddling_the_cutoff(self):
         rng = np.random.default_rng(8)
         values = np.round(rng.normal(-2.0, 1.0, size=(1000, 40)), 1)
@@ -278,6 +293,37 @@ class TestPsisMatchesPerColumnOracle:
         if odd:
             values = _odd_columns(rng, values, n_exceedances)
         assert_psis_matches_oracle(values)
+
+
+class TestLogSumExp:
+    """``loo._logsumexp`` is bitwise ``scipy.special.logsumexp(a, axis=0)``."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(shape=st.tuples(st.integers(1, 60), st.integers(1, 6)),
+           seed=st.integers(0, 2**32 - 1), decimals=st.sampled_from([None, 0, 1]),
+           scale=st.sampled_from([1e-3, 1.0, 30.0, 800.0]),
+           minus_inf=st.sampled_from([0.0, 0.2, 0.9]), empty_column=st.booleans())
+    def test_matches_scipy(self, shape, seed, decimals, scale, minus_inf, empty_column):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=shape) * scale
+        if decimals is not None:  # ties, at the maximum too
+            a = np.round(a, decimals)
+        a[rng.random(shape) < minus_inf] = -np.inf
+        if empty_column:
+            a[:, rng.integers(shape[1])] = -np.inf
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want = logsumexp(a, axis=0)
+        got = loo._logsumexp(a)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+
+    def test_one_column_of_a_matrix(self):
+        # the exact refit's score of one column, a strided view
+        rng = np.random.default_rng(3)
+        values = rng.normal(size=(4000, 7)) * 20
+        for j in range(7):
+            col = values[:, j]
+            assert loo._logsumexp(col[:, None])[0].tobytes() == np.float64(logsumexp(col)).tobytes()
 
 
 class TestPsisBlocks:

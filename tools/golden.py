@@ -58,7 +58,7 @@ The workloads cover:
   column of a series is saved as its own array (a CEP curve, a band
   bound), so ``compare`` reports its largest difference;
 * at the benchmark's post-fit scale (600 subjects, 4 x 250 kept draws),
-  where each draws x rows array spans many 2 MiB blocks: the Bernoulli
+  where each draws x rows array spans many 512 KiB blocks: the Bernoulli
   preset's raw ``loglik_matrix`` on its long rows as given and shuffled,
   its dichotomized one, ``calibration_check`` on its 4000-odd rows, and
   the Weibull preset's ``posterior_predictive_times`` with all draws,
@@ -70,7 +70,10 @@ The workloads cover:
   4000 draws whose rows repeat as Metropolis draws do, and one with a
   constant column, a ``-inf`` entry, few distinct values, few distinct
   positive exceedances, ties at the tail cutoff, underflowing weights and
-  a heavy tail;
+  a heavy tail, and a 4000-draw matrix whose cutoff tie group straddles
+  the tail boundary in most columns, with its elpd;
+* ``km_estimate`` on 301 records with delayed entries, tied times and a
+  record whose entry equals its event time;
 * ``hazard_curves_experiment`` and ``timescale_experiment`` at small
   sampler settings;
 * ``run_pipeline`` at small settings and on the README pipeline config
@@ -96,7 +99,7 @@ The workloads cover:
   Weibull shape and an overflowing smoothing scale;
 * ``split_rhat`` and ``bulk_ess`` on seeded chain sets (autocorrelated,
   odd and short lengths, 1 to 8 chains, up to 50 parameters, 40 parameters
-  of 4 x 1000 draws spanning several 2 MiB blocks, heavy ties,
+  of 4 x 1000 draws spanning several 512 KiB blocks, heavy ties,
   equal and disjoint constant chains, infinite and NaN draws), called on
   each parameter's (n_chains, n_iter) chains and on all parameters'
   (n_chains, n_iter, k) chains at once, and ``diagnose`` of every fit above
@@ -532,7 +535,7 @@ def _checks():
 
 def _many_blocks():
     """Outputs of the benchmark's post-fit scale, 600 subjects and 4 x 250 kept
-    draws, whose draws x rows arrays each span many 2 MiB blocks."""
+    draws, whose draws x rows arrays each span many 512 KiB blocks."""
     long, short = sc.simulate_scenario(sc.ScenarioConfig(n_subjects=600, seed=13))
     short, record = sc.scale_covariates(short, ("Size", "AgeAtSurg", "MitHPF"))
     long = sc.apply_scaling(long, record)
@@ -583,6 +586,31 @@ def _psis_edge_cases():
     odd[:, 7] = -np.abs(rng.standard_cauchy(400))       # heavy tail, large k-hat
     yield from _psis("psis.odd_columns", sc.psis_smooth(sc.LogLikMatrix(
         odd, ("probability",) * 10, tuple(range(10)))))
+
+    # 4000 draws of a chain accepting one move in five: the cutoff's tie
+    # group straddles the tail boundary in most columns
+    moves = np.where(rng.random(4000) < 0.2, np.arange(4000), 0)
+    split = rng.standard_t(6, size=(4000, 80)) * rng.uniform(0.1, 2.0, 80) - 1.5
+    ll = sc.LogLikMatrix(split[np.maximum.accumulate(moves)], ("density",) * 80,
+                         tuple(range(80)))
+    psis = sc.psis_smooth(ll)
+    yield from _psis("psis.split_ties.4000", psis)
+    yield "psis.split_ties.4000.elpd", sc.elpd_loo(ll, psis).pointwise
+
+
+def _kaplan_meier():
+    """``km_estimate`` of records with delayed entries, tied event and
+    censoring times, an odd count and a record entering at its own time."""
+    rng = np.random.default_rng(29)
+    n = 301
+    time = np.round(rng.exponential(3.0, n), 1) + 0.1
+    entry = np.where(rng.random(n) < 0.4, np.round(rng.uniform(0.0, 2.0, n), 1), 0.0)
+    entry[5] = time[5]  # enters at its event time: never at risk
+    status = np.where(rng.random(n) < 0.6, "event", "right_censored")
+    status[5] = "event"
+    km = sc.km_estimate(sc.SurvivalDataset(np.arange(n), entry, time, status))
+    yield "km.delayed_ties.times", km.times
+    yield "km.delayed_ties.values", km.values
 
 
 def _special_rows(post, x):
@@ -667,7 +695,7 @@ def _chain_sets():
         "metropolis": np.cumsum(moves, axis=1),
         "special": special,
         **{f"length-{n}": rng.standard_normal((2, n, 3)) for n in (1, 2, 3, 4, 5, 7)},
-        # 2 halves x 4 chains x a 1024-point FFT x 40 parameters: several 2 MiB blocks
+        # 2 halves x 4 chains x a 1024-point FFT x 40 parameters: several 512 KiB blocks
         "many-blocks": ar1(4, 1000, 40, 0.6),
     }
 
@@ -778,7 +806,7 @@ def _settings():
 def outputs():
     for workload in (_primitives, _cohort, _layouts, _subject_index, _treatment_rules,
                      _uncommon_fits, _masked_refits,
-                     _checks, _many_blocks, _psis_edge_cases, _log_posterior, _diagnostics,
+                     _checks, _many_blocks, _psis_edge_cases, _kaplan_meier, _log_posterior, _diagnostics,
                      _pipeline, _experiments, _cli, _settings):
         yield from workload()
 
