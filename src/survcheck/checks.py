@@ -159,12 +159,10 @@ def _ccdfs(samples: np.ndarray) -> list[StepFunction]:
     n = x.shape[1]
     last = np.ones(x.shape, dtype=bool)
     last[:, :-1] = (x[:, 1:] != x[:, :-1]) & ~(np.isnan(x[:, 1:]) & np.isnan(x[:, :-1]))
-    out = []
-    for row, ends in zip(x, last):
-        at = np.flatnonzero(ends)
-        first = np.concatenate(([0], at[:-1] + 1))
-        out.append(StepFunction(row[first], 1.0 - (at + 1) / n))
-    return out
+    first = np.ones(x.shape, dtype=bool)
+    first[:, 1:] = last[:, :-1]
+    return [StepFunction(row[starts], 1.0 - (np.flatnonzero(ends) + 1) / n)
+            for row, starts, ends in zip(x, first, last)]
 
 
 def km_overlay(
@@ -211,7 +209,8 @@ def intervals_data(
     """Observations vs central 50% and 90% predictive intervals.
 
     Quantiles use linear interpolation of order statistics (type 7), bit
-    for bit ``np.quantile``'s default, read off the draws sorted once.
+    for bit ``np.quantile``'s default, read off the draws sorted once (a
+    zero read from a column holding both -0.0 and 0.0 may differ in sign).
     """
     y = np.asarray(observed, dtype=float)
     draws = np.asarray(predictive_draws, dtype=float)
@@ -381,12 +380,12 @@ def simulate_pit_ecdfs(n: int, n_draws: int, n_sim: int, rng) -> np.ndarray:
     first = np.searchsorted(below, np.arange(n_draws + 1), side="right")
     sims = np.empty((n_sim, n))
     for rows in _row_blocks((n_sim, n + 1)):
-        reps = np.arange(n_sim)[rows]
-        at = np.empty((reps.size, n), dtype=np.intp)
-        for r in range(reps.size):
+        m = len(sims[rows])
+        at = np.empty((m, n), dtype=np.intp)
+        for r in range(m):
             at[r] = first[rng.integers(0, n_draws + 1, size=n)]
-        at += (np.arange(reps.size) * (n + 1))[:, None]
-        counts = np.bincount(at.ravel(), minlength=reps.size * (n + 1)).reshape(reps.size, n + 1)
+        at += np.arange(0, m * (n + 1), n + 1)[:, None]  # replicate r's bins start at r(n + 1)
+        counts = np.bincount(at.ravel(), minlength=m * (n + 1)).reshape(m, n + 1)
         sims[rows] = np.cumsum(counts[:, :n], axis=1) / n
     return sims
 

@@ -332,7 +332,8 @@ def bernoulli_dichotomized_loglik(
     rows = TreatmentRule.of(long).rows({name: col[keep] for name, col in short.covariates.items()},
                                        k_max)
     _check_rebuilt_rows(spec, long, rank, keep, k_max, rows)
-    x = design.matrix(rows, n_keep * k_max).reshape(n_keep, k_max, -1)
+    x = design.matrix(rows, n_keep * k_max)
+    x = x.reshape(n_keep, k_max, x.shape[1])
     beta = design.coefficients(draws)
     vals = np.empty((n_keep, len(beta)))
     # one block of subjects at a time; a subject's rows are multiplied and

@@ -1,10 +1,12 @@
-"""Loop forms of two predictive-check primitives, the reference for the tests.
+"""Loop forms of three predictive-check primitives, the reference for the tests.
 
 ``km_estimate`` walks the distinct event times, counting each risk set
 afresh; ``simulate_pit_ecdfs`` sorts each replicate's PIT values and
-searches the grid in them.  ``checks.km_estimate`` (a cumulative product
-over sorted searches) and ``checks.simulate_pit_ecdfs`` (one histogram and
-cumulative sum for a block of replicates) must match them bit for bit.
+searches the grid in them; ``empirical_ccdf`` counts one sample's distinct
+values with ``np.unique``.  ``checks.km_estimate`` (a cumulative product
+over sorted searches), ``checks.simulate_pit_ecdfs`` (one histogram and
+cumulative sum for a block of replicates) and ``checks.empirical_ccdf``
+(every sample sorted at once) must match them bit for bit.
 """
 
 from __future__ import annotations
@@ -40,3 +42,10 @@ def simulate_pit_ecdfs(n: int, n_draws: int, n_sim: int, rng) -> np.ndarray:
         pit = np.sort(rng.integers(0, n_draws + 1, size=n) / n_draws)
         sims[r] = np.searchsorted(pit, grid, side="right") / n
     return sims
+
+
+def empirical_ccdf(times) -> StepFunction:
+    """1 - empirical CDF of one sample, stepping at its distinct values."""
+    times = np.sort(np.asarray(times, dtype=float))
+    uniq, counts = np.unique(times, return_counts=True)
+    return StepFunction(uniq, 1.0 - np.cumsum(counts) / times.size)

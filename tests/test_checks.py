@@ -298,6 +298,25 @@ class TestAgainstLoopOracles:
             want = checks_oracle.simulate_pit_ecdfs(n, n_draws, n_sim, np.random.default_rng(n))
         assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("sample", [
+        [], [np.nan], [2.0], [3.0, 1.0, 3.0, np.inf, 1.0, np.inf],
+        [-np.inf, 1.0, 0.5, 1.0], np.round(np.linspace(0, 4, 301) ** 2 % 3, 1)])
+    def test_empirical_ccdf(self, sample):
+        got, want = empirical_ccdf(sample), checks_oracle.empirical_ccdf(sample)
+        assert got.times.tobytes() == want.times.tobytes()
+        assert got.values.tobytes() == want.values.tobytes()
+
+    def test_km_overlay_reads_each_draw_as_empirical_ccdf(self):
+        ds = make_dataset([1.0, 2.0, 4.0], ["event"] * 3)
+        draws = np.round(np.random.default_rng(5).exponential(2.0, (4, 9)), 1)
+        pred = [s for s in km_overlay(ds, draws, cutoff_factor=2.0)
+                if s.metadata["role"] == "predictive"]
+        for s, (row, series) in enumerate(zip(draws, pred)):
+            want = checks_oracle.empirical_ccdf(row).truncated(8.0).to_series(
+                f"predictive_{s}", "predictive", xmax=8.0)
+            assert series.to_dict() == want.to_dict()
+        assert len(km_overlay(ds, np.empty((2, 0)))) == 3  # two empty draw sequences
+
 
 class TestPitEcdfBand:
     def test_diagonal_inside(self):

@@ -660,6 +660,17 @@ class TestBernoulliDichotomized:
         assert ll.tags == ("probability",) * 4
         np.testing.assert_allclose(ll.values, self.expected(duration_of), rtol=1e-12)
 
+    def test_no_subject_kept(self):
+        # both censored before the horizon: a draws x 0 matrix, as for a
+        # continuous model
+        short = SurvivalDataset([1, 2], np.zeros(2), [2.0, 3.0], ["right_censored"] * 2,
+                                {"z": [0.3, -1.2], "AdjTreatm": [1.0, 0.0]})
+        long = expand_long(short, TimeGrid(1.0, 6), TreatmentRule(duration=3))
+        ll = bernoulli_dichotomized_loglik(self.spec, self.design, self.draws, long,
+                                           float(self.HORIZON))
+        assert ll.values.shape == (7, 0)
+        assert ll.unit_ids == ()
+
     @pytest.mark.parametrize("duration, follow_up", [(1, 10), (2, 10), (3, 10), (4, 10), (5, 5)])
     def test_simulated_cohort_of_another_duration_scored(self, duration, follow_up):
         # scored under the default 3-interval rule, every duration but 3 was
